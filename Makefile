@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-distributed test-dispatch-http test-serve test-integrity fuzz-h5lite vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-kernels bench-precision bench-report bench-serve bench-integrity bench-smoke clean
+.PHONY: all build verify test test-benchmark test-distributed test-dispatch-http test-serve test-integrity fuzz-h5lite vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-kernels bench-precision bench-report bench-serve bench-integrity bench-smoke profile-paper clean
 
 all: build
 
@@ -29,6 +29,13 @@ vulncheck:
 
 test:
 	$(GO) test ./...
+
+# The repository benchmark is a nested module (benchmark/go.mod), so
+# `go test ./...` never descends into it: build it and run its tests
+# (maths, accounting rules, a smoke run of all four workloads) here, so
+# a refactor that breaks its build fails in CI and not in the pipeline.
+test-benchmark:
+	cd benchmark && $(GO) test ./...
 
 # Race-enabled pass over the distributed campaign runtime: lease
 # state machine on the fake clock, racing-claim property test, the
@@ -77,6 +84,18 @@ verify: build vet test
 # baseline (see internal/screen/bench_test.go).
 bench-screen:
 	$(GO) test ./internal/screen/ -run xxx -bench 'BenchmarkRunJob' -benchtime 2s | tee bench_screen.txt
+
+# CPU profile of the paper-shape job (BenchmarkRunJobPaperF32: 48^3
+# grid, conv 32/64, 12 poses, batch 2, 2 ranks, f32 — the screen_paper
+# workload of the repository benchmark) and its 15 hottest functions, so
+# the next change to that path starts from measured traffic. The test
+# binary and the profile stay in $(PROFILE_DIR), which git ignores.
+PROFILE_DIR ?= .bench_build/profile
+profile-paper:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test ./internal/screen/ -run '^$$' -bench 'BenchmarkRunJobPaperF32$$' -benchtime 10x -cpu 2 \
+		-o $(PROFILE_DIR)/screen.test -cpuprofile $(PROFILE_DIR)/paper.cpu.prof
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/screen.test $(PROFILE_DIR)/paper.cpu.prof
 
 # Ensemble-engine win: featurize-once/score-N consensus scoring vs N
 # independent single-scorer runs over the same poses.

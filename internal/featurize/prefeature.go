@@ -40,8 +40,12 @@ type PocketPrefeature struct {
 	graph  GraphOptions
 
 	baseline []float64 // [C*N^3] pocket-channel splats, ligand channels zero
-	nodeRows []float64 // [np * NodeFeatures] pocket node features
-	cells    cellList
+	// baselineBox bounds the pocket atoms' splat footprints: with the box
+	// of a pose's ligand splats it bounds the whole grid's occupancy,
+	// which is what the voxel head restricts its convolution stack to.
+	baselineBox tensor.Box
+	nodeRows    []float64 // [np * NodeFeatures] pocket node features
+	cells       cellList
 }
 
 // NewPocketPrefeature computes the target-invariant featurization
@@ -60,7 +64,7 @@ func NewPocketPrefeature(p *target.Pocket, vo VoxelOptions, gro GraphOptions) *P
 		// Same splat kernel, same chOffset, same atom order as
 		// VoxelizeInto — the baseline bytes equal the pocket half of an
 		// uncached grid.
-		splat(pf.baseline, chem.FeatureChannels, pocketChannels(&p.Atoms[i]), p.Atoms[i].Pos, half, vo, nil)
+		splat(pf.baseline, chem.FeatureChannels, pocketChannels(&p.Atoms[i]), p.Atoms[i].Pos, half, vo, nil, &pf.baselineBox)
 	}
 	for j := range p.Atoms {
 		pocketNodeRow(&p.Atoms[j], pf.nodeRows[j*NodeFeatures:(j+1)*NodeFeatures])
@@ -95,6 +99,52 @@ func (pf *PocketPrefeature) Matches(p *target.Pocket, vo VoxelOptions, gro Graph
 type VoxelSlotState struct {
 	owner   *PocketPrefeature
 	touched []int32
+	ligand  tensor.Box // bounds the touched voxels
+}
+
+// OccupiedBox returns a box containing every non-zero voxel of the
+// grid the slot holds — the pocket baseline's box joined with the box
+// of the voxels the current pose splatted — without looking at the
+// grid. ok is false when the state holds nothing (a grid that was not
+// rendered through PocketPrefeature.VoxelizeInto with this state);
+// callers then scan the grid with OccupiedBox.
+func (st *VoxelSlotState) OccupiedBox() (box tensor.Box, ok bool) {
+	if st.owner == nil {
+		return tensor.Box{}, false
+	}
+	return st.owner.baselineBox.Union(st.ligand), true
+}
+
+// OccupiedBox scans a [C, N, N, N] voxel grid once and returns the
+// bounding box of its non-zero voxels over all channels (empty for an
+// all-zero grid).
+func OccupiedBox(grid *tensor.Tensor) tensor.Box {
+	data, channels, n := grid.Data, grid.Dim(0), grid.Dim(1)
+	lo := [3]int{n, n, n}
+	var hi [3]int
+	for c := 0; c < channels; c++ {
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				row := data[((c*n+x)*n+y)*n:][:n]
+				first, last := -1, -1
+				for z, v := range row {
+					if v != 0 {
+						if first < 0 {
+							first = z
+						}
+						last = z
+					}
+				}
+				if first < 0 {
+					continue
+				}
+				lo[0], hi[0] = min(lo[0], x), max(hi[0], x+1)
+				lo[1], hi[1] = min(lo[1], y), max(hi[1], y+1)
+				lo[2], hi[2] = min(lo[2], first), max(hi[2], last+1)
+			}
+		}
+	}
+	return tensor.Box{}.Union(tensor.Box{Lo: lo, Hi: hi})
 }
 
 // VoxelizeInto renders the posed ligand over the cached pocket
@@ -142,11 +192,13 @@ func (pf *PocketPrefeature) VoxelizeInto(dst *tensor.Tensor, st *VoxelSlotState,
 	}
 	half := float64(n) * o.Resolution / 2
 	var rec *[]int32
+	var box *tensor.Box
 	if st != nil {
-		rec = &st.touched
+		st.ligand = tensor.Box{}
+		rec, box = &st.touched, &st.ligand
 	}
 	for _, a := range mol.Atoms {
-		splat(out.Data, 0, ligandChannels(&a), a.Pos, half, o, rec)
+		splat(out.Data, 0, ligandChannels(&a), a.Pos, half, o, rec, box)
 	}
 	return out
 }

@@ -96,6 +96,15 @@ func TestPrefeatureByteIdenticalAcrossScales(t *testing.T) {
 					ctx := fmt.Sprintf("pass %d mol %d", pass, mi)
 					vslot = pf.VoxelizeInto(vslot, &state, m)
 					assertVoxelsEqual(t, ctx, vslot, Voxelize(target.Protease1, m, sc.vo))
+					// The slot state bounds the grid's occupancy without
+					// scanning it.
+					box, ok := state.OccupiedBox()
+					if scan := OccupiedBox(vslot); !ok || box.Intersect(scan) != scan {
+						t.Fatalf("%s: slot-state box %v (ok=%v) misses occupied voxels %v", ctx, box, ok, scan)
+					}
+					if n := sc.vo.GridSize; sc.name == "paper" && box.Volume()*8 > n*n*n {
+						t.Fatalf("%s: occupied box %v is %d of %d voxels, want a small part of the paper grid", ctx, box, box.Volume(), n*n*n)
+					}
 					gslot = pf.BuildGraphInto(gslot, m)
 					assertGraphsEqual(t, ctx, gslot, BuildGraph(target.Protease1, m, gro))
 				}
@@ -104,6 +113,9 @@ func TestPrefeatureByteIdenticalAcrossScales(t *testing.T) {
 			// per call).
 			out := pf.VoxelizeInto(nil, nil, mols[0])
 			assertVoxelsEqual(t, "nil state", out, Voxelize(target.Protease1, mols[0], sc.vo))
+			if _, ok := new(VoxelSlotState).OccupiedBox(); ok {
+				t.Fatal("a slot state that rendered nothing claims to know the grid's occupancy")
+			}
 		})
 	}
 }

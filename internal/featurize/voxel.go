@@ -75,10 +75,10 @@ func VoxelizeInto(dst *tensor.Tensor, p *target.Pocket, mol *chem.Mol, o VoxelOp
 	}
 	half := float64(n) * o.Resolution / 2
 	for _, a := range mol.Atoms {
-		splat(out.Data, 0, ligandChannels(&a), a.Pos, half, o, nil)
+		splat(out.Data, 0, ligandChannels(&a), a.Pos, half, o, nil, nil)
 	}
 	for i := range p.Atoms {
-		splat(out.Data, chem.FeatureChannels, pocketChannels(&p.Atoms[i]), p.Atoms[i].Pos, half, o, nil)
+		splat(out.Data, chem.FeatureChannels, pocketChannels(&p.Atoms[i]), p.Atoms[i].Pos, half, o, nil, nil)
 	}
 	return out
 }
@@ -106,36 +106,35 @@ func pocketChannels(pa *target.PocketAtom) [chem.FeatureChannels]float64 {
 }
 
 // splat renders one atom's truncated Gaussian into the flat [C,N,N,N]
-// grid data starting at channel chOffset. When touched is non-nil,
-// every in-bounds voxel offset (linear within one N^3 channel) of the
-// atom's footprint is appended to it — recording happens in the same
-// traversal as the writes, so the footprint can never drift out of
-// sync with the splat kernel; the prefeature path zeroes exactly these
-// offsets across the ligand channels to restore a recycled grid to the
-// pocket baseline.
-func splat(data []float64, chOffset int, ch [chem.FeatureChannels]float64, pos chem.Vec3, half float64, o VoxelOptions, touched *[]int32) {
+// grid data starting at channel chOffset, over the in-bounds part of
+// the atom's 27-voxel neighborhood. When touched is non-nil, every
+// voxel offset (linear within one N^3 channel) of that neighborhood is
+// appended to it, and when box is non-nil the neighborhood is joined
+// into it — recording happens in the same traversal as the writes, so
+// the footprint can never drift out of sync with the splat kernel. The
+// prefeature path zeroes exactly the touched offsets across the ligand
+// channels to restore a recycled grid to the pocket baseline, and the
+// voxel head restricts its convolution stack to the recorded boxes.
+func splat(data []float64, chOffset int, ch [chem.FeatureChannels]float64, pos chem.Vec3, half float64, o VoxelOptions, touched *[]int32, box *tensor.Box) {
 	n := o.GridSize
 	// Continuous voxel coordinates of the atom.
 	vx := (pos.X + half) / o.Resolution
 	vy := (pos.Y + half) / o.Resolution
 	vz := (pos.Z + half) / o.Resolution
 	cx, cy, cz := int(math.Floor(vx)), int(math.Floor(vy)), int(math.Floor(vz))
+	x0, x1 := max(cx-1, 0), min(cx+1, n-1)
+	y0, y1 := max(cy-1, 0), min(cy+1, n-1)
+	z0, z1 := max(cz-1, 0), min(cz+1, n-1)
+	if x0 > x1 || y0 > y1 || z0 > z1 {
+		return
+	}
+	if box != nil {
+		*box = box.Union(tensor.Box{Lo: [3]int{x0, y0, z0}, Hi: [3]int{x1 + 1, y1 + 1, z1 + 1}})
+	}
 	inv2s2 := 1 / (2 * o.Sigma * o.Sigma)
-	for dx := -1; dx <= 1; dx++ {
-		x := cx + dx
-		if x < 0 || x >= n {
-			continue
-		}
-		for dy := -1; dy <= 1; dy++ {
-			y := cy + dy
-			if y < 0 || y >= n {
-				continue
-			}
-			for dz := -1; dz <= 1; dz++ {
-				z := cz + dz
-				if z < 0 || z >= n {
-					continue
-				}
+	for x := x0; x <= x1; x++ {
+		for y := y0; y <= y1; y++ {
+			for z := z0; z <= z1; z++ {
 				if touched != nil {
 					*touched = append(*touched, int32((x*n+y)*n+z))
 				}

@@ -1,0 +1,249 @@
+package fusion
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"deepfusion/internal/chem"
+	"deepfusion/internal/featurize"
+	"deepfusion/internal/libgen"
+	"deepfusion/internal/nn"
+	"deepfusion/internal/target"
+	"deepfusion/internal/tensor"
+)
+
+// refForward32 is the whole-grid f32 forward of the voxel head the box
+// path must reproduce bit for bit: the full [B,C,G,G,G] batch through
+// the public whole-grid layer kernels, stage for stage, nothing boxed.
+func refForward32(m *CNN3D, samples []*Sample, ws *nn.Workspace) []float32 {
+	s0 := samples[0].Voxels
+	x := ws.Arena32.GetUninit(len(samples), s0.Dim(0), s0.Dim(1), s0.Dim(2), s0.Dim(3))
+	per := s0.Len()
+	for i, s := range samples {
+		featurize.EmitF32(x.Data[i*per:(i+1)*per], s.Voxels.Data)
+	}
+	h := m.act[0].ForwardInfer32(m.conv1.ForwardInfer32(x, ws), ws)
+	h2 := m.act[1].ForwardInfer32(m.conv2.ForwardInfer32(h, ws), ws)
+	if m.Cfg.Residual1 {
+		h2 = addInfer32(ws, h2, h)
+	}
+	h2 = m.pool1.ForwardInfer32(h2, ws)
+	h3 := m.act[2].ForwardInfer32(m.conv3.ForwardInfer32(h2, ws), ws)
+	h4 := m.act[3].ForwardInfer32(m.conv4.ForwardInfer32(h3, ws), ws)
+	if m.Cfg.Residual2 {
+		h4 = addInfer32(ws, h4, h3)
+	}
+	h4 = m.pool2.ForwardInfer32(h4, ws)
+	f := m.flat.ForwardInfer32(h4, ws)
+	d1 := m.fc1.ForwardInfer32(f, ws)
+	if m.bn != nil {
+		d1 = m.bn.ForwardInfer32(d1, ws)
+	}
+	d1 = m.act[4].ForwardInfer32(d1, ws)
+	latent := m.act[5].ForwardInfer32(m.fc2.ForwardInfer32(d1, ws), ws)
+	return m.out.ForwardInfer32(latent, ws).Data
+}
+
+// boxTestPoses places count library compounds in the pocket, each
+// jittered so their occupied boxes differ.
+func boxTestPoses(rng *rand.Rand, p *target.Pocket, count int) []*chem.Mol {
+	var mols []*chem.Mol
+	for i := rng.Intn(50); len(mols) < count; i++ {
+		m, err := libgen.ZINC.Mol(i)
+		if err != nil {
+			continue
+		}
+		p.PlaceLigand(m)
+		translate(m, chem.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()})
+		mols = append(mols, m)
+	}
+	return mols
+}
+
+// setConvBiases rewrites every convolution bias of m — a fresh model's
+// are zero, a trained model's are not — and drops what was compiled
+// from them.
+func setConvBiases(m *CNN3D, set func(b *tensor.Tensor)) {
+	for _, c := range []*nn.Conv3D{m.conv1, m.conv2, m.conv3, m.conv4} {
+		set(c.B.Value)
+		c.B.Invalidate()
+	}
+}
+
+func translate(m *chem.Mol, d chem.Vec3) {
+	for i := range m.Atoms {
+		p := m.Atoms[i].Pos
+		m.Atoms[i].Pos = chem.Vec3{X: p.X + d.X, Y: p.Y + d.Y, Z: p.Z + d.Z}
+	}
+}
+
+// TestBoxPathBitIdentity is the property that lets the voxel head skip
+// the empty part of the grid: whatever the batch's active box — the
+// whole grid, a small interior box, a box cut by the grid border,
+// samples with different boxes in one batch, with or without slot
+// state — the pooled scores equal the whole-grid reference bitwise at
+// both precisions, for zero and non-zero conv biases and with the
+// residual connections on and off. The f64 reference is the allocating
+// PredictBatch (the training Forward's own kernels); the f32 reference
+// is refForward32.
+func TestBoxPathBitIdentity(t *testing.T) {
+	grids := []featurize.VoxelOptions{
+		{GridSize: 8, Resolution: 3.0, Sigma: 0.8},  // fully occupied: every box is the grid
+		{GridSize: 16, Resolution: 2.0, Sigma: 0.8}, // interior box
+		{GridSize: 24, Resolution: 1.0, Sigma: 1.0}, // box reaches most borders
+		{GridSize: 32, Resolution: 4.0, Sigma: 0.8}, // small box: a strict part of the grid at every stage
+	}
+	gro := featurize.DefaultGraphOptions()
+	seed := int64(0)
+	for _, vo := range grids {
+		for pi, pocket := range target.All() {
+			for ci := 0; ci < 4; ci++ {
+				// The repro grid takes the full cross product; the larger
+				// ones (a dense whole-grid reference is seconds of work)
+				// give each pocket one of the four combinations.
+				if vo.GridSize > 8 && ci != pi {
+					continue
+				}
+				biased, residual := ci&1 != 0, ci&2 != 0
+				seed++
+				name := fmt.Sprintf("g%d@%g/%s/biased=%v/residual=%v", vo.GridSize, vo.Resolution, pocket.Name, biased, residual)
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(seed))
+					cfg := tinyCNNConfig()
+					cfg.Voxel = vo
+					cfg.ConvFilters1, cfg.ConvFilters2 = 3+rng.Intn(6), 8
+					cfg.Residual1, cfg.Residual2 = residual, residual
+					cfg.BatchNorm = rng.Intn(2) == 0
+					m := NewCNN3D(cfg, seed)
+					if biased {
+						setConvBiases(m, func(b *tensor.Tensor) { b.RandNormal(rng, 0.3) })
+					}
+					checkBoxPath(t, m, boxTestSamples(rng, pocket, vo, gro))
+				})
+			}
+		}
+	}
+}
+
+// boxTestSamples builds a batch whose samples have different occupied
+// boxes and different provenance: prefeature-rendered slots (box from
+// the slot state), a recycled slot, FeaturizeComplex samples (box from
+// a grid scan), and ligands pushed until their box touches and then
+// crosses the grid border.
+func boxTestSamples(rng *rand.Rand, pocket *target.Pocket, vo featurize.VoxelOptions, gro featurize.GraphOptions) []*Sample {
+	pre := featurize.NewPocketPrefeature(pocket, vo, gro)
+	mols := boxTestPoses(rng, pocket, 6)
+	extent := float64(vo.GridSize) * vo.Resolution / 2
+	touching, crossing := mols[4], mols[5]
+	translate(touching, chem.Vec3{X: extent - 2*vo.Resolution})
+	translate(crossing, chem.Vec3{Y: -extent, Z: extent + vo.Resolution})
+
+	recycled := FeaturizeComplexWithPrefeature(nil, pre, "first", mols[0], 0)
+	return []*Sample{
+		FeaturizeComplexWithPrefeature(recycled, pre, "recycled", mols[1], 0),
+		FeaturizeComplexWithPrefeature(nil, pre, "slot", mols[2], 0),
+		FeaturizeComplex("scan", pocket, mols[3], 0, vo, gro),
+		FeaturizeComplexWithPrefeature(nil, pre, "touching", touching, 0),
+		FeaturizeComplex("crossing", pocket, crossing, 0, vo, gro),
+	}
+}
+
+// checkBoxPath scores the samples in pairs (with a single left over)
+// and all together, and compares bitwise with the whole-grid
+// references.
+func checkBoxPath(t *testing.T, m *CNN3D, samples []*Sample) {
+	t.Helper()
+	ws64, ws32 := NewWorkspaceFor(PrecisionF64), NewWorkspaceFor(PrecisionF32)
+	ref := nn.NewWorkspace()
+	for _, bs := range []int{2, len(samples)} {
+		for lo := 0; lo < len(samples); lo += bs {
+			batch := samples[lo:min(lo+bs, len(samples))]
+			got := make([]float64, len(batch))
+
+			m.PredictBatchInto(batch, ws64, got)
+			for j, want := range m.PredictBatch(batch) {
+				if math.Float64bits(got[j]) != math.Float64bits(want) {
+					t.Fatalf("f64 batch %d sample %s: box path %v != whole-grid %v", bs, batch[j].ID, got[j], want)
+				}
+			}
+
+			m.PredictBatchInto(batch, ws32, got)
+			ref.Reset()
+			for j, want := range refForward32(m, batch, ref) {
+				if math.Float32bits(float32(got[j])) != math.Float32bits(want) || float64(want) != got[j] {
+					t.Fatalf("f32 batch %d sample %s: box path %v != whole-grid %v", bs, batch[j].ID, got[j], want)
+				}
+			}
+		}
+	}
+}
+
+// TestBoxPathCoversLessThanTheGrid pins that the property test above
+// exercises what it claims: on the mostly empty grid the active box is
+// a strict part of the grid at every stage, on the repro grid it is the
+// whole grid, and a ligand outside the grid adds nothing to the box.
+func TestBoxPathCoversLessThanTheGrid(t *testing.T) {
+	gro := featurize.DefaultGraphOptions()
+	plan := func(vo featurize.VoxelOptions, shift float64) boxPlan {
+		cfg := tinyCNNConfig()
+		cfg.Voxel = vo
+		m := NewCNN3D(cfg, 1)
+		mol, err := libgen.ZINC.Mol(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target.Protease1.PlaceLigand(mol)
+		translate(mol, chem.Vec3{X: shift})
+		pre := featurize.NewPocketPrefeature(target.Protease1, vo, gro)
+		s := FeaturizeComplexWithPrefeature(nil, pre, "x", mol, 0)
+		if scan := featurize.OccupiedBox(s.Voxels); s.occupiedBox().Intersect(scan) != scan {
+			t.Fatalf("slot-state box %v misses occupied voxels %v", s.occupiedBox(), scan)
+		}
+		return m.planBoxes(m.batchBox([]*Sample{s}))
+	}
+
+	sparse := featurize.VoxelOptions{GridSize: 32, Resolution: 4.0, Sigma: 0.8}
+	p := plan(sparse, 0)
+	full, half, quarter := tensor.GridBox(32, 32, 32), tensor.GridBox(16, 16, 16), tensor.GridBox(8, 8, 8)
+	if p.c2.Volume() >= full.Volume()/4 || p.c4.Volume() >= half.Volume()/2 || p.flat.Volume() >= quarter.Volume() {
+		t.Fatalf("sparse grid: active boxes %+v are not a small part of the grid", p)
+	}
+	if far := plan(sparse, 1000); far.in != p.in.Intersect(far.in) || far.in.Empty() {
+		t.Fatalf("ligand outside the grid changed the box: %v vs pocket-only part of %v", far.in, p.in)
+	}
+
+	p = plan(featurize.DefaultVoxelOptions(), 0)
+	if g := tensor.GridBox(8, 8, 8); p.in != g || p.c1 != g || p.c2 != g {
+		t.Fatalf("repro grid: active boxes %+v, want the whole grid", p)
+	}
+}
+
+// TestEmptyGridSample scores a sample whose grid is entirely zero (no
+// pocket atom and no ligand atom inside the grid): nothing is occupied,
+// every box is empty, and the score is the model's empty-grid response
+// — bitwise the whole-grid result.
+func TestEmptyGridSample(t *testing.T) {
+	vo := featurize.VoxelOptions{GridSize: 8, Resolution: 0.01, Sigma: 0.8}
+	gro := featurize.DefaultGraphOptions()
+	mol, err := libgen.ZINC.Mol(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target.Spike1.PlaceLigand(mol)
+	translate(mol, chem.Vec3{X: 50})
+	s := FeaturizeComplex("empty", target.Spike1, mol, 0, vo, gro)
+	if b := featurize.OccupiedBox(s.Voxels); !b.Empty() {
+		t.Skipf("grid is not empty (occupied %v); the geometry of this test needs updating", b)
+	}
+	for _, biased := range []bool{false, true} {
+		cfg := tinyCNNConfig()
+		cfg.Voxel = vo
+		m := NewCNN3D(cfg, 5)
+		if biased {
+			setConvBiases(m, func(b *tensor.Tensor) { b.Fill(0.25) })
+		}
+		checkBoxPath(t, m, []*Sample{s})
+	}
+}

@@ -27,6 +27,10 @@ type CNN3D struct {
 
 	// cached forward state for residual backward routing
 	stash cnnStash
+
+	// empty caches the conv stack's empty-grid response (box.go); the
+	// pointer is shared with every Replica.
+	empty *emptyCache
 }
 
 type cnnStash struct {
@@ -61,6 +65,7 @@ func NewCNN3D(cfg CNN3DConfig, seed int64) *CNN3D {
 		fc1:   nn.NewDense(rng, flatWidth, cfg.DenseNodes),
 		fc2:   nn.NewDense(rng, cfg.DenseNodes, cfg.DenseNodes/2),
 		out:   nn.NewDense(rng, cfg.DenseNodes/2, 1),
+		empty: &emptyCache{},
 	}
 	if cfg.BatchNorm {
 		m.bn = nn.NewBatchNorm(cfg.DenseNodes)

@@ -227,11 +227,12 @@ func (f *Fusion) Predict(s *Sample) float64 {
 	return f.PredictBatch([]*Sample{s})[0]
 }
 
-// PredictAll evaluates samples through the batched engine. (Each
-// Fusion instance holds forward caches, so concurrent PredictBatch
-// calls on one instance are not safe; the screening pipeline gives
-// each rank its own replica, as the paper loads one model instance per
-// GPU.)
+// PredictAll evaluates samples through the batched engine. (PredictBatch
+// runs the training Forward, which stashes each layer's input for
+// Backward, so concurrent PredictBatch calls on one instance are not
+// safe; the screening pipeline gives each rank its own Replica, as the
+// paper loads one model instance per GPU. PredictBatchInto stashes
+// nothing and may be called concurrently, one Workspace per caller.)
 func (f *Fusion) PredictAll(samples []*Sample) []float64 {
 	return chunked(samples, f.PredictBatch)
 }

@@ -7,8 +7,9 @@ import "deepfusion/internal/featurize"
 // ScoreBatch, the Featurizer handshake declaring the featurization
 // each model consumes (so the engine featurizes each pose once and
 // shares the sample across an ensemble), and the Cloner handshake
-// that gives each simulated MPI rank its own replica — the forward
-// caches make one instance unsafe to score concurrently. The fusion
+// that gives each simulated MPI rank its own weight-sharing replica —
+// ScoreBatch runs the training Forward, whose per-layer stashes make
+// one instance unsafe to score concurrently (see clone.go). The fusion
 // package does not import screen; the contract is satisfied
 // structurally.
 
@@ -29,7 +30,7 @@ func (m *CNN3D) Name() string { return "cnn3d" }
 func (m *CNN3D) ScoreBatch(samples []*Sample) []float64 { return m.PredictBatch(samples) }
 
 // CloneScorer implements the replication handshake.
-func (m *CNN3D) CloneScorer() any { return m.Clone() }
+func (m *CNN3D) CloneScorer() any { return m.Replica() }
 
 // FeatureOptions declares the voxel grid this head consumes.
 func (m *CNN3D) FeatureOptions() FeatureOptions {
@@ -44,7 +45,7 @@ func (m *SGCNN) Name() string { return "sgcnn" }
 func (m *SGCNN) ScoreBatch(samples []*Sample) []float64 { return m.PredictBatch(samples) }
 
 // CloneScorer implements the replication handshake.
-func (m *SGCNN) CloneScorer() any { return m.Clone() }
+func (m *SGCNN) CloneScorer() any { return m.Replica() }
 
 // FeatureOptions declares the complex graph this head consumes.
 func (m *SGCNN) FeatureOptions() FeatureOptions {
@@ -59,7 +60,9 @@ func (l *LateFusion) Name() string { return "late" }
 func (l *LateFusion) ScoreBatch(samples []*Sample) []float64 { return l.PredictBatch(samples) }
 
 // CloneScorer implements the replication handshake.
-func (l *LateFusion) CloneScorer() any { return &LateFusion{CNN: l.CNN.Clone(), SG: l.SG.Clone()} }
+func (l *LateFusion) CloneScorer() any {
+	return &LateFusion{CNN: l.CNN.Replica(), SG: l.SG.Replica()}
+}
 
 // FeatureOptions declares both head representations.
 func (l *LateFusion) FeatureOptions() FeatureOptions {
@@ -80,7 +83,7 @@ func (f *Fusion) Name() string {
 func (f *Fusion) ScoreBatch(samples []*Sample) []float64 { return f.PredictBatch(samples) }
 
 // CloneScorer implements the replication handshake.
-func (f *Fusion) CloneScorer() any { return f.Clone() }
+func (f *Fusion) CloneScorer() any { return f.Replica() }
 
 // FeatureOptions declares both head representations.
 func (f *Fusion) FeatureOptions() FeatureOptions {

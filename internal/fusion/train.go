@@ -191,6 +191,7 @@ func TrainFusion(f *Fusion, train, val []*Sample, seed int64) *History {
 	cfg := f.Cfg
 	if f.out.B.Value.Data[0] == 0 {
 		f.out.B.Value.Data[0] = meanLabel(train)
+		f.out.B.Invalidate()
 	}
 	opt := nn.NewOptimizer(cfg.Optimizer, f.Params(), cfg.LearningRate)
 	rng := rand.New(rand.NewSource(seed + 3))
@@ -272,6 +273,7 @@ func snapshotParams(ps []*nn.Param) []*tensor.Tensor {
 func restoreParams(ps []*nn.Param, snap []*tensor.Tensor) {
 	for i, p := range ps {
 		copy(p.Value.Data, snap[i].Data)
+		p.Invalidate()
 	}
 }
 

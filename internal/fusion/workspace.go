@@ -20,17 +20,17 @@ import (
 // training/reference engine and the golden baseline.
 
 // Workspace owns the pooled buffers of one inference stream: the
-// tensor arena and cached weight packings (via nn.Workspace) plus the
-// batch-assembly scratch — disjoint-union edge lists and gather
-// segments. The screening engine gives each rank one workspace, shared
-// by every scorer replica the rank owns; each PredictBatchInto call
-// recycles the previous call's buffers, so results must be copied out
-// before the next call (PredictBatchInto's out slice satisfies this by
-// construction).
+// tensor arenas (via nn.Workspace) plus the batch-assembly scratch —
+// disjoint-union edge lists and gather segments. The screening engine
+// gives each rank one workspace, shared by every scorer replica the
+// rank owns; each PredictBatchInto call recycles the previous call's
+// buffers, so results must be copied out before the next call
+// (PredictBatchInto's out slice satisfies this by construction).
 //
-// A Workspace is not safe for concurrent use, and its cached weight
-// packings assume frozen weights: create it after training, which the
-// screening engine does by cloning rank replicas from trained models.
+// A Workspace is not safe for concurrent use. It holds nothing derived
+// from weights — packed panels, transposes, f32 conversions and the
+// empty-grid response belong to the model and are shared by every
+// workspace — so it never goes stale when weights change.
 type Workspace struct {
 	nn        *nn.Workspace
 	precision Precision
@@ -58,18 +58,22 @@ func NewWorkspaceFor(p Precision) *Workspace {
 // Precision reports the numeric width this workspace dispatches to.
 func (ws *Workspace) Precision() Precision { return ws.precision }
 
-// Reset recycles the per-batch buffers; cached weight packings persist.
+// Reset recycles the per-batch buffers.
 func (ws *Workspace) Reset() { ws.nn.Reset() }
 
-// stackVoxels assembles per-sample [C,G,G,G] grids into a pooled
-// [B,C,G,G,G] batch tensor — the inference counterpart of stackVoxels
-// (no augmentation; inference never rotates).
-func (ws *Workspace) stackVoxels(samples []*Sample) *tensor.Tensor {
+// stackVoxels assembles the box region of the per-sample [C,G,G,G]
+// grids into a pooled [B,C,box dims] batch tensor — the inference
+// counterpart of stackVoxels (no augmentation; inference never
+// rotates), copying only the voxels the conv stack will read.
+func (ws *Workspace) stackVoxels(samples []*Sample, box tensor.Box) *tensor.Tensor {
 	s0 := samples[0].Voxels
-	b := ws.nn.Arena.GetUninit(len(samples), s0.Dim(0), s0.Dim(1), s0.Dim(2), s0.Dim(3))
-	per := s0.Len()
+	c, g := s0.Dim(0), s0.Dim(1)
+	d, h, w := box.Dims()
+	b := ws.nn.Arena.GetUninit(len(samples), c, d, h, w)
+	per := c * d * h * w
+	grid := tensor.GridBox(g, g, g)
 	for i, s := range samples {
-		copy(b.Data[i*per:(i+1)*per], s.Voxels.Data)
+		copyBox(b.Data[i*per:(i+1)*per], box, s.Voxels.Data, grid, box, c)
 	}
 	return b
 }
@@ -118,30 +122,92 @@ func checkInto(samples []*Sample, out []float64) {
 	}
 }
 
-// forwardInfer is the pooled inference forward of the voxel head —
-// Forward with train=false, stage for stage, into arena buffers.
-func (m *CNN3D) forwardInfer(x *tensor.Tensor, ws *nn.Workspace) (pred, latent *tensor.Tensor) {
-	h := m.act[0].ForwardInfer(m.conv1.ForwardInfer(x, ws), ws)
-	h2 := m.act[1].ForwardInfer(m.conv2.ForwardInfer(h, ws), ws)
+// convStages are the conv stack's activations at the four points the
+// empty-grid response records (see emptyResponse); p2 is what the
+// dense stack consumes.
+type convStages struct {
+	a1, p1, a3, p2 *tensor.Tensor
+}
+
+// halo returns the input a conv stage must read to produce out
+// exactly: x itself when the empty-grid response around it is zero (or
+// there is nothing around it), otherwise the empty-grid response over
+// the stage's reach with x laid over its box.
+func halo(x *tensor.Tensor, in tensor.Box, empty []float64, grid, out tensor.Box, pad int, ws *nn.Workspace) (*tensor.Tensor, tensor.Box) {
+	reach := out.Dilate(pad).Intersect(grid)
+	if empty == nil || reach == in {
+		return x, in
+	}
+	n, c := x.Dim(0), x.Dim(1)
+	d, h, w := reach.Dims()
+	y := ws.Arena.GetUninit(n, c, d, h, w)
+	per, xper := c*d*h*w, c*in.Volume()
+	for i := 0; i < n; i++ {
+		copyBox(y.Data[i*per:(i+1)*per], reach, empty, grid, reach, c)
+		copyBox(y.Data[i*per:(i+1)*per], reach, x.Data[i*xper:(i+1)*xper], in, in, c)
+	}
+	return y, reach
+}
+
+// convStack is the pooled conv half of the voxel head over the boxes
+// of p: Forward's conv stages with train=false, stage for stage, into
+// arena buffers. x is the batch over p.in; e supplies what lies
+// outside the boxes.
+func (m *CNN3D) convStack(x *tensor.Tensor, p boxPlan, e *emptyResponse[float64], ws *nn.Workspace) convStages {
+	g := m.Cfg.Voxel.GridSize
+	full, half := tensor.GridBox(g, g, g), tensor.GridBox(g/2, g/2, g/2)
+	var st convStages
+
+	h := m.conv1.ForwardInferBox(x, p.in, p.c1, ws)
+	m.act[0].InferInPlace(h)
+	st.a1 = h
+	hin, hbox := halo(h, p.c1, e.a1, full, p.c2, m.conv2.K/2, ws)
+	h2 := m.conv2.ForwardInferBox(hin, hbox, p.c2, ws)
+	m.act[1].InferInPlace(h2)
 	if m.Cfg.Residual1 {
-		h2 = addInfer(ws, h2, h)
+		addBox(h2.Data, p.c2, hin.Data, hbox, h2.Dim(0)*h2.Dim(1))
 	}
-	h2 = m.pool1.ForwardInfer(h2, ws)
-	h3 := m.act[2].ForwardInfer(m.conv3.ForwardInfer(h2, ws), ws)
-	h4 := m.act[3].ForwardInfer(m.conv4.ForwardInfer(h3, ws), ws)
+	st.p1 = m.pool1.ForwardInfer(h2, ws)
+
+	pin, pbox := halo(st.p1, p.c2.Downscale(2), e.p1, half, p.c3, m.conv3.K/2, ws)
+	h3 := m.conv3.ForwardInferBox(pin, pbox, p.c3, ws)
+	m.act[2].InferInPlace(h3)
+	st.a3 = h3
+	hin, hbox = halo(h3, p.c3, e.a3, half, p.c4, m.conv4.K/2, ws)
+	h4 := m.conv4.ForwardInferBox(hin, hbox, p.c4, ws)
+	m.act[3].InferInPlace(h4)
 	if m.Cfg.Residual2 {
-		h4 = addInfer(ws, h4, h3)
+		addBox(h4.Data, p.c4, hin.Data, hbox, h4.Dim(0)*h4.Dim(1))
 	}
-	h4 = m.pool2.ForwardInfer(h4, ws)
-	f := m.flat.ForwardInfer(h4, ws)
+	st.p2 = m.pool2.ForwardInfer(h4, ws)
+	return st
+}
+
+// forwardInfer is the pooled inference forward of the voxel head:
+// the conv stack over the batch's active box, then the dense stack on
+// the flattened pooled grid — the box's values over the empty-grid
+// response.
+func (m *CNN3D) forwardInfer(samples []*Sample, ws *Workspace) (pred, latent *tensor.Tensor) {
+	p := m.planBoxes(m.batchBox(samples))
+	e := m.empty64()
+	st := m.convStack(ws.stackVoxels(samples, p.in), p, e, ws.nn)
+
+	q := m.Cfg.Voxel.GridSize / 4
+	c2 := m.Cfg.ConvFilters2
+	f := ws.nn.Arena.GetUninit(len(samples), c2*q*q*q)
+	per := c2 * p.flat.Volume()
+	for i := range samples {
+		fillFlat(f.Row(i), tensor.GridBox(q, q, q), e.p2, st.p2.Data[i*per:(i+1)*per], p.flat, c2)
+	}
 	// drop1/drop2 are the identity at inference.
-	d1 := m.fc1.ForwardInfer(f, ws)
+	d1 := m.fc1.ForwardInfer(f, ws.nn)
 	if m.bn != nil {
-		d1 = m.bn.ForwardInfer(d1, ws)
+		d1 = m.bn.ForwardInfer(d1, ws.nn)
 	}
-	d1 = m.act[4].ForwardInfer(d1, ws)
-	latent = m.act[5].ForwardInfer(m.fc2.ForwardInfer(d1, ws), ws)
-	pred = m.out.ForwardInfer(latent, ws)
+	m.act[4].InferInPlace(d1)
+	latent = m.fc2.ForwardInfer(d1, ws.nn)
+	m.act[5].InferInPlace(latent)
+	pred = m.out.ForwardInfer(latent, ws.nn)
 	return pred, latent
 }
 
@@ -174,7 +240,7 @@ func (m *CNN3D) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64
 		m.predictBatchInto32(samples, ws, out)
 		return
 	}
-	pred, _ := m.forwardInfer(ws.stackVoxels(samples), ws.nn)
+	pred, _ := m.forwardInfer(samples, ws)
 	copy(out, pred.Data)
 }
 
@@ -206,7 +272,7 @@ func (l *LateFusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []fl
 		l.predictBatchInto32(samples, ws, out)
 		return
 	}
-	cnnPred, _ := l.CNN.forwardInfer(ws.stackVoxels(samples), ws.nn)
+	cnnPred, _ := l.CNN.forwardInfer(samples, ws)
 	sgPred, _ := l.SG.forwardBatchInfer(samples, ws)
 	for i := range out {
 		out[i] = (cnnPred.Data[i] + sgPred.Data[i]) / 2
@@ -225,7 +291,7 @@ func (f *Fusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []float6
 		f.predictBatchInto32(samples, ws, out)
 		return
 	}
-	_, cnnLat := f.CNN.forwardInfer(ws.stackVoxels(samples), ws.nn)
+	_, cnnLat := f.CNN.forwardInfer(samples, ws)
 	_, sgLat := f.SG.forwardBatchInfer(samples, ws)
 
 	b := len(samples)

@@ -17,15 +17,19 @@ import (
 // precision-blind. Dispatch happens inside PredictBatchInto on the
 // workspace's precision — there is no separate f32 scorer type.
 
-// stackVoxels32 assembles per-sample [C,G,G,G] float64 grids into a
-// pooled float32 [B,C,G,G,G] batch tensor — the narrowing twin of
-// stackVoxels.
-func (ws *Workspace) stackVoxels32(samples []*Sample) *tensor.F32 {
+// stackVoxels32 assembles the box region of the per-sample [C,G,G,G]
+// float64 grids into a pooled float32 [B,C,box dims] batch tensor —
+// the narrowing twin of stackVoxels.
+func (ws *Workspace) stackVoxels32(samples []*Sample, box tensor.Box) *tensor.F32 {
 	s0 := samples[0].Voxels
-	b := ws.nn.Arena32.GetUninit(len(samples), s0.Dim(0), s0.Dim(1), s0.Dim(2), s0.Dim(3))
-	per := s0.Len()
+	c, g := s0.Dim(0), s0.Dim(1)
+	d, h, w := box.Dims()
+	b := ws.nn.Arena32.GetUninit(len(samples), c, d, h, w)
+	per := c * d * h * w
+	grid := tensor.GridBox(g, g, g)
 	for i, s := range samples {
-		featurize.EmitF32(b.Data[i*per:(i+1)*per], s.Voxels.Data)
+		dst, src := b.Data[i*per:(i+1)*per], s.Voxels.Data
+		boxRows(box, grid, box, c, func(d, s, w int) { featurize.EmitF32(dst[d:d+w], src[s:s+w]) })
 	}
 	return b
 }
@@ -69,30 +73,83 @@ func addInfer32(ws *nn.Workspace, a, b *tensor.F32) *tensor.F32 {
 	return r
 }
 
+// convStages32 is the f32 convStages.
+type convStages32 struct {
+	a1, p1, a3, p2 *tensor.F32
+}
+
+// halo32 is the f32 halo.
+func halo32(x *tensor.F32, in tensor.Box, empty []float32, grid, out tensor.Box, pad int, ws *nn.Workspace) (*tensor.F32, tensor.Box) {
+	reach := out.Dilate(pad).Intersect(grid)
+	if empty == nil || reach == in {
+		return x, in
+	}
+	n, c := x.Dim(0), x.Dim(1)
+	d, h, w := reach.Dims()
+	y := ws.Arena32.GetUninit(n, c, d, h, w)
+	per, xper := c*d*h*w, c*in.Volume()
+	for i := 0; i < n; i++ {
+		copyBox(y.Data[i*per:(i+1)*per], reach, empty, grid, reach, c)
+		copyBox(y.Data[i*per:(i+1)*per], reach, x.Data[i*xper:(i+1)*xper], in, in, c)
+	}
+	return y, reach
+}
+
+// convStack32 is the f32 conv half of the voxel head over the boxes of
+// p, mirroring convStack stage for stage.
+func (m *CNN3D) convStack32(x *tensor.F32, p boxPlan, e *emptyResponse[float32], ws *nn.Workspace) convStages32 {
+	g := m.Cfg.Voxel.GridSize
+	full, half := tensor.GridBox(g, g, g), tensor.GridBox(g/2, g/2, g/2)
+	var st convStages32
+
+	h := m.conv1.ForwardInferBox32(x, p.in, p.c1, ws)
+	m.act[0].InferInPlace32(h)
+	st.a1 = h
+	hin, hbox := halo32(h, p.c1, e.a1, full, p.c2, m.conv2.K/2, ws)
+	h2 := m.conv2.ForwardInferBox32(hin, hbox, p.c2, ws)
+	m.act[1].InferInPlace32(h2)
+	if m.Cfg.Residual1 {
+		addBox(h2.Data, p.c2, hin.Data, hbox, h2.Dim(0)*h2.Dim(1))
+	}
+	st.p1 = m.pool1.ForwardInfer32(h2, ws)
+
+	pin, pbox := halo32(st.p1, p.c2.Downscale(2), e.p1, half, p.c3, m.conv3.K/2, ws)
+	h3 := m.conv3.ForwardInferBox32(pin, pbox, p.c3, ws)
+	m.act[2].InferInPlace32(h3)
+	st.a3 = h3
+	hin, hbox = halo32(h3, p.c3, e.a3, half, p.c4, m.conv4.K/2, ws)
+	h4 := m.conv4.ForwardInferBox32(hin, hbox, p.c4, ws)
+	m.act[3].InferInPlace32(h4)
+	if m.Cfg.Residual2 {
+		addBox(h4.Data, p.c4, hin.Data, hbox, h4.Dim(0)*h4.Dim(1))
+	}
+	st.p2 = m.pool2.ForwardInfer32(h4, ws)
+	return st
+}
+
 // forwardInfer32 is the f32 pooled forward of the voxel head,
 // mirroring forwardInfer stage for stage.
-func (m *CNN3D) forwardInfer32(x *tensor.F32, ws *nn.Workspace) (pred, latent *tensor.F32) {
-	h := m.act[0].ForwardInfer32(m.conv1.ForwardInfer32(x, ws), ws)
-	h2 := m.act[1].ForwardInfer32(m.conv2.ForwardInfer32(h, ws), ws)
-	if m.Cfg.Residual1 {
-		h2 = addInfer32(ws, h2, h)
+func (m *CNN3D) forwardInfer32(samples []*Sample, ws *Workspace) (pred, latent *tensor.F32) {
+	p := m.planBoxes(m.batchBox(samples))
+	e := m.empty32()
+	st := m.convStack32(ws.stackVoxels32(samples, p.in), p, e, ws.nn)
+
+	q := m.Cfg.Voxel.GridSize / 4
+	c2 := m.Cfg.ConvFilters2
+	f := ws.nn.Arena32.GetUninit(len(samples), c2*q*q*q)
+	per := c2 * p.flat.Volume()
+	for i := range samples {
+		fillFlat(f.Row(i), tensor.GridBox(q, q, q), e.p2, st.p2.Data[i*per:(i+1)*per], p.flat, c2)
 	}
-	h2 = m.pool1.ForwardInfer32(h2, ws)
-	h3 := m.act[2].ForwardInfer32(m.conv3.ForwardInfer32(h2, ws), ws)
-	h4 := m.act[3].ForwardInfer32(m.conv4.ForwardInfer32(h3, ws), ws)
-	if m.Cfg.Residual2 {
-		h4 = addInfer32(ws, h4, h3)
-	}
-	h4 = m.pool2.ForwardInfer32(h4, ws)
-	f := m.flat.ForwardInfer32(h4, ws)
 	// drop1/drop2 are the identity at inference.
-	d1 := m.fc1.ForwardInfer32(f, ws)
+	d1 := m.fc1.ForwardInfer32(f, ws.nn)
 	if m.bn != nil {
-		d1 = m.bn.ForwardInfer32(d1, ws)
+		d1 = m.bn.ForwardInfer32(d1, ws.nn)
 	}
-	d1 = m.act[4].ForwardInfer32(d1, ws)
-	latent = m.act[5].ForwardInfer32(m.fc2.ForwardInfer32(d1, ws), ws)
-	pred = m.out.ForwardInfer32(latent, ws)
+	m.act[4].InferInPlace32(d1)
+	latent = m.fc2.ForwardInfer32(d1, ws.nn)
+	m.act[5].InferInPlace32(latent)
+	pred = m.out.ForwardInfer32(latent, ws.nn)
 	return pred, latent
 }
 
@@ -121,7 +178,7 @@ func widenScores(out []float64, pred []float32) {
 
 // predictBatchInto32 is the f32 leg of CNN3D.PredictBatchInto.
 func (m *CNN3D) predictBatchInto32(samples []*Sample, ws *Workspace, out []float64) {
-	pred, _ := m.forwardInfer32(ws.stackVoxels32(samples), ws.nn)
+	pred, _ := m.forwardInfer32(samples, ws)
 	widenScores(out, pred.Data)
 }
 
@@ -135,7 +192,7 @@ func (m *SGCNN) predictBatchInto32(samples []*Sample, ws *Workspace, out []float
 // both heads evaluate at f32 and the head average runs in f32 too,
 // widening only the final score.
 func (l *LateFusion) predictBatchInto32(samples []*Sample, ws *Workspace, out []float64) {
-	cnnPred, _ := l.CNN.forwardInfer32(ws.stackVoxels32(samples), ws.nn)
+	cnnPred, _ := l.CNN.forwardInfer32(samples, ws)
 	sgPred, _ := l.SG.forwardBatchInfer32(samples, ws)
 	for i := range out {
 		out[i] = float64((cnnPred.Data[i] + sgPred.Data[i]) / 2)
@@ -145,7 +202,7 @@ func (l *LateFusion) predictBatchInto32(samples []*Sample, ws *Workspace, out []
 // predictBatchInto32 is the f32 leg of Fusion.PredictBatchInto
 // (Mid-level and Coherent fusion).
 func (f *Fusion) predictBatchInto32(samples []*Sample, ws *Workspace, out []float64) {
-	_, cnnLat := f.CNN.forwardInfer32(ws.stackVoxels32(samples), ws.nn)
+	_, cnnLat := f.CNN.forwardInfer32(samples, ws)
 	_, sgLat := f.SG.forwardBatchInfer32(samples, ws)
 
 	b := len(samples)

@@ -9,7 +9,7 @@ import (
 // This file is the zero-allocation inference surface of the graph
 // stages, mirroring the nn package's ForwardInfer contract: outputs
 // come from the workspace arena, weight matrices are multiplied
-// through their once-per-workspace panel packings, and nothing is
+// through their parameter-owned panel packings, and nothing is
 // cached for Backward. Outputs are byte-identical to the training
 // Forward methods — same loops, same per-element term order.
 
@@ -17,7 +17,7 @@ import (
 // buffers.
 func (p *Project) ForwardInfer(x *tensor.Tensor, ws *nn.Workspace) *tensor.Tensor {
 	out := ws.Arena.GetUninit(x.Dim(0), p.Out)
-	tensor.MatMulPackedInto(out, x, ws.PackedTransposed(p.W.Value, p.Out, p.In))
+	tensor.MatMulPackedInto(out, x, p.W.PackedTransposed(p.Out, p.In))
 	n := x.Dim(0)
 	for i := 0; i < n; i++ {
 		row := out.Row(i)
@@ -37,11 +37,11 @@ func (g *GGConv) ForwardInfer(h *tensor.Tensor, edges []featurize.Edge, ws *nn.W
 	for _, e := range edges {
 		inDeg.Data[e.To]++
 	}
-	wmsg := ws.PackedTransposed(g.Wmsg.Value, g.H, g.H)
-	uz := ws.PackedTransposed(g.Uz.Value, g.H, g.H)
-	wz := ws.PackedTransposed(g.Wz.Value, g.H, g.H)
-	uh := ws.PackedTransposed(g.Uh.Value, g.H, g.H)
-	wh := ws.PackedTransposed(g.Wh.Value, g.H, g.H)
+	wmsg := g.Wmsg.PackedTransposed(g.H, g.H)
+	uz := g.Uz.PackedTransposed(g.H, g.H)
+	wz := g.Wz.PackedTransposed(g.H, g.H)
+	uh := g.Uh.PackedTransposed(g.H, g.H)
+	wh := g.Wh.PackedTransposed(g.H, g.H)
 	for step := 0; step < g.K; step++ {
 		hw := ws.Arena.GetUninit(n, g.H)
 		tensor.MatMulPackedInto(hw, h, wmsg)
@@ -104,9 +104,9 @@ func (ga *Gather) ForwardSegmentsInfer(h, x *tensor.Tensor, segs []Segment, ws *
 		}
 	}
 	gate := ws.Arena.GetUninit(nl, ga.Out)
-	tensor.MatMulPackedInto(gate, hx, ws.PackedTransposed(ga.Wg.Value, ga.Out, ga.HIn+ga.XIn))
+	tensor.MatMulPackedInto(gate, hx, ga.Wg.PackedTransposed(ga.Out, ga.HIn+ga.XIn))
 	th := ws.Arena.GetUninit(nl, ga.Out)
-	tensor.MatMulPackedInto(th, hl, ws.PackedTransposed(ga.Wo.Value, ga.Out, ga.HIn))
+	tensor.MatMulPackedInto(th, hl, ga.Wo.PackedTransposed(ga.Out, ga.HIn))
 	out := ws.Arena.Get(len(segs), ga.Out)
 	r = 0
 	for b, s := range segs {

@@ -8,7 +8,7 @@ import (
 
 // Float32 inference surface of the graph stages, mirroring infer.go:
 // the same loops and per-element term order at half the element width,
-// with weight matrices converted once per workspace through their f32
+// with weight matrices converted once per parameter through their f32
 // panel packings. The gate nonlinearities keep the f64 versions'
 // branch structure and clamps; the exponential itself runs in f64
 // (stdlib) and narrows, like the nn package's SELU.
@@ -37,8 +37,8 @@ func tanh32(v float32) float32 {
 // pooled buffers.
 func (p *Project) ForwardInfer32(x *tensor.F32, ws *nn.Workspace) *tensor.F32 {
 	out := ws.Arena32.GetUninit(x.Dim(0), p.Out)
-	tensor.MatMulPacked32Into(out, x, ws.Packed32Transposed(p.W.Value, p.Out, p.In))
-	b := ws.Vec32(p.B.Value)
+	tensor.MatMulPacked32Into(out, x, p.W.Packed32Transposed(p.Out, p.In))
+	b := p.B.Vec32()
 	n := x.Dim(0)
 	for i := 0; i < n; i++ {
 		row := out.Row(i)
@@ -57,13 +57,13 @@ func (g *GGConv) ForwardInfer32(h *tensor.F32, edges []featurize.Edge, ws *nn.Wo
 	for _, e := range edges {
 		inDeg.Data[e.To]++
 	}
-	wmsg := ws.Packed32Transposed(g.Wmsg.Value, g.H, g.H)
-	uz := ws.Packed32Transposed(g.Uz.Value, g.H, g.H)
-	wz := ws.Packed32Transposed(g.Wz.Value, g.H, g.H)
-	uh := ws.Packed32Transposed(g.Uh.Value, g.H, g.H)
-	wh := ws.Packed32Transposed(g.Wh.Value, g.H, g.H)
-	bz := ws.Vec32(g.Bz.Value)
-	bh := ws.Vec32(g.Bh.Value)
+	wmsg := g.Wmsg.Packed32Transposed(g.H, g.H)
+	uz := g.Uz.Packed32Transposed(g.H, g.H)
+	wz := g.Wz.Packed32Transposed(g.H, g.H)
+	uh := g.Uh.Packed32Transposed(g.H, g.H)
+	wh := g.Wh.Packed32Transposed(g.H, g.H)
+	bz := g.Bz.Vec32()
+	bh := g.Bh.Vec32()
 	for step := 0; step < g.K; step++ {
 		hw := ws.Arena32.GetUninit(n, g.H)
 		tensor.MatMulPacked32Into(hw, h, wmsg)
@@ -128,11 +128,11 @@ func (ga *Gather) ForwardSegmentsInfer32(h, x *tensor.F32, segs []Segment, ws *n
 		}
 	}
 	gate := ws.Arena32.GetUninit(nl, ga.Out)
-	tensor.MatMulPacked32Into(gate, hx, ws.Packed32Transposed(ga.Wg.Value, ga.Out, ga.HIn+ga.XIn))
+	tensor.MatMulPacked32Into(gate, hx, ga.Wg.Packed32Transposed(ga.Out, ga.HIn+ga.XIn))
 	th := ws.Arena32.GetUninit(nl, ga.Out)
-	tensor.MatMulPacked32Into(th, hl, ws.Packed32Transposed(ga.Wo.Value, ga.Out, ga.HIn))
-	bg := ws.Vec32(ga.Bg.Value)
-	bo := ws.Vec32(ga.Bo.Value)
+	tensor.MatMulPacked32Into(th, hl, ga.Wo.Packed32Transposed(ga.Out, ga.HIn))
+	bg := ga.Bg.Vec32()
+	bo := ga.Bo.Vec32()
 	out := ws.Arena32.Get(len(segs), ga.Out)
 	r = 0
 	for b, s := range segs {

@@ -87,6 +87,7 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		b.RunMean[j] = b.Momentum*b.RunMean[j] + (1-b.Momentum)*mean[j]
 		b.RunVar[j] = b.Momentum*b.RunVar[j] + (1-b.Momentum)*vari[j]
 	}
+	b.Gamma.Invalidate() // the folded inference form bakes in the running statistics
 	for i := 0; i < n; i++ {
 		for j := 0; j < b.F; j++ {
 			xh := (x.At(i, j) - mean[j]) / b.lastStd[j]

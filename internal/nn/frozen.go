@@ -1,0 +1,221 @@
+package nn
+
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+
+	"deepfusion/internal/tensor"
+)
+
+// This file is the compile-once half of the inference engine: every
+// form of a weight tensor the ForwardInfer kernels read instead of the
+// raw float64 values — packed GEMM panels, kernel transposes, float32
+// conversions, the folded BatchNorm — is built on first use, stored on
+// the parameter itself and shared read-only by every goroutine, rank
+// replica, workspace, job and session that aliases the parameter.
+// Whatever writes a parameter's values (optimizer steps, CopyParams,
+// LoadParams, initialization, anything assigning Value.Data directly)
+// must call Invalidate afterwards; the next inference call rebuilds.
+// Writing weights concurrently with inference on them is a data race,
+// exactly as it is for the values themselves.
+
+// frozenForms holds the derived forms of one parameter generation.
+// Reads are lock-free atomic loads; mu serializes builds so concurrent
+// ranks hitting a cold parameter pack it once, not once each.
+type frozenForms struct {
+	mu      sync.Mutex
+	pack    atomic.Pointer[tensor.PackedB]
+	trans   atomic.Pointer[tensor.Tensor]
+	pack32  atomic.Pointer[tensor.PackedB32]
+	trans32 atomic.Pointer[tensor.F32]
+	vec32   atomic.Pointer[tensor.F32]
+	taps    atomic.Pointer[tensor.Tensor]
+	taps32  atomic.Pointer[tensor.F32]
+	bn32    atomic.Pointer[bnFold32]
+}
+
+// Process-wide construction counters: diagnostics for tests and
+// profiles that must show a warm model does no per-job weight work.
+var (
+	formBuilds  atomic.Int64
+	glorotInits atomic.Int64
+)
+
+// FormBuilds returns how many derived weight forms (packings,
+// transposes, conversions, folds) this process has built so far.
+func FormBuilds() int64 { return formBuilds.Load() }
+
+// GlorotInits returns how many parameters this process has
+// Glorot-initialized so far.
+func GlorotInits() int64 { return glorotInits.Load() }
+
+// Invalidate drops every form derived from the parameter's values.
+// Call it after writing Value.
+func (p *Param) Invalidate() {
+	p.gen.Add(1)
+	p.forms.Store(nil)
+}
+
+// Gen returns the parameter's generation: it changes exactly when
+// Invalidate is called, so caches derived from several parameters
+// compare generations to notice a weight change.
+func (p *Param) Gen() uint64 { return p.gen.Load() }
+
+func (p *Param) frozen() *frozenForms {
+	for {
+		if f := p.forms.Load(); f != nil {
+			return f
+		}
+		if f := new(frozenForms); p.forms.CompareAndSwap(nil, f) {
+			return f
+		}
+	}
+}
+
+// form is the body of every form accessor: a lock-free load of the
+// built form, or, on a cold slot, a build under the parameter's lock
+// unless another goroutine got there first.
+func form[T any](f *frozenForms, slot *atomic.Pointer[T], build func() *T) *T {
+	if v := slot.Load(); v != nil {
+		return v
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if v := slot.Load(); v != nil {
+		return v
+	}
+	v := build()
+	formBuilds.Add(1)
+	slot.Store(v)
+	return v
+}
+
+// PackedTransposed returns the panel packing of the parameter's
+// transpose, viewing its data as a row-major n x k matrix (higher-rank
+// conv kernels collapse). A parameter is always viewed at one shape.
+func (p *Param) PackedTransposed(n, k int) *tensor.PackedB {
+	f := p.frozen()
+	return form(f, &f.pack, func() *tensor.PackedB {
+		pb := &tensor.PackedB{}
+		pb.PackTransposed(p.Value.Data, n, k)
+		return pb
+	})
+}
+
+// Transposed returns the materialized transpose of the parameter
+// viewed as a row-major n x k matrix, shaped [k, n] — the layout the
+// sparse scatter convolution reads.
+func (p *Param) Transposed(n, k int) *tensor.Tensor {
+	f := p.frozen()
+	return form(f, &f.trans, func() *tensor.Tensor {
+		t := tensor.New(k, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < k; j++ {
+				t.Data[j*n+i] = p.Value.Data[i*k+j]
+			}
+		}
+		return t
+	})
+}
+
+// Packed32Transposed is the float32 PackedTransposed, converting the
+// float64 weights while packing (the single f64→f32 conversion point
+// of the dense products).
+func (p *Param) Packed32Transposed(n, k int) *tensor.PackedB32 {
+	f := p.frozen()
+	return form(f, &f.pack32, func() *tensor.PackedB32 {
+		pb := &tensor.PackedB32{}
+		pb.PackTransposed64(p.Value.Data, n, k)
+		return pb
+	})
+}
+
+// Transposed32 is the float32 Transposed.
+func (p *Param) Transposed32(n, k int) *tensor.F32 {
+	f := p.frozen()
+	return form(f, &f.trans32, func() *tensor.F32 {
+		return tensor.Transpose64To32(p.Value.Data, n, k)
+	})
+}
+
+// Vec32 returns the float32 conversion of the parameter's flat data
+// (biases, and the direct convolution's kernel).
+func (p *Param) Vec32() []float32 {
+	f := p.frozen()
+	return form(f, &f.vec32, func() *tensor.F32 {
+		v := tensor.NewF32(len(p.Value.Data))
+		v.CopyFrom64(p.Value)
+		return v
+	}).Data
+}
+
+// scatterTaps lays a [out, in, k, k, k] convolution kernel out for the
+// scatter kernels: [in*k*k, k, out] with the innermost tap axis
+// reversed. One input voxel sends its k taps along a grid row to k
+// adjacent output positions, the highest tap to the lowest position;
+// reversing the axis makes those k out-wide weight rows contiguous in
+// the order of the contiguous accumulator rows they update, so a row of
+// taps is one axpy instead of k.
+func scatterTaps[T float32 | float64](dst []T, w []float64, out, in, k int) {
+	for o := 0; o < out; o++ {
+		for r := 0; r < in*k*k; r++ {
+			for kw := 0; kw < k; kw++ {
+				dst[(r*k+k-1-kw)*out+o] = T(w[(o*in*k*k+r)*k+kw])
+			}
+		}
+	}
+}
+
+// ScatterTaps returns the scatter-kernel layout of a [out, in, k, k, k]
+// convolution kernel (see scatterTaps).
+func (p *Param) ScatterTaps(out, in, k int) *tensor.Tensor {
+	f := p.frozen()
+	return form(f, &f.taps, func() *tensor.Tensor {
+		t := tensor.New(in*k*k*k, out)
+		scatterTaps(t.Data, p.Value.Data, out, in, k)
+		return t
+	})
+}
+
+// ScatterTaps32 is the float32 ScatterTaps.
+func (p *Param) ScatterTaps32(out, in, k int) *tensor.F32 {
+	f := p.frozen()
+	return form(f, &f.taps32, func() *tensor.F32 {
+		t := tensor.NewF32(in*k*k*k, out)
+		scatterTaps(t.Data, p.Value.Data, out, in, k)
+		return t
+	})
+}
+
+// bnFold32 is the evaluation-mode BatchNorm folded to one multiply-add
+// per element: scale = γ/√(var+ε), shift = β − mean·scale.
+type bnFold32 struct {
+	scale, shift []float32
+	betaGen      uint64
+}
+
+// folded32 returns the layer's folded normalization. It lives with
+// gamma's forms and is stamped with beta's generation; the running
+// statistics invalidate gamma when a training Forward updates them.
+func (b *BatchNorm) folded32() *bnFold32 {
+	f := b.Gamma.frozen()
+	if v := f.bn32.Load(); v != nil && v.betaGen == b.Beta.Gen() {
+		return v
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	betaGen := b.Beta.Gen()
+	if v := f.bn32.Load(); v != nil && v.betaGen == betaGen {
+		return v
+	}
+	v := &bnFold32{scale: make([]float32, b.F), shift: make([]float32, b.F), betaGen: betaGen}
+	for j := 0; j < b.F; j++ {
+		s := b.Gamma.Value.Data[j] / math.Sqrt(b.RunVar[j]+b.Eps)
+		v.scale[j] = float32(s)
+		v.shift[j] = float32(b.Beta.Value.Data[j] - b.RunMean[j]*s)
+	}
+	formBuilds.Add(1)
+	f.bn32.Store(v)
+	return v
+}

@@ -10,74 +10,14 @@ import (
 // This file is the float32 inference fast path: a ForwardInfer32
 // variant of every inference layer, mirroring infer.go loop for loop
 // at half the element width. Weights convert from the f64 training
-// tensors exactly once per workspace — at panel-pack, transpose-cache
-// or vector-cache time — and everything between the batch tensor and
-// the final score stays float32. Algorithm selection (scatter vs tile
+// tensors exactly once per parameter generation — when the parameter
+// builds its packed, transposed or vector form (frozen.go) — and
+// everything between the batch tensor and the final score stays
+// float32. Algorithm selection (scatter vs tile
 // convolution, panel widths, tile sizes) is byte-for-byte the same as
 // the f64 path so both precisions run the same code shape per config;
 // only rounding differs, which the A/B harness pins at the funnel
 // level and the tolerance tests pin per layer.
-
-// bnFold32 is the evaluation-mode BatchNorm folded to one multiply-add
-// per element: scale = γ/√(var+ε), shift = β − mean·scale.
-type bnFold32 struct {
-	scale, shift []float32
-}
-
-// Packed32Transposed returns the cached f32 panel packing of wᵀ,
-// converting the float64 weights while packing (the single f64→f32
-// conversion point of the dense products).
-func (ws *Workspace) Packed32Transposed(w *tensor.Tensor, n, k int) *tensor.PackedB32 {
-	if pb, ok := ws.packs32[w]; ok {
-		return pb
-	}
-	pb := &tensor.PackedB32{}
-	pb.PackTransposed64(w.Data, n, k)
-	ws.packs32[w] = pb
-	return pb
-}
-
-// Transposed32 returns the cached f32 materialized transpose of w
-// viewed as a row-major n x k matrix, shaped [k, n] — the layout the
-// sparse scatter and tile convolutions read.
-func (ws *Workspace) Transposed32(w *tensor.Tensor, n, k int) *tensor.F32 {
-	if t, ok := ws.trans32[w]; ok {
-		return t
-	}
-	t := tensor.Transpose64To32(w.Data, n, k)
-	ws.trans32[w] = t
-	return t
-}
-
-// Vec32 returns the cached f32 conversion of a frozen parameter
-// vector (biases, and the direct convolution's flat kernel).
-func (ws *Workspace) Vec32(v *tensor.Tensor) []float32 {
-	if c, ok := ws.vecs32[v]; ok {
-		return c
-	}
-	c := make([]float32, len(v.Data))
-	for i, x := range v.Data {
-		c[i] = float32(x)
-	}
-	ws.vecs32[v] = c
-	return c
-}
-
-// folded32 returns the cached folded normalization of b, keyed by the
-// frozen gamma tensor.
-func (ws *Workspace) folded32(b *BatchNorm) *bnFold32 {
-	if f, ok := ws.bn32[b.Gamma.Value]; ok {
-		return f
-	}
-	f := &bnFold32{scale: make([]float32, b.F), shift: make([]float32, b.F)}
-	for j := 0; j < b.F; j++ {
-		s := b.Gamma.Value.Data[j] / math.Sqrt(b.RunVar[j]+b.Eps)
-		f.scale[j] = float32(s)
-		f.shift[j] = float32(b.Beta.Value.Data[j] - b.RunMean[j]*s)
-	}
-	ws.bn32[b.Gamma.Value] = f
-	return f
-}
 
 // InferLayer32 is the float32 counterpart of InferLayer.
 type InferLayer32 interface {
@@ -99,16 +39,16 @@ func (s *Sequential) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 }
 
 // ForwardInfer32 implements InferLayer32: y = x·Wᵀ + b via the f32
-// panel kernel against the workspace-cached packing of Wᵀ.
+// panel kernel against the parameter-owned packing of Wᵀ.
 func (d *Dense) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 	if x.Rank() != 2 || x.Dim(1) != d.In {
 		panic(fmt.Sprintf("nn: Dense expects [N, %d] input, got %v", d.In, x.Shape))
 	}
 	n := x.Dim(0)
 	y := ws.Arena32.GetUninit(n, d.Out)
-	pb := ws.Packed32Transposed(d.W.Value, d.Out, d.In)
+	pb := d.W.Packed32Transposed(d.Out, d.In)
 	tensor.MatMulPacked32Into(y, x, pb)
-	b := ws.Vec32(d.B.Value)
+	b := d.B.Vec32()
 	for i := 0; i < n; i++ {
 		row := y.Row(i)
 		for j := range row {
@@ -121,38 +61,46 @@ func (d *Dense) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 // ForwardInfer32 implements InferLayer32.
 func (a *Activation) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 	out := ws.Arena32.GetUninit(x.Shape...)
+	a.apply32(out.Data, x.Data)
+	return out
+}
+
+// InferInPlace32 is the float32 InferInPlace.
+func (a *Activation) InferInPlace32(x *tensor.F32) { a.apply32(x.Data, x.Data) }
+
+// apply32 writes the activation of src into dst, which may alias src.
+func (a *Activation) apply32(dst, src []float32) {
 	switch a.Kind {
 	case ActReLU:
-		for i, v := range x.Data {
+		for i, v := range src {
 			if v > 0 {
-				out.Data[i] = v
+				dst[i] = v
 			} else {
-				out.Data[i] = 0
+				dst[i] = 0
 			}
 		}
 	case ActLReLU:
 		slope := float32(a.Slope)
-		for i, v := range x.Data {
+		for i, v := range src {
 			if v > 0 {
-				out.Data[i] = v
+				dst[i] = v
 			} else {
-				out.Data[i] = slope * v
+				dst[i] = slope * v
 			}
 		}
 	case ActSELU:
-		for i, v := range x.Data {
+		for i, v := range src {
 			if v > 0 {
-				out.Data[i] = float32(seluLambda) * v
+				dst[i] = float32(seluLambda) * v
 			} else {
 				// The exponential runs in f64 (stdlib has no float32
 				// exp); the result narrows like every other op.
-				out.Data[i] = float32(seluLambda * seluAlpha * (math.Exp(float64(v)) - 1))
+				dst[i] = float32(seluLambda * seluAlpha * (math.Exp(float64(v)) - 1))
 			}
 		}
 	default:
 		panic("nn: unknown activation " + a.Kind)
 	}
-	return out
 }
 
 // ForwardInfer32 implements InferLayer32: inference dropout is the
@@ -174,7 +122,7 @@ func (b *BatchNorm) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 		panic("nn: BatchNorm expects [N, F] input matching layer width")
 	}
 	n := x.Dim(0)
-	f := ws.folded32(b)
+	f := b.folded32()
 	out := ws.Arena32.GetUninit(x.Shape...)
 	for i := 0; i < n; i++ {
 		xr, or := x.Row(i), out.Row(i)
@@ -185,8 +133,8 @@ func (b *BatchNorm) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 	return out
 }
 
-// ForwardInfer32 implements InferLayer32: the same window argmax
-// loops as the f64 path.
+// ForwardInfer32 implements InferLayer32: the same row-folding window
+// maximum as the f64 path.
 func (m *MaxPool3D) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 	n, c, d, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
 	k := m.K
@@ -195,28 +143,30 @@ func (m *MaxPool3D) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 	}
 	od, oh, ow := d/k, h/k, w/k
 	out := ws.Arena32.GetUninit(n, c, od, oh, ow)
-	perChan := od * oh * ow
 	for nc := 0; nc < n*c; nc++ {
-		ni, ci := nc/c, nc%c
-		oi := nc * perChan
+		src := x.Data[nc*d*h*w : (nc+1)*d*h*w]
+		dst := out.Data[nc*od*oh*ow : (nc+1)*od*oh*ow]
 		for zd := 0; zd < od; zd++ {
 			for zh := 0; zh < oh; zh++ {
-				for zw := 0; zw < ow; zw++ {
-					var bestV float32
-					first := true
-					for kd := 0; kd < k; kd++ {
-						for kh := 0; kh < k; kh++ {
-							for kw := 0; kw < k; kw++ {
-								fi := ((((ni*c+ci)*d+zd*k+kd)*h + zh*k + kh) * w) + zw*k + kw
-								if first || x.Data[fi] > bestV {
-									bestV = x.Data[fi]
-									first = false
-								}
+				orow := dst[(zd*oh+zh)*ow:][:ow]
+				for kd := 0; kd < k; kd++ {
+					for kh := 0; kh < k; kh++ {
+						row := src[((zd*k+kd)*h+zh*k+kh)*w:][:w]
+						if kd == 0 && kh == 0 {
+							for zw := range orow {
+								orow[zw] = row[zw*k]
 							}
 						}
+						for zw := range orow {
+							best := orow[zw]
+							for _, v := range row[zw*k:][:k] {
+								if v > best {
+									best = v
+								}
+							}
+							orow[zw] = best
+						}
 					}
-					out.Data[oi] = bestV
-					oi++
 				}
 			}
 		}
@@ -238,20 +188,16 @@ func (c *Conv3D) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 	k := c.K
 	dhw := d * h * w
 	ck3 := c.In * k * k * k
+	if c.Direct || c.Out*dhw*8 <= scatterMaxBytes {
+		grid := tensor.GridBox(d, h, w)
+		return c.ForwardInferBox32(x, grid, grid, ws)
+	}
 	out := ws.Arena32.GetUninit(n, c.Out, d, h, w)
-	if c.Direct {
-		c.directInto32(x, out, ws)
-		return out
-	}
-	if c.Out*dhw*8 <= scatterMaxBytes {
-		c.scatterInfer32(x, out, ws.Transposed32(c.W.Value, c.Out, ck3), ws)
-		return out
-	}
 	// Tile path: sparse im2col patches, zero-skip scalar GEMM against
 	// the cached f32 kernel transpose (see ForwardInfer for why the
 	// panel kernel loses here).
-	wt := ws.Transposed32(c.W.Value, c.Out, ck3)
-	bias := ws.Vec32(c.B.Value)
+	wt := c.W.Transposed32(c.Out, ck3)
+	bias := c.B.Vec32()
 	tile := dhw
 	if tile > convTile {
 		tile = convTile
@@ -283,109 +229,131 @@ func (c *Conv3D) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 	return out
 }
 
-// scatterInfer32 is the f32 pooled sparse-scatter forward, mirroring
-// scatterInfer: position-major [DHW, Out] accumulator, hoisted
-// grid-boundary clipping, final transpose into the [Out, D, H, W]
-// output block. The channel accumulation runs through tensor.Axpy32 —
-// the lanes are independent accumulators, so the vector kernel is
-// bit-identical to the reference scalar order.
-func (c *Conv3D) scatterInfer32(x, out, wt *tensor.F32, ws *Workspace) {
-	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
+// ForwardInferBox32 is the float32 ForwardInferBox: the same contract,
+// the same term order, half the element width.
+func (c *Conv3D) ForwardInferBox32(x *tensor.F32, in, out tensor.Box, ws *Workspace) *tensor.F32 {
+	id, ih, iw := in.Dims()
+	if x.Rank() != 5 || x.Dim(1) != c.In || x.Dim(2) != id || x.Dim(3) != ih || x.Dim(4) != iw {
+		panic(fmt.Sprintf("nn: Conv3D expects [N,%d,%d,%d,%d] over box %v, got %v", c.In, id, ih, iw, in, x.Shape))
+	}
+	od, oh, ow := out.Dims()
+	y := ws.Arena32.GetUninit(x.Dim(0), c.Out, od, oh, ow)
+	if c.Direct {
+		c.directBox32(x, y, in, out)
+	} else {
+		c.scatterBox32(x, y, in, out, ws)
+	}
+	return y
+}
+
+// scatterBox32 is the f32 pooled sparse-scatter convolution between
+// boxes, mirroring scatterBox: position-major [out volume, Out]
+// accumulator, tap ranges hoisted per row and per voxel, one axpy per
+// row of taps, final transpose into the [Out, out's dims] block. The
+// accumulation runs through tensor.Axpy32 — the lanes are independent
+// accumulators, so the vector kernel is bit-identical to the reference
+// scalar order.
+func (c *Conv3D) scatterBox32(x, y *tensor.F32, in, out tensor.Box, ws *Workspace) {
+	n := x.Dim(0)
+	id, ih, iw := in.Dims()
+	od, oh, ow := out.Dims()
+	inVol, outVol := id*ih*iw, od*oh*ow
 	k := c.K
-	pad := k / 2
-	dhw := d * h * w
-	hw := h * w
+	sd, sh, sw := boxShift(in, out, k/2)
 	nOut := c.Out
-	bias := ws.Vec32(c.B.Value)
-	posBuf := ws.Arena32.GetUninit(dhw, nOut)
+	bias := c.B.Vec32()
+	posBuf := ws.Arena32.GetUninit(outVol, nOut)
 	pd := posBuf.Data
-	wd := wt.Data
+	wd := c.W.ScatterTaps32(c.Out, c.In, k).Data
 	for b := 0; b < n; b++ {
-		for pos := 0; pos < dhw; pos++ {
-			copy(pd[pos*nOut:(pos+1)*nOut], bias)
-		}
+		fillRows(pd, bias)
 		for ci := 0; ci < c.In; ci++ {
-			chBase := (b*c.In + ci) * dhw
-			for ip, v := range x.Data[chBase : chBase+dhw] {
-				if v == 0 {
+			chBase := (b*c.In + ci) * inVol
+			for xd := 0; xd < id; xd++ {
+				kdLo, kdHi := clipK(xd+sd, od, k)
+				if kdLo > kdHi {
 					continue
 				}
-				id, rem := ip/hw, ip%hw
-				ih, iw := rem/w, rem%w
-				kdLo, kdHi := clipK(id, pad, d, k)
-				khLo, khHi := clipK(ih, pad, h, k)
-				kwLo, kwHi := clipK(iw, pad, w, k)
-				for kd := kdLo; kd <= kdHi; kd++ {
-					zd := id + pad - kd
-					for kh := khLo; kh <= khHi; kh++ {
-						zh := ih + pad - kh
-						wBase := ((ci*k+kd)*k + kh) * k
-						posRow := (zd*h + zh) * w
-						wOff := (wBase + kwLo) * nOut
-						pOff := (posRow + iw + pad - kwLo) * nOut
-						for kw := kwLo; kw <= kwHi; kw++ {
-							tensor.Axpy32(pd[pOff:pOff+nOut:pOff+nOut], wd[wOff:wOff+nOut], v)
-							wOff += nOut
-							pOff -= nOut
+				for xh := 0; xh < ih; xh++ {
+					khLo, khHi := clipK(xh+sh, oh, k)
+					if khLo > khHi {
+						continue
+					}
+					rowBase := chBase + (xd*ih+xh)*iw
+					for xw, v := range x.Data[rowBase : rowBase+iw] {
+						if v == 0 {
+							continue
+						}
+						kwLo, kwHi := clipK(xw+sw, ow, k)
+						span := (kwHi - kwLo + 1) * nOut
+						if span <= 0 {
+							continue
+						}
+						for kd := kdLo; kd <= kdHi; kd++ {
+							zd := xd + sd - kd
+							for kh := khLo; kh <= khHi; kh++ {
+								zh := xh + sh - kh
+								wOff := (((ci*k+kd)*k+kh)*k + k - 1 - kwHi) * nOut
+								pOff := ((zd*oh+zh)*ow + xw + sw - kwHi) * nOut
+								tensor.Axpy32(pd[pOff:pOff+span], wd[wOff:wOff+span], v)
+							}
 						}
 					}
 				}
 			}
 		}
-		outS := out.Data[b*nOut*dhw : (b+1)*nOut*dhw]
-		for pos := 0; pos < dhw; pos++ {
-			row := pd[pos*nOut : (pos+1)*nOut]
-			for o, v := range row {
-				outS[o*dhw+pos] = v
-			}
-		}
+		untranspose(y.Data[b*nOut*outVol:(b+1)*nOut*outVol], pd, outVol, nOut)
 	}
 	ws.Arena32.Put(posBuf)
 }
 
-// directInto32 is the serial reference convolution over f32 operands,
-// reading the cached f32 conversion of the flat kernel tensor.
-func (c *Conv3D) directInto32(x, out *tensor.F32, ws *Workspace) {
-	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	pad := c.K / 2
+// directBox32 is the serial reference convolution between boxes over
+// f32 operands, reading the parameter's f32 conversion of the flat
+// kernel tensor.
+func (c *Conv3D) directBox32(x, y *tensor.F32, in, out tensor.Box) {
+	n := x.Dim(0)
+	id, ih, iw := in.Dims()
+	od, oh, ow := out.Dims()
+	inVol, outVol := id*ih*iw, od*oh*ow
 	k := c.K
-	dhw := d * h * w
-	wf := ws.Vec32(c.W.Value)
-	bias := ws.Vec32(c.B.Value)
+	sd, sh, sw := boxShift(in, out, k/2)
+	wf := c.W.Vec32()
+	bias := c.B.Vec32()
 	for ni := 0; ni < n; ni++ {
 		for co := 0; co < c.Out; co++ {
 			b := bias[co]
-			oBase := (ni*c.Out + co) * dhw
-			for zd := 0; zd < d; zd++ {
-				for zh := 0; zh < h; zh++ {
-					for zw := 0; zw < w; zw++ {
+			oBase := (ni*c.Out + co) * outVol
+			for zd := 0; zd < od; zd++ {
+				for zh := 0; zh < oh; zh++ {
+					for zw := 0; zw < ow; zw++ {
 						s := b
 						for ci := 0; ci < c.In; ci++ {
+							xBase := (ni*c.In + ci) * inVol
 							for kd := 0; kd < k; kd++ {
-								id := zd + kd - pad
-								if id < 0 || id >= d {
+								xd := zd + kd - sd
+								if xd < 0 || xd >= id {
 									continue
 								}
 								for kh := 0; kh < k; kh++ {
-									ih := zh + kh - pad
-									if ih < 0 || ih >= h {
+									xh := zh + kh - sh
+									if xh < 0 || xh >= ih {
 										continue
 									}
-									xBase := ((ni*c.In+ci)*d+id)*h + ih
+									rowBase := xBase + (xd*ih+xh)*iw
 									wBase := (((co*c.In+ci)*k+kd)*k + kh) * k
-									xRow := x.Data[xBase*w : xBase*w+w]
+									xRow := x.Data[rowBase : rowBase+iw]
 									wRow := wf[wBase : wBase+k]
 									for kw := 0; kw < k; kw++ {
-										iw := zw + kw - pad
-										if iw < 0 || iw >= w {
+										xw := zw + kw - sw
+										if xw < 0 || xw >= iw {
 											continue
 										}
-										s += xRow[iw] * wRow[kw]
+										s += xRow[xw] * wRow[kw]
 									}
 								}
 							}
 						}
-						out.Data[oBase+(zd*h+zh)*w+zw] = s
+						y.Data[oBase+(zd*oh+zh)*ow+zw] = s
 					}
 				}
 			}

@@ -73,7 +73,8 @@ func TestConv3DInfer32BoundaryClipping(t *testing.T) {
 			y := c.ForwardInfer32(x32, ws)
 
 			ref := tensor.NewF32(2, tc.out, tc.d, tc.h, tc.w)
-			c.directInto32(x32, ref, ws)
+			grid := tensor.GridBox(tc.d, tc.h, tc.w)
+			c.directBox32(x32, ref, grid, grid)
 			for i := range ref.Data {
 				if y.Data[i] != ref.Data[i] {
 					t.Fatalf("elem %d = %g, want %g (bitwise)", i, y.Data[i], ref.Data[i])

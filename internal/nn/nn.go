@@ -14,15 +14,22 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"deepfusion/internal/tensor"
 )
 
 // Param is a trainable tensor together with its accumulated gradient.
+// It also owns the inference forms derived from its values (frozen.go),
+// so every replica, workspace and job that aliases the parameter shares
+// one copy of them. Always handle a Param by pointer.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+
+	forms atomic.Pointer[frozenForms]
+	gen   atomic.Uint64
 }
 
 // NewParam allocates a parameter and its gradient buffer with the given
@@ -104,4 +111,6 @@ func GlorotInit(rng *rand.Rand, p *Param, fanIn, fanOut int) {
 		std = math.Sqrt(2.0 / float64(fanIn+fanOut))
 	}
 	p.Value.RandNormal(rng, std)
+	p.Invalidate()
+	glorotInits.Add(1)
 }

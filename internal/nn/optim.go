@@ -75,6 +75,7 @@ func (a *Adam) Step() {
 			p.Value.Data[j] -= a.Rate * (mh/(math.Sqrt(vh)+a.Eps) + a.DecoupledWD*p.Value.Data[j])
 		}
 		p.ZeroGrad()
+		p.Invalidate()
 	}
 }
 
@@ -113,6 +114,7 @@ func (r *RMSprop) Step() {
 			p.Value.Data[j] -= r.Rate * g / (math.Sqrt(sq[j]) + r.Eps)
 		}
 		p.ZeroGrad()
+		p.Invalidate()
 	}
 }
 
@@ -154,6 +156,7 @@ func (a *Adadelta) Step() {
 			p.Value.Data[j] -= upd
 		}
 		p.ZeroGrad()
+		p.Invalidate()
 	}
 }
 

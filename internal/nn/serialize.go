@@ -83,6 +83,7 @@ func LoadParams(r io.Reader, params []*Param) error {
 		for i := range p.Value.Data {
 			p.Value.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 		}
+		p.Invalidate()
 	}
 	return nil
 }
@@ -98,6 +99,7 @@ func CopyParams(dst, src []*Param) error {
 			return fmt.Errorf("nn: CopyParams shape mismatch at %d (%v vs %v)", i, dst[i].Value.Shape, src[i].Value.Shape)
 		}
 		copy(dst[i].Value.Data, src[i].Value.Data)
+		dst[i].Invalidate()
 	}
 	return nil
 }

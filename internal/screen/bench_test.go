@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"deepfusion/internal/dock"
+	"deepfusion/internal/featurize"
 	"deepfusion/internal/fusion"
 	"deepfusion/internal/libgen"
 	"deepfusion/internal/mmgbsa"
@@ -212,3 +213,66 @@ func BenchmarkConsensusIndependentRuns(b *testing.B) {
 	// featurize-once number.
 	b.ReportMetric(float64(scored)/float64(len(scorers))/b.Elapsed().Seconds(), "poses/s")
 }
+
+// fillConvBiases writes v into every convolution bias of the voxel
+// head: zero leaves the background of the grid identically zero through
+// the whole conv stack, non-zero makes every voxel carry the model's
+// empty-grid response, as a trained model's does.
+func fillConvBiases(cnn *fusion.CNN3D, v float64) {
+	for _, p := range cnn.Params() {
+		if p.Name == "conv3d.b" {
+			p.Value.Fill(v)
+			p.Invalidate()
+		}
+	}
+}
+
+// paperFusion builds the untrained Coherent model at the paper shape
+// (48^3 grid at 1 A, conv 32/64, dense 128) with convBias in every
+// convolution bias.
+func paperFusion(convBias float64) *fusion.Fusion {
+	cfg := fusion.DefaultCNN3DConfig()
+	cfg.Voxel = featurize.PaperVoxelOptions()
+	cfg.ConvFilters1, cfg.ConvFilters2, cfg.DenseNodes = 32, 64, 128
+	cnn := fusion.NewCNN3D(cfg, 46)
+	fillConvBiases(cnn, convBias)
+	sg := fusion.NewSGCNN(fusion.DefaultSGCNNConfig(), 47)
+	return fusion.NewFusion(fusion.DefaultCoherentConfig(), cnn, sg, 48)
+}
+
+// runJobPaperBench is the screen_paper job of the repo benchmark as a
+// `go test -bench` run: 12 poses, batch 2, 2 ranks, f32, shared
+// prefeature, one warm-up job before the clock.
+func runJobPaperBench(b *testing.B, convBias float64) {
+	b.ReportAllocs()
+	f := paperFusion(convBias)
+	poses := benchPoses(b, 12)
+	o := DefaultJobOptions()
+	o.Ranks, o.LoadersPerRank, o.BatchSize, o.Precision = 2, 1, 2, PrecisionF32
+	pre, err := PrefeatureFor([]Scorer{f}, target.Protease1, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o.Prefeature = pre
+	if _, err := RunJob(context.Background(), f, target.Protease1, poses, o); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunJob(context.Background(), f, target.Protease1, poses, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*len(poses))/b.Elapsed().Seconds(), "poses/s")
+}
+
+// BenchmarkRunJobPaperF32 is the paper-shape job with zero conv
+// biases (a freshly initialized model): the conv stack's background
+// is exactly zero.
+func BenchmarkRunJobPaperF32(b *testing.B) { runJobPaperBench(b, 0) }
+
+// BenchmarkRunJobPaperF32Biased is the same job on a model whose conv
+// biases are non-zero, as after training: dense inside the active box,
+// the empty-grid response outside it.
+func BenchmarkRunJobPaperF32Biased(b *testing.B) { runJobPaperBench(b, 0.01) }

@@ -60,10 +60,13 @@ type ScorerInto interface {
 }
 
 // Cloner is the replication handshake: scorers whose ScoreBatch is not
-// safe for concurrent use (neural models hold forward caches)
-// implement it, and each simulated MPI rank scores on its own replica
-// — the paper's one-model-instance-per-GPU deployment. CloneScorer
-// must return a value implementing Scorer with identical outputs.
+// safe for concurrent use (the neural models' ScoreBatch runs the
+// training Forward, which stashes layer inputs for Backward) implement
+// it, and each simulated MPI rank scores on its own replica — the
+// paper's one-model-instance-per-GPU deployment. CloneScorer must
+// return a value implementing Scorer with identical outputs; it is
+// called once per rank per job, so it should share rather than copy
+// whatever is only read (the fusion models alias their weights).
 // Stateless scorers are shared across ranks as-is.
 type Cloner interface {
 	CloneScorer() any

@@ -156,6 +156,16 @@ func cachedPrefeature(p *target.Pocket, vo featurize.VoxelOptions, gro featurize
 	return pre
 }
 
+// poseSlots carries pose slots from one job to the next. A slot that
+// last held a pose of the same target re-voxelizes by restoring the
+// handful of voxels that pose touched; a fresh one allocates its grid
+// and copies the whole pocket baseline — 14 MB each at the paper grid,
+// which a job of a few poses per rank would otherwise pay for every
+// pose. Slots carry nothing job-specific: every featurization path
+// rewrites them completely. Being a sync.Pool, idle slots are released
+// by the collector rather than held forever.
+var poseSlots = sync.Pool{New: func() any { return &fusion.Sample{} }}
+
 // injectFailure rolls the job-failure dice shared by the gathered and
 // streaming paths (bad metadata, node failure, broken pipes — the
 // paper's observed modes).
@@ -183,8 +193,9 @@ func injectFailure(o JobOptions) bool {
 // one fusion.Workspace shared by all of its scorer replicas — scorers
 // implementing the ScorerInto handshake score through it into
 // rank-owned prediction buffers — and the loaders draw pose slots from
-// a per-rank free list, featurizing into recycled voxel/graph buffers
-// and returning each slot once its batch has been emitted. The
+// a per-rank free list (stocked from the previous job's slots, see
+// poseSlots), featurizing into recycled voxel/graph buffers and
+// returning each slot once its batch has been emitted. The
 // target-invariant half of featurization is computed once per job (or
 // injected via JobOptions.Prefeature and shared across jobs) and read
 // concurrently by every loader (FeaturizeComplexWithPrefeature), so a
@@ -256,8 +267,22 @@ func runRanks(ctx context.Context, scorers []Scorer, p *target.Pocket, poses []P
 			slotCap := cap(ready) + bs + nLoaders
 			slots := make(chan *fusion.Sample, slotCap)
 			for i := 0; i < slotCap; i++ {
-				slots <- &fusion.Sample{}
+				slots <- poseSlots.Get().(*fusion.Sample)
 			}
+			// Whatever is back on the free list when the rank stops goes
+			// to the next job. A cancelled job's loaders may still be
+			// drawing from the list, so the drain never blocks; slots
+			// still in flight are simply dropped.
+			defer func() {
+				for {
+					select {
+					case s := <-slots:
+						poseSlots.Put(s)
+					default:
+						return
+					}
+				}
+			}()
 			for l := 0; l < nLoaders; l++ {
 				loaders.Add(1)
 				go func() {

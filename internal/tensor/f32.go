@@ -76,7 +76,7 @@ func (t *F32) Zero() { clear(t.Data) }
 
 // CopyFrom64 fills t element-wise from the float64 tensor x, which
 // must have the same element count. It is the narrowing conversion at
-// the f64→f32 boundary: weights convert once per workspace, features
+// the f64→f32 boundary: weights convert once per parameter, features
 // convert once per batch, and everything downstream stays float32.
 func (t *F32) CopyFrom64(x *Tensor) {
 	if len(t.Data) != len(x.Data) {

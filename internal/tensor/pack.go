@@ -29,7 +29,7 @@ const packPanel = 8
 // MatMulAccPacked / MatMulPackedInto. Panel j holds columns
 // [j*packPanel, (j+1)*packPanel) stored k-major (row p of the panel is
 // contiguous); the last panel is zero-padded. A PackedB is built once
-// per (weights, shape) — typically cached in an inference workspace —
+// per (weights, shape) — the nn package keeps it with the parameter —
 // and read concurrently by any number of multiplies.
 type PackedB struct {
 	K, N int
