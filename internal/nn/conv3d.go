@@ -12,14 +12,14 @@ import (
 // (pad = K/2), matching the 5x5x5 and 3x3x3 stages of the paper's
 // 3D-CNN.
 //
-// The default execution path lowers the convolution to matrix
-// multiplication (tensor.Im2Col3D + accumulating GEMM), which exploits
-// the sparsity of voxelized complexes and amortizes kernel-matrix
-// setup across the batch. Setting Direct selects the original
-// seven-loop reference implementation. The paths agree to
-// floating-point reassociation tolerance (the sparse-scatter forward
-// accumulates terms input-major; the GEMM path matches the direct
-// term order), asserted at 1e-12 by the nn equivalence tests.
+// The training Forward scatters each non-zero input voxel's kernel
+// footprint into the output when the output is cache-sized and lowers
+// the convolution to matrix multiplication (tensor.Im2Col3D +
+// accumulating GEMM) above that; inference (ForwardInfer) always
+// scatters. Setting Direct selects the original seven-loop reference
+// implementation. Every path adds an output element's terms in
+// ascending (input channel, tap) order after its bias, which the nn
+// equivalence tests assert.
 type Conv3D struct {
 	In, Out, K int
 	W          *Param // [Out, In, K, K, K]
@@ -38,17 +38,10 @@ type Conv3D struct {
 // (48^3 positions would otherwise materialize gigabyte matrices).
 const convTile = 8192
 
-// scatterMaxBytes bounds the per-sample accumulator footprint for the
-// sparse-scatter forward. The scatter path touches only the taps of
-// nonzero inputs; the tile path materializes the full C*k^3-wide patch
-// matrix regardless of sparsity, and measured across the production
-// shapes (repro 8^3 through the paper's 48^3 grid, 2%-dense voxel
-// inputs through 50%-dense post-ReLU activations) scatter wins or ties
-// at every one of them, at both element widths — the im2col write
-// traffic costs more than the accumulator's cache misses. 32 MB covers
-// the paper grid's largest layer (32 filters x 48^3 x 8 bytes = 28 MB)
-// while still bounding the buffer a degenerate shape could demand; the
-// tile path remains the fallback above it.
+// scatterMaxBytes bounds the per-sample output footprint for which the
+// training Forward scatters; above it Forward lowers to im2col tiles,
+// which keep its scratch bounded. 32 MB covers the paper grid's largest
+// layer (32 filters x 48^3 x 8 bytes = 28 MB).
 const scatterMaxBytes = 1 << 25
 
 // NewConv3D constructs a Glorot-initialized 3D convolution.

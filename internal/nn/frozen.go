@@ -24,15 +24,13 @@ import (
 // Reads are lock-free atomic loads; mu serializes builds so concurrent
 // ranks hitting a cold parameter pack it once, not once each.
 type frozenForms struct {
-	mu      sync.Mutex
-	pack    atomic.Pointer[tensor.PackedB]
-	trans   atomic.Pointer[tensor.Tensor]
-	pack32  atomic.Pointer[tensor.PackedB32]
-	trans32 atomic.Pointer[tensor.F32]
-	vec32   atomic.Pointer[tensor.F32]
-	taps    atomic.Pointer[tensor.Tensor]
-	taps32  atomic.Pointer[tensor.F32]
-	bn32    atomic.Pointer[bnFold32]
+	mu     sync.Mutex
+	pack   atomic.Pointer[tensor.PackedB]
+	pack32 atomic.Pointer[tensor.PackedB32]
+	vec32  atomic.Pointer[tensor.F32]
+	taps   atomic.Pointer[tensor.Tensor]
+	taps32 atomic.Pointer[tensor.F32]
+	bn32   atomic.Pointer[bnFold32]
 }
 
 // Process-wide construction counters: diagnostics for tests and
@@ -103,22 +101,6 @@ func (p *Param) PackedTransposed(n, k int) *tensor.PackedB {
 	})
 }
 
-// Transposed returns the materialized transpose of the parameter
-// viewed as a row-major n x k matrix, shaped [k, n] — the layout the
-// sparse scatter convolution reads.
-func (p *Param) Transposed(n, k int) *tensor.Tensor {
-	f := p.frozen()
-	return form(f, &f.trans, func() *tensor.Tensor {
-		t := tensor.New(k, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < k; j++ {
-				t.Data[j*n+i] = p.Value.Data[i*k+j]
-			}
-		}
-		return t
-	})
-}
-
 // Packed32Transposed is the float32 PackedTransposed, converting the
 // float64 weights while packing (the single f64→f32 conversion point
 // of the dense products).
@@ -128,14 +110,6 @@ func (p *Param) Packed32Transposed(n, k int) *tensor.PackedB32 {
 		pb := &tensor.PackedB32{}
 		pb.PackTransposed64(p.Value.Data, n, k)
 		return pb
-	})
-}
-
-// Transposed32 is the float32 Transposed.
-func (p *Param) Transposed32(n, k int) *tensor.F32 {
-	f := p.frozen()
-	return form(f, &f.trans32, func() *tensor.F32 {
-		return tensor.Transpose64To32(p.Value.Data, n, k)
 	})
 }
 

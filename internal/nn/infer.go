@@ -203,62 +203,17 @@ func (m *MaxPool3D) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor
 }
 
 // ForwardInfer implements InferLayer for the convolution over a whole
-// grid: the same algorithm selection as Forward (direct reference
-// loops, sparse scatter for cache-resident outputs, im2col GEMM tiles
-// otherwise) with workspace-pooled scratch. The direct and scatter
-// algorithms are ForwardInferBox over the box that is the whole grid.
-// Per-element accumulation order is identical to Forward, so outputs
-// are byte-identical.
+// grid: ForwardInferBox over the box that is the whole grid, with
+// workspace-pooled scratch. Both the scatter and the direct algorithm
+// add each output element's terms in ascending (input channel, tap)
+// order after its bias — the order of every Forward path — so outputs
+// are byte-identical to Forward.
 func (c *Conv3D) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
 	if x.Rank() != 5 || x.Dim(1) != c.In {
 		panic(fmt.Sprintf("nn: Conv3D expects [N,%d,D,H,W], got %v", c.In, x.Shape))
 	}
-	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	k := c.K
-	dhw := d * h * w
-	ck3 := c.In * k * k * k
-	if c.Direct || c.Out*dhw*8 <= scatterMaxBytes {
-		grid := tensor.GridBox(d, h, w)
-		return c.ForwardInferBox(x, grid, grid, ws)
-	}
-	out := ws.Arena.GetUninit(n, c.Out, d, h, w)
-	// Tile path: im2col patches are sparse (voxel occupancy), so the
-	// zero-skip scalar kernel against the cached kernel transpose beats
-	// the panel kernel — one data-dependent branch per patch value,
-	// skipping a whole Out-wide row. The packed panel kernel is for the
-	// dense x·Wᵀ layer products.
-	wt := c.W.Transposed(c.Out, ck3)
-	tile := dhw
-	if tile > convTile {
-		tile = convTile
-	}
-	for b := 0; b < n; b++ {
-		for lo := 0; lo < dhw; lo += tile {
-			hi := lo + tile
-			if hi > dhw {
-				hi = dhw
-			}
-			rows := hi - lo
-			ct := ws.Arena.GetUninit(rows, ck3) // Im2Col3D zeroes it
-			yt := ws.Arena.GetUninit(rows, c.Out)
-			tensor.Im2Col3D(x, b, k, lo, hi, ct)
-			// Seed every position with the bias, then accumulate the
-			// patch GEMM on top (same term order as Forward).
-			for r := 0; r < rows; r++ {
-				copy(yt.Data[r*c.Out:(r+1)*c.Out], c.B.Value.Data)
-			}
-			tensor.MatMulAcc(yt, ct, wt)
-			for o := 0; o < c.Out; o++ {
-				dst := out.Data[(b*c.Out+o)*dhw+lo : (b*c.Out+o)*dhw+hi]
-				for r := range dst {
-					dst[r] = yt.Data[r*c.Out+o]
-				}
-			}
-			ws.Arena.Put(yt)
-			ws.Arena.Put(ct)
-		}
-	}
-	return out
+	grid := tensor.GridBox(x.Dim(2), x.Dim(3), x.Dim(4))
+	return c.ForwardInferBox(x, grid, grid, ws)
 }
 
 // ForwardInferBox is the convolution between two boxes of one voxel

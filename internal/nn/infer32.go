@@ -13,9 +13,8 @@ import (
 // tensors exactly once per parameter generation — when the parameter
 // builds its packed, transposed or vector form (frozen.go) — and
 // everything between the batch tensor and the final score stays
-// float32. Algorithm selection (scatter vs tile
-// convolution, panel widths, tile sizes) is byte-for-byte the same as
-// the f64 path so both precisions run the same code shape per config;
+// float32. Algorithm selection (scatter or direct convolution, panel
+// widths) is the same as on the f64 path so both precisions run the same code shape per config;
 // only rounding differs, which the A/B harness pins at the funnel
 // level and the tolerance tests pin per layer.
 
@@ -174,59 +173,14 @@ func (m *MaxPool3D) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 	return out
 }
 
-// ForwardInfer32 implements InferLayer32 for the convolution. The
-// algorithm selection is deliberately byte-identical to ForwardInfer —
-// including the 8-bytes-per-element scatter threshold — so a given
-// layer shape runs the same algorithm at both precisions and the f32
-// path differs from the reference only in rounding, never in code
-// shape.
+// ForwardInfer32 implements InferLayer32 for the convolution over a
+// whole grid: ForwardInferBox32 over the box that is the whole grid.
 func (c *Conv3D) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 {
 	if x.Rank() != 5 || x.Dim(1) != c.In {
 		panic(fmt.Sprintf("nn: Conv3D expects [N,%d,D,H,W], got %v", c.In, x.Shape))
 	}
-	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	k := c.K
-	dhw := d * h * w
-	ck3 := c.In * k * k * k
-	if c.Direct || c.Out*dhw*8 <= scatterMaxBytes {
-		grid := tensor.GridBox(d, h, w)
-		return c.ForwardInferBox32(x, grid, grid, ws)
-	}
-	out := ws.Arena32.GetUninit(n, c.Out, d, h, w)
-	// Tile path: sparse im2col patches, zero-skip scalar GEMM against
-	// the cached f32 kernel transpose (see ForwardInfer for why the
-	// panel kernel loses here).
-	wt := c.W.Transposed32(c.Out, ck3)
-	bias := c.B.Vec32()
-	tile := dhw
-	if tile > convTile {
-		tile = convTile
-	}
-	for b := 0; b < n; b++ {
-		for lo := 0; lo < dhw; lo += tile {
-			hi := lo + tile
-			if hi > dhw {
-				hi = dhw
-			}
-			rows := hi - lo
-			ct := ws.Arena32.GetUninit(rows, ck3) // Im2Col3D32 zeroes it
-			yt := ws.Arena32.GetUninit(rows, c.Out)
-			tensor.Im2Col3D32(x, b, k, lo, hi, ct)
-			for r := 0; r < rows; r++ {
-				copy(yt.Data[r*c.Out:(r+1)*c.Out], bias)
-			}
-			tensor.MatMulAcc32(yt, ct, wt)
-			for o := 0; o < c.Out; o++ {
-				dst := out.Data[(b*c.Out+o)*dhw+lo : (b*c.Out+o)*dhw+hi]
-				for r := range dst {
-					dst[r] = yt.Data[r*c.Out+o]
-				}
-			}
-			ws.Arena32.Put(yt)
-			ws.Arena32.Put(ct)
-		}
-	}
-	return out
+	grid := tensor.GridBox(x.Dim(2), x.Dim(3), x.Dim(4))
+	return c.ForwardInferBox32(x, grid, grid, ws)
 }
 
 // ForwardInferBox32 is the float32 ForwardInferBox: the same contract,

@@ -39,25 +39,27 @@ func maxRelErr32(got *tensor.F32, want *tensor.Tensor) float64 {
 	return worst
 }
 
-// TestConv3DInfer32BoundaryClipping pins the f32 scatter and tile
-// convolutions against the f32 direct reference bitwise: surviving
-// terms arrive in the same ascending (ci, input-position) order in
-// all three kernels, so boundary clipping must not change a single
-// bit. Grids are chosen so kernel footprints clip on every face.
+// TestConv3DInfer32BoundaryClipping pins the f32 scatter convolution
+// against the f32 direct reference bitwise: surviving terms arrive in
+// the same ascending (ci, input-position) order in both kernels, so
+// boundary clipping must not change a single bit. Grids are chosen so
+// kernel footprints clip on every face; the largest is above
+// scatterMaxBytes, where the training Forward tiles and inference
+// still scatters.
 func TestConv3DInfer32BoundaryClipping(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	cases := []struct {
 		name        string
 		in, out, k  int
 		d, h, w     int
-		wantScatter bool // which algorithm ForwardInfer32 should pick
+		wantScatter bool // which algorithm the training Forward picks
 	}{
 		// 4^3 grid with k=5: footprints clip on both faces of every axis.
 		{"scatter-k5-tiny", 2, 8, 5, 4, 4, 4, true},
 		// Non-unrollable channel count exercises the vector kernel's
 		// scalar tail lanes.
 		{"scatter-k3-odd-out", 3, 6, 3, 5, 4, 3, true},
-		// 41^3 at Out=64 exceeds scatterMaxBytes -> tile path.
+		// 41^3 at Out=64 exceeds scatterMaxBytes: Forward would tile.
 		{"tile-k3", 1, 64, 3, 41, 41, 41, false},
 	}
 	for _, tc := range cases {

@@ -104,91 +104,6 @@ func TestPackTransposed64MatchesPack(t *testing.T) {
 	}
 }
 
-// TestIm2Col3D32MatchesF64 runs the f32 lowering against the f64 one
-// on identical (exactly representable) inputs, covering the boundary
-// clipping on every face of the grid.
-func TestIm2Col3D32MatchesF64(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	b, c, d, h, w := 2, 3, 4, 5, 4
-	x64 := New(b, c, d, h, w)
-	x32 := NewF32(b, c, d, h, w)
-	for i := range x64.Data {
-		v := float64(rng.Intn(16)) / 4 // exactly representable in f32
-		x64.Data[i] = v
-		x32.Data[i] = float32(v)
-	}
-	for _, k := range []int{3, 5} {
-		ck3 := c * k * k * k
-		dhw := d * h * w
-		for _, span := range [][2]int{{0, dhw}, {3, 17}, {dhw - 5, dhw}} {
-			lo, hi := span[0], span[1]
-			cols64 := New(hi-lo, ck3)
-			cols32 := NewF32(hi-lo, ck3)
-			Im2Col3D3264Pair(x64, x32, 1, k, lo, hi, cols64, cols32)
-			for i := range cols64.Data {
-				if float64(cols32.Data[i]) != cols64.Data[i] {
-					t.Fatalf("k=%d span=%v: col elem %d = %g, want %g", k, span, i, cols32.Data[i], cols64.Data[i])
-				}
-			}
-		}
-	}
-}
-
-// Im2Col3D3264Pair lowers the same sample through both precisions.
-func Im2Col3D3264Pair(x64 *Tensor, x32 *F32, b, k, lo, hi int, cols64 *Tensor, cols32 *F32) {
-	Im2Col3D(x64, b, k, lo, hi, cols64)
-	Im2Col3D32(x32, b, k, lo, hi, cols32)
-}
-
-// TestMatMulAcc32MatchesF64 pins the zero-skip accumulating GEMM to
-// the f64 kernel on exactly representable inputs.
-func TestMatMulAcc32MatchesF64(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	m, p, n := 7, 11, 9
-	a64, b64, c64 := New(m, p), New(p, n), New(m, n)
-	a32, b32, c32 := NewF32(m, p), NewF32(p, n), NewF32(m, n)
-	for i := range a64.Data {
-		v := float64(rng.Intn(8)) - 3
-		if rng.Intn(3) == 0 {
-			v = 0
-		}
-		a64.Data[i] = v
-		a32.Data[i] = float32(v)
-	}
-	for i := range b64.Data {
-		v := float64(rng.Intn(8)) - 3
-		b64.Data[i] = v
-		b32.Data[i] = float32(v)
-	}
-	MatMulAcc(c64, a64, b64)
-	MatMulAcc32(c32, a32, b32)
-	for i := range c64.Data {
-		if float64(c32.Data[i]) != c64.Data[i] {
-			t.Fatalf("elem %d = %g, want %g", i, c32.Data[i], c64.Data[i])
-		}
-	}
-}
-
-// TestTranspose64To32 checks the cached-transpose conversion helper.
-func TestTranspose64To32(t *testing.T) {
-	n, k := 5, 3
-	w := make([]float64, n*k)
-	for i := range w {
-		w[i] = float64(i) * 0.25
-	}
-	wt := Transpose64To32(w, n, k)
-	if wt.Dim(0) != k || wt.Dim(1) != n {
-		t.Fatalf("shape %v, want [%d %d]", wt.Shape, k, n)
-	}
-	for i := 0; i < n; i++ {
-		for p := 0; p < k; p++ {
-			if wt.Data[p*n+i] != float32(w[i*k+p]) {
-				t.Fatalf("elem (%d,%d) = %g, want %g", p, i, wt.Data[p*n+i], float32(w[i*k+p]))
-			}
-		}
-	}
-}
-
 // TestArena32Recycles mirrors the f64 arena contract: after a warm
 // cycle, Get/Reset performs zero heap allocations.
 func TestArena32Recycles(t *testing.T) {

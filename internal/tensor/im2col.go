@@ -4,11 +4,11 @@ import "fmt"
 
 // This file holds the lowering kernels that turn 3D convolution into
 // matrix multiplication (im2col / col2im) plus the accumulating GEMM
-// they feed. Lowered convolution is the batched-inference fast path:
-// one position-major patch matrix per sample tile, multiplied against
-// the transposed kernel matrix, with the GEMM's zero-skip exploiting
-// the natural sparsity of voxelized complexes (most grid cells hold
-// no atom density).
+// they feed — the training convolution's path for large outputs and
+// its backward: one position-major patch matrix per sample tile,
+// multiplied against the transposed kernel matrix, with the GEMM's
+// zero-skip exploiting the natural sparsity of voxelized complexes
+// (most grid cells hold no atom density).
 
 // Im2Col3D fills cols with the patch matrix for output positions
 // [posLo, posHi) of sample b of x, which must be a rank-5 tensor
@@ -23,9 +23,7 @@ import "fmt"
 // Every element of cols is written exactly once — in-bounds runs as
 // contiguous copies from the input rows, clipped edges as explicit
 // zeros — so no separate whole-tile clear pass is needed. That halves
-// the kernel's write traffic versus zero-fill-then-scatter, which is
-// what makes the tile convolution bandwidth-bound rather than
-// store-bound (and is where the f32 twin's narrower elements pay).
+// the kernel's write traffic versus zero-fill-then-scatter.
 func Im2Col3D(x *Tensor, b, k, posLo, posHi int, cols *Tensor) {
 	if x.Rank() != 5 {
 		panic("tensor: Im2Col3D requires a rank-5 input")
