@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-benchmark test-distributed test-dispatch-http test-serve test-integrity fuzz-h5lite vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-kernels bench-precision bench-report bench-serve bench-integrity bench-smoke profile-paper clean
+.PHONY: all build verify test test-benchmark test-distributed test-dispatch-http test-serve test-integrity fuzz-h5lite vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper clean
 
 all: build
 
@@ -102,32 +102,11 @@ profile-paper:
 bench-consensus:
 	$(GO) test ./internal/screen/ -run xxx -bench 'BenchmarkConsensus' -benchtime 2s | tee bench_consensus.txt
 
-# Hot-path performance trajectory: f64-reference vs f32-fast-path
-# pairs for the packed panel GEMM, the lowered Conv3D forward, the
-# Coherent PredictBatch and the distributed RunJob
-# (cmd/benchreport/kernels.go). BENCH_6.json is the committed
-# trajectory artifact of the float32 inference PR (BENCH_5.json stays
-# as the PR-5 featurization-cache record); CI uploads a fresh copy as
-# a workflow artifact.
-bench-kernels:
-	$(GO) run ./cmd/benchreport -kernels -json > BENCH_6.json
-	@echo "wrote BENCH_6.json"
-
 # Precision microbenchmarks: the f64/f32 kernel pairs as plain `go
-# test -bench` runs (packed GEMM, Coherent PredictBatch, RunJob) for
-# quick iteration without regenerating the JSON artifact.
+# test -bench` runs (packed GEMM, Coherent PredictBatch, RunJob).
 bench-precision:
 	$(GO) test ./internal/tensor/ ./internal/fusion/ -run xxx -bench 'BenchmarkMatMulPacked|BenchmarkPredictBatchInto' -benchtime 1s | tee bench_precision.txt
 	$(GO) test ./internal/screen/ -run xxx -bench 'BenchmarkRunJobBatched' -benchtime 2s | tee -a bench_precision.txt
-
-# Screening-service trajectory: the warm engine behind the HTTP front
-# door vs the solo RunJob baseline on the same scorer and job shape
-# (cmd/benchreport/serve.go). Saturation throughput must hold >= 0.9x
-# RunJob; low-load p99 must stay under the 25ms batching deadline.
-# BENCH_8.json is the committed artifact; CI uploads a fresh copy.
-bench-serve:
-	$(GO) run ./cmd/benchreport -serve -json > BENCH_8.json
-	@echo "wrote BENCH_8.json"
 
 # Featurization microbenchmarks: Voxelize/BuildGraph per pose, cached
 # vs uncached, repro + paper grids (internal/featurize/bench_test.go).
@@ -140,17 +119,6 @@ bench-report:
 	$(GO) run ./cmd/benchreport $(if $(FULL),-full) -json > bench_report.json
 	@echo "wrote bench_report.json"
 
-# Durability-layer cost trajectory: one prediction shard written and
-# read through the real shard I/O path at h5lite v1 (no checksums) vs
-# v2 (CRC32C sections + whole-file trailer, the default), each pair
-# timed strictly interleaved so host noise cancels
-# (cmd/benchreport/integrity.go). The WriteShard/ReadShard v2/v1
-# ratios must stay <= 1.05. BENCH_10.json is the committed artifact;
-# CI uploads a fresh copy.
-bench-integrity:
-	$(GO) run ./cmd/benchreport -integrity -json > BENCH_10.json
-	@echo "wrote BENCH_10.json"
-
 # One-iteration pass over every benchmark in the repo so benchmark
 # code cannot rot; CI runs this on every push. BENCH_SCALE=smoke drops
 # the paper-table benchmarks to the smoke budget — this is a
@@ -158,7 +126,7 @@ bench-integrity:
 bench-smoke:
 	BENCH_SCALE=smoke $(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-bench: bench-screen bench-consensus bench-featurize bench-kernels bench-precision bench-serve bench-integrity bench-report
+bench: bench-screen bench-consensus bench-featurize bench-precision bench-report
 
 clean:
 	rm -f bench_screen.txt bench_consensus.txt bench_featurize.txt bench_precision.txt bench_report.json

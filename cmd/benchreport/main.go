@@ -1,12 +1,8 @@
 // Command benchreport regenerates the paper's tables and figures as
 // text reports. With no flags it runs every experiment; -exp selects
 // one; -json emits a machine-readable array of {experiment, text}
-// records so the Makefile's bench target can archive the perf
-// trajectory. -kernels instead records the screening engine's hot-path
-// performance trajectory — for PR 6, f64-vs-f32 pairs for the packed
-// panel GEMM, the lowered Conv3D forward, the Coherent PredictBatch
-// and the distributed RunJob; `make bench` archives its JSON form as
-// BENCH_6.json.
+// records (`make bench-report`). Performance is measured by the
+// repository benchmark (benchmark/), not here.
 package main
 
 import (
@@ -26,50 +22,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: fig1|table1|table2|table3|table4|table5|table6|table7|table8|fig2|fig4|fig5|fig6|fig7|hitrate|all")
 	full := flag.Bool("full", false, "use the full benchmark budget (minutes) instead of the smoke budget")
 	asJSON := flag.Bool("json", false, "emit a JSON array of {experiment, text} records instead of plain text")
-	kernels := flag.Bool("kernels", false, "benchmark the engine's f64 reference vs f32 fast-path kernels (MatMulPacked, Conv3DForward, PredictBatch, RunJob) instead of the paper experiments")
-	serveBench := flag.Bool("serve", false, "benchmark the screening service (warm engine + cross-request batcher) against the solo RunJob baseline instead of the paper experiments")
-	integrity := flag.Bool("integrity", false, "benchmark shard encode/decode at h5lite v1 (no checksums) vs v2 (CRC32C sections + trailer) instead of the paper experiments")
 	flag.Parse()
-
-	if *integrity {
-		rep := runIntegrityReport()
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		printIntegrityReport(rep)
-		return
-	}
-	if *serveBench {
-		rep := runServeReport()
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		printServeReport(rep)
-		return
-	}
-	if *kernels {
-		rep := runKernelReport()
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		printKernelReport(rep)
-		return
-	}
 
 	s := experiments.Smoke
 	if *full {

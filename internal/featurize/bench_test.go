@@ -6,8 +6,7 @@ package featurize
 //
 //	go test ./internal/featurize/ -run xxx -bench . -benchtime 1s
 //
-// make bench-featurize records the comparison; cmd/benchreport
-// -kernels archives the machine-readable form as BENCH_5.json.
+// make bench-featurize records the comparison.
 
 import (
 	"testing"

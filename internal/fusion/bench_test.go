@@ -8,9 +8,7 @@ import (
 	"deepfusion/internal/target"
 )
 
-// benchBatch featurizes n library poses at the production options —
-// the same batch the precision trajectory's PredictBatch pair scores
-// (cmd/benchreport/kernels.go).
+// benchBatch featurizes n library poses at the production options.
 func benchBatch(b *testing.B, n int) []*Sample {
 	b.Helper()
 	vo := featurize.DefaultVoxelOptions()

@@ -158,7 +158,7 @@ const (
 
 // castagnoli is the CRC32C polynomial table; hardware-accelerated on
 // amd64/arm64, which is what keeps verification off the throughput
-// critical path (see BENCH_10).
+// critical path.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt is the sentinel every integrity failure wraps: bad CRC,
@@ -196,16 +196,9 @@ func (f *File) Write(w io.Writer) error {
 	return f.writeVersion(w, 2)
 }
 
-// WriteV1 serializes the container in the legacy v1 format (no
-// checksums). It exists for the v1 read-compat golden test and the
-// before/after-CRC integrity benchmark; production writers use Write.
-func (f *File) WriteV1(w io.Writer) error {
-	return f.writeVersion(w, 1)
-}
-
 // writeVersion serializes the container into one contiguous buffer
 // and flushes it with a single Write. Working in one buffer is what
-// keeps the v2 checksums nearly free (BENCH_10): every CRC — one per
+// keeps the v2 checksums nearly free: every CRC — one per
 // dataset section, one for the whole file — is a single bulk
 // crc32.Checksum over a contiguous span, hardware-accelerated on
 // amd64/arm64, instead of thousands of per-field Update calls.
@@ -315,7 +308,7 @@ func ReadFile(path string) (*File, error) {
 // per-section CRCs are only recomputed after that check fails, to
 // localize the damage to a named dataset. One hardware-speed pass
 // instead of two is what keeps v2 verification within a few percent
-// of the v1 parse (BENCH_10); the localization re-walk runs only on
+// of the v1 parse; the localization re-walk runs only on
 // files that are already known to be corrupt.
 type decoder struct {
 	data []byte

@@ -6,8 +6,7 @@ import (
 )
 
 // BenchmarkMatMulPacked pairs the f64 reference panel GEMM against the
-// f32 fast path on the dense-layer shape the precision trajectory
-// records (cmd/benchreport/kernels.go): m=8, k=2048, n=512 — the B
+// f32 fast path on a dense-layer shape: m=8, k=2048, n=512 — the B
 // panel spills the cache, so the speedup is the memory-traffic win of
 // halving the element width. `make bench-precision` runs this pair.
 func BenchmarkMatMulPacked(b *testing.B) {
