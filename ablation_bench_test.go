@@ -223,49 +223,6 @@ func BenchmarkFutureWorkFineTune(b *testing.B) {
 	b.ReportMetric(after, "finetuned-val-mse")
 }
 
-// BenchmarkFutureWorkStreamingOutput compares the end-of-job gather
-// architecture against the paper's proposed streaming per-rank writer.
-func BenchmarkFutureWorkStreamingOutput(b *testing.B) {
-	b.ReportAllocs()
-	coherent := experiments.Coherent(experiments.Smoke)
-	var mols []*chem.Mol
-	for i := 0; len(mols) < 8; i++ {
-		m, err := libgen.EMolecules.Mol(i)
-		if err != nil {
-			continue
-		}
-		mols = append(mols, m)
-	}
-	poses, _, _ := screen.DockCompounds(context.Background(), target.Spike1, mols, 4, 404)
-	o := screen.DefaultJobOptions()
-	var batchSec, streamFirstSec float64
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := screen.RunJob(context.Background(), coherent, target.Spike1, poses, o); err != nil {
-			b.Fatal(err)
-		}
-		batchSec = time.Since(start).Seconds()
-
-		start = time.Now()
-		ch, wait := screen.RunJobStreaming(context.Background(), coherent, target.Spike1, poses, o)
-		first := true
-		for range ch {
-			if first {
-				streamFirstSec = time.Since(start).Seconds()
-				first = false
-			}
-		}
-		if err := wait(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("Future work (streaming writer): first result after %.3fs vs %.3fs for the full batch job\n\n",
-		streamFirstSec, batchSec)
-	b.ReportMetric(streamFirstSec, "first-result-s")
-	b.ReportMetric(batchSec, "batch-total-s")
-}
-
 // BenchmarkFunnelMDRefinement measures the molecular-dynamics stage
 // the paper cites as the final funnel step before experimental
 // candidates are locked in (Section 3.1): how much the

@@ -58,8 +58,8 @@ func TestWarmRankLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSteadyStatePrefeatureReuse pins the fix for the BENCH_5
-// steady-state regression: jobs that do not inject a prefeature made
+// TestSteadyStatePrefeatureReuse pins the fix for a steady-state
+// allocation regression: jobs that do not inject a prefeature made
 // the engine rebuild the target-invariant cache (~500 allocations,
 // ~300 KB) on every RunJob call. The regressed configuration — the
 // default job options, nil Prefeature — must now reuse the previous

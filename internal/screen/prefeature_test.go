@@ -1,10 +1,11 @@
 package screen
 
 // Engine-level tests of the featurization prefeature: a job scored
-// through the cached path (default), through a caller-injected shared
-// prefeature, and with the cache disabled must produce byte-identical
-// predictions; a prefeature built for the wrong (target, options) pair
-// must be refused.
+// through the cached path (default) and through a caller-injected
+// shared prefeature must produce predictions byte-identical to scoring
+// fusion.FeaturizeComplex samples (the reference featurization); a
+// prefeature built for the wrong (target, options) pair must be
+// refused.
 
 import (
 	"context"
@@ -37,9 +38,10 @@ func prefeatureTestPoses(t *testing.T, n int) []Pose {
 }
 
 // TestRunJobPrefeatureByteIdentical pins the engine contract of the
-// tentpole: predictions through the per-job prefeature, through a
-// shared injected prefeature, and through the disabled (per-pose
-// re-featurization) path are byte-identical.
+// prefeature: predictions through the per-job prefeature and through a
+// shared injected prefeature are byte-identical to the reference —
+// every pose featurized from scratch by fusion.FeaturizeComplex and
+// scored alone (legacyRunJob).
 func TestRunJobPrefeatureByteIdentical(t *testing.T) {
 	f := prefeatureTestScorer()
 	poses := prefeatureTestPoses(t, 10)
@@ -53,12 +55,7 @@ func TestRunJobPrefeatureByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oOff := o
-	oOff.DisablePrefeature = true
-	uncached, err := RunJob(context.Background(), f, target.Protease1, poses, oOff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	uncached := legacyRunJob(f, target.Protease1, poses, o)
 
 	pf, err := PrefeatureFor([]Scorer{f}, target.Protease1, o)
 	if err != nil {

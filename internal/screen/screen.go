@@ -87,10 +87,6 @@ type JobOptions struct {
 	// the engine refuses a mismatch. Nil lets the engine build its own
 	// per job. Never serialized: a resumed campaign rebuilds it.
 	Prefeature *featurize.PocketPrefeature `json:"-"`
-	// DisablePrefeature forces per-pose re-featurization of the pocket
-	// (the pre-cache path) — an A/B escape hatch for benchmarks and
-	// byte-identity tests, not a production knob.
-	DisablePrefeature bool `json:"-"`
 	// Precision selects the numeric width of the inference engine:
 	// PrecisionF64 (or empty — the zero value and every pre-PR6
 	// serialized job) runs the verified float64 reference path;
@@ -137,9 +133,7 @@ var ErrJobFailed = fmt.Errorf("screen: job failed (injected fault)")
 // many jobs without injecting JobOptions.Prefeature — retry loops,
 // benchmark iterations, ad-hoc RunJob callers — used to pay the full
 // prefeature construction (pocket voxel baseline, node rows, cell
-// list: ~500 allocations and ~300 KB) on every job, which is exactly
-// the steady-state allocation regression BENCH_5 recorded. A
-// prefeature is immutable after construction and already read
+// list: ~500 allocations and ~300 KB) on every job. A prefeature is immutable after construction and already read
 // concurrently by every loader, so one cached slot (the common
 // same-target-again case) is safe; a concurrent miss at worst builds
 // twice and keeps one.
@@ -166,9 +160,8 @@ func cachedPrefeature(p *target.Pocket, vo featurize.VoxelOptions, gro featurize
 // by the collector rather than held forever.
 var poseSlots = sync.Pool{New: func() any { return &fusion.Sample{} }}
 
-// injectFailure rolls the job-failure dice shared by the gathered and
-// streaming paths (bad metadata, node failure, broken pipes — the
-// paper's observed modes).
+// injectFailure rolls the job-failure dice (bad metadata, node
+// failure, broken pipes — the paper's observed modes).
 func injectFailure(o JobOptions) bool {
 	if o.FailureProb <= 0 {
 		return false
@@ -203,33 +196,9 @@ func injectFailure(o JobOptions) bool {
 // After the first few batches warm the pools, the only per-pose
 // allocations left are the emit-side bookkeeping of the caller.
 func runRanks(ctx context.Context, scorers []Scorer, p *target.Pocket, poses []Pose, o JobOptions, emit func(idx int, pr Prediction)) error {
-	vo, gro, err := mergeFeatureOptions(scorers, o.Voxel, o.Graph)
+	pre, err := jobPrefeature(scorers, p, o)
 	if err != nil {
 		return err
-	}
-	// Featurization is the dominant per-pose cost. When no scorer in
-	// the set declares a representation through the Featurizer
-	// handshake (pure physics surrogates, or a consensus of them —
-	// which implements Featurizer but may declare nothing), loaders
-	// hand over raw samples — identity, pocket and posed molecule only
-	// — instead of voxelizing and graph-building representations
-	// nothing will read.
-	needFeatures := scorerSetNeedsFeatures(scorers)
-	// The target-invariant half of featurization (pocket voxel
-	// baseline, pocket node rows, the cell list) is computed once per
-	// job — or once per campaign target, when the caller injects a
-	// shared prefeature — and shared read-only by every loader on
-	// every rank.
-	var pre *featurize.PocketPrefeature
-	if needFeatures && !o.DisablePrefeature {
-		if o.Prefeature != nil {
-			if !o.Prefeature.Matches(p, vo, gro) {
-				return fmt.Errorf("screen: job prefeature was built for a different (target, featurization options) pair than (%s, %+v, %+v)", p.Name, vo, gro)
-			}
-			pre = o.Prefeature
-		} else {
-			pre = cachedPrefeature(p, vo, gro)
-		}
 	}
 	bs := o.BatchSize
 	if bs < 1 {
@@ -297,16 +266,7 @@ func runRanks(ctx context.Context, scorers []Scorer, p *target.Pocket, poses []P
 						case <-ctx.Done():
 							return
 						}
-						ps := poses[i]
-						switch {
-						case pre != nil:
-							fusion.FeaturizeComplexWithPrefeature(s, pre, ps.CompoundID, ps.Mol, 0)
-						case needFeatures:
-							fusion.FeaturizeComplexInto(s, ps.CompoundID, p, ps.Mol, 0, vo, gro)
-						default:
-							s.ID, s.Pocket, s.Mol, s.Label = ps.CompoundID, p, ps.Mol, 0
-							s.Voxels, s.Graph = nil, nil
-						}
+						featurizePose(s, pre, p, poses[i])
 						select {
 						case ready <- loaded{idx: i, sample: s}:
 						case <-ctx.Done():
@@ -366,6 +326,42 @@ func runRanks(ctx context.Context, scorers []Scorer, p *target.Pocket, poses []P
 	}
 	wg.Wait() // the paper's allgather barrier
 	return ctx.Err()
+}
+
+// jobPrefeature returns the target-invariant half of featurization
+// (pocket voxel baseline, pocket node rows, the cell list) a job or
+// session shares read-only across every loader: o.Prefeature when the
+// caller injects one — a campaign shares one per target — refused
+// unless it was built for this target and the scorers' merged options,
+// otherwise the engine's cached one. It is nil when no scorer in the
+// set declares a representation through the Featurizer handshake (pure
+// physics surrogates, or a consensus of them).
+func jobPrefeature(scorers []Scorer, p *target.Pocket, o JobOptions) (*featurize.PocketPrefeature, error) {
+	vo, gro, err := mergeFeatureOptions(scorers, o.Voxel, o.Graph)
+	switch {
+	case err != nil:
+		return nil, err
+	case !scorerSetNeedsFeatures(scorers):
+		return nil, nil
+	case o.Prefeature == nil:
+		return cachedPrefeature(p, vo, gro), nil
+	case !o.Prefeature.Matches(p, vo, gro):
+		return nil, fmt.Errorf("screen: prefeature was built for a different (target, featurization options) pair than (%s, %+v, %+v)", p.Name, vo, gro)
+	}
+	return o.Prefeature, nil
+}
+
+// featurizePose fills slot with pose ps: through the job's prefeature,
+// or, when pre is nil because no scorer reads a representation, as a
+// raw sample — identity, pocket and posed molecule only — instead of
+// voxelizing and graph-building what nothing will read.
+func featurizePose(slot *fusion.Sample, pre *featurize.PocketPrefeature, p *target.Pocket, ps Pose) {
+	if pre != nil {
+		fusion.FeaturizeComplexWithPrefeature(slot, pre, ps.CompoundID, ps.Mol, 0)
+		return
+	}
+	slot.ID, slot.Pocket, slot.Mol, slot.Label = ps.CompoundID, p, ps.Mol, 0
+	slot.Voxels, slot.Graph = nil, nil
 }
 
 // checkJob validates the common job invariants.

@@ -152,15 +152,12 @@ func (e *batchEmitter) scoreBatch(batch []*fusion.Sample, batchPoses []Pose, emi
 // state (workspace, slots). Callers that score in parallel hold one
 // Session per worker, exactly as runRanks holds one emitter per rank.
 type Session struct {
-	be           *batchEmitter
-	pre          *featurize.PocketPrefeature
-	needFeatures bool
-	vo           featurize.VoxelOptions
-	gro          featurize.GraphOptions
-	pocket       *target.Pocket
-	slots        []*fusion.Sample
-	batchBuf     []*fusion.Sample
-	bs           int
+	be       *batchEmitter
+	pre      *featurize.PocketPrefeature // nil: no scorer reads a representation
+	pocket   *target.Pocket
+	slots    []*fusion.Sample
+	batchBuf []*fusion.Sample
+	bs       int
 
 	// emit plumbing: one closure built at construction writes into
 	// (emitDst, emitOff), so the warm ScoreBatch path never allocates a
@@ -183,36 +180,21 @@ func NewSession(scorers []Scorer, p *target.Pocket, o JobOptions, rank int) (*Se
 	if err := o.Precision.Validate(); err != nil {
 		return nil, err
 	}
-	vo, gro, err := mergeFeatureOptions(scorers, o.Voxel, o.Graph)
+	pre, err := jobPrefeature(scorers, p, o)
 	if err != nil {
 		return nil, err
-	}
-	needFeatures := scorerSetNeedsFeatures(scorers)
-	var pre *featurize.PocketPrefeature
-	if needFeatures && !o.DisablePrefeature {
-		if o.Prefeature != nil {
-			if !o.Prefeature.Matches(p, vo, gro) {
-				return nil, fmt.Errorf("screen: session prefeature was built for a different (target, featurization options) pair than (%s, %+v, %+v)", p.Name, vo, gro)
-			}
-			pre = o.Prefeature
-		} else {
-			pre = cachedPrefeature(p, vo, gro)
-		}
 	}
 	bs := o.BatchSize
 	if bs < 1 {
 		bs = 1
 	}
 	s := &Session{
-		be:           newBatchEmitter(scorers, p, bs, o.Precision, rank),
-		pre:          pre,
-		needFeatures: needFeatures,
-		vo:           vo,
-		gro:          gro,
-		pocket:       p,
-		slots:        make([]*fusion.Sample, bs),
-		batchBuf:     make([]*fusion.Sample, 0, bs),
-		bs:           bs,
+		be:       newBatchEmitter(scorers, p, bs, o.Precision, rank),
+		pre:      pre,
+		pocket:   p,
+		slots:    make([]*fusion.Sample, bs),
+		batchBuf: make([]*fusion.Sample, 0, bs),
+		bs:       bs,
 	}
 	for i := range s.slots {
 		s.slots[i] = &fusion.Sample{}
@@ -244,22 +226,10 @@ func (s *Session) ScoreBatch(poses []Pose, out []Prediction) error {
 		}
 		chunk := poses[lo:hi]
 		batch := s.batchBuf[:0]
-		for j := range chunk {
-			ps := chunk[j]
-			slot := s.slots[j]
-			// The same featurization switch the engine's loaders run:
-			// prefeature-backed, full, or raw samples for scorer sets
-			// declaring no representation.
-			switch {
-			case s.pre != nil:
-				fusion.FeaturizeComplexWithPrefeature(slot, s.pre, ps.CompoundID, ps.Mol, 0)
-			case s.needFeatures:
-				fusion.FeaturizeComplexInto(slot, ps.CompoundID, s.pocket, ps.Mol, 0, s.vo, s.gro)
-			default:
-				slot.ID, slot.Pocket, slot.Mol, slot.Label = ps.CompoundID, s.pocket, ps.Mol, 0
-				slot.Voxels, slot.Graph = nil, nil
-			}
-			batch = append(batch, slot)
+		for j, ps := range chunk {
+			// The featurization the engine's loaders run.
+			featurizePose(s.slots[j], s.pre, s.pocket, ps)
+			batch = append(batch, s.slots[j])
 		}
 		s.emitDst, s.emitOff = out, lo
 		s.be.scoreBatch(batch, chunk, s.emitFn)
