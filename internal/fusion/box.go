@@ -91,7 +91,7 @@ func (m *CNN3D) batchBox(samples []*Sample) tensor.Box {
 // third activation (conv4's halo and the second residual), and p2 after
 // pool2 (what fc1 reads outside the box). Each is [channels, grid
 // volume] at its resolution, or nil when identically zero.
-type emptyResponse[T float32 | float64] struct {
+type emptyResponse[T tensor.Float] struct {
 	gens           [8]uint64 // conv parameter generations the maps were built from
 	a1, p1, a3, p2 []T
 }
@@ -138,7 +138,7 @@ func (m *CNN3D) emptyPlan() boxPlan {
 
 // keepNonZero copies an activation map out of the arena, or returns
 // nil when it is identically zero.
-func keepNonZero[T float32 | float64](data []T) []T {
+func keepNonZero[T tensor.Float](data []T) []T {
 	for _, v := range data {
 		if v != 0 {
 			return append([]T(nil), data...)
@@ -147,58 +147,38 @@ func keepNonZero[T float32 | float64](data []T) []T {
 	return nil
 }
 
-// empty32 returns the model's f32 empty-grid response, building it on
-// first use and again after any conv parameter changes.
-func (m *CNN3D) empty32() *emptyResponse[float32] {
+// emptyOf returns the model's empty-grid response at width T, building
+// it on first use and again after any conv parameter changes: under
+// the cache's lock, unless another rank got there first, run the conv
+// stack over the whole grid on an empty input and keep the maps. Zero
+// conv biases need no run: the response is zero. The run gets a
+// private workspace — whole-grid buffers would otherwise sit in the
+// caller's arena for the life of the job.
+func emptyOf[T tensor.Float](m *CNN3D) *emptyResponse[T] {
+	slot := tensor.Select[*atomic.Pointer[emptyResponse[T]]](&m.empty.e64, &m.empty.e32)
 	gens := m.convGens()
-	if e := m.empty.e32.Load(); e != nil && e.gens == gens {
+	if e := slot.Load(); e != nil && e.gens == gens {
 		return e
 	}
-	return buildEmpty(m, &m.empty.e32, func(e *emptyResponse[float32], ws *nn.Workspace) {
-		x := ws.Arena32.GetUninit(1, m.Cfg.Voxel.Channels(), 0, 0, 0)
-		st := m.convStack32(x, m.emptyPlan(), e, ws)
-		e.a1, e.p1 = keepNonZero(st.a1.Data), keepNonZero(st.p1.Data)
-		e.a3, e.p2 = keepNonZero(st.a3.Data), keepNonZero(st.p2.Data)
-	})
-}
-
-// empty64 is the f64 empty32.
-func (m *CNN3D) empty64() *emptyResponse[float64] {
-	gens := m.convGens()
-	if e := m.empty.e64.Load(); e != nil && e.gens == gens {
-		return e
-	}
-	return buildEmpty(m, &m.empty.e64, func(e *emptyResponse[float64], ws *nn.Workspace) {
-		x := ws.Arena.GetUninit(1, m.Cfg.Voxel.Channels(), 0, 0, 0)
-		st := m.convStack(x, m.emptyPlan(), e, ws)
-		e.a1, e.p1 = keepNonZero(st.a1.Data), keepNonZero(st.p1.Data)
-		e.a3, e.p2 = keepNonZero(st.a3.Data), keepNonZero(st.p2.Data)
-	})
-}
-
-// buildEmpty is the slow path of empty32/empty64: under the cache's
-// lock, unless another rank got there first, run the conv stack over
-// the whole grid on an empty input and keep the maps. Zero conv biases
-// need no run: the response is zero. The run gets a private workspace —
-// whole-grid buffers would otherwise sit in the caller's arena for the
-// life of the job.
-func buildEmpty[T float32 | float64](m *CNN3D, slot *atomic.Pointer[emptyResponse[T]], run func(*emptyResponse[T], *nn.Workspace)) *emptyResponse[T] {
 	m.empty.mu.Lock()
 	defer m.empty.mu.Unlock()
-	gens := m.convGens()
+	gens = m.convGens()
 	if e := slot.Load(); e != nil && e.gens == gens {
 		return e
 	}
 	e := &emptyResponse[T]{gens: gens}
 	if !m.zeroConvBiases() {
-		run(e, nn.NewWorkspace())
+		ws := nn.NewWorkspace()
+		x := nn.Arena[T](ws).GetUninit(1, m.Cfg.Voxel.Channels(), 0, 0, 0)
+		st := convStack(m, x, m.emptyPlan(), e, ws)
+		e.a1, e.p1 = keepNonZero(st.a1.Data), keepNonZero(st.p1.Data)
+		e.a3, e.p2 = keepNonZero(st.a3.Data), keepNonZero(st.p2.Data)
 	}
 	slot.Store(e)
 	return e
 }
 
-// Region helpers over flat [channels, box dims] blocks. They are
-// generic over the element type; the tensors themselves are not.
+// Region helpers over flat [channels, box dims] blocks.
 
 // boxRows walks region r — in grid coordinates, inside both boxes —
 // row by row over every channel, handing fn the offset of each row in a
@@ -232,7 +212,7 @@ func copyBox[T any](dst []T, dBox tensor.Box, src []T, sBox tensor.Box, r tensor
 // addBox adds src (laid out over sBox) into dst (laid out over dBox)
 // wherever the two boxes overlap, channel by channel — the residual
 // connection between a stage's output and its (haloed) input.
-func addBox[T float32 | float64](dst []T, dBox tensor.Box, src []T, sBox tensor.Box, channels int) {
+func addBox[T tensor.Float](dst []T, dBox tensor.Box, src []T, sBox tensor.Box, channels int) {
 	boxRows(dBox, sBox, dBox.Intersect(sBox), channels, func(d, s, w int) {
 		drow := dst[d : d+w]
 		for i, v := range src[s : s+w] {
@@ -244,7 +224,7 @@ func addBox[T float32 | float64](dst []T, dBox tensor.Box, src []T, sBox tensor.
 // fillFlat assembles one sample's fc1 input: the empty-grid response
 // (or zero) over the whole pooled grid with the box's values laid over
 // it.
-func fillFlat[T float32 | float64](dst []T, grid tensor.Box, empty []T, src []T, box tensor.Box, channels int) {
+func fillFlat[T tensor.Float](dst []T, grid tensor.Box, empty []T, src []T, box tensor.Box, channels int) {
 	if empty != nil {
 		copy(dst, empty)
 	} else {

@@ -19,31 +19,31 @@ import (
 // the public whole-grid layer kernels, stage for stage, nothing boxed.
 func refForward32(m *CNN3D, samples []*Sample, ws *nn.Workspace) []float32 {
 	s0 := samples[0].Voxels
-	x := ws.Arena32.GetUninit(len(samples), s0.Dim(0), s0.Dim(1), s0.Dim(2), s0.Dim(3))
+	x := nn.Arena[float32](ws).GetUninit(len(samples), s0.Dim(0), s0.Dim(1), s0.Dim(2), s0.Dim(3))
 	per := s0.Len()
 	for i, s := range samples {
-		featurize.EmitF32(x.Data[i*per:(i+1)*per], s.Voxels.Data)
+		tensor.Convert(x.Data[i*per:(i+1)*per], s.Voxels.Data)
 	}
-	h := m.act[0].ForwardInfer32(m.conv1.ForwardInfer32(x, ws), ws)
-	h2 := m.act[1].ForwardInfer32(m.conv2.ForwardInfer32(h, ws), ws)
+	h := nn.Infer(m.act[0], m.conv1.ForwardInfer32(x, ws), ws)
+	h2 := nn.Infer(m.act[1], m.conv2.ForwardInfer32(h, ws), ws)
 	if m.Cfg.Residual1 {
-		h2 = addInfer32(ws, h2, h)
+		h2 = addInfer(ws, h2, h)
 	}
-	h2 = m.pool1.ForwardInfer32(h2, ws)
-	h3 := m.act[2].ForwardInfer32(m.conv3.ForwardInfer32(h2, ws), ws)
-	h4 := m.act[3].ForwardInfer32(m.conv4.ForwardInfer32(h3, ws), ws)
+	h2 = nn.Infer(m.pool1, h2, ws)
+	h3 := nn.Infer(m.act[2], m.conv3.ForwardInfer32(h2, ws), ws)
+	h4 := nn.Infer(m.act[3], m.conv4.ForwardInfer32(h3, ws), ws)
 	if m.Cfg.Residual2 {
-		h4 = addInfer32(ws, h4, h3)
+		h4 = addInfer(ws, h4, h3)
 	}
-	h4 = m.pool2.ForwardInfer32(h4, ws)
-	f := m.flat.ForwardInfer32(h4, ws)
-	d1 := m.fc1.ForwardInfer32(f, ws)
+	h4 = nn.Infer(m.pool2, h4, ws)
+	f := nn.Infer(m.flat, h4, ws)
+	d1 := nn.Infer(m.fc1, f, ws)
 	if m.bn != nil {
-		d1 = m.bn.ForwardInfer32(d1, ws)
+		d1 = nn.Infer(m.bn, d1, ws)
 	}
-	d1 = m.act[4].ForwardInfer32(d1, ws)
-	latent := m.act[5].ForwardInfer32(m.fc2.ForwardInfer32(d1, ws), ws)
-	return m.out.ForwardInfer32(latent, ws).Data
+	d1 = nn.Infer(m.act[4], d1, ws)
+	latent := nn.Infer(m.act[5], nn.Infer(m.fc2, d1, ws), ws)
+	return nn.Infer(m.out, latent, ws).Data
 }
 
 // boxTestPoses places count library compounds in the pocket, each

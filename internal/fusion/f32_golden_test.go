@@ -127,7 +127,7 @@ func goldenKernels(got map[string]string) {
 		d, h, w := in.Dims()
 		x := tensor.NewF32(2, k.in, d, h, w)
 		randF32(rng, x, 0.4)
-		y := c.ForwardInferBox32(x, in, out, ws)
+		y := nn.InferBox(c, x, in, out, ws)
 		got[fmt.Sprintf("Conv3D.ForwardInferBox32/k=%d/out=%d", k.k, k.out)] = f32Bits(y.Data)
 	}
 

@@ -15,9 +15,12 @@ import (
 // fusion models: every family gains PredictBatchInto, which scores a
 // batch through workspace-pooled buffers and writes predictions into a
 // caller-owned slice. After one warm-up batch, a steady-state call
-// performs zero heap allocations, and the scores are byte-identical to
-// PredictBatch — the allocating path survives unchanged as the
-// training/reference engine and the golden baseline.
+// performs zero heap allocations. Each family's forward is one generic
+// body over the element width, run at the precision the workspace was
+// built for: at float64 the scores are byte-identical to PredictBatch —
+// the allocating path survives unchanged as the training/reference
+// engine and the golden baseline — and at float32 they are the fast
+// path, widened to float64 only at the output.
 
 // Workspace owns the pooled buffers of one inference stream: the
 // tensor arenas (via nn.Workspace) plus the batch-assembly scratch —
@@ -61,37 +64,41 @@ func (ws *Workspace) Precision() Precision { return ws.precision }
 // Reset recycles the per-batch buffers.
 func (ws *Workspace) Reset() { ws.nn.Reset() }
 
-// stackVoxels assembles the box region of the per-sample [C,G,G,G]
-// grids into a pooled [B,C,box dims] batch tensor — the inference
-// counterpart of stackVoxels (no augmentation; inference never
-// rotates), copying only the voxels the conv stack will read.
-func (ws *Workspace) stackVoxels(samples []*Sample, box tensor.Box) *tensor.Tensor {
+// stackBox assembles the box region of the per-sample [C,G,G,G]
+// float64 grids into a pooled [B,C,box dims] batch tensor of width T —
+// the inference counterpart of stackVoxels (no augmentation; inference
+// never rotates), copying only the voxels the conv stack will read.
+// Per-pose features stay float64 (shared with the reference path and
+// the prefeature caches); at float32 this is where they narrow, once
+// per batch.
+func stackBox[T tensor.Float](ws *Workspace, samples []*Sample, box tensor.Box) *tensor.Dense[T] {
 	s0 := samples[0].Voxels
 	c, g := s0.Dim(0), s0.Dim(1)
 	d, h, w := box.Dims()
-	b := ws.nn.Arena.GetUninit(len(samples), c, d, h, w)
+	b := nn.Arena[T](ws.nn).GetUninit(len(samples), c, d, h, w)
 	per := c * d * h * w
 	grid := tensor.GridBox(g, g, g)
 	for i, s := range samples {
-		copyBox(b.Data[i*per:(i+1)*per], box, s.Voxels.Data, grid, box, c)
+		dst, src := b.Data[i*per:(i+1)*per], s.Voxels.Data
+		boxRows(box, grid, box, c, func(d, s, w int) { tensor.Convert(dst[d:d+w], src[s:s+w]) })
 	}
 	return b
 }
 
 // unionSamples builds the disjoint union of the samples' complex
-// graphs into pooled buffers — the inference counterpart of
+// graphs into pooled buffers of width T — the inference counterpart of
 // unionGraphs, identical layout and edge order.
-func (ws *Workspace) unionSamples(samples []*Sample) (nodes *tensor.Tensor, cov, nc []featurize.Edge, segs []graph.Segment) {
+func unionSamples[T tensor.Float](ws *Workspace, samples []*Sample) (nodes *tensor.Dense[T], cov, nc []featurize.Edge, segs []graph.Segment) {
 	totalNodes := 0
 	for _, s := range samples {
 		totalNodes += s.Graph.NumNodes()
 	}
-	nodes = ws.nn.Arena.GetUninit(totalNodes, featurize.NodeFeatures)
+	nodes = nn.Arena[T](ws.nn).GetUninit(totalNodes, featurize.NodeFeatures)
 	ws.cov, ws.nc, ws.segs = ws.cov[:0], ws.nc[:0], ws.segs[:0]
 	off := 0
 	for _, s := range samples {
 		g := s.Graph
-		copy(nodes.Data[off*featurize.NodeFeatures:], g.Nodes.Data)
+		tensor.Convert(nodes.Data[off*featurize.NodeFeatures:(off+g.NumNodes())*featurize.NodeFeatures], g.Nodes.Data)
 		ws.segs = append(ws.segs, graph.Segment{Start: off, NumLigand: g.NumLigand})
 		for _, e := range g.Covalent {
 			ws.cov = append(ws.cov, featurize.Edge{From: e.From + off, To: e.To + off, Dist: e.Dist})
@@ -105,42 +112,36 @@ func (ws *Workspace) unionSamples(samples []*Sample) (nodes *tensor.Tensor, cov,
 }
 
 // addInfer is the pooled counterpart of tensor.Add.
-func addInfer(ws *nn.Workspace, a, b *tensor.Tensor) *tensor.Tensor {
+func addInfer[T tensor.Float](ws *nn.Workspace, a, b *tensor.Dense[T]) *tensor.Dense[T] {
 	if len(a.Data) != len(b.Data) {
 		panic("fusion: addInfer length mismatch")
 	}
-	r := ws.Arena.GetUninit(a.Shape...)
+	r := nn.Arena[T](ws).GetUninit(a.Shape...)
 	for i := range a.Data {
 		r.Data[i] = a.Data[i] + b.Data[i]
 	}
 	return r
 }
 
-func checkInto(samples []*Sample, out []float64) {
-	if len(out) != len(samples) {
-		panic(fmt.Sprintf("fusion: PredictBatchInto out length %d != batch size %d", len(out), len(samples)))
-	}
-}
-
 // convStages are the conv stack's activations at the four points the
 // empty-grid response records (see emptyResponse); p2 is what the
 // dense stack consumes.
-type convStages struct {
-	a1, p1, a3, p2 *tensor.Tensor
+type convStages[T tensor.Float] struct {
+	a1, p1, a3, p2 *tensor.Dense[T]
 }
 
 // halo returns the input a conv stage must read to produce out
 // exactly: x itself when the empty-grid response around it is zero (or
 // there is nothing around it), otherwise the empty-grid response over
 // the stage's reach with x laid over its box.
-func halo(x *tensor.Tensor, in tensor.Box, empty []float64, grid, out tensor.Box, pad int, ws *nn.Workspace) (*tensor.Tensor, tensor.Box) {
+func halo[T tensor.Float](x *tensor.Dense[T], in tensor.Box, empty []T, grid, out tensor.Box, pad int, ws *nn.Workspace) (*tensor.Dense[T], tensor.Box) {
 	reach := out.Dilate(pad).Intersect(grid)
 	if empty == nil || reach == in {
 		return x, in
 	}
 	n, c := x.Dim(0), x.Dim(1)
 	d, h, w := reach.Dims()
-	y := ws.Arena.GetUninit(n, c, d, h, w)
+	y := nn.Arena[T](ws).GetUninit(n, c, d, h, w)
 	per, xper := c*d*h*w, c*in.Volume()
 	for i := 0; i < n; i++ {
 		copyBox(y.Data[i*per:(i+1)*per], reach, empty, grid, reach, c)
@@ -153,33 +154,33 @@ func halo(x *tensor.Tensor, in tensor.Box, empty []float64, grid, out tensor.Box
 // of p: Forward's conv stages with train=false, stage for stage, into
 // arena buffers. x is the batch over p.in; e supplies what lies
 // outside the boxes.
-func (m *CNN3D) convStack(x *tensor.Tensor, p boxPlan, e *emptyResponse[float64], ws *nn.Workspace) convStages {
+func convStack[T tensor.Float](m *CNN3D, x *tensor.Dense[T], p boxPlan, e *emptyResponse[T], ws *nn.Workspace) convStages[T] {
 	g := m.Cfg.Voxel.GridSize
 	full, half := tensor.GridBox(g, g, g), tensor.GridBox(g/2, g/2, g/2)
-	var st convStages
+	var st convStages[T]
 
-	h := m.conv1.ForwardInferBox(x, p.in, p.c1, ws)
-	m.act[0].InferInPlace(h)
+	h := nn.InferBox(m.conv1, x, p.in, p.c1, ws)
+	nn.InferInPlace(m.act[0], h)
 	st.a1 = h
 	hin, hbox := halo(h, p.c1, e.a1, full, p.c2, m.conv2.K/2, ws)
-	h2 := m.conv2.ForwardInferBox(hin, hbox, p.c2, ws)
-	m.act[1].InferInPlace(h2)
+	h2 := nn.InferBox(m.conv2, hin, hbox, p.c2, ws)
+	nn.InferInPlace(m.act[1], h2)
 	if m.Cfg.Residual1 {
 		addBox(h2.Data, p.c2, hin.Data, hbox, h2.Dim(0)*h2.Dim(1))
 	}
-	st.p1 = m.pool1.ForwardInfer(h2, ws)
+	st.p1 = nn.Infer(m.pool1, h2, ws)
 
 	pin, pbox := halo(st.p1, p.c2.Downscale(2), e.p1, half, p.c3, m.conv3.K/2, ws)
-	h3 := m.conv3.ForwardInferBox(pin, pbox, p.c3, ws)
-	m.act[2].InferInPlace(h3)
+	h3 := nn.InferBox(m.conv3, pin, pbox, p.c3, ws)
+	nn.InferInPlace(m.act[2], h3)
 	st.a3 = h3
 	hin, hbox = halo(h3, p.c3, e.a3, half, p.c4, m.conv4.K/2, ws)
-	h4 := m.conv4.ForwardInferBox(hin, hbox, p.c4, ws)
-	m.act[3].InferInPlace(h4)
+	h4 := nn.InferBox(m.conv4, hin, hbox, p.c4, ws)
+	nn.InferInPlace(m.act[3], h4)
 	if m.Cfg.Residual2 {
 		addBox(h4.Data, p.c4, hin.Data, hbox, h4.Dim(0)*h4.Dim(1))
 	}
-	st.p2 = m.pool2.ForwardInfer(h4, ws)
+	st.p2 = nn.Infer(m.pool2, h4, ws)
 	return st
 }
 
@@ -187,122 +188,131 @@ func (m *CNN3D) convStack(x *tensor.Tensor, p boxPlan, e *emptyResponse[float64]
 // the conv stack over the batch's active box, then the dense stack on
 // the flattened pooled grid — the box's values over the empty-grid
 // response.
-func (m *CNN3D) forwardInfer(samples []*Sample, ws *Workspace) (pred, latent *tensor.Tensor) {
+func forwardInfer[T tensor.Float](m *CNN3D, samples []*Sample, ws *Workspace) (pred, latent *tensor.Dense[T]) {
 	p := m.planBoxes(m.batchBox(samples))
-	e := m.empty64()
-	st := m.convStack(ws.stackVoxels(samples, p.in), p, e, ws.nn)
+	e := emptyOf[T](m)
+	st := convStack(m, stackBox[T](ws, samples, p.in), p, e, ws.nn)
 
 	q := m.Cfg.Voxel.GridSize / 4
 	c2 := m.Cfg.ConvFilters2
-	f := ws.nn.Arena.GetUninit(len(samples), c2*q*q*q)
+	f := nn.Arena[T](ws.nn).GetUninit(len(samples), c2*q*q*q)
 	per := c2 * p.flat.Volume()
 	for i := range samples {
 		fillFlat(f.Row(i), tensor.GridBox(q, q, q), e.p2, st.p2.Data[i*per:(i+1)*per], p.flat, c2)
 	}
 	// drop1/drop2 are the identity at inference.
-	d1 := m.fc1.ForwardInfer(f, ws.nn)
+	d1 := nn.Infer(m.fc1, f, ws.nn)
 	if m.bn != nil {
-		d1 = m.bn.ForwardInfer(d1, ws.nn)
+		d1 = nn.Infer(m.bn, d1, ws.nn)
 	}
-	m.act[4].InferInPlace(d1)
-	latent = m.fc2.ForwardInfer(d1, ws.nn)
-	m.act[5].InferInPlace(latent)
-	pred = m.out.ForwardInfer(latent, ws.nn)
+	nn.InferInPlace(m.act[4], d1)
+	latent = nn.Infer(m.fc2, d1, ws.nn)
+	nn.InferInPlace(m.act[5], latent)
+	pred = nn.Infer(m.out, latent, ws.nn)
 	return pred, latent
 }
 
 // forwardBatchInfer is the pooled inference forward of the graph head
 // over the disjoint union of the samples' graphs.
-func (m *SGCNN) forwardBatchInfer(samples []*Sample, ws *Workspace) (pred, latent *tensor.Tensor) {
-	nodes, cov, nc, segs := ws.unionSamples(samples)
-	h := m.proj.ForwardInfer(nodes, ws.nn)
-	h = m.covConv.ForwardInfer(h, cov, ws.nn)
-	h = m.bridge.ForwardInfer(h, ws.nn)
-	h = m.ncConv.ForwardInfer(h, nc, ws.nn)
-	latent = m.gather.ForwardSegmentsInfer(h, nodes, segs, ws.nn)
-	y := m.act1.ForwardInfer(m.d1.ForwardInfer(latent, ws.nn), ws.nn)
-	y = m.act2.ForwardInfer(m.d2.ForwardInfer(y, ws.nn), ws.nn)
-	pred = m.out.ForwardInfer(y, ws.nn)
+func forwardBatchInfer[T tensor.Float](m *SGCNN, samples []*Sample, ws *Workspace) (pred, latent *tensor.Dense[T]) {
+	nodes, cov, nc, segs := unionSamples[T](ws, samples)
+	h := graph.InferProject(m.proj, nodes, ws.nn)
+	h = graph.InferGGConv(m.covConv, h, cov, ws.nn)
+	h = graph.InferProject(m.bridge, h, ws.nn)
+	h = graph.InferGGConv(m.ncConv, h, nc, ws.nn)
+	latent = graph.InferGather(m.gather, h, nodes, segs, ws.nn)
+	y := nn.Infer(m.act1, nn.Infer(m.d1, latent, ws.nn), ws.nn)
+	y = nn.Infer(m.act2, nn.Infer(m.d2, y, ws.nn), ws.nn)
+	pred = nn.Infer(m.out, y, ws.nn)
 	return pred, latent
 }
 
-// PredictBatchInto scores featurized samples through the pooled
-// engine, writing one prediction per sample into out (which must have
-// the batch's length). Scores are byte-identical to PredictBatch; a
-// warm workspace makes the call allocation-free.
-func (m *CNN3D) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	checkInto(samples, out)
+// predictInto is the frame of every family's PredictBatchInto: it
+// checks the output slice, recycles the workspace and runs the family's
+// one generic body at the workspace's precision. Scores leave the body
+// as float64 whatever the width, so Prediction and every consumer above
+// the workspace are precision-blind.
+func predictInto[M any](m M, samples []*Sample, ws *Workspace, out []float64, f64, f32 func(M, []*Sample, *Workspace, []float64)) {
+	if len(out) != len(samples) {
+		panic(fmt.Sprintf("fusion: PredictBatchInto out length %d != batch size %d", len(out), len(samples)))
+	}
 	if len(samples) == 0 {
 		return
 	}
 	ws.Reset()
 	if ws.precision == PrecisionF32 {
-		m.predictBatchInto32(samples, ws, out)
-		return
+		f32(m, samples, ws, out)
+	} else {
+		f64(m, samples, ws, out)
 	}
-	pred, _ := m.forwardInfer(samples, ws)
-	copy(out, pred.Data)
+}
+
+// widen copies a prediction column into the caller's float64 scores.
+func widen[T tensor.Float](out []float64, pred []T) {
+	for i, v := range pred {
+		out[i] = float64(v)
+	}
+}
+
+// PredictBatchInto scores featurized samples through the pooled
+// engine at the workspace's precision, writing one prediction per
+// sample into out (which must have the batch's length). At float64
+// scores are byte-identical to PredictBatch; a warm workspace makes the
+// call allocation-free.
+func (m *CNN3D) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
+	predictInto(m, samples, ws, out, predictCNN[float64], predictCNN[float32])
+}
+
+func predictCNN[T tensor.Float](m *CNN3D, samples []*Sample, ws *Workspace, out []float64) {
+	pred, _ := forwardInfer[T](m, samples, ws)
+	widen(out, pred.Data)
 }
 
 // PredictBatchInto scores featurized samples through the pooled graph
 // engine; see CNN3D.PredictBatchInto for the contract.
 func (m *SGCNN) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	checkInto(samples, out)
-	if len(samples) == 0 {
-		return
-	}
-	ws.Reset()
-	if ws.precision == PrecisionF32 {
-		m.predictBatchInto32(samples, ws, out)
-		return
-	}
-	pred, _ := m.forwardBatchInfer(samples, ws)
-	copy(out, pred.Data)
+	predictInto(m, samples, ws, out, predictSG[float64], predictSG[float32])
+}
+
+func predictSG[T tensor.Float](m *SGCNN, samples []*Sample, ws *Workspace, out []float64) {
+	pred, _ := forwardBatchInfer[T](m, samples, ws)
+	widen(out, pred.Data)
 }
 
 // PredictBatchInto evaluates both heads through the pooled engine and
-// averages, like PredictBatch.
+// averages, like PredictBatch; the average runs at the workspace's
+// precision.
 func (l *LateFusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	checkInto(samples, out)
-	if len(samples) == 0 {
-		return
-	}
-	ws.Reset()
-	if ws.precision == PrecisionF32 {
-		l.predictBatchInto32(samples, ws, out)
-		return
-	}
-	cnnPred, _ := l.CNN.forwardInfer(samples, ws)
-	sgPred, _ := l.SG.forwardBatchInfer(samples, ws)
+	predictInto(l, samples, ws, out, predictLate[float64], predictLate[float32])
+}
+
+func predictLate[T tensor.Float](l *LateFusion, samples []*Sample, ws *Workspace, out []float64) {
+	cnnPred, _ := forwardInfer[T](l.CNN, samples, ws)
+	sgPred, _ := forwardBatchInfer[T](l.SG, samples, ws)
 	for i := range out {
-		out[i] = (cnnPred.Data[i] + sgPred.Data[i]) / 2
+		out[i] = float64((cnnPred.Data[i] + sgPred.Data[i]) / 2)
 	}
 }
 
 // PredictBatchInto runs the pooled inference pass of the Mid-level /
 // Coherent fusion stack; see CNN3D.PredictBatchInto for the contract.
 func (f *Fusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	checkInto(samples, out)
-	if len(samples) == 0 {
-		return
-	}
-	ws.Reset()
-	if ws.precision == PrecisionF32 {
-		f.predictBatchInto32(samples, ws, out)
-		return
-	}
-	_, cnnLat := f.CNN.forwardInfer(samples, ws)
-	_, sgLat := f.SG.forwardBatchInfer(samples, ws)
+	predictInto(f, samples, ws, out, predictFusion[float64], predictFusion[float32])
+}
+
+func predictFusion[T tensor.Float](f *Fusion, samples []*Sample, ws *Workspace, out []float64) {
+	_, cnnLat := forwardInfer[T](f.CNN, samples, ws)
+	_, sgLat := forwardBatchInfer[T](f.SG, samples, ws)
 
 	b := len(samples)
-	concat := ws.nn.Arena.GetUninit(b, f.concatWidth)
+	concat := nn.Arena[T](ws.nn).GetUninit(b, f.concatWidth)
 	for i := 0; i < b; i++ {
 		copy(concat.Row(i)[:f.cnnLatW], cnnLat.Row(i))
 		copy(concat.Row(i)[f.cnnLatW:f.cnnLatW+f.sgLatW], sgLat.Row(i))
 	}
 	if f.msCNN != nil {
-		mc := f.msActC.ForwardInfer(f.msCNN.ForwardInfer(cnnLat, ws.nn), ws.nn)
-		ms := f.msActS.ForwardInfer(f.msSG.ForwardInfer(sgLat, ws.nn), ws.nn)
+		mc := nn.Infer(f.msActC, nn.Infer(f.msCNN, cnnLat, ws.nn), ws.nn)
+		ms := nn.Infer(f.msActS, nn.Infer(f.msSG, sgLat, ws.nn), ws.nn)
 		off := f.cnnLatW + f.sgLatW
 		for i := 0; i < b; i++ {
 			copy(concat.Row(i)[off:off+f.msW], mc.Row(i))
@@ -312,18 +322,17 @@ func (f *Fusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []float6
 	h := concat
 	for i, l := range f.layers {
 		prev := h
-		h = l.ForwardInfer(h, ws.nn)
+		h = nn.Infer(l, h, ws.nn)
 		if f.bns[i] != nil {
-			h = f.bns[i].ForwardInfer(h, ws.nn)
+			h = nn.Infer(f.bns[i], h, ws.nn)
 		}
-		h = f.acts[i].ForwardInfer(h, ws.nn)
+		h = nn.Infer(f.acts[i], h, ws.nn)
 		// drops are the identity at inference.
 		if f.Cfg.ResidualFusion && prev.Dim(1) == h.Dim(1) {
 			h = addInfer(ws.nn, h, prev)
 		}
 	}
-	pred := f.out.ForwardInfer(h, ws.nn)
-	copy(out, pred.Data)
+	widen(out, nn.Infer(f.out, h, ws.nn).Data)
 }
 
 // ScoreBatchInto implements the screening engine's pooled scoring

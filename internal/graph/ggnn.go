@@ -356,13 +356,7 @@ func (p *Project) Params() []*nn.Param { return []*nn.Param{p.W, p.B} }
 func (p *Project) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.lastX = x
 	out := tensor.MatMulTransB(x, p.W.Value)
-	n := x.Dim(0)
-	for i := 0; i < n; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] += p.B.Value.Data[j]
-		}
-	}
+	out.AddToRows(p.B.Value.Data)
 	return out
 }
 
@@ -379,23 +373,26 @@ func (p *Project) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMul(grad, p.W.Value)
 }
 
-func sigmoid(v float64) float64 {
+// sigmoid and tanh are the gate nonlinearities at either width. The
+// exponential runs in float64 (the standard library has no float32 exp)
+// and rounds once to T, so at float64 they are the plain formulas.
+func sigmoid[T tensor.Float](v T) T {
 	if v >= 0 {
-		e := exp(-v)
+		e := T(exp(float64(-v)))
 		return 1 / (1 + e)
 	}
-	e := exp(v)
+	e := T(exp(float64(v)))
 	return e / (1 + e)
 }
 
-func tanh(v float64) float64 {
+func tanh[T tensor.Float](v T) T {
 	if v > 20 {
 		return 1
 	}
 	if v < -20 {
 		return -1
 	}
-	e2 := exp(2 * v)
+	e2 := T(exp(float64(2 * v)))
 	return (e2 - 1) / (e2 + 1)
 }
 

@@ -7,45 +7,43 @@ import (
 )
 
 // This file is the zero-allocation inference surface of the graph
-// stages, mirroring the nn package's ForwardInfer contract: outputs
-// come from the workspace arena, weight matrices are multiplied
-// through their parameter-owned panel packings, and nothing is
-// cached for Backward. Outputs are byte-identical to the training
-// Forward methods — same loops, same per-element term order.
+// stages, written once for both element widths on the nn package's
+// contract: outputs come from the workspace arena, weight matrices are
+// multiplied through their parameter-owned panel packings at the
+// input's width, and nothing is cached for Backward. At float64 outputs
+// are byte-identical to the training Forward methods — same loops, same
+// per-element term order; at float32 the same loops differ only in
+// rounding.
 
-// ForwardInfer is the inference-mode projection: x·Wᵀ + b into pooled
+// InferProject is the inference-mode projection: x·Wᵀ + b into pooled
 // buffers.
-func (p *Project) ForwardInfer(x *tensor.Tensor, ws *nn.Workspace) *tensor.Tensor {
-	out := ws.Arena.GetUninit(x.Dim(0), p.Out)
-	tensor.MatMulPackedInto(out, x, p.W.PackedTransposed(p.Out, p.In))
-	n := x.Dim(0)
-	for i := 0; i < n; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] += p.B.Value.Data[j]
-		}
-	}
+func InferProject[T tensor.Float](p *Project, x *tensor.Dense[T], ws *nn.Workspace) *tensor.Dense[T] {
+	out := nn.Arena[T](ws).GetUninit(x.Dim(0), p.Out)
+	tensor.MatMulPackedInto(out, x, nn.PackedTransposed[T](p.W, p.Out, p.In))
+	out.AddToRows(nn.Vec[T](p.B))
 	return out
 }
 
-// ForwardInfer runs the K gated message-passing steps of Forward with
+// InferGGConv runs the K gated message-passing steps of Forward with
 // workspace-pooled step tensors and packed weight products, caching
 // nothing.
-func (g *GGConv) ForwardInfer(h *tensor.Tensor, edges []featurize.Edge, ws *nn.Workspace) *tensor.Tensor {
+func InferGGConv[T tensor.Float](g *GGConv, h *tensor.Dense[T], edges []featurize.Edge, ws *nn.Workspace) *tensor.Dense[T] {
+	a := nn.Arena[T](ws)
 	n := h.Dim(0)
-	inDeg := ws.Arena.Get(n)
+	inDeg := a.Get(n)
 	for _, e := range edges {
 		inDeg.Data[e.To]++
 	}
-	wmsg := g.Wmsg.PackedTransposed(g.H, g.H)
-	uz := g.Uz.PackedTransposed(g.H, g.H)
-	wz := g.Wz.PackedTransposed(g.H, g.H)
-	uh := g.Uh.PackedTransposed(g.H, g.H)
-	wh := g.Wh.PackedTransposed(g.H, g.H)
+	wmsg := nn.PackedTransposed[T](g.Wmsg, g.H, g.H)
+	uz := nn.PackedTransposed[T](g.Uz, g.H, g.H)
+	wz := nn.PackedTransposed[T](g.Wz, g.H, g.H)
+	uh := nn.PackedTransposed[T](g.Uh, g.H, g.H)
+	wh := nn.PackedTransposed[T](g.Wh, g.H, g.H)
+	bz, bh := nn.Vec[T](g.Bz), nn.Vec[T](g.Bh)
 	for step := 0; step < g.K; step++ {
-		hw := ws.Arena.GetUninit(n, g.H)
+		hw := a.GetUninit(n, g.H)
 		tensor.MatMulPackedInto(hw, h, wmsg)
-		m := ws.Arena.Get(n, g.H)
+		m := a.Get(n, g.H)
 		for _, e := range edges {
 			src := hw.Row(e.From)
 			dst := m.Row(e.To)
@@ -54,46 +52,57 @@ func (g *GGConv) ForwardInfer(h *tensor.Tensor, edges []featurize.Edge, ws *nn.W
 				dst[j] += v * inv
 			}
 		}
-		zpre := ws.Arena.GetUninit(n, g.H)
+		zpre := a.GetUninit(n, g.H)
 		tensor.MatMulPackedInto(zpre, m, uz)
-		tmp := ws.Arena.GetUninit(n, g.H)
+		tmp := a.GetUninit(n, g.H)
 		tensor.MatMulPackedInto(tmp, h, wz)
 		zpre.AddInPlace(tmp)
-		htpre := ws.Arena.GetUninit(n, g.H)
+		htpre := a.GetUninit(n, g.H)
 		tensor.MatMulPackedInto(htpre, m, uh)
 		tensor.MatMulPackedInto(tmp, h, wh)
 		htpre.AddInPlace(tmp)
 		for i := 0; i < n; i++ {
 			zr, hr := zpre.Row(i), htpre.Row(i)
 			for j := 0; j < g.H; j++ {
-				zr[j] = sigmoid(zr[j] + g.Bz.Value.Data[j])
-				hr[j] = tanh(hr[j] + g.Bh.Value.Data[j])
+				zr[j] = sigmoid(zr[j] + bz[j])
+				hr[j] = tanh(hr[j] + bh[j])
 			}
 		}
-		hOut := ws.Arena.GetUninit(n, g.H)
+		hOut := a.GetUninit(n, g.H)
 		for i := range hOut.Data {
 			hOut.Data[i] = (1-zpre.Data[i])*h.Data[i] + zpre.Data[i]*htpre.Data[i]
 		}
-		ws.Arena.Put(tmp)
-		ws.Arena.Put(htpre)
-		ws.Arena.Put(zpre)
-		ws.Arena.Put(m)
-		ws.Arena.Put(hw)
+		a.Put(tmp)
+		a.Put(htpre)
+		a.Put(zpre)
+		a.Put(m)
+		a.Put(hw)
 		h = hOut
 	}
 	return h
 }
 
-// ForwardSegmentsInfer is the inference-mode gated gather pooling:
-// identical math to ForwardSegments into pooled buffers, with no state
-// retained for Backward.
-func (ga *Gather) ForwardSegmentsInfer(h, x *tensor.Tensor, segs []Segment, ws *nn.Workspace) *tensor.Tensor {
+// ForwardInfer is InferGGConv at float64.
+func (g *GGConv) ForwardInfer(h *tensor.Tensor, edges []featurize.Edge, ws *nn.Workspace) *tensor.Tensor {
+	return InferGGConv(g, h, edges, ws)
+}
+
+// ForwardInfer32 is InferGGConv at float32.
+func (g *GGConv) ForwardInfer32(h *tensor.F32, edges []featurize.Edge, ws *nn.Workspace) *tensor.F32 {
+	return InferGGConv(g, h, edges, ws)
+}
+
+// InferGather is the inference-mode gated gather pooling: identical
+// math to ForwardSegments into pooled buffers, with no state retained
+// for Backward.
+func InferGather[T tensor.Float](ga *Gather, h, x *tensor.Dense[T], segs []Segment, ws *nn.Workspace) *tensor.Dense[T] {
+	a := nn.Arena[T](ws)
 	nl := 0
 	for _, s := range segs {
 		nl += s.NumLigand
 	}
-	hx := ws.Arena.GetUninit(nl, ga.HIn+ga.XIn)
-	hl := ws.Arena.GetUninit(nl, ga.HIn)
+	hx := a.GetUninit(nl, ga.HIn+ga.XIn)
+	hl := a.GetUninit(nl, ga.HIn)
 	r := 0
 	for _, s := range segs {
 		for i := 0; i < s.NumLigand; i++ {
@@ -103,27 +112,28 @@ func (ga *Gather) ForwardSegmentsInfer(h, x *tensor.Tensor, segs []Segment, ws *
 			r++
 		}
 	}
-	gate := ws.Arena.GetUninit(nl, ga.Out)
-	tensor.MatMulPackedInto(gate, hx, ga.Wg.PackedTransposed(ga.Out, ga.HIn+ga.XIn))
-	th := ws.Arena.GetUninit(nl, ga.Out)
-	tensor.MatMulPackedInto(th, hl, ga.Wo.PackedTransposed(ga.Out, ga.HIn))
-	out := ws.Arena.Get(len(segs), ga.Out)
+	gate := a.GetUninit(nl, ga.Out)
+	tensor.MatMulPackedInto(gate, hx, nn.PackedTransposed[T](ga.Wg, ga.Out, ga.HIn+ga.XIn))
+	th := a.GetUninit(nl, ga.Out)
+	tensor.MatMulPackedInto(th, hl, nn.PackedTransposed[T](ga.Wo, ga.Out, ga.HIn))
+	bg, bo := nn.Vec[T](ga.Bg), nn.Vec[T](ga.Bo)
+	out := a.Get(len(segs), ga.Out)
 	r = 0
 	for b, s := range segs {
 		dst := out.Row(b)
 		for i := 0; i < s.NumLigand; i++ {
 			gr, tr := gate.Row(r), th.Row(r)
 			for j := 0; j < ga.Out; j++ {
-				gr[j] = sigmoid(gr[j] + ga.Bg.Value.Data[j])
-				tr[j] = tanh(tr[j] + ga.Bo.Value.Data[j])
+				gr[j] = sigmoid(gr[j] + bg[j])
+				tr[j] = tanh(tr[j] + bo[j])
 				dst[j] += gr[j] * tr[j]
 			}
 			r++
 		}
 	}
-	ws.Arena.Put(th)
-	ws.Arena.Put(gate)
-	ws.Arena.Put(hl)
-	ws.Arena.Put(hx)
+	a.Put(th)
+	a.Put(gate)
+	a.Put(hl)
+	a.Put(hx)
 	return out
 }

@@ -41,7 +41,7 @@ func TestGraphForwardInferMatchesForward(t *testing.T) {
 
 	proj := NewProject(rng, featurize.NodeFeatures, hW)
 	h := proj.Forward(nodes)
-	check("Project", h, proj.ForwardInfer(nodes, ws))
+	check("Project", h, InferProject(proj, nodes, ws))
 
 	gg := NewGGConv(rng, hW, 2)
 	hg := gg.Forward(h, edges)
@@ -53,14 +53,14 @@ func TestGraphForwardInferMatchesForward(t *testing.T) {
 	// ForwardSegments activates its gate/tanh caches in place, so
 	// recompute hg fresh for the inference call.
 	hgi := gg.ForwardInfer(h, edges, ws)
-	check("Gather", want, ga.ForwardSegmentsInfer(hgi, nodes, segs, ws))
+	check("Gather", want, InferGather(ga, hgi, nodes, segs, ws))
 
 	// Warm steady state allocates nothing.
 	pass := func() {
 		ws.Reset()
-		hi := proj.ForwardInfer(nodes, ws)
+		hi := InferProject(proj, nodes, ws)
 		hi = gg.ForwardInfer(hi, edges, ws)
-		ga.ForwardSegmentsInfer(hi, nodes, segs, ws)
+		InferGather(ga, hi, nodes, segs, ws)
 	}
 	for i := 0; i < 3; i++ {
 		pass()

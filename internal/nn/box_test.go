@@ -72,8 +72,8 @@ func TestForwardInferBoxMatchesWholeGrid(t *testing.T) {
 		xin := tensor.FromSlice(crop(x.Data, 2*c.In, d, h, w, in), 2, c.In, id, ih, iw)
 
 		ws := NewWorkspace()
-		want := crop(c.ForwardInferBox(x, grid, grid, ws).Data, 2*c.Out, d, h, w, out)
-		got := c.ForwardInferBox(xin, in, out, ws)
+		want := crop(InferBox(c, x, grid, grid, ws).Data, 2*c.Out, d, h, w, out)
+		got := InferBox(c, xin, in, out, ws)
 		for i := range want {
 			if got.Data[i] != want[i] {
 				t.Fatalf("trial %d (k=%d direct=%v in=%v out=%v) f64 elem %d: box %v != whole grid %v", trial, k, c.Direct, in, out, i, got.Data[i], want[i])
@@ -83,13 +83,13 @@ func TestForwardInferBoxMatchesWholeGrid(t *testing.T) {
 		x32, xin32 := tensor.NewF32(x.Shape...), tensor.NewF32(xin.Shape...)
 		x32.CopyFrom64(x)
 		xin32.CopyFrom64(xin)
-		full32 := c.ForwardInferBox32(x32, grid, grid, ws)
+		full32 := InferBox(c, x32, grid, grid, ws)
 		want64 := make([]float64, len(full32.Data))
 		for i, v := range full32.Data {
 			want64[i] = float64(v)
 		}
 		want = crop(want64, 2*c.Out, d, h, w, out)
-		got32 := c.ForwardInferBox32(xin32, in, out, ws)
+		got32 := InferBox(c, xin32, in, out, ws)
 		for i := range want {
 			if float64(got32.Data[i]) != want[i] {
 				t.Fatalf("trial %d (k=%d direct=%v in=%v out=%v) f32 elem %d: box %v != whole grid %v", trial, k, c.Direct, in, out, i, got32.Data[i], want[i])
@@ -107,8 +107,8 @@ func TestForwardInferBoxEmptyInput(t *testing.T) {
 	c.B.Invalidate()
 	ws := NewWorkspace()
 	out := tensor.GridBox(2, 3, 2)
-	y := c.ForwardInferBox(tensor.New(1, 2, 0, 0, 0), tensor.Box{}, out, ws)
-	y32 := c.ForwardInferBox32(tensor.NewF32(1, 2, 0, 0, 0), tensor.Box{}, out, ws)
+	y := InferBox(c, tensor.New(1, 2, 0, 0, 0), tensor.Box{}, out, ws)
+	y32 := InferBox(c, tensor.NewF32(1, 2, 0, 0, 0), tensor.Box{}, out, ws)
 	for o := 0; o < 3; o++ {
 		for p := 0; p < out.Volume(); p++ {
 			if y.Data[o*out.Volume()+p] != c.B.Value.Data[o] || y32.Data[o*out.Volume()+p] != float32(c.B.Value.Data[o]) {
@@ -128,9 +128,9 @@ func TestActivationInferInPlace(t *testing.T) {
 		x := inferInput(rng, 3, 17)
 		x32 := tensor.NewF32(3, 17)
 		x32.CopyFrom64(x)
-		want, want32 := a.ForwardInfer(x, ws), a.ForwardInfer32(x32, ws)
-		a.InferInPlace(x)
-		a.InferInPlace32(x32)
+		want, want32 := Infer(a, x, ws), Infer(a, x32, ws)
+		InferInPlace(a, x)
+		InferInPlace(a, x32)
 		for i := range want.Data {
 			if x.Data[i] != want.Data[i] || x32.Data[i] != want32.Data[i] {
 				t.Fatalf("%s elem %d: in place %v / %v, allocating %v / %v", kind, i, x.Data[i], x32.Data[i], want.Data[i], want32.Data[i])
@@ -147,11 +147,11 @@ func TestParamFormsBuildOnceAndInvalidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d := NewDense(rng, 5, 3)
 	before := FormBuilds()
-	pb, pb32, v := d.W.PackedTransposed(3, 5), d.W.Packed32Transposed(3, 5), d.B.Vec32()
+	pb, pb32, v := PackedTransposed[float64](d.W, 3, 5), PackedTransposed[float32](d.W, 3, 5), Vec[float32](d.B)
 	if got := FormBuilds() - before; got != 3 {
 		t.Fatalf("three cold forms built %d times", got)
 	}
-	if d.W.PackedTransposed(3, 5) != pb || d.W.Packed32Transposed(3, 5) != pb32 || &d.B.Vec32()[0] != &v[0] {
+	if PackedTransposed[float64](d.W, 3, 5) != pb || PackedTransposed[float32](d.W, 3, 5) != pb32 || &Vec[float32](d.B)[0] != &v[0] {
 		t.Fatal("a warm form was rebuilt")
 	}
 	if got := FormBuilds() - before; got != 3 {
@@ -163,10 +163,10 @@ func TestParamFormsBuildOnceAndInvalidate(t *testing.T) {
 	if d.B.Gen() == gen {
 		t.Fatal("Invalidate did not advance the generation")
 	}
-	if got := d.B.Vec32()[1]; got != 42 {
+	if got := Vec[float32](d.B)[1]; got != 42 {
 		t.Fatalf("rebuilt f32 vector holds %v, want 42", got)
 	}
-	if d.W.PackedTransposed(3, 5) != pb {
+	if PackedTransposed[float64](d.W, 3, 5) != pb {
 		t.Fatal("invalidating the bias dropped the weight's forms")
 	}
 }

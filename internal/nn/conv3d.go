@@ -15,7 +15,7 @@ import (
 // The training Forward scatters each non-zero input voxel's kernel
 // footprint into the output when the output is cache-sized and lowers
 // the convolution to matrix multiplication (tensor.Im2Col3D +
-// accumulating GEMM) above that; inference (ForwardInfer) always
+// accumulating GEMM) above that; inference (Infer, InferBox) always
 // scatters. Setting Direct selects the original seven-loop reference
 // implementation. Every path adds an output element's terms in
 // ascending (input channel, tap) order after its bias, which the nn

@@ -35,13 +35,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	d.lastX = x
 	y := tensor.MatMulTransB(x, d.W.Value) // [N, Out]
-	n := x.Dim(0)
-	for i := 0; i < n; i++ {
-		row := y.Row(i)
-		for j := range row {
-			row[j] += d.B.Value.Data[j]
-		}
-	}
+	y.AddToRows(d.B.Value.Data)
 	return y
 }
 

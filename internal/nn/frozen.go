@@ -9,10 +9,11 @@ import (
 )
 
 // This file is the compile-once half of the inference engine: every
-// form of a weight tensor the ForwardInfer kernels read instead of the
-// raw float64 values — packed GEMM panels, kernel transposes, float32
-// conversions, the folded BatchNorm — is built on first use, stored on
-// the parameter itself and shared read-only by every goroutine, rank
+// form of a weight tensor the inference kernels read instead of the
+// raw float64 values — packed GEMM panels, the scatter convolution's
+// kernel layout, flat vectors, each at both element widths, and the
+// folded float32 BatchNorm — is built on first use, stored on the
+// parameter itself and shared read-only by every goroutine, rank
 // replica, workspace, job and session that aliases the parameter.
 // Whatever writes a parameter's values (optimizer steps, CopyParams,
 // LoadParams, initialization, anything assigning Value.Data directly)
@@ -24,13 +25,22 @@ import (
 // Reads are lock-free atomic loads; mu serializes builds so concurrent
 // ranks hitting a cold parameter pack it once, not once each.
 type frozenForms struct {
-	mu     sync.Mutex
-	pack   atomic.Pointer[tensor.PackedB]
-	pack32 atomic.Pointer[tensor.PackedB32]
-	vec32  atomic.Pointer[tensor.F32]
-	taps   atomic.Pointer[tensor.Tensor]
-	taps32 atomic.Pointer[tensor.F32]
-	bn32   atomic.Pointer[bnFold32]
+	mu   sync.Mutex
+	f64  widthForms[float64]
+	f32  widthForms[float32]
+	bn32 atomic.Pointer[bnFold32]
+}
+
+// widthForms are a parameter's forms at one element width.
+type widthForms[T tensor.Float] struct {
+	pack atomic.Pointer[tensor.Packed[T]]
+	taps atomic.Pointer[[]T]
+	vec  atomic.Pointer[[]T]
+}
+
+// formsAt returns the parameter's forms at width T.
+func formsAt[T tensor.Float](f *frozenForms) *widthForms[T] {
+	return tensor.Select[*widthForms[T]](&f.f64, &f.f32)
 }
 
 // Process-wide construction counters: diagnostics for tests and
@@ -40,8 +50,8 @@ var (
 	glorotInits atomic.Int64
 )
 
-// FormBuilds returns how many derived weight forms (packings,
-// transposes, conversions, folds) this process has built so far.
+// FormBuilds returns how many derived weight forms (packings, scatter
+// layouts, conversions, folds) this process has built so far.
 func FormBuilds() int64 { return formBuilds.Load() }
 
 // GlorotInits returns how many parameters this process has
@@ -89,76 +99,50 @@ func form[T any](f *frozenForms, slot *atomic.Pointer[T], build func() *T) *T {
 	return v
 }
 
-// PackedTransposed returns the panel packing of the parameter's
-// transpose, viewing its data as a row-major n x k matrix (higher-rank
-// conv kernels collapse). A parameter is always viewed at one shape.
-func (p *Param) PackedTransposed(n, k int) *tensor.PackedB {
+// PackedTransposed returns the panel packing at width T of the
+// parameter's transpose, viewing its data as a row-major n x k matrix
+// (higher-rank conv kernels collapse). A parameter is always viewed at
+// one shape. At float32 the pack is where the float64 weights convert.
+func PackedTransposed[T tensor.Float](p *Param, n, k int) *tensor.Packed[T] {
 	f := p.frozen()
-	return form(f, &f.pack, func() *tensor.PackedB {
-		pb := &tensor.PackedB{}
+	return form(f, &formsAt[T](f).pack, func() *tensor.Packed[T] {
+		pb := &tensor.Packed[T]{}
 		pb.PackTransposed(p.Value.Data, n, k)
 		return pb
 	})
 }
 
-// Packed32Transposed is the float32 PackedTransposed, converting the
-// float64 weights while packing (the single f64→f32 conversion point
-// of the dense products).
-func (p *Param) Packed32Transposed(n, k int) *tensor.PackedB32 {
+// Vec returns the parameter's flat data at width T (biases, and the
+// direct convolution's kernel).
+func Vec[T tensor.Float](p *Param) []T {
 	f := p.frozen()
-	return form(f, &f.pack32, func() *tensor.PackedB32 {
-		pb := &tensor.PackedB32{}
-		pb.PackTransposed64(p.Value.Data, n, k)
-		return pb
+	return *form(f, &formsAt[T](f).vec, func() *[]T {
+		v := make([]T, len(p.Value.Data))
+		tensor.Convert(v, p.Value.Data)
+		return &v
 	})
 }
 
-// Vec32 returns the float32 conversion of the parameter's flat data
-// (biases, and the direct convolution's kernel).
-func (p *Param) Vec32() []float32 {
+// scatterTaps returns a [out, in, k, k, k] convolution kernel laid out
+// for the scatter convolution at width T: [in*k*k, k, out] with the
+// innermost tap axis reversed. One input voxel sends its k taps along a
+// grid row to k adjacent output positions, the highest tap to the
+// lowest position; reversing the axis makes those k out-wide weight
+// rows contiguous in the order of the contiguous accumulator rows they
+// update, so a row of taps is one axpy instead of k.
+func scatterTaps[T tensor.Float](p *Param, out, in, k int) []T {
 	f := p.frozen()
-	return form(f, &f.vec32, func() *tensor.F32 {
-		v := tensor.NewF32(len(p.Value.Data))
-		v.CopyFrom64(p.Value)
-		return v
-	}).Data
-}
-
-// scatterTaps lays a [out, in, k, k, k] convolution kernel out for the
-// scatter kernels: [in*k*k, k, out] with the innermost tap axis
-// reversed. One input voxel sends its k taps along a grid row to k
-// adjacent output positions, the highest tap to the lowest position;
-// reversing the axis makes those k out-wide weight rows contiguous in
-// the order of the contiguous accumulator rows they update, so a row of
-// taps is one axpy instead of k.
-func scatterTaps[T float32 | float64](dst []T, w []float64, out, in, k int) {
-	for o := 0; o < out; o++ {
-		for r := 0; r < in*k*k; r++ {
-			for kw := 0; kw < k; kw++ {
-				dst[(r*k+k-1-kw)*out+o] = T(w[(o*in*k*k+r)*k+kw])
+	return *form(f, &formsAt[T](f).taps, func() *[]T {
+		w := p.Value.Data
+		t := make([]T, in*k*k*k*out)
+		for o := 0; o < out; o++ {
+			for r := 0; r < in*k*k; r++ {
+				for kw := 0; kw < k; kw++ {
+					t[(r*k+k-1-kw)*out+o] = T(w[(o*in*k*k+r)*k+kw])
+				}
 			}
 		}
-	}
-}
-
-// ScatterTaps returns the scatter-kernel layout of a [out, in, k, k, k]
-// convolution kernel (see scatterTaps).
-func (p *Param) ScatterTaps(out, in, k int) *tensor.Tensor {
-	f := p.frozen()
-	return form(f, &f.taps, func() *tensor.Tensor {
-		t := tensor.New(in*k*k*k, out)
-		scatterTaps(t.Data, p.Value.Data, out, in, k)
-		return t
-	})
-}
-
-// ScatterTaps32 is the float32 ScatterTaps.
-func (p *Param) ScatterTaps32(out, in, k int) *tensor.F32 {
-	f := p.frozen()
-	return form(f, &f.taps32, func() *tensor.F32 {
-		t := tensor.NewF32(in*k*k*k, out)
-		scatterTaps(t.Data, p.Value.Data, out, in, k)
-		return t
+		return &t
 	})
 }
 

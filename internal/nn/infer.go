@@ -8,97 +8,114 @@ import (
 )
 
 // This file is the zero-allocation inference surface of the layer
-// framework. Every layer gains a ForwardInfer variant that reads its
-// weights, writes its output into workspace-pooled buffers, and caches
-// nothing for Backward — the steady-state path of the screening
-// engine. After one warm-up batch a ForwardInfer pass performs zero
-// heap allocations, and its outputs are byte-identical to
-// Forward(x, false): identical loops, identical per-element term
-// order, only the buffer ownership changes.
+// framework, written once for both element widths. Infer runs any
+// layer's inference forward: it reads the layer's weights through their
+// compiled forms at the input's width (frozen.go), writes its output
+// into workspace-pooled buffers, and caches nothing for Backward — the
+// steady-state path of the screening engine. After one warm-up batch an
+// inference pass performs zero heap allocations. At float64 its outputs
+// are byte-identical to Forward(x, false): identical loops, identical
+// per-element term order, only the buffer ownership changes. At
+// float32 the same loops run at half the width, so results differ from
+// float64 only in rounding.
 //
-// ForwardInfer runs serially in the calling goroutine (no ParallelFor)
-// — the screening engine's rank goroutines are the parallelism, one
+// Inference runs serially in the calling goroutine (no ParallelFor) —
+// the screening engine's rank goroutines are the parallelism, one
 // workspace each, mirroring the paper's one-model-instance-per-GPU
 // deployment.
 
-// Workspace owns the pooled buffers of one inference stream: a
-// float64 and a float32 arena, so one workspace serves whichever
-// precision the batch runs at. It is not safe for concurrent use; the
-// screening engine gives each rank its own.
+// Workspace owns the pooled buffers of one inference stream: one arena
+// per element width, so one workspace serves whichever precision the
+// batch runs at. It is not safe for concurrent use; the screening
+// engine gives each rank its own.
 //
 // A workspace holds nothing derived from weights: packed panels,
-// kernel transposes and float32 conversions live on the parameters
+// scatter layouts and float32 conversions live on the parameters
 // (frozen.go) and are shared by every workspace.
 type Workspace struct {
-	Arena   *tensor.Arena
-	Arena32 *tensor.Arena32
+	f64 tensor.Arena[float64]
+	f32 tensor.Arena[float32]
 }
 
 // NewWorkspace returns an empty inference workspace.
-func NewWorkspace() *Workspace {
-	return &Workspace{Arena: tensor.NewArena(), Arena32: tensor.NewArena32()}
-}
+func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Reset recycles the per-batch buffers.
 func (ws *Workspace) Reset() {
-	ws.Arena.Reset()
-	ws.Arena32.Reset()
+	ws.f64.Reset()
+	ws.f32.Reset()
 }
 
-// InferLayer is the inference-mode counterpart of Layer: a forward
-// pass that allocates from the workspace and caches nothing.
-type InferLayer interface {
-	ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor
+// Arena returns the workspace's pool of T tensors.
+func Arena[T tensor.Float](ws *Workspace) *tensor.Arena[T] {
+	return tensor.Select[*tensor.Arena[T]](&ws.f64, &ws.f32)
 }
 
-// ForwardInfer implements InferLayer. Layers that do not implement the
-// in-place contract fall back to Forward(x, false) (correct, but
-// allocating).
-func (s *Sequential) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
-	for _, l := range s.Layers {
-		if il, ok := l.(InferLayer); ok {
-			x = il.ForwardInfer(x, ws)
-		} else {
-			x = l.Forward(x, false)
+// Infer runs layer l's inference forward over x at x's element width.
+// Sequential chains its layers; dropout is the identity and Flatten a
+// pooled view. A layer this package does not define has no inference
+// path and panics.
+func Infer[T tensor.Float](l Layer, x *tensor.Dense[T], ws *Workspace) *tensor.Dense[T] {
+	switch l := l.(type) {
+	case *Sequential:
+		for _, sub := range l.Layers {
+			x = Infer(sub, x, ws)
 		}
+		return x
+	case *Dense:
+		return denseInfer(l, x, ws)
+	case *Activation:
+		out := Arena[T](ws).GetUninit(x.Shape...)
+		activate(l, out.Data, x.Data)
+		return out
+	case *Dropout:
+		return x
+	case *Flatten:
+		n := x.Dim(0)
+		return Arena[T](ws).View(x.Data, n, x.Len()/n)
+	case *BatchNorm:
+		return batchNormInfer(l, x, ws)
+	case *MaxPool3D:
+		return poolInfer(l, x, ws)
+	case *Conv3D:
+		if x.Rank() != 5 || x.Dim(1) != l.In {
+			panic(fmt.Sprintf("nn: Conv3D expects [N,%d,D,H,W], got %v", l.In, x.Shape))
+		}
+		grid := tensor.GridBox(x.Dim(2), x.Dim(3), x.Dim(4))
+		return InferBox(l, x, grid, grid, ws)
 	}
-	return x
+	panic(fmt.Sprintf("nn: layer %T has no inference path", l))
 }
 
-// ForwardInfer implements InferLayer: y = x·Wᵀ + b via the packed
-// panel kernel against the parameter-owned packing of Wᵀ.
-func (d *Dense) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+// InferInPlace applies the activation to x itself — the values Infer
+// returns, without a second tensor, for callers that hold the only
+// reference to x (a conv or dense output feeding straight into its
+// nonlinearity).
+func InferInPlace[T tensor.Float](a *Activation, x *tensor.Dense[T]) { activate(a, x.Data, x.Data) }
+
+// ForwardInfer is Infer at float64: the convolution over the whole
+// grid.
+func (c *Conv3D) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor { return Infer(c, x, ws) }
+
+// ForwardInfer32 is Infer at float32.
+func (c *Conv3D) ForwardInfer32(x *tensor.F32, ws *Workspace) *tensor.F32 { return Infer(c, x, ws) }
+
+// denseInfer is y = x·Wᵀ + b via the packed panel kernel against the
+// parameter-owned packing of Wᵀ.
+func denseInfer[T tensor.Float](d *Dense, x *tensor.Dense[T], ws *Workspace) *tensor.Dense[T] {
 	if x.Rank() != 2 || x.Dim(1) != d.In {
-		panicShape("Dense", x, d.In)
+		panic(fmt.Sprintf("nn: Dense expects [N, %d] input, got %v", d.In, x.Shape))
 	}
-	n := x.Dim(0)
-	y := ws.Arena.GetUninit(n, d.Out)
-	pb := d.W.PackedTransposed(d.Out, d.In)
-	tensor.MatMulPackedInto(y, x, pb)
-	for i := 0; i < n; i++ {
-		row := y.Row(i)
-		for j := range row {
-			row[j] += d.B.Value.Data[j]
-		}
-	}
+	y := Arena[T](ws).GetUninit(x.Dim(0), d.Out)
+	tensor.MatMulPackedInto(y, x, PackedTransposed[T](d.W, d.Out, d.In))
+	y.AddToRows(Vec[T](d.B))
 	return y
 }
 
-// ForwardInfer implements InferLayer.
-func (a *Activation) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
-	out := ws.Arena.GetUninit(x.Shape...)
-	a.apply(out.Data, x.Data)
-	return out
-}
-
-// InferInPlace applies the activation to x itself — same values as
-// ForwardInfer without a second tensor, for callers that hold the only
-// reference to x (a conv or dense output feeding straight into its
-// nonlinearity).
-func (a *Activation) InferInPlace(x *tensor.Tensor) { a.apply(x.Data, x.Data) }
-
-// apply writes the activation of src into dst, which may alias src.
-func (a *Activation) apply(dst, src []float64) {
+// activate writes the activation of src into dst, which may alias
+// src. The negative SELU branch exponentiates in float64 (the standard
+// library has no float32 exp) and rounds once to T.
+func activate[T tensor.Float](a *Activation, dst, src []T) {
 	switch a.Kind {
 	case ActReLU:
 		for i, v := range src {
@@ -109,19 +126,20 @@ func (a *Activation) apply(dst, src []float64) {
 			}
 		}
 	case ActLReLU:
+		slope := T(a.Slope)
 		for i, v := range src {
 			if v > 0 {
 				dst[i] = v
 			} else {
-				dst[i] = a.Slope * v
+				dst[i] = slope * v
 			}
 		}
 	case ActSELU:
 		for i, v := range src {
 			if v > 0 {
-				dst[i] = seluLambda * v
+				dst[i] = T(seluLambda) * v
 			} else {
-				dst[i] = seluLambda * seluAlpha * (math.Exp(v) - 1)
+				dst[i] = T(seluLambda * seluAlpha * (math.Exp(float64(v)) - 1))
 			}
 		}
 	default:
@@ -129,48 +147,54 @@ func (a *Activation) apply(dst, src []float64) {
 	}
 }
 
-// ForwardInfer implements InferLayer. Inference dropout is the
-// identity, exactly like Forward with train=false.
-func (d *Dropout) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor { return x }
-
-// ForwardInfer implements InferLayer: a pooled view, the workspace
-// counterpart of Reshape.
-func (f *Flatten) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
-	n := x.Dim(0)
-	return ws.Arena.View(x.Data, n, x.Len()/n)
-}
-
-// ForwardInfer implements InferLayer: evaluation-mode normalization
-// with running statistics, as Forward(x, false).
-func (b *BatchNorm) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+// batchNormInfer is evaluation-mode normalization with the running
+// statistics. It is the one layer whose two widths compute differently:
+// float64 repeats Forward(x, false)'s per-element expression, which the
+// goldens pin bitwise; float32 applies the folded scale and shift (one
+// multiply-add per element; algebraically identical, differing only in
+// rounding).
+func batchNormInfer[T tensor.Float](b *BatchNorm, x *tensor.Dense[T], ws *Workspace) *tensor.Dense[T] {
 	if x.Rank() != 2 || x.Dim(1) != b.F {
 		panic("nn: BatchNorm expects [N, F] input matching layer width")
 	}
+	out := Arena[T](ws).GetUninit(x.Shape...)
 	n := x.Dim(0)
-	out := ws.Arena.GetUninit(x.Shape...)
-	for i := 0; i < n; i++ {
-		xr, or := x.Row(i), out.Row(i)
-		for j := 0; j < b.F; j++ {
-			xh := (xr[j] - b.RunMean[j]) / math.Sqrt(b.RunVar[j]+b.Eps)
-			or[j] = b.Gamma.Value.Data[j]*xh + b.Beta.Value.Data[j]
+	switch o := any(out).(type) {
+	case *tensor.Tensor:
+		x := any(x).(*tensor.Tensor)
+		for i := 0; i < n; i++ {
+			xr, or := x.Row(i), o.Row(i)
+			for j := 0; j < b.F; j++ {
+				xh := (xr[j] - b.RunMean[j]) / math.Sqrt(b.RunVar[j]+b.Eps)
+				or[j] = b.Gamma.Value.Data[j]*xh + b.Beta.Value.Data[j]
+			}
+		}
+	case *tensor.F32:
+		x := any(x).(*tensor.F32)
+		f := b.folded32()
+		for i := 0; i < n; i++ {
+			xr, or := x.Row(i), o.Row(i)
+			for j := 0; j < b.F; j++ {
+				or[j] = f.scale[j]*xr[j] + f.shift[j]
+			}
 		}
 	}
 	return out
 }
 
-// ForwardInfer implements InferLayer: Forward's window maximum without
-// recording the winners for Backward. Each output row folds its k*k
-// input rows in (kd, kh) order with the kw taps innermost — the tap
-// order of Forward's window loops, so ties and NaNs resolve the same
-// way — reading every input row contiguously from a hoisted base.
-func (m *MaxPool3D) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+// poolInfer is Forward's window maximum without recording the winners
+// for Backward. Each output row folds its k*k input rows in (kd, kh)
+// order with the kw taps innermost — the tap order of Forward's window
+// loops, so ties and NaNs resolve the same way — reading every input
+// row contiguously from a hoisted base.
+func poolInfer[T tensor.Float](m *MaxPool3D, x *tensor.Dense[T], ws *Workspace) *tensor.Dense[T] {
 	n, c, d, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
 	k := m.K
 	if d%k != 0 || h%k != 0 || w%k != 0 {
 		panic("nn: MaxPool3D window does not divide grid")
 	}
 	od, oh, ow := d/k, h/k, w/k
-	out := ws.Arena.GetUninit(n, c, od, oh, ow)
+	out := Arena[T](ws).GetUninit(n, c, od, oh, ow)
 	for nc := 0; nc < n*c; nc++ {
 		src := x.Data[nc*d*h*w : (nc+1)*d*h*w]
 		dst := out.Data[nc*od*oh*ow : (nc+1)*od*oh*ow]
@@ -202,25 +226,11 @@ func (m *MaxPool3D) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor
 	return out
 }
 
-// ForwardInfer implements InferLayer for the convolution over a whole
-// grid: ForwardInferBox over the box that is the whole grid, with
-// workspace-pooled scratch. Both the scatter and the direct algorithm
-// add each output element's terms in ascending (input channel, tap)
-// order after its bias — the order of every Forward path — so outputs
-// are byte-identical to Forward.
-func (c *Conv3D) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
-	if x.Rank() != 5 || x.Dim(1) != c.In {
-		panic(fmt.Sprintf("nn: Conv3D expects [N,%d,D,H,W], got %v", c.In, x.Shape))
-	}
-	grid := tensor.GridBox(x.Dim(2), x.Dim(3), x.Dim(4))
-	return c.ForwardInferBox(x, grid, grid, ws)
-}
-
-// ForwardInferBox is the convolution between two boxes of one voxel
-// grid: x holds the input over box in ([N, In, in's dims]), the result
-// holds the output over box out ([N, Out, out's dims]), and the input
-// is zero everywhere outside in. The kernel never sees the grid — "same"
-// zero padding at the grid border is just the statement that nothing
+// InferBox is the convolution between two boxes of one voxel grid: x
+// holds the input over box in ([N, In, in's dims]), the result holds
+// the output over box out ([N, Out, out's dims]), and the input is zero
+// everywhere outside in. The kernel never sees the grid — "same" zero
+// padding at the grid border is just the statement that nothing
 // outside the grid is non-zero — so callers keep both boxes inside the
 // grid, and give in every non-zero voxel within kernel reach of out.
 // The two boxes need not nest: the voxel head grows out by the kernel
@@ -230,17 +240,17 @@ func (c *Conv3D) ForwardInfer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
 // in ascending (input channel, input position) order, whichever boxes
 // carry them: the result over any out equals the whole-grid result
 // restricted to out, bit for bit.
-func (c *Conv3D) ForwardInferBox(x *tensor.Tensor, in, out tensor.Box, ws *Workspace) *tensor.Tensor {
+func InferBox[T tensor.Float](c *Conv3D, x *tensor.Dense[T], in, out tensor.Box, ws *Workspace) *tensor.Dense[T] {
 	id, ih, iw := in.Dims()
 	if x.Rank() != 5 || x.Dim(1) != c.In || x.Dim(2) != id || x.Dim(3) != ih || x.Dim(4) != iw {
 		panic(fmt.Sprintf("nn: Conv3D expects [N,%d,%d,%d,%d] over box %v, got %v", c.In, id, ih, iw, in, x.Shape))
 	}
 	od, oh, ow := out.Dims()
-	y := ws.Arena.GetUninit(x.Dim(0), c.Out, od, oh, ow)
+	y := Arena[T](ws).GetUninit(x.Dim(0), c.Out, od, oh, ow)
 	if c.Direct {
-		c.directBox(x, y, in, out)
+		directBox(c, x, y, in, out)
 	} else {
-		c.scatterBox(x, y, in, out, ws)
+		scatterBox(c, x, y, in, out, ws)
 	}
 	return y
 }
@@ -266,8 +276,8 @@ func fillRows[T any](buf, row []T) {
 	}
 }
 
-// transposeTile is how many positions the scatter kernels move per
-// channel when they turn the position-major accumulator into channel
+// transposeTile is how many positions the scatter kernel moves per
+// channel when it turns the position-major accumulator into channel
 // planes: one cache line of float32 output per channel, read from a
 // tile of the accumulator that stays in L1.
 const transposeTile = 16
@@ -295,12 +305,13 @@ func untranspose[T any](dst, pd []T, vol, nOut int) {
 // contiguous values, one cache line, where forwardScatter strides Out
 // channel planes, and the taps a voxel sends along one grid row update
 // adjacent positions, so a whole row of taps is one contiguous axpy
-// against the parameter's ScatterTaps layout. The accumulator is then
-// transposed once into the [Out, out's dims] block. Every output
-// element receives one term per input voxel and tap, and voxels are
-// visited in ascending (ci, input-position) order, so per-element term
-// order matches forwardScatter exactly.
-func (c *Conv3D) scatterBox(x, y *tensor.Tensor, in, out tensor.Box, ws *Workspace) {
+// against the parameter's scatter layout (scatterTaps), run by the
+// width's axpy leaf. The accumulator is then transposed once into the
+// [Out, out's dims] block. Every output element receives one term per
+// input voxel and tap, and voxels are visited in ascending (ci,
+// input-position) order, so per-element term order matches
+// forwardScatter exactly.
+func scatterBox[T tensor.Float](c *Conv3D, x, y *tensor.Dense[T], in, out tensor.Box, ws *Workspace) {
 	n := x.Dim(0)
 	id, ih, iw := in.Dims()
 	od, oh, ow := out.Dims()
@@ -308,11 +319,15 @@ func (c *Conv3D) scatterBox(x, y *tensor.Tensor, in, out tensor.Box, ws *Workspa
 	k := c.K
 	sd, sh, sw := boxShift(in, out, k/2)
 	nOut := c.Out
-	posBuf := ws.Arena.GetUninit(outVol, nOut)
+	wStep, pStep := k*nOut, ow*nOut
+	arena := Arena[T](ws)
+	posBuf := arena.GetUninit(outVol, nOut)
 	pd := posBuf.Data
-	wd := c.W.ScatterTaps(c.Out, c.In, k).Data
+	wd := scatterTaps[T](c.W, c.Out, c.In, k)
+	bias := Vec[T](c.B)
+	axpy := tensor.AxpyKernel[T]()
 	for b := 0; b < n; b++ {
-		fillRows(pd, c.B.Value.Data)
+		fillRows(pd, bias)
 		for ci := 0; ci < c.In; ci++ {
 			chBase := (b*c.In + ci) * inVol
 			for xd := 0; xd < id; xd++ {
@@ -335,17 +350,18 @@ func (c *Conv3D) scatterBox(x, y *tensor.Tensor, in, out tensor.Box, ws *Workspa
 						if span <= 0 {
 							continue
 						}
+						// The surviving taps kwLo..kwHi update the adjacent
+						// positions zw = xw+sw-kw; the reversed tap axis puts
+						// their weight rows in that same ascending-zw order.
+						// Each next kh moves one kernel row on in the weights
+						// and one grid row back in the accumulator.
 						for kd := kdLo; kd <= kdHi; kd++ {
-							zd := xd + sd - kd
+							wOff := (((ci*k+kd)*k+khLo)*k + k - 1 - kwHi) * nOut
+							pOff := (((xd+sd-kd)*oh+xh+sh-khLo)*ow + xw + sw - kwHi) * nOut
 							for kh := khLo; kh <= khHi; kh++ {
-								zh := xh + sh - kh
-								// The surviving taps kwLo..kwHi update the
-								// adjacent positions zw = xw+sw-kw; the
-								// reversed tap axis puts their weight rows in
-								// that same ascending-zw order.
-								wOff := (((ci*k+kd)*k+kh)*k + k - 1 - kwHi) * nOut
-								pOff := ((zd*oh+zh)*ow + xw + sw - kwHi) * nOut
-								axpy64(pd[pOff:pOff+span], wd[wOff:wOff+span], v)
+								axpy(pd[pOff:pOff+span], wd[wOff:wOff+span], v)
+								wOff += wStep
+								pOff -= pStep
 							}
 						}
 					}
@@ -354,29 +370,7 @@ func (c *Conv3D) scatterBox(x, y *tensor.Tensor, in, out tensor.Box, ws *Workspa
 		}
 		untranspose(y.Data[b*nOut*outVol:(b+1)*nOut*outVol], pd, outVol, nOut)
 	}
-	ws.Arena.Put(posBuf)
-}
-
-// axpy64 computes dst[i] += w[i] * v, unrolled 8 lanes at a time (the
-// production filter counts are multiples of 8).
-func axpy64(dst, w []float64, v float64) {
-	w = w[:len(dst)]
-	i := 0
-	for ; i+8 <= len(dst); i += 8 {
-		dr := dst[i : i+8 : i+8]
-		wr := w[i : i+8 : i+8]
-		dr[0] += wr[0] * v
-		dr[1] += wr[1] * v
-		dr[2] += wr[2] * v
-		dr[3] += wr[3] * v
-		dr[4] += wr[4] * v
-		dr[5] += wr[5] * v
-		dr[6] += wr[6] * v
-		dr[7] += wr[7] * v
-	}
-	for ; i < len(dst); i++ {
-		dst[i] += w[i] * v
-	}
+	arena.Put(posBuf)
 }
 
 // clipK returns the inclusive kernel-tap range [lo, hi] for which the
@@ -398,21 +392,22 @@ func clipK(s, dim, k int) (lo, hi int) {
 // forwardDirect's gather loops without the ParallelFor (rank
 // goroutines are the inference parallelism), reading taps that fall
 // outside the input box as the zeros they are.
-func (c *Conv3D) directBox(x, y *tensor.Tensor, in, out tensor.Box) {
+func directBox[T tensor.Float](c *Conv3D, x, y *tensor.Dense[T], in, out tensor.Box) {
 	n := x.Dim(0)
 	id, ih, iw := in.Dims()
 	od, oh, ow := out.Dims()
 	inVol, outVol := id*ih*iw, od*oh*ow
 	k := c.K
 	sd, sh, sw := boxShift(in, out, k/2)
+	wf := Vec[T](c.W)
+	bias := Vec[T](c.B)
 	for ni := 0; ni < n; ni++ {
 		for co := 0; co < c.Out; co++ {
-			bias := c.B.Value.Data[co]
 			oBase := (ni*c.Out + co) * outVol
 			for zd := 0; zd < od; zd++ {
 				for zh := 0; zh < oh; zh++ {
 					for zw := 0; zw < ow; zw++ {
-						s := bias
+						s := bias[co]
 						for ci := 0; ci < c.In; ci++ {
 							xBase := (ni*c.In + ci) * inVol
 							for kd := 0; kd < k; kd++ {
@@ -428,7 +423,7 @@ func (c *Conv3D) directBox(x, y *tensor.Tensor, in, out tensor.Box) {
 									rowBase := xBase + (xd*ih+xh)*iw
 									wBase := (((co*c.In+ci)*k+kd)*k + kh) * k
 									xRow := x.Data[rowBase : rowBase+iw]
-									wRow := c.W.Value.Data[wBase : wBase+k]
+									wRow := wf[wBase : wBase+k]
 									for kw := 0; kw < k; kw++ {
 										xw := zw + kw - sw
 										if xw < 0 || xw >= iw {

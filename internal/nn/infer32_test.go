@@ -76,7 +76,7 @@ func TestConv3DInfer32BoundaryClipping(t *testing.T) {
 
 			ref := tensor.NewF32(2, tc.out, tc.d, tc.h, tc.w)
 			grid := tensor.GridBox(tc.d, tc.h, tc.w)
-			c.directBox32(x32, ref, grid, grid)
+			directBox(c, x32, ref, grid, grid)
 			for i := range ref.Data {
 				if y.Data[i] != ref.Data[i] {
 					t.Fatalf("elem %d = %g, want %g (bitwise)", i, y.Data[i], ref.Data[i])
@@ -107,8 +107,8 @@ func TestInfer32MatchesF64Tolerance(t *testing.T) {
 		)
 		x64, x32 := randInput32Pair(rng, false, 9, 33)
 		ws := NewWorkspace()
-		want := seq.ForwardInfer(x64, ws)
-		got := seq.ForwardInfer32(x32, ws)
+		want := Infer(seq, x64, ws)
+		got := Infer(seq, x32, ws)
 		if e := maxRelErr32(got, want); e > tol {
 			t.Fatalf("dense chain rel err %g > %g", e, tol)
 		}
@@ -124,8 +124,8 @@ func TestInfer32MatchesF64Tolerance(t *testing.T) {
 		}
 		x64, x32 := randInput32Pair(rng, false, 6, 11)
 		ws := NewWorkspace()
-		want := bn.ForwardInfer(x64, ws)
-		got := bn.ForwardInfer32(x32, ws)
+		want := Infer(bn, x64, ws)
+		got := Infer(bn, x32, ws)
 		if e := maxRelErr32(got, want); e > tol {
 			t.Fatalf("batchnorm rel err %g > %g", e, tol)
 		}
@@ -137,8 +137,8 @@ func TestInfer32MatchesF64Tolerance(t *testing.T) {
 		flat := &Flatten{}
 		x64, x32 := randInput32Pair(rng, true, 2, 3, 6, 6, 6)
 		ws := NewWorkspace()
-		want := flat.ForwardInfer(pool.ForwardInfer(conv.ForwardInfer(x64, ws), ws), ws)
-		got := flat.ForwardInfer32(pool.ForwardInfer32(conv.ForwardInfer32(x32, ws), ws), ws)
+		want := Infer(flat, Infer(pool, conv.ForwardInfer(x64, ws), ws), ws)
+		got := Infer(flat, Infer(pool, conv.ForwardInfer32(x32, ws), ws), ws)
 		if want.Dim(0) != got.Dim(0) || want.Dim(1) != got.Dim(1) {
 			t.Fatalf("shape %v vs %v", got.Shape, want.Shape)
 		}
@@ -161,9 +161,9 @@ func TestInfer32WarmZeroAlloc(t *testing.T) {
 	ws := NewWorkspace()
 	pass := func() {
 		y := conv.ForwardInfer32(x32, ws)
-		y = pool.ForwardInfer32(y, ws)
-		f := flat.ForwardInfer32(y, ws)
-		o := act.ForwardInfer32(dense.ForwardInfer32(f, ws), ws)
+		y = Infer(pool, y, ws)
+		f := Infer(flat, y, ws)
+		o := Infer(act, Infer(dense, f, ws), ws)
 		_ = o
 		ws.Reset()
 	}

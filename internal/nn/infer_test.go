@@ -69,21 +69,21 @@ func TestForwardInferMatchesForward(t *testing.T) {
 	for _, out := range []int{1, 7, 8, 19, 32} {
 		d := NewDense(rng, 13, out)
 		x := inferInput(rng, 4, 13)
-		check("Dense", d.Forward(x, false), d.ForwardInfer(x, ws))
+		check("Dense", d.Forward(x, false), Infer(d, x, ws))
 		ws.Reset()
 	}
 	// Activations.
 	for _, kind := range []string{ActReLU, ActLReLU, ActSELU} {
 		a := NewActivation(kind)
 		x := inferInput(rng, 3, 9)
-		check("Activation/"+kind, a.Forward(x, false), a.ForwardInfer(x, ws))
+		check("Activation/"+kind, a.Forward(x, false), Infer(a, x, ws))
 		ws.Reset()
 	}
 	// MaxPool3D.
 	{
 		m := NewMaxPool3D(2)
 		x := inferInput(rng, 2, 3, 4, 4, 4)
-		check("MaxPool3D", m.Forward(x, false), m.ForwardInfer(x, ws))
+		check("MaxPool3D", m.Forward(x, false), Infer(m, x, ws))
 		ws.Reset()
 	}
 	// BatchNorm in evaluation mode, with non-trivial running stats.
@@ -94,14 +94,14 @@ func TestForwardInferMatchesForward(t *testing.T) {
 			b.RunVar[j] = 1 + rng.Float64()
 		}
 		x := inferInput(rng, 5, 6)
-		check("BatchNorm", b.Forward(x, false), b.ForwardInfer(x, ws))
+		check("BatchNorm", b.Forward(x, false), Infer(b, x, ws))
 		ws.Reset()
 	}
 	// Dropout is the identity at inference.
 	{
 		d := NewDropout(rng, 0.5)
 		x := inferInput(rng, 3, 4)
-		if got := d.ForwardInfer(x, ws); got != x {
+		if got := Infer(d, x, ws); got != x {
 			t.Fatalf("Dropout.ForwardInfer should return its input")
 		}
 	}
@@ -109,7 +109,7 @@ func TestForwardInferMatchesForward(t *testing.T) {
 	{
 		s := NewSequential(NewMaxPool3D(2), &Flatten{}, NewDense(rng, 3*2*2*2, 4), NewActivation(ActReLU))
 		x := inferInput(rng, 2, 3, 4, 4, 4)
-		check("Sequential", s.Forward(x, false), s.ForwardInfer(x, ws))
+		check("Sequential", s.Forward(x, false), Infer(s, x, ws))
 		ws.Reset()
 	}
 }
@@ -128,9 +128,9 @@ func TestForwardInferZeroAlloc(t *testing.T) {
 	pass := func() {
 		ws.Reset()
 		h := conv.ForwardInfer(x, ws)
-		h = pool.ForwardInfer(h, ws)
-		h = flat.ForwardInfer(h, ws)
-		h = act.ForwardInfer(dense.ForwardInfer(h, ws), ws)
+		h = Infer(pool, h, ws)
+		h = Infer(flat, h, ws)
+		h = Infer(act, Infer(dense, h, ws), ws)
 	}
 	for i := 0; i < 3; i++ {
 		pass()

@@ -7,10 +7,10 @@ package nn
 // screening engine gives each rank its own model replica. A replica is
 // therefore a fresh layer struct that aliases the source's parameters:
 // nothing is initialized, copied or allocated per parameter, and every
-// weight form the source has built (frozen.go) is shared. The
-// ForwardInfer family stashes nothing and needs no replica at all.
+// weight form the source has built (frozen.go) is shared. Inference
+// (Infer, infer.go) stashes nothing and needs no replica at all.
 //
-// Replicas are for Forward(x, false) and ForwardInfer only: training
+// Replicas are for Forward(x, false) and Infer only: training
 // one would update the source's weights through the aliased
 // parameters.
 

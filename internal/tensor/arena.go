@@ -10,7 +10,8 @@ import "math/bits"
 // lists, each subsequent batch recycles the previous batch's buffers
 // instead of allocating (and GC-scanning) fresh ones.
 
-// Arena is a pool of tensors recycled between inference batches.
+// Arena is a pool of tensors of one element type recycled between
+// inference batches.
 //
 // Get/GetUninit hand out tensors whose backing buffers come from
 // per-size-class free lists (capacity rounded up to the next power of
@@ -21,16 +22,14 @@ import "math/bits"
 //
 // Tensors obtained from an arena are valid only until the next Reset;
 // callers must copy anything that outlives the cycle. An Arena is not
-// safe for concurrent use — the screening engine owns one per rank.
-type Arena struct {
-	free  [65][]*Tensor // by ceil-log2 of element count
-	used  []*Tensor
-	vfree []*Tensor // pooled view headers (no owned data)
-	vused []*Tensor
+// safe for concurrent use — the screening engine owns one per rank and
+// width. The zero value is an empty arena.
+type Arena[T Float] struct {
+	free  [65][]*Dense[T] // by ceil-log2 of element count
+	used  []*Dense[T]
+	vfree []*Dense[T] // pooled view headers (no owned data)
+	vused []*Dense[T]
 }
-
-// NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{} }
 
 // sizeClass returns the free-list index for n elements: the smallest c
 // with 1<<c >= n. Buffers are allocated at full class capacity so any
@@ -46,7 +45,7 @@ func sizeClass(n int) int {
 // arbitrary (possibly stale data from a previous cycle). Use it for
 // outputs every element of which is overwritten; use Get when the
 // kernel accumulates into the buffer.
-func (a *Arena) GetUninit(shape ...int) *Tensor {
+func (a *Arena[T]) GetUninit(shape ...int) *Dense[T] {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -55,7 +54,7 @@ func (a *Arena) GetUninit(shape ...int) *Tensor {
 		n *= d
 	}
 	cls := sizeClass(n)
-	var t *Tensor
+	var t *Dense[T]
 	if l := a.free[cls]; len(l) > 0 {
 		t = l[len(l)-1]
 		a.free[cls] = l[:len(l)-1]
@@ -64,8 +63,8 @@ func (a *Arena) GetUninit(shape ...int) *Tensor {
 	} else {
 		// Fresh buffers are allocated at full class capacity so any
 		// later request of the class reuses them.
-		data := make([]float64, 1<<cls)
-		t = &Tensor{Shape: append([]int(nil), shape...), Data: data[:n]}
+		data := make([]T, 1<<cls)
+		t = &Dense[T]{Shape: append([]int(nil), shape...), Data: data[:n]}
 	}
 	a.used = append(a.used, t)
 	return t
@@ -73,18 +72,16 @@ func (a *Arena) GetUninit(shape ...int) *Tensor {
 
 // Get returns a zero-filled tensor of the given shape, recycled from
 // the pool when possible.
-func (a *Arena) Get(shape ...int) *Tensor {
+func (a *Arena[T]) Get(shape ...int) *Dense[T] {
 	t := a.GetUninit(shape...)
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
+	t.Zero()
 	return t
 }
 
 // View returns a pooled tensor header over data with the given shape
 // (no copy, no owned buffer). Like Get results, the header is valid
 // until Reset. It is the arena counterpart of Reshape for pooled data.
-func (a *Arena) View(data []float64, shape ...int) *Tensor {
+func (a *Arena[T]) View(data []T, shape ...int) *Dense[T] {
 	n := 1
 	for _, d := range shape {
 		n *= d
@@ -92,13 +89,13 @@ func (a *Arena) View(data []float64, shape ...int) *Tensor {
 	if n != len(data) {
 		panic("tensor: Arena.View shape/data length mismatch")
 	}
-	var t *Tensor
+	var t *Dense[T]
 	if l := a.vfree; len(l) > 0 {
 		t = l[len(l)-1]
 		a.vfree = l[:len(l)-1]
 		t.Shape = append(t.Shape[:0], shape...)
 	} else {
-		t = &Tensor{Shape: append([]int(nil), shape...)}
+		t = &Dense[T]{Shape: append([]int(nil), shape...)}
 	}
 	t.Data = data
 	a.vused = append(a.vused, t)
@@ -109,7 +106,7 @@ func (a *Arena) View(data []float64, shape ...int) *Tensor {
 // arena — to its free list before the end of the cycle, so tight loops
 // over many same-shaped tiles run at O(1) live scratch. Using t after
 // Put is a logic error.
-func (a *Arena) Put(t *Tensor) {
+func (a *Arena[T]) Put(t *Dense[T]) {
 	for i := len(a.used) - 1; i >= 0; i-- {
 		if a.used[i] == t {
 			a.used[i] = a.used[len(a.used)-1]
@@ -123,7 +120,7 @@ func (a *Arena) Put(t *Tensor) {
 
 // Reset recycles every tensor and view handed out since the previous
 // Reset. Buffers stay owned by the arena; only the bookkeeping rewinds.
-func (a *Arena) Reset() {
+func (a *Arena[T]) Reset() {
 	for _, t := range a.used {
 		a.free[sizeClass(cap(t.Data))] = append(a.free[sizeClass(cap(t.Data))], t)
 	}

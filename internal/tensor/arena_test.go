@@ -97,7 +97,7 @@ func TestPackReuse(t *testing.T) {
 // after Reset reuse buffers, Get zeroes, GetUninit may not, views
 // alias their data.
 func TestArenaRecycles(t *testing.T) {
-	a := NewArena()
+	a := &Arena[float64]{}
 	t1 := a.Get(4, 8)
 	t1.Fill(3)
 	buf := &t1.Data[0]
@@ -130,7 +130,7 @@ func TestArenaRecycles(t *testing.T) {
 
 // TestArenaPut pins early recycling within one cycle.
 func TestArenaPut(t *testing.T) {
-	a := NewArena()
+	a := &Arena[float64]{}
 	t1 := a.GetUninit(100)
 	p1 := &t1.Data[0]
 	a.Put(t1)
@@ -147,7 +147,7 @@ func TestArenaPut(t *testing.T) {
 // TestArenaZeroAllocSteadyState is the kernel-level allocation pin:
 // a warm Get/View/Reset cycle performs zero heap allocations.
 func TestArenaZeroAllocSteadyState(t *testing.T) {
-	a := NewArena()
+	a := &Arena[float64]{}
 	cycle := func() {
 		x := a.Get(16, 16)
 		y := a.GetUninit(16, 16)

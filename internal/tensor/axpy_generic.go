@@ -12,44 +12,8 @@ func Axpy32(dst, w []float32, v float32) {
 	}
 }
 
-// packedAccSkip32 accumulates one output row of a full 8-column panel
-// with zero ai entries skipped (see axpy_amd64.go).
-func packedAccSkip32(ci, ai, panel []float32) {
-	s0, s1, s2, s3 := ci[0], ci[1], ci[2], ci[3]
-	s4, s5, s6, s7 := ci[4], ci[5], ci[6], ci[7]
-	for p, av := range ai {
-		if av == 0 {
-			continue
-		}
-		r := panel[p*8 : p*8+8]
-		s0 += av * r[0]
-		s1 += av * r[1]
-		s2 += av * r[2]
-		s3 += av * r[3]
-		s4 += av * r[4]
-		s5 += av * r[5]
-		s6 += av * r[6]
-		s7 += av * r[7]
-	}
-	ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
-	ci[4], ci[5], ci[6], ci[7] = s4, s5, s6, s7
-}
-
-// packedInto32 overwrites one output row of a full 8-column panel,
-// dense ascending-p accumulation (see axpy_amd64.go).
-func packedInto32(ci, ai, panel []float32) {
-	var s0, s1, s2, s3, s4, s5, s6, s7 float32
-	for p, av := range ai {
-		r := panel[p*8 : p*8+8]
-		s0 += av * r[0]
-		s1 += av * r[1]
-		s2 += av * r[2]
-		s3 += av * r[3]
-		s4 += av * r[4]
-		s5 += av * r[5]
-		s6 += av * r[6]
-		s7 += av * r[7]
-	}
-	ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
-	ci[4], ci[5], ci[6], ci[7] = s4, s5, s6, s7
+// vectorPanels reports false: without vector kernels,
+// matMulPackedRows runs its own 8 lanes at both widths.
+func vectorPanels[T Float](c, a *Dense[T], pb *Packed[T], lo, hi int, acc, skip bool) bool {
+	return false
 }

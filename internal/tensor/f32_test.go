@@ -63,10 +63,10 @@ func TestMatMulPacked32RaggedTails(t *testing.T) {
 				wantAcc := refMatMul32(a, b, 0.5)
 				acc := NewF32(m, n)
 				acc.Fill(0.5)
-				MatMulAccPacked32(acc, a, &pb)
+				MatMulAccPacked(acc, a, &pb)
 				for i := range wantAcc.Data {
 					if acc.Data[i] != wantAcc.Data[i] {
-						t.Fatalf("MatMulAccPacked32 m=%d n=%d k=%d: elem %d = %g, want %g", m, n, k, i, acc.Data[i], wantAcc.Data[i])
+						t.Fatalf("MatMulAccPacked f32 m=%d n=%d k=%d: elem %d = %g, want %g", m, n, k, i, acc.Data[i], wantAcc.Data[i])
 					}
 				}
 			}
@@ -75,7 +75,8 @@ func TestMatMulPacked32RaggedTails(t *testing.T) {
 }
 
 // TestPackTransposed64MatchesPack pins the f64→f32 conversion point:
-// packing float32(wᵀ) directly must equal converting-while-packing.
+// packing float32(wᵀ) directly must equal PackTransposed converting
+// the float64 weights while it packs.
 func TestPackTransposed64MatchesPack(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for _, nk := range [][2]int{{1, 1}, {5, 3}, {8, 8}, {13, 7}, {16, 9}} {
@@ -92,7 +93,7 @@ func TestPackTransposed64MatchesPack(t *testing.T) {
 		}
 		var want, got PackedB32
 		want.Pack(wt)
-		got.PackTransposed64(w, n, k)
+		got.PackTransposed(w, n, k)
 		if want.K != got.K || want.N != got.N || len(want.data) != len(got.data) {
 			t.Fatalf("n=%d k=%d: header mismatch", n, k)
 		}
@@ -104,10 +105,10 @@ func TestPackTransposed64MatchesPack(t *testing.T) {
 	}
 }
 
-// TestArena32Recycles mirrors the f64 arena contract: after a warm
-// cycle, Get/Reset performs zero heap allocations.
+// TestArena32Recycles holds the float32 arena to the f64 contract:
+// after a warm cycle, Get/Reset performs zero heap allocations.
 func TestArena32Recycles(t *testing.T) {
-	a := NewArena32()
+	a := &Arena[float32]{}
 	warm := func() {
 		x := a.Get(4, 7)
 		y := a.GetUninit(16)
@@ -120,16 +121,16 @@ func TestArena32Recycles(t *testing.T) {
 	warm()
 	warm()
 	if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
-		t.Fatalf("warm Arena32 cycle allocates %v times", allocs)
+		t.Fatalf("warm float32 arena cycle allocates %v times", allocs)
 	}
 	x := a.Get(3, 3)
 	for _, v := range x.Data {
 		if v != 0 {
-			t.Fatalf("Arena32.Get returned dirty buffer")
+			t.Fatalf("float32 Arena.Get returned dirty buffer")
 		}
 	}
 	if x.Len() != 9 || x.Rank() != 2 {
-		t.Fatalf("Arena32.Get shape bookkeeping broken: %v", x.Shape)
+		t.Fatalf("float32 Arena.Get shape bookkeeping broken: %v", x.Shape)
 	}
 }
 

@@ -7,11 +7,10 @@ import "fmt"
 // weight matrix that is constant across every batch of a screening job
 // — is repacked once into contiguous column panels; the multiply then
 // sweeps each panel with an unrolled 8-lane accumulation, so one panel
-// (K x 8 doubles) stays cache-resident while the A rows stream past
-// and the output row accumulates in registers instead of memory.
-// Per-element term order is exactly the scalar kernels' ascending-k
-// order, which is what keeps pooled-path scores byte-identical to the
-// allocating path.
+// (K x 8) stays cache-resident while the A rows stream past and the
+// output row accumulates in registers instead of memory. Per-element
+// term order is exactly the scalar kernels' ascending-k order, which is
+// what keeps pooled-path scores byte-identical to the allocating path.
 //
 // The panel kernel is the DENSE fast path — activations through
 // y = x·Wᵀ layers. For sparse A (im2col voxel patches) the scalar
@@ -21,26 +20,32 @@ import "fmt"
 // 2-4x slower at realistic voxel sparsity. Call sites choose by
 // operand character, not size.
 
-// packPanel is the panel width: 8 float64 columns, one 64-byte cache
-// line per accumulation row.
+// packPanel is the panel width: 8 columns, one 64-byte cache line per
+// accumulation row at float64, two 16-byte vector registers at float32.
 const packPanel = 8
 
-// PackedB is a K x N matrix repacked into column panels for
+// Packed is a K x N matrix repacked into column panels for
 // MatMulAccPacked / MatMulPackedInto. Panel j holds columns
 // [j*packPanel, (j+1)*packPanel) stored k-major (row p of the panel is
-// contiguous); the last panel is zero-padded. A PackedB is built once
-// per (weights, shape) — the nn package keeps it with the parameter —
-// and read concurrently by any number of multiplies.
-type PackedB struct {
+// contiguous); the last panel is zero-padded. A Packed matrix is built
+// once per (weights, shape, width) — the nn package keeps it with the
+// parameter — and read concurrently by any number of multiplies.
+type Packed[T Float] struct {
 	K, N int
-	data []float64
+	data []T
 }
 
-func (pb *PackedB) init(k, n int) {
+// PackedB is the float64 packed matrix.
+type PackedB = Packed[float64]
+
+// PackedB32 is the float32 packed matrix.
+type PackedB32 = Packed[float32]
+
+func (pb *Packed[T]) init(k, n int) {
 	pb.K, pb.N = k, n
 	need := (n + packPanel - 1) / packPanel * packPanel * k
 	if cap(pb.data) < need {
-		pb.data = make([]float64, need)
+		pb.data = make([]T, need)
 	} else {
 		pb.data = pb.data[:need]
 	}
@@ -48,9 +53,9 @@ func (pb *PackedB) init(k, n int) {
 
 // Pack fills pb from the row-major K x N matrix b, reusing pb's buffer
 // when it is large enough.
-func (pb *PackedB) Pack(b *Tensor) {
+func (pb *Packed[T]) Pack(b *Dense[T]) {
 	if b.Rank() != 2 {
-		panic("tensor: PackedB.Pack requires a rank-2 tensor")
+		panic("tensor: Packed.Pack requires a rank-2 tensor")
 	}
 	k, n := b.Shape[0], b.Shape[1]
 	pb.init(k, n)
@@ -72,12 +77,13 @@ func (pb *PackedB) Pack(b *Tensor) {
 }
 
 // PackTransposed fills pb with the transpose of the row-major n x k
-// matrix held in data (higher-rank weights collapse to [n, k] row
-// major, e.g. conv kernels [Out, In*K^3]). The result is the packed
-// form of the k x n matrix dataᵀ, built without materializing the
-// transpose — the packed counterpart of Transpose(w) and the B operand
-// of every y = x·Wᵀ layer.
-func (pb *PackedB) PackTransposed(data []float64, n, k int) {
+// float64 matrix held in data (higher-rank weights collapse to [n, k]
+// row major, e.g. conv kernels [Out, In*K^3]), converted to pb's width.
+// The result is the packed form of the k x n matrix dataᵀ, built
+// without materializing the transpose — the B operand of every
+// y = x·Wᵀ layer, and at float32 the point where float64 training
+// weights become float32 inference weights.
+func (pb *Packed[T]) PackTransposed(data []float64, n, k int) {
 	if len(data) != n*k {
 		panic(fmt.Sprintf("tensor: PackTransposed needs %d elements, got %d", n*k, len(data)))
 	}
@@ -91,7 +97,7 @@ func (pb *PackedB) PackTransposed(data []float64, n, k int) {
 		for p := 0; p < k; p++ {
 			dst := panel[p*packPanel : p*packPanel+packPanel]
 			for t := 0; t < w; t++ {
-				dst[t] = data[(j0+t)*k+p]
+				dst[t] = T(data[(j0+t)*k+p])
 			}
 			for t := w; t < packPanel; t++ {
 				dst[t] = 0
@@ -105,7 +111,7 @@ func (pb *PackedB) PackTransposed(data []float64, n, k int) {
 // element with zero entries of A skipped. The caller owns parallelism
 // (disjoint row blocks of c may be filled concurrently via
 // matMulPackedRows through MatMul; this entry point is serial).
-func MatMulAccPacked(c, a *Tensor, pb *PackedB) {
+func MatMulAccPacked[T Float](c, a *Dense[T], pb *Packed[T]) {
 	checkPackedShapes("MatMulAccPacked", c, a, pb)
 	matMulPackedRows(c, a, pb, 0, a.Shape[0], true, true)
 }
@@ -113,13 +119,16 @@ func MatMulAccPacked(c, a *Tensor, pb *PackedB) {
 // MatMulPackedInto computes c = a x B for the packed B, fully
 // overwriting c without reading it. No zero-skip is applied, so when
 // pb holds Wᵀ (PackTransposed) the result is bitwise MatMulTransB(a, w)
-// — the dense-layer forward product.
-func MatMulPackedInto(c, a *Tensor, pb *PackedB) {
+// at float64 — the dense-layer forward product.
+func MatMulPackedInto[T Float](c, a *Dense[T], pb *Packed[T]) {
 	checkPackedShapes("MatMulPackedInto", c, a, pb)
 	matMulPackedRows(c, a, pb, 0, a.Shape[0], false, false)
 }
 
-func checkPackedShapes(op string, c, a *Tensor, pb *PackedB) {
+// MatMulPacked32Into is MatMulPackedInto at float32.
+func MatMulPacked32Into(c, a *F32, pb *PackedB32) { MatMulPackedInto(c, a, pb) }
+
+func checkPackedShapes[T Float](op string, c, a *Dense[T], pb *Packed[T]) {
 	if a.Rank() != 2 || c.Rank() != 2 {
 		panic("tensor: " + op + " requires rank-2 tensors")
 	}
@@ -130,36 +139,42 @@ func checkPackedShapes(op string, c, a *Tensor, pb *PackedB) {
 
 // matMulPackedRows runs the panel kernel over output rows [lo, hi).
 // acc selects += (reading c) vs = (overwriting); skip selects the
-// sparse zero-skip of the accumulating kernels.
-func matMulPackedRows(c, a *Tensor, pb *PackedB, lo, hi int, acc, skip bool) {
+// sparse zero-skip of the accumulating kernels. Full panels run
+// through the width's vector leaf where there is one (vectorPanels) and
+// otherwise in 8 register lanes here; the ragged tail runs a 4-lane
+// block, then scalar lanes. Every path adds each output element's
+// terms in ascending k.
+func matMulPackedRows[T Float](c, a *Dense[T], pb *Packed[T], lo, hi int, acc, skip bool) {
 	k, n := pb.K, pb.N
 	full := n / packPanel * packPanel
-	for j0 := 0; j0 < full; j0 += packPanel {
-		panel := pb.data[j0/packPanel*k*packPanel : (j0/packPanel+1)*k*packPanel]
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			ci := c.Data[i*n+j0 : i*n+j0+packPanel : i*n+j0+packPanel]
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			if acc {
-				s0, s1, s2, s3 = ci[0], ci[1], ci[2], ci[3]
-				s4, s5, s6, s7 = ci[4], ci[5], ci[6], ci[7]
-			}
-			for p, av := range ai {
-				if skip && av == 0 {
-					continue
+	if !vectorPanels(c, a, pb, lo, hi, acc, skip) {
+		for j0 := 0; j0 < full; j0 += packPanel {
+			panel := pb.data[j0/packPanel*k*packPanel : (j0/packPanel+1)*k*packPanel]
+			for i := lo; i < hi; i++ {
+				ai := a.Data[i*k : (i+1)*k]
+				ci := c.Data[i*n+j0 : i*n+j0+packPanel : i*n+j0+packPanel]
+				var s0, s1, s2, s3, s4, s5, s6, s7 T
+				if acc {
+					s0, s1, s2, s3 = ci[0], ci[1], ci[2], ci[3]
+					s4, s5, s6, s7 = ci[4], ci[5], ci[6], ci[7]
 				}
-				r := panel[p*packPanel : p*packPanel+packPanel]
-				s0 += av * r[0]
-				s1 += av * r[1]
-				s2 += av * r[2]
-				s3 += av * r[3]
-				s4 += av * r[4]
-				s5 += av * r[5]
-				s6 += av * r[6]
-				s7 += av * r[7]
+				for p, av := range ai {
+					if skip && av == 0 {
+						continue
+					}
+					r := panel[p*packPanel : p*packPanel+packPanel]
+					s0 += av * r[0]
+					s1 += av * r[1]
+					s2 += av * r[2]
+					s3 += av * r[3]
+					s4 += av * r[4]
+					s5 += av * r[5]
+					s6 += av * r[6]
+					s7 += av * r[7]
+				}
+				ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
+				ci[4], ci[5], ci[6], ci[7] = s4, s5, s6, s7
 			}
-			ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
-			ci[4], ci[5], ci[6], ci[7] = s4, s5, s6, s7
 		}
 	}
 	if full == n {
@@ -167,15 +182,14 @@ func matMulPackedRows(c, a *Tensor, pb *PackedB, lo, hi int, acc, skip bool) {
 	}
 	// Tail panel: fewer than packPanel live columns. A 4-lane block
 	// covers the common half-panel widths (e.g. graph stages of width
-	// 12); the rest runs scalar per lane. Per-element order is still
-	// ascending k.
+	// 12); the rest runs scalar per lane.
 	panel := pb.data[full/packPanel*k*packPanel:]
 	t0 := 0
 	if n-full >= 4 {
 		for i := lo; i < hi; i++ {
 			ai := a.Data[i*k : (i+1)*k]
 			ci := c.Data[i*n+full : i*n+full+4 : i*n+full+4]
-			var s0, s1, s2, s3 float64
+			var s0, s1, s2, s3 T
 			if acc {
 				s0, s1, s2, s3 = ci[0], ci[1], ci[2], ci[3]
 			}
@@ -196,7 +210,7 @@ func matMulPackedRows(c, a *Tensor, pb *PackedB, lo, hi int, acc, skip bool) {
 	for i := lo; i < hi; i++ {
 		ai := a.Data[i*k : (i+1)*k]
 		for t := t0; t < n-full; t++ {
-			var s float64
+			var s T
 			if acc {
 				s = c.Data[i*n+full+t]
 			}

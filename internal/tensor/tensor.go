@@ -1,11 +1,17 @@
-// Package tensor provides a minimal n-dimensional dense tensor of
-// float64 values together with the linear-algebra kernels the neural
-// network layers in this repository are built on.
+// Package tensor provides a minimal n-dimensional dense tensor
+// together with the linear-algebra kernels the neural network layers
+// in this repository are built on.
 //
 // The package is deliberately small: row-major contiguous storage, a
 // handful of element-wise operations, matrix multiplication, and a
 // parallel-for helper used by the compute-heavy kernels. It plays the
 // role PyTorch's ATen plays for the original FAST/Deep Fusion code.
+//
+// One generic type serves both element widths: Tensor (float64) is
+// what training and the verified reference path run on, F32 (float32)
+// is the inference fast path. Code above this package is written once
+// over Float; the few kernels whose width-specific versions differ
+// (leaves.go) are selected by element type.
 package tensor
 
 import (
@@ -13,27 +19,54 @@ import (
 	"math"
 )
 
-// Tensor is a dense, row-major n-dimensional array of float64.
-// The zero value is an empty tensor with no shape.
-type Tensor struct {
+// Float is the element type of a tensor.
+type Float interface{ float32 | float64 }
+
+// Dense is a dense, row-major n-dimensional array. The zero value is
+// an empty tensor with no shape.
+type Dense[T Float] struct {
 	Shape []int
-	Data  []float64
+	Data  []T
 }
 
-// New returns a zero-filled tensor with the given shape.
-// It panics if any dimension is negative. The variadic shape is
-// defensively copied (callers may pass a retained slice via New(s...));
-// code that already owns a fresh shape slice — the Arena pool, Clone —
-// uses NewFromShape to skip the copy.
-func New(shape ...int) *Tensor {
-	return NewFromShape(append([]int(nil), shape...))
+// Tensor is the float64 tensor: training, the reference inference
+// path and every feature the featurizers produce.
+type Tensor = Dense[float64]
+
+// F32 is the float32 tensor of the inference fast path.
+type F32 = Dense[float32]
+
+// NewDense returns a zero-filled tensor with the given shape. It
+// panics if any dimension is negative. The variadic shape is
+// defensively copied (callers may pass a retained slice via
+// NewDense(s...)); code that already owns a fresh shape slice — the
+// Arena pool, Clone — uses the FromShape constructors to skip the copy.
+func NewDense[T Float](shape ...int) *Dense[T] {
+	return newFromShape[T](append([]int(nil), shape...))
 }
 
-// NewFromShape is the single-shot constructor behind New and the Arena
-// pool: it takes ownership of shape (no defensive copy), so building a
-// tensor costs exactly one data allocation plus the header. The caller
-// must not retain or mutate shape afterwards.
-func NewFromShape(shape []int) *Tensor {
+// New returns a zero-filled float64 tensor with the given shape.
+func New(shape ...int) *Tensor { return NewDense[float64](shape...) }
+
+// NewF32 returns a zero-filled float32 tensor with the given shape.
+func NewF32(shape ...int) *F32 { return NewDense[float32](shape...) }
+
+// NewFromShape is the single-shot float64 constructor: it takes
+// ownership of shape (no defensive copy), so building a tensor costs
+// exactly one data allocation plus the header. The caller must not
+// retain or mutate shape afterwards.
+func NewFromShape(shape []int) *Tensor { return newFromShape[float64](shape) }
+
+// NewF32FromShape is the float32 NewFromShape.
+func NewF32FromShape(shape []int) *F32 { return newFromShape[float32](shape) }
+
+func newFromShape[T Float](shape []int) *Dense[T] {
+	return &Dense[T]{Shape: shape, Data: make([]T, checkedLen(shape))}
+}
+
+// checkedLen returns the element count of shape, panicking on a
+// negative dimension.
+func checkedLen(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -41,7 +74,7 @@ func NewFromShape(shape []int) *Tensor {
 		}
 		n *= d
 	}
-	return &Tensor{Shape: shape, Data: make([]float64, n)}
+	return n
 }
 
 // FromSlice wraps data in a tensor with the given shape.
@@ -52,7 +85,7 @@ func NewFromShape(shape []int) *Tensor {
 // unrestructured for the life of the tensor. This is what lets kernels
 // carve sub-tile views out of preallocated scratch without allocating.
 // It panics if the length does not match the shape.
-func FromSlice(data []float64, shape ...int) *Tensor {
+func FromSlice[T Float](data []T, shape ...int) *Dense[T] {
 	n := 1
 	for _, d := range shape {
 		n *= d
@@ -60,20 +93,20 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	if n != len(data) {
 		panic(fmt.Sprintf("tensor: shape %v requires %d elements, got %d", shape, n, len(data)))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	return &Dense[T]{Shape: append([]int(nil), shape...), Data: data}
 }
 
 // Len returns the total number of elements.
-func (t *Tensor) Len() int { return len(t.Data) }
+func (t *Dense[T]) Len() int { return len(t.Data) }
 
 // Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
+func (t *Dense[T]) Dim(i int) int { return t.Shape[i] }
 
 // Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.Shape) }
+func (t *Dense[T]) Rank() int { return len(t.Shape) }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
+func (t *Dense[T]) SameShape(o *Dense[T]) bool {
 	if len(t.Shape) != len(o.Shape) {
 		return false
 	}
@@ -86,15 +119,15 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 }
 
 // Clone returns a deep copy of t.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
+func (t *Dense[T]) Clone() *Dense[T] {
+	c := NewDense[T](t.Shape...)
 	copy(c.Data, t.Data)
 	return c
 }
 
 // Reshape returns a view of t with a new shape covering the same data.
 // It panics if the element counts differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
+func (t *Dense[T]) Reshape(shape ...int) *Dense[T] {
 	n := 1
 	for _, d := range shape {
 		n *= d
@@ -102,20 +135,20 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != len(t.Data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.Shape, len(t.Data), shape, n))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
+	return &Dense[T]{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 {
+func (t *Dense[T]) At(idx ...int) T {
 	return t.Data[t.offset(idx)]
 }
 
 // Set assigns the element at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) {
+func (t *Dense[T]) Set(v T, idx ...int) {
 	t.Data[t.offset(idx)] = v
 }
 
-func (t *Tensor) offset(idx []int) int {
+func (t *Dense[T]) offset(idx []int) int {
 	if len(idx) != len(t.Shape) {
 		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.Shape)))
 	}
@@ -130,7 +163,7 @@ func (t *Tensor) offset(idx []int) int {
 }
 
 // Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
+func (t *Dense[T]) Fill(v T) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
@@ -139,10 +172,10 @@ func (t *Tensor) Fill(v float64) {
 // Zero sets every element to 0. Unlike Fill(0) — whose store loop the
 // compiler cannot specialize because the value is a parameter — clear
 // lowers to a vectorized memclr, so zeroing runs at memory bandwidth.
-func (t *Tensor) Zero() { clear(t.Data) }
+func (t *Dense[T]) Zero() { clear(t.Data) }
 
 // AddInPlace adds o element-wise into t. Shapes must match in length.
-func (t *Tensor) AddInPlace(o *Tensor) {
+func (t *Dense[T]) AddInPlace(o *Dense[T]) {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: AddInPlace length mismatch")
 	}
@@ -152,14 +185,14 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 }
 
 // Scale multiplies every element by s.
-func (t *Tensor) Scale(s float64) {
+func (t *Dense[T]) Scale(s T) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
 }
 
 // AXPY computes t += a*o element-wise.
-func (t *Tensor) AXPY(a float64, o *Tensor) {
+func (t *Dense[T]) AXPY(a T, o *Dense[T]) {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: AXPY length mismatch")
 	}
@@ -169,11 +202,11 @@ func (t *Tensor) AXPY(a float64, o *Tensor) {
 }
 
 // Add returns t + o as a new tensor.
-func Add(t, o *Tensor) *Tensor {
+func Add[T Float](t, o *Dense[T]) *Dense[T] {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: Add length mismatch")
 	}
-	r := New(t.Shape...)
+	r := NewDense[T](t.Shape...)
 	for i := range t.Data {
 		r.Data[i] = t.Data[i] + o.Data[i]
 	}
@@ -181,11 +214,11 @@ func Add(t, o *Tensor) *Tensor {
 }
 
 // Sub returns t - o as a new tensor.
-func Sub(t, o *Tensor) *Tensor {
+func Sub[T Float](t, o *Dense[T]) *Dense[T] {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: Sub length mismatch")
 	}
-	r := New(t.Shape...)
+	r := NewDense[T](t.Shape...)
 	for i := range t.Data {
 		r.Data[i] = t.Data[i] - o.Data[i]
 	}
@@ -193,11 +226,11 @@ func Sub(t, o *Tensor) *Tensor {
 }
 
 // Mul returns the element-wise (Hadamard) product of t and o.
-func Mul(t, o *Tensor) *Tensor {
+func Mul[T Float](t, o *Dense[T]) *Dense[T] {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: Mul length mismatch")
 	}
-	r := New(t.Shape...)
+	r := NewDense[T](t.Shape...)
 	for i := range t.Data {
 		r.Data[i] = t.Data[i] * o.Data[i]
 	}
@@ -205,8 +238,8 @@ func Mul(t, o *Tensor) *Tensor {
 }
 
 // Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
+func (t *Dense[T]) Sum() T {
+	var s T
 	for _, v := range t.Data {
 		s += v
 	}
@@ -214,15 +247,15 @@ func (t *Tensor) Sum() float64 {
 }
 
 // Mean returns the arithmetic mean of all elements (0 for empty).
-func (t *Tensor) Mean() float64 {
+func (t *Dense[T]) Mean() T {
 	if len(t.Data) == 0 {
 		return 0
 	}
-	return t.Sum() / float64(len(t.Data))
+	return t.Sum() / T(len(t.Data))
 }
 
 // Max returns the maximum element. It panics on an empty tensor.
-func (t *Tensor) Max() float64 {
+func (t *Dense[T]) Max() T {
 	if len(t.Data) == 0 {
 		panic("tensor: Max of empty tensor")
 	}
@@ -236,7 +269,7 @@ func (t *Tensor) Max() float64 {
 }
 
 // Min returns the minimum element. It panics on an empty tensor.
-func (t *Tensor) Min() float64 {
+func (t *Dense[T]) Min() T {
 	if len(t.Data) == 0 {
 		panic("tensor: Min of empty tensor")
 	}
@@ -250,24 +283,24 @@ func (t *Tensor) Min() float64 {
 }
 
 // Norm2 returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
+func (t *Dense[T]) Norm2() T {
+	var s T
 	for _, v := range t.Data {
 		s += v * v
 	}
-	return math.Sqrt(s)
+	return T(math.Sqrt(float64(s)))
 }
 
 // Apply replaces every element x with f(x).
-func (t *Tensor) Apply(f func(float64) float64) {
+func (t *Dense[T]) Apply(f func(T) T) {
 	for i, v := range t.Data {
 		t.Data[i] = f(v)
 	}
 }
 
 // Map returns a new tensor whose elements are f applied to t's.
-func (t *Tensor) Map(f func(float64) float64) *Tensor {
-	r := New(t.Shape...)
+func (t *Dense[T]) Map(f func(T) T) *Dense[T] {
+	r := NewDense[T](t.Shape...)
 	for i, v := range t.Data {
 		r.Data[i] = f(v)
 	}
@@ -275,7 +308,7 @@ func (t *Tensor) Map(f func(float64) float64) *Tensor {
 }
 
 // Row returns a view of row i of a rank-2 tensor as a slice.
-func (t *Tensor) Row(i int) []float64 {
+func (t *Dense[T]) Row(i int) []T {
 	if len(t.Shape) != 2 {
 		panic("tensor: Row requires a rank-2 tensor")
 	}
@@ -283,7 +316,24 @@ func (t *Tensor) Row(i int) []float64 {
 	return t.Data[i*c : (i+1)*c]
 }
 
+// AddToRows adds v to every row of a rank-2 tensor (a bias over a
+// batch of rows).
+func (t *Dense[T]) AddToRows(v []T) {
+	n := t.Shape[1]
+	for i := 0; i < t.Shape[0]; i++ {
+		row := t.Data[i*n : (i+1)*n]
+		for j := range row {
+			row[j] += v[j]
+		}
+	}
+}
+
+// CopyFrom64 fills t element-wise from the float64 tensor x, which
+// must have the same element count — the narrowing conversion at the
+// f64→f32 boundary of the fast path (see Convert).
+func (t *Dense[T]) CopyFrom64(x *Tensor) { Convert(t.Data, x.Data) }
+
 // String implements fmt.Stringer with a compact summary.
-func (t *Tensor) String() string {
+func (t *Dense[T]) String() string {
 	return fmt.Sprintf("Tensor%v n=%d", t.Shape, len(t.Data))
 }
