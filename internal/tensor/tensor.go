@@ -36,20 +36,19 @@ type Tensor = Dense[float64]
 // F32 is the float32 tensor of the inference fast path.
 type F32 = Dense[float32]
 
-// NewDense returns a zero-filled tensor with the given shape. It
+// New returns a zero-filled float64 tensor with the given shape. It
 // panics if any dimension is negative. The variadic shape is
-// defensively copied (callers may pass a retained slice via
-// NewDense(s...)); code that already owns a fresh shape slice — the
-// Arena pool, Clone — uses the FromShape constructors to skip the copy.
-func NewDense[T Float](shape ...int) *Dense[T] {
-	return newFromShape[T](append([]int(nil), shape...))
-}
-
-// New returns a zero-filled float64 tensor with the given shape.
-func New(shape ...int) *Tensor { return NewDense[float64](shape...) }
+// defensively copied (callers may pass a retained slice via New(s...));
+// code that already owns a fresh shape slice uses the FromShape
+// constructors to skip the copy.
+func New(shape ...int) *Tensor { return newDense[float64](shape...) }
 
 // NewF32 returns a zero-filled float32 tensor with the given shape.
-func NewF32(shape ...int) *F32 { return NewDense[float32](shape...) }
+func NewF32(shape ...int) *F32 { return newDense[float32](shape...) }
+
+func newDense[T Float](shape ...int) *Dense[T] {
+	return newFromShape[T](append([]int(nil), shape...))
+}
 
 // NewFromShape is the single-shot float64 constructor: it takes
 // ownership of shape (no defensive copy), so building a tensor costs
@@ -61,12 +60,6 @@ func NewFromShape(shape []int) *Tensor { return newFromShape[float64](shape) }
 func NewF32FromShape(shape []int) *F32 { return newFromShape[float32](shape) }
 
 func newFromShape[T Float](shape []int) *Dense[T] {
-	return &Dense[T]{Shape: shape, Data: make([]T, checkedLen(shape))}
-}
-
-// checkedLen returns the element count of shape, panicking on a
-// negative dimension.
-func checkedLen(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -74,7 +67,7 @@ func checkedLen(shape []int) int {
 		}
 		n *= d
 	}
-	return n
+	return &Dense[T]{Shape: shape, Data: make([]T, n)}
 }
 
 // FromSlice wraps data in a tensor with the given shape.
@@ -120,7 +113,7 @@ func (t *Dense[T]) SameShape(o *Dense[T]) bool {
 
 // Clone returns a deep copy of t.
 func (t *Dense[T]) Clone() *Dense[T] {
-	c := NewDense[T](t.Shape...)
+	c := newDense[T](t.Shape...)
 	copy(c.Data, t.Data)
 	return c
 }
@@ -206,7 +199,7 @@ func Add[T Float](t, o *Dense[T]) *Dense[T] {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: Add length mismatch")
 	}
-	r := NewDense[T](t.Shape...)
+	r := newDense[T](t.Shape...)
 	for i := range t.Data {
 		r.Data[i] = t.Data[i] + o.Data[i]
 	}
@@ -218,7 +211,7 @@ func Sub[T Float](t, o *Dense[T]) *Dense[T] {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: Sub length mismatch")
 	}
-	r := NewDense[T](t.Shape...)
+	r := newDense[T](t.Shape...)
 	for i := range t.Data {
 		r.Data[i] = t.Data[i] - o.Data[i]
 	}
@@ -230,7 +223,7 @@ func Mul[T Float](t, o *Dense[T]) *Dense[T] {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: Mul length mismatch")
 	}
-	r := NewDense[T](t.Shape...)
+	r := newDense[T](t.Shape...)
 	for i := range t.Data {
 		r.Data[i] = t.Data[i] * o.Data[i]
 	}
@@ -300,7 +293,7 @@ func (t *Dense[T]) Apply(f func(T) T) {
 
 // Map returns a new tensor whose elements are f applied to t's.
 func (t *Dense[T]) Map(f func(T) T) *Dense[T] {
-	r := NewDense[T](t.Shape...)
+	r := newDense[T](t.Shape...)
 	for i, v := range t.Data {
 		r.Data[i] = f(v)
 	}
