@@ -17,9 +17,9 @@ import (
 // the convolution to matrix multiplication (tensor.Im2Col3D +
 // accumulating GEMM) above that; inference (Infer, InferBox) always
 // scatters. Setting Direct selects the original seven-loop reference
-// implementation. Every path adds an output element's terms in
-// ascending (input channel, tap) order after its bias, which the nn
-// equivalence tests assert.
+// implementation. Every path adds an output element's non-zero terms
+// in ascending (input channel, tap) order after its bias; the nn
+// equivalence tests compare them.
 type Conv3D struct {
 	In, Out, K int
 	W          *Param // [Out, In, K, K, K]
