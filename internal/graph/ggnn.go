@@ -97,11 +97,8 @@ func (g *GGConv) Forward(h *tensor.Tensor, edges []featurize.Edge) *tensor.Tenso
 		htpre := tensor.MatMulTransB(m, g.Uh.Value)
 		htpre.AddInPlace(tensor.MatMulTransB(h, g.Wh.Value))
 		for i := 0; i < n; i++ {
-			zr, hr := zpre.Row(i), htpre.Row(i)
-			for j := 0; j < g.H; j++ {
-				zr[j] = sigmoid(zr[j] + g.Bz.Value.Data[j])
-				hr[j] = tanh(hr[j] + g.Bh.Value.Data[j])
-			}
+			sigmoidRow(zpre.Row(i), g.Bz.Value.Data)
+			tanhRow(htpre.Row(i), g.Bh.Value.Data)
 		}
 		z, ht := zpre, htpre // now activated in place
 		hOut := tensor.New(n, g.H)
@@ -261,9 +258,9 @@ func (ga *Gather) ForwardSegments(h, x *tensor.Tensor, segs []Segment) *tensor.T
 		dst := out.Row(b)
 		for i := 0; i < s.NumLigand; i++ {
 			gr, tr := gate.Row(r), th.Row(r)
-			for j := 0; j < ga.Out; j++ {
-				gr[j] = sigmoid(gr[j] + ga.Bg.Value.Data[j])
-				tr[j] = tanh(tr[j] + ga.Bo.Value.Data[j])
+			sigmoidRow(gr, ga.Bg.Value.Data)
+			tanhRow(tr, ga.Bo.Value.Data)
+			for j := range dst {
 				dst[j] += gr[j] * tr[j]
 			}
 			r++
@@ -373,27 +370,39 @@ func (p *Project) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMul(grad, p.W.Value)
 }
 
-// sigmoid and tanh are the gate nonlinearities at either width. The
-// exponential runs in float64 (the standard library has no float32 exp)
-// and rounds once to T, so at float64 they are the plain formulas.
-func sigmoid[T tensor.Float](v T) T {
-	if v >= 0 {
-		e := T(exp(float64(-v)))
-		return 1 / (1 + e)
+// sigmoidRow sets x[j] = sigmoid(x[j] + b[j]) and tanhRow sets
+// x[j] = tanh(x[j] + b[j]): the gate nonlinearities over one row, at
+// either width. The exponential runs in float64 (the standard library
+// has no float32 exp) and rounds once to T, so at float64 they are the
+// plain formulas. A row per call keeps the per-element work free of
+// calls other than the exponential.
+func sigmoidRow[T tensor.Float](x, b []T) {
+	b = b[:len(x)]
+	for j, v := range x {
+		v += b[j]
+		if v >= 0 {
+			x[j] = 1 / (1 + T(exp(float64(-v))))
+		} else {
+			e := T(exp(float64(v)))
+			x[j] = e / (1 + e)
+		}
 	}
-	e := T(exp(float64(v)))
-	return e / (1 + e)
 }
 
-func tanh[T tensor.Float](v T) T {
-	if v > 20 {
-		return 1
+func tanhRow[T tensor.Float](x, b []T) {
+	b = b[:len(x)]
+	for j, v := range x {
+		v += b[j]
+		switch {
+		case v > 20:
+			x[j] = 1
+		case v < -20:
+			x[j] = -1
+		default:
+			e2 := T(exp(float64(2 * v)))
+			x[j] = (e2 - 1) / (e2 + 1)
+		}
 	}
-	if v < -20 {
-		return -1
-	}
-	e2 := T(exp(float64(2 * v)))
-	return (e2 - 1) / (e2 + 1)
 }
 
 func exp(v float64) float64 { return math.Exp(v) }

@@ -62,11 +62,8 @@ func InferGGConv[T tensor.Float](g *GGConv, h *tensor.Dense[T], edges []featuriz
 		tensor.MatMulPackedInto(tmp, h, wh)
 		htpre.AddInPlace(tmp)
 		for i := 0; i < n; i++ {
-			zr, hr := zpre.Row(i), htpre.Row(i)
-			for j := 0; j < g.H; j++ {
-				zr[j] = sigmoid(zr[j] + bz[j])
-				hr[j] = tanh(hr[j] + bh[j])
-			}
+			sigmoidRow(zpre.Row(i), bz)
+			tanhRow(htpre.Row(i), bh)
 		}
 		hOut := a.GetUninit(n, g.H)
 		for i := range hOut.Data {
@@ -123,9 +120,9 @@ func InferGather[T tensor.Float](ga *Gather, h, x *tensor.Dense[T], segs []Segme
 		dst := out.Row(b)
 		for i := 0; i < s.NumLigand; i++ {
 			gr, tr := gate.Row(r), th.Row(r)
-			for j := 0; j < ga.Out; j++ {
-				gr[j] = sigmoid(gr[j] + bg[j])
-				tr[j] = tanh(tr[j] + bo[j])
+			sigmoidRow(gr, bg)
+			tanhRow(tr, bo)
+			for j := range dst {
 				dst[j] += gr[j] * tr[j]
 			}
 			r++
