@@ -133,10 +133,10 @@ var ErrJobFailed = fmt.Errorf("screen: job failed (injected fault)")
 // many jobs without injecting JobOptions.Prefeature — retry loops,
 // benchmark iterations, ad-hoc RunJob callers — used to pay the full
 // prefeature construction (pocket voxel baseline, node rows, cell
-// list: ~500 allocations and ~300 KB) on every job. A prefeature is immutable after construction and already read
-// concurrently by every loader, so one cached slot (the common
-// same-target-again case) is safe; a concurrent miss at worst builds
-// twice and keeps one.
+// list: ~500 allocations and ~300 KB) on every job. A prefeature is
+// immutable after construction and already read concurrently by every
+// loader, so one cached slot (the common same-target-again case) is
+// safe; a concurrent miss at worst builds twice and keeps one.
 var prefeatureCache atomic.Pointer[featurize.PocketPrefeature]
 
 // cachedPrefeature returns a prefeature for the job's (target,
