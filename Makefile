@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-benchmark test-race fuzz-h5lite vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper clean
+.PHONY: all build verify test test-benchmark test-portable test-race fuzz-h5lite vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper clean
 
 all: build
 
@@ -37,15 +37,24 @@ test:
 test-benchmark:
 	cd benchmark && $(GO) test ./...
 
+# The kernel packages on a 32-bit, non-amd64 target: the only run of
+# the pure-Go leaves (axpy_generic.go — Axpy32, the tap-block rows,
+# the GEMM panels) and of their float32 results against the goldens the
+# amd64 assembly recorded (fusion.TestF32BitsGolden). ~40 s on 2 CPUs.
+test-portable:
+	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/nn/ ./internal/fusion/
+
 # Race-enabled pass over the whole module: the campaign runtime and its
 # dispatch backends, the screening service, the durability layer, and
 # the generic kernels (tensor, nn, graph, featurize) that rank
 # goroutines share through one model's weights. Everything
 # time-dependent runs on injected fake clocks, so -timeout is a hang
 # detector: the slowest package (internal/experiments) takes ~6 min
-# under -race on 2 CPUs, the whole pass ~7 min.
+# under -race on 2 CPUs, the whole pass ~7 min. -shuffle=on runs each
+# package's tests in a random order (the seed is printed), so a test
+# that depends on another's side effects fails here.
 test-race:
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -shuffle=on -timeout 20m ./...
 
 # Short coverage-guided fuzz of the h5lite decoder on top of the
 # checked-in seed corpus: no input may panic it, over-allocate, or

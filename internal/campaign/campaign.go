@@ -664,9 +664,9 @@ func (c *Campaign) ExecuteUnit(ctx context.Context, u UnitRecord, epoch int) (Un
 	if err != nil {
 		return out, err // cancelled mid-dock; unit stays in-flight for resume
 	}
-	// DockCompounds appends poses in goroutine-completion order; sort
-	// into the canonical (compound, pose-rank) order so shard bytes —
-	// and therefore final selections — are identical across runs.
+	// DockCompounds returns poses in deck order; shards are written in
+	// the canonical (compound ID, pose-rank) order, so shard bytes — and
+	// therefore final selections — match every campaign written before.
 	sort.Slice(poses, func(a, b int) bool {
 		if poses[a].CompoundID != poses[b].CompoundID {
 			return poses[a].CompoundID < poses[b].CompoundID

@@ -7,7 +7,6 @@ import (
 	"deepfusion/internal/featurize"
 	"deepfusion/internal/graph"
 	"deepfusion/internal/nn"
-	"deepfusion/internal/target"
 	"deepfusion/internal/tensor"
 )
 
@@ -354,22 +353,6 @@ func (l *LateFusion) ScoreBatchInto(samples []*Sample, ws *Workspace, out []floa
 // ScoreBatchInto implements the pooled scoring handshake.
 func (f *Fusion) ScoreBatchInto(samples []*Sample, ws *Workspace, out []float64) {
 	f.PredictBatchInto(samples, ws, out)
-}
-
-// FeaturizeComplexInto featurizes a posed complex into s, reusing its
-// voxel grid and graph buffers (see featurize.VoxelizeInto and
-// featurize.BuildGraphInto) — the screening loaders recycle pose slots
-// through it. A nil s allocates a fresh sample. Results are identical
-// to FeaturizeComplex.
-func FeaturizeComplexInto(s *Sample, id string, p *target.Pocket, mol *chem.Mol, label float64, vo featurize.VoxelOptions, gro featurize.GraphOptions) *Sample {
-	if s == nil {
-		s = &Sample{}
-	}
-	s.ID, s.Pocket, s.Mol, s.Label = id, p, mol, label
-	s.Voxels = featurize.VoxelizeInto(s.Voxels, p, mol, vo)
-	s.voxState = featurize.VoxelSlotState{} // grid no longer holds a baseline
-	s.Graph = featurize.BuildGraphInto(s.Graph, p, mol, gro)
-	return s
 }
 
 // FeaturizeComplexWithPrefeature featurizes a posed complex into s

@@ -114,26 +114,27 @@ func TestPredictBatchIntoZeroAlloc(t *testing.T) {
 
 // TestFeaturizeComplexWithPrefeatureMatchesFresh pins the cached
 // loader path at the Sample level: featurizing through a shared pocket
-// prefeature into a recycled slot — including a slot previously used
-// by the uncached path, and across two different pockets' prefeatures
-// — equals a fresh FeaturizeComplex bit-for-bit.
+// prefeature into a recycled slot — including a slot whose grid holds
+// another pocket's baseline, and across two different pockets'
+// prefeatures — equals a fresh FeaturizeComplex bit-for-bit.
 func TestFeaturizeComplexWithPrefeatureMatchesFresh(t *testing.T) {
 	ds := dataset(t)
 	vo := tinyCNNConfig().Voxel
 	gro := tinySGConfig().Graph
 	c1, c2, c3 := ds.Core[0], ds.Core[1], ds.Core[2]
 	pre1 := featurize.NewPocketPrefeature(c1.Pocket, vo, gro)
+	pre3 := featurize.NewPocketPrefeature(c3.Pocket, vo, gro)
 
-	// Start the slot on the uncached path, then move it through the
-	// prefeature path — the slot must detect the foreign grid.
-	slot := FeaturizeComplexInto(nil, c3.ID, c3.Pocket, c3.Mol, 3, vo, gro)
+	// Start the slot on another pocket's prefeature, then move it to
+	// pre1 — the slot must detect the foreign grid.
+	slot := FeaturizeComplexWithPrefeature(nil, pre3, c3.ID, c3.Mol, 3)
 	steps := []struct {
 		pre *featurize.PocketPrefeature
 		c   *pdbbind.Complex
 	}{
 		{pre1, c1},
 		{pre1, c2},
-		{featurize.NewPocketPrefeature(c3.Pocket, vo, gro), c3},
+		{pre3, c3},
 		{pre1, c1},
 	}
 	for i, st := range steps {
@@ -161,36 +162,6 @@ func TestFeaturizeComplexWithPrefeatureMatchesFresh(t *testing.T) {
 			if slot.Graph.NonCov[j] != e {
 				t.Fatalf("step %d: non-covalent edge %d differs from fresh featurization", i, j)
 			}
-		}
-	}
-}
-
-// TestFeaturizeComplexIntoMatchesFresh pins slot recycling: a sample
-// featurized into a dirty slot equals a freshly featurized one.
-func TestFeaturizeComplexIntoMatchesFresh(t *testing.T) {
-	ds := dataset(t)
-	c1, c2 := ds.Core[0], ds.Core[1]
-	vo := tinyCNNConfig().Voxel
-	gro := tinySGConfig().Graph
-	slot := FeaturizeComplexInto(nil, c1.ID, c1.Pocket, c1.Mol, 1, vo, gro)
-	slot = FeaturizeComplexInto(slot, c2.ID, c2.Pocket, c2.Mol, 2, vo, gro)
-	want := FeaturizeComplex(c2.ID, c2.Pocket, c2.Mol, 2, vo, gro)
-	if slot.ID != want.ID || slot.Label != want.Label {
-		t.Fatalf("identity: got %s/%v want %s/%v", slot.ID, slot.Label, want.ID, want.Label)
-	}
-	for i := range want.Voxels.Data {
-		if slot.Voxels.Data[i] != want.Voxels.Data[i] {
-			t.Fatalf("voxel %d differs after slot reuse", i)
-		}
-	}
-	if slot.Graph.NumNodes() != want.Graph.NumNodes() ||
-		len(slot.Graph.Covalent) != len(want.Graph.Covalent) ||
-		len(slot.Graph.NonCov) != len(want.Graph.NonCov) {
-		t.Fatalf("graph geometry differs after slot reuse")
-	}
-	for i := range want.Graph.Nodes.Data {
-		if slot.Graph.Nodes.Data[i] != want.Graph.Nodes.Data[i] {
-			t.Fatalf("node feature %d differs after slot reuse", i)
 		}
 	}
 }

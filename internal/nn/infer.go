@@ -305,11 +305,12 @@ func untranspose[T any](dst, pd []T, vol, nOut int) {
 // contiguous values, one cache line, where forwardScatter strides Out
 // channel planes, and the taps a voxel sends along one grid row update
 // adjacent positions, so a whole row of taps is one contiguous axpy
-// against the parameter's scatter layout (scatterTaps), run by the
-// width's axpy leaf. The accumulator is then transposed once into the
-// [Out, out's dims] block. Every output element receives one term per
-// input voxel and tap, and voxels are visited in ascending (ci,
-// input-position) order, so per-element term order matches
+// against the parameter's scatter layout (scatterTaps). All the rows
+// one voxel reaches — its clipped (kd, kh) block — go to the width's
+// tap-block leaf in one call. The accumulator is then transposed once
+// into the [Out, out's dims] block. Every output element receives one
+// term per input voxel and tap, and voxels are visited in ascending
+// (ci, input-position) order, so per-element term order matches
 // forwardScatter exactly.
 func scatterBox[T tensor.Float](c *Conv3D, x, y *tensor.Dense[T], in, out tensor.Box, ws *Workspace) {
 	n := x.Dim(0)
@@ -319,13 +320,16 @@ func scatterBox[T tensor.Float](c *Conv3D, x, y *tensor.Dense[T], in, out tensor
 	k := c.K
 	sd, sh, sw := boxShift(in, out, k/2)
 	nOut := c.Out
-	wStep, pStep := k*nOut, ow*nOut
+	// Each next kd moves one kernel plane on in the weights and one grid
+	// plane back in the accumulator; each next kh one kernel row on and
+	// one grid row back.
+	st := tensor.TapStrides{PPlane: oh * ow * nOut, PRow: ow * nOut, WPlane: k * k * nOut, WRow: k * nOut}
 	arena := Arena[T](ws)
 	posBuf := arena.GetUninit(outVol, nOut)
 	pd := posBuf.Data
 	wd := scatterTaps[T](c.W, c.Out, c.In, k)
 	bias := Vec[T](c.B)
-	axpy := tensor.AxpyKernel[T]()
+	tap := tensor.TapBlockKernel[T]()
 	for b := 0; b < n; b++ {
 		fillRows(pd, bias)
 		for ci := 0; ci < c.In; ci++ {
@@ -340,6 +344,11 @@ func scatterBox[T tensor.Float](c *Conv3D, x, y *tensor.Dense[T], in, out tensor
 					if khLo > khHi {
 						continue
 					}
+					// The block's first row: tap (kdLo, khLo) in the weights,
+					// grid row (xd+sd-kdLo, xh+sh-khLo) in the accumulator.
+					wRow := ((ci*k+kdLo)*k + khLo) * k
+					pRow := ((xd+sd-kdLo)*oh + xh + sh - khLo) * ow
+					nd, nh := kdHi-kdLo+1, khHi-khLo+1
 					rowBase := chBase + (xd*ih+xh)*iw
 					for xw, v := range x.Data[rowBase : rowBase+iw] {
 						if v == 0 {
@@ -353,17 +362,7 @@ func scatterBox[T tensor.Float](c *Conv3D, x, y *tensor.Dense[T], in, out tensor
 						// The surviving taps kwLo..kwHi update the adjacent
 						// positions zw = xw+sw-kw; the reversed tap axis puts
 						// their weight rows in that same ascending-zw order.
-						// Each next kh moves one kernel row on in the weights
-						// and one grid row back in the accumulator.
-						for kd := kdLo; kd <= kdHi; kd++ {
-							wOff := (((ci*k+kd)*k+khLo)*k + k - 1 - kwHi) * nOut
-							pOff := (((xd+sd-kd)*oh+xh+sh-khLo)*ow + xw + sw - kwHi) * nOut
-							for kh := khLo; kh <= khHi; kh++ {
-								axpy(pd[pOff:pOff+span], wd[wOff:wOff+span], v)
-								wOff += wStep
-								pOff -= pStep
-							}
-						}
+						tap(pd, wd, v, (pRow+xw+sw-kwHi)*nOut, (wRow+k-1-kwHi)*nOut, nd, nh, span, st)
 					}
 				}
 			}

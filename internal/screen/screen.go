@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -450,27 +449,27 @@ func (p DockProblem) String() string { return p.CompoundID + ": " + p.Reason }
 
 // DockCompounds runs the ConveyorLC docking stage for a compound set,
 // producing the pose queue for scoring. Compounds that fail
-// preparation or docking are skipped and reported as DockProblems
-// (sorted by compound ID), matching the production funnel's tolerance
-// of bad inputs without discarding the evidence. Cancelling ctx stops
-// the stage between compounds and returns ctx.Err().
+// preparation or docking are skipped and reported as DockProblems,
+// matching the production funnel's tolerance of bad inputs without
+// discarding the evidence. Poses and problems come out in input
+// compound order, whatever order the docking goroutines finish in.
+// Cancelling ctx stops the stage between compounds and returns
+// ctx.Err().
 func DockCompounds(ctx context.Context, p *target.Pocket, mols []*chem.Mol, maxPoses int, seed int64) ([]Pose, []DockProblem, error) {
 	so := dock.DefaultSearchOptions()
 	so.NumPoses = maxPoses
 	so.MCSteps = 30
 	so.Restarts = 4
-	var mu sync.Mutex
-	var poses []Pose
-	var problems []DockProblem
+	docked := make([][]dock.Pose, len(mols))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 8)
-	for _, m := range mols {
+	for i, m := range mols {
 		if ctx.Err() != nil {
 			break
 		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(m *chem.Mol) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			so := so
@@ -478,25 +477,25 @@ func DockCompounds(ctx context.Context, p *target.Pocket, mols []*chem.Mol, maxP
 			// length (the old scheme) collided for any two compounds with
 			// same-length names, replaying identical MC trajectories.
 			so.Seed = seed ^ int64(compoundHash(m.Name))
-			ps := dock.Dock(p, m, so)
-			mu.Lock()
-			defer mu.Unlock()
-			if len(ps) == 0 {
-				problems = append(problems, DockProblem{CompoundID: m.Name, Reason: "no pose survived the search"})
-				return
-			}
-			for _, dp := range ps {
-				poses = append(poses, Pose{CompoundID: m.Name, PoseRank: dp.Rank, Mol: dp.Mol, VinaScore: dp.Score})
-			}
-		}(m)
+			docked[i] = dock.Dock(p, m, so)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Goroutines finish in scheduling order; report problems
-	// deterministically.
-	sort.Slice(problems, func(a, b int) bool { return problems[a].CompoundID < problems[b].CompoundID })
+	var poses []Pose
+	var problems []DockProblem
+	for i, ps := range docked {
+		name := mols[i].Name
+		if len(ps) == 0 {
+			problems = append(problems, DockProblem{CompoundID: name, Reason: "no pose survived the search"})
+			continue
+		}
+		for _, dp := range ps {
+			poses = append(poses, Pose{CompoundID: name, PoseRank: dp.Rank, Mol: dp.Mol, VinaScore: dp.Score})
+		}
+	}
 	return poses, problems, nil
 }
 

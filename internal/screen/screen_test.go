@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"deepfusion/internal/chem"
@@ -77,6 +79,57 @@ func TestDockCompoundsProducesPoses(t *testing.T) {
 	for id, n := range perCompound {
 		if n > 3 {
 			t.Fatalf("%s has %d poses, cap 3", id, n)
+		}
+	}
+}
+
+// TestDockCompoundsOrderIsInputOrder pins DockCompounds' output order
+// to its input: poses grouped by compound in input order, then pose
+// rank, and the same poses and problems on every run and at every
+// GOMAXPROCS, whichever docking goroutine finishes first.
+func TestDockCompoundsOrderIsInputOrder(t *testing.T) {
+	mols := testMols(t, 6)
+	type key struct {
+		id   string
+		rank int
+		vina float64
+	}
+	run := func(procs int) ([]key, []DockProblem) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		poses, problems, err := DockCompounds(context.Background(), target.Spike1, mols, 2, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]key, len(poses))
+		for i, p := range poses {
+			keys[i] = key{p.CompoundID, p.PoseRank, p.VinaScore}
+		}
+		return keys, problems
+	}
+	want, wantProblems := run(1)
+	if len(want) == 0 {
+		t.Fatal("no poses")
+	}
+	next := 0 // index in mols of the compound the next new pose must belong to
+	for i, k := range want {
+		if i > 0 && k.id == want[i-1].id {
+			if k.rank < want[i-1].rank {
+				t.Fatalf("pose %d: %s rank %d after rank %d", i, k.id, k.rank, want[i-1].rank)
+			}
+			continue
+		}
+		for next < len(mols) && mols[next].Name != k.id {
+			next++
+		}
+		if next == len(mols) {
+			t.Fatalf("pose %d: compound %s out of input order", i, k.id)
+		}
+		next++
+	}
+	for _, procs := range []int{2, 8, 1} {
+		got, problems := run(procs)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(problems, wantProblems) {
+			t.Fatalf("GOMAXPROCS=%d: DockCompounds output differs from the first run", procs)
 		}
 	}
 }

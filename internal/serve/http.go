@@ -102,10 +102,21 @@ func NewHandler(e *Engine) http.Handler {
 	return mux
 }
 
+// maxSubmitBody caps one POST /v1/submit body. A submission names
+// compounds by ID or SMILES, a few dozen bytes each, so 1 MiB is tens of
+// thousands of compounds — far beyond any batch the engine forms. A
+// body that runs past it is refused with 413, having buffered at most
+// the cap.
+const maxSubmitBody = 1 << 20
+
 func handleSubmit(e *Engine, w http.ResponseWriter, r *http.Request) {
 	var sub SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad submit body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&sub); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad submit body: %w", err))
 		return
 	}
 	if sub.Target == "" {

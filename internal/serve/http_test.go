@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,6 +125,40 @@ func TestHTTPSubmitValidation(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
 		}
+	}
+}
+
+// TestHTTPSubmitBodyCap pins the submit body cap: a body one byte over
+// maxSubmitBody is refused with 413 and never docked, one just under it
+// is decoded as usual.
+func TestHTTPSubmitBodyCap(t *testing.T) {
+	clock := campaign.NewFakeClock(time.Unix(1000, 0))
+	e := newTestEngine(t, testConfig(clock))
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+
+	// Pad a target-less submission (400 once decoded) to an exact size.
+	body := func(size int) []byte {
+		head, tail := `{"compounds":["`, `"]}`
+		return []byte(head + strings.Repeat("x", size-len(head)-len(tail)) + tail)
+	}
+	for _, c := range []struct {
+		size, want int
+	}{
+		{maxSubmitBody + 1, http.StatusRequestEntityTooLarge},
+		{maxSubmitBody, http.StatusBadRequest},
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/v1/submit", "application/json", bytes.NewReader(body(c.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%d-byte body: status %d, want %d", c.size, resp.StatusCode, c.want)
+		}
+	}
+	if got := e.Status().Requests; len(got) != 0 {
+		t.Fatalf("requests admitted: %v, want none", got)
 	}
 }
 

@@ -1,16 +1,65 @@
 package tensor
 
 // Axpy32 computes dst[i] += v * w[i] for every element of dst; w must
-// be at least as long as dst. It is the lane-parallel inner kernel of
-// the f32 scatter convolution: each lane is an independent
-// accumulator, so the 4-wide SSE implementation performs exactly one
-// multiply rounding and one add rounding per element in the same order
-// as the scalar loop — results are bit-identical, only the instruction
-// width changes. SSE is baseline on amd64 (GOAMD64=v1), so no feature
-// detection is needed.
+// be at least as long as dst. It is the row kernel of the f32 scatter
+// convolution's tap block on CPUs without AVX2: each lane is an
+// independent accumulator, so the 4-wide SSE implementation performs
+// exactly one multiply rounding and one add rounding per element in the
+// same order as the scalar loop — results are bit-identical, only the
+// instruction width changes. SSE is baseline on amd64 (GOAMD64=v1), so
+// it needs no feature detection.
 //
 //go:noescape
 func Axpy32(dst, w []float32, v float32)
+
+// useAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers across context switches; it selects the tap-block kernel.
+var useAVX2 = detectAVX2()
+
+// detectAVX2 reads CPUID leaf 1 (AVX, OSXSAVE), XCR0 (XMM and YMM
+// state enabled) and CPUID leaf 7 (AVX2).
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	const osxsave, avx = 1 << 27, 1 << 28
+	if ecx1&osxsave == 0 || ecx1&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<5) != 0
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// tapBlock32 is the float32 tap-block leaf (TapBlockKernel): one AVX2
+// call over the whole checked block, or the rows through the SSE
+// Axpy32 on a CPU without AVX2.
+func tapBlock32(pd, wd []float32, v float32, pOff, wOff, nd, nh, span int, st TapStrides) {
+	if !checkTapBlock(len(pd), len(wd), pOff, wOff, nd, nh, span, st) {
+		return
+	}
+	if useAVX2 {
+		tapBlockAVX2(pd, wd, v, pOff, wOff, nd, nh, span, st.PPlane, st.PRow, st.WPlane, st.WRow)
+		return
+	}
+	tapRows32(pd, wd, v, pOff, wOff, nd, nh, span, st)
+}
+
+// tapBlockAVX2 runs a non-empty tap block, checked by the caller, eight
+// lanes at a time: VBROADCASTSS, then VMULPS and VADDPS per eight
+// elements — one multiply and one add rounding each, no FMA — and a
+// scalar tail.
+//
+//go:noescape
+func tapBlockAVX2(pd, wd []float32, v float32, pOff, wOff, nd, nh, span, pPlane, pRow, wPlane, wRow int)
 
 // packedAccSkip32 accumulates one output row of a full 8-column panel:
 // ci[0:8] += ai[p] * panel[p*8 : p*8+8] for ascending p, skipping

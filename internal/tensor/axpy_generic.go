@@ -12,6 +12,14 @@ func Axpy32(dst, w []float32, v float32) {
 	}
 }
 
+// tapBlock32 is the float32 tap-block leaf (TapBlockKernel): the rows
+// of the checked block through Axpy32.
+func tapBlock32(pd, wd []float32, v float32, pOff, wOff, nd, nh, span int, st TapStrides) {
+	if checkTapBlock(len(pd), len(wd), pOff, wOff, nd, nh, span, st) {
+		tapRows32(pd, wd, v, pOff, wOff, nd, nh, span, st)
+	}
+}
+
 // vectorPanels reports false: without vector kernels,
 // matMulPackedRows runs its own 8 lanes at both widths.
 func vectorPanels[T Float](c, a *Dense[T], pb *Packed[T], lo, hi int, acc, skip bool) bool {

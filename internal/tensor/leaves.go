@@ -7,9 +7,12 @@ package tensor
 // function — no dictionary lookup, no interface method. The leaves,
 // and why each stays per width:
 //
-//   - AxpyKernel: Axpy32 is SSE assembly (four float32 lanes per
-//     instruction, bit-identical to the scalar loop); axpy64 stays pure
-//     Go, its per-element order pinned bitwise by the float64 goldens.
+//   - TapBlockKernel: the scatter convolution's per-voxel block of tap
+//     rows. At float32 on amd64 it is AVX2 assembly (eight lanes per
+//     instruction, no FMA) when the CPU and OS support it and the SSE
+//     Axpy32 row by row otherwise — both bit-identical to the scalar
+//     loop; at float64, and at float32 elsewhere, a Go loop over axpy64
+//     or Axpy32, the float64 order pinned bitwise by the goldens.
 //   - vectorPanels: SSE rows of the full GEMM panels at float32 (on
 //     amd64); matMulPackedRows's own 8-lane Go loop at float64.
 //   - Convert: a memmove at float64; a narrowing loop at float32, the
@@ -30,10 +33,83 @@ func Select[R any](x64, x32 any) R {
 	return x32.(R)
 }
 
-// AxpyKernel returns the dst[i] += w[i] * v kernel at width T —
-// Axpy32 or axpy64. w must be at least as long as dst.
-func AxpyKernel[T Float]() func(dst, w []T, v T) {
-	return Select[func(dst, w []T, v T)](axpy64, Axpy32)
+// TapStrides are the element strides of a tap block (TapBlockKernel):
+// each next block plane moves the accumulator PPlane back and the
+// weights WPlane on, each next row within a plane PRow back and WRow
+// on.
+type TapStrides struct {
+	PPlane, PRow, WPlane, WRow int
+}
+
+// TapBlockKernel returns the tap-block leaf at width T. A call
+//
+//	tap(pd, wd, v, pOff, wOff, nd, nh, span, st)
+//
+// runs, for d < nd and then h < nh in that order,
+//
+//	pd[p : p+span] += wd[w : w+span] * v
+//	p = pOff - d*st.PPlane - h*st.PRow,  w = wOff + d*st.WPlane + h*st.WRow
+//
+// — the rows of kernel taps one non-zero input voxel sends into the
+// scatter convolution's accumulator. Each element gets one multiply
+// rounding and one add rounding, as in the scalar loop. The whole block
+// is checked against len(pd) and len(wd) before any row is touched; a
+// block that does not fit, or a negative count, panics.
+func TapBlockKernel[T Float]() func(pd, wd []T, v T, pOff, wOff, nd, nh, span int, st TapStrides) {
+	return Select[func(pd, wd []T, v T, pOff, wOff, nd, nh, span int, st TapStrides)](tapBlock64, tapBlock32)
+}
+
+// checkTapBlock panics unless every row of the tap block lies inside
+// pd (length np) and wd (length nw), and reports whether the block has
+// any element to update.
+func checkTapBlock(np, nw, pOff, wOff, nd, nh, span int, st TapStrides) bool {
+	if nd < 0 || nh < 0 || span < 0 {
+		panic("tensor: negative tap block")
+	}
+	if nd == 0 || nh == 0 || span == 0 {
+		return false
+	}
+	pLo, pHi := blockExtent(pOff, -(nd-1)*st.PPlane, -(nh-1)*st.PRow)
+	wLo, wHi := blockExtent(wOff, (nd-1)*st.WPlane, (nh-1)*st.WRow)
+	if pLo < 0 || pHi > np-span || wLo < 0 || wHi > nw-span {
+		panic("tensor: tap block out of range")
+	}
+	return true
+}
+
+// blockExtent returns the least and the greatest row offset of a block
+// whose first row is at off and whose last plane and last row add dd
+// and dh: the offsets are linear in (d, h), so the corners bound them.
+func blockExtent(off, dd, dh int) (lo, hi int) {
+	return off + min(dd, 0) + min(dh, 0), off + max(dd, 0) + max(dh, 0)
+}
+
+// tapBlock64 is the float64 tap-block leaf: the rows through axpy64.
+func tapBlock64(pd, wd []float64, v float64, pOff, wOff, nd, nh, span int, st TapStrides) {
+	if !checkTapBlock(len(pd), len(wd), pOff, wOff, nd, nh, span, st) {
+		return
+	}
+	for d := 0; d < nd; d++ {
+		p, w := pOff-d*st.PPlane, wOff+d*st.WPlane
+		for h := 0; h < nh; h++ {
+			axpy64(pd[p:p+span], wd[w:w+span], v)
+			p -= st.PRow
+			w += st.WRow
+		}
+	}
+}
+
+// tapRows32 runs the rows of a checked float32 tap block through
+// Axpy32.
+func tapRows32(pd, wd []float32, v float32, pOff, wOff, nd, nh, span int, st TapStrides) {
+	for d := 0; d < nd; d++ {
+		p, w := pOff-d*st.PPlane, wOff+d*st.WPlane
+		for h := 0; h < nh; h++ {
+			Axpy32(pd[p:p+span], wd[w:w+span], v)
+			p -= st.PRow
+			w += st.WRow
+		}
+	}
 }
 
 // axpy64 computes dst[i] += w[i] * v, unrolled 8 lanes at a time (the

@@ -130,18 +130,12 @@ func TestPipelineWithPrecision(t *testing.T) {
 	if len(fast.Predictions) != len(ref.Predictions) {
 		t.Fatalf("f32 scored %d poses, f64 %d", len(fast.Predictions), len(ref.Predictions))
 	}
-	// The docking stage emits poses in goroutine-completion order, so
-	// the two runs are matched by pose identity, not by index.
-	type poseKey struct {
-		compound string
-		rank     int
-	}
-	fastByPose := map[poseKey]float64{}
-	for _, pr := range fast.Predictions {
-		fastByPose[poseKey{pr.CompoundID, pr.PoseRank}] = pr.Fusion
-	}
 	for i, pr := range ref.Predictions {
-		a, b := pr.Fusion, fastByPose[poseKey{pr.CompoundID, pr.PoseRank}]
+		fp := fast.Predictions[i]
+		if fp.CompoundID != pr.CompoundID || fp.PoseRank != pr.PoseRank {
+			t.Fatalf("pose %d: f32 scored %s/%d, f64 %s/%d", i, fp.CompoundID, fp.PoseRank, pr.CompoundID, pr.PoseRank)
+		}
+		a, b := pr.Fusion, fp.Fusion
 		den := 1.0
 		if d := a; d > 1 || d < -1 {
 			den = d
