@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-benchmark test-portable test-race fuzz-h5lite vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper clean
+.PHONY: all build verify test test-benchmark test-portable test-race fuzz-h5lite fuzz-smiles vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper clean
 
 all: build
 
@@ -61,6 +61,12 @@ test-race:
 # decode corrupt bytes silently. CI runs this as a smoke step.
 fuzz-h5lite:
 	$(GO) test ./internal/h5lite/ -fuzz=FuzzRead -fuzztime=30s
+
+# Short coverage-guided fuzz of the SMILES parser, which reads inline
+# structures from POST /v1/submit: no input may panic it or yield a
+# bond between atoms that do not exist. CI runs this as a smoke step.
+fuzz-smiles:
+	$(GO) test ./internal/chem/ -fuzz=FuzzParseSMILES -fuzztime=30s
 
 # Tier-1 verification: build, vet, full test suite.
 verify: build vet test

@@ -16,9 +16,7 @@
 package deepfusion
 
 import (
-	"context"
 	"fmt"
-	"log"
 
 	"deepfusion/internal/chem"
 	"deepfusion/internal/fusion"
@@ -141,41 +139,15 @@ func RefinePose(p *Pocket, mol *Mol, o RefineOptions) (*Mol, float64) {
 // cost function (paper Section 5).
 func CostWeights() screen.CostWeights { return screen.DefaultCostWeights() }
 
-// ScreenOptions configures a Screen run.
+// ScreenOptions holds the repro-scale docking and job defaults a new
+// Pipeline starts from.
 type ScreenOptions struct {
 	MaxPoses int // docked poses kept per compound (paper: 10)
 	Job      screen.JobOptions
-	Select   int // compounds to select for experiment (0 = all)
 	Seed     int64
 }
 
 // DefaultScreenOptions mirrors the production funnel at repro scale.
 func DefaultScreenOptions() ScreenOptions {
 	return ScreenOptions{MaxPoses: 5, Job: screen.DefaultJobOptions(), Seed: 1}
-}
-
-// Screen runs the full funnel for one target: dock every compound,
-// score all poses with the distributed Coherent Fusion job, and fold
-// to per-compound scores ranked by the selection cost function.
-//
-// Deprecated: Screen is a thin wrapper over the composable Pipeline
-// API — use NewPipeline(m).Run(ctx, p, compounds) for cancellation,
-// scorer ensembles, and the full per-stage Result. The wrapper is
-// pinned byte-identical to the Pipeline path; unlike the old
-// implementation it no longer swallows docking rejections, logging
-// them instead (the Pipeline surfaces them in Result.Problems).
-func Screen(m *Models, p *Pocket, compounds []*Mol, o ScreenOptions) ([]CompoundScore, error) {
-	res, err := NewPipeline(m).
-		WithJob(o.Job).
-		WithDocking(o.MaxPoses, o.Seed).
-		WithSelection(screen.DefaultCostWeights(), o.Select).
-		Run(context.Background(), p, compounds)
-	if err != nil {
-		return nil, err
-	}
-	if res.Rejected > 0 {
-		log.Printf("deepfusion: Screen(%s): docking rejected %d of %d compounds: %v",
-			p.Name, res.Rejected, res.Compounds, res.Problems)
-	}
-	return res.Selected, nil
 }

@@ -1,6 +1,7 @@
 package deepfusion
 
 import (
+	"context"
 	"testing"
 
 	"deepfusion/internal/pdbbind"
@@ -60,13 +61,14 @@ func TestTrainAndScreenEndToEnd(t *testing.T) {
 		}
 		mols = append(mols, m)
 	}
-	o := DefaultScreenOptions()
-	o.MaxPoses = 2
-	o.Select = 3
-	scores, err := Screen(models, TargetByName("spike1"), mols, o)
+	res, err := NewPipeline(models).
+		WithDocking(2, 1).
+		WithSelection(CostWeights(), 3).
+		Run(context.Background(), TargetByName("spike1"), mols)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scores := res.Selected
 	if len(scores) != 3 {
 		t.Fatalf("selected %d compounds, want 3", len(scores))
 	}

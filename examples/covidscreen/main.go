@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -45,16 +46,19 @@ func main() {
 	}
 	fmt.Printf("screening %d compounds against %d targets\n\n", len(deck), len(deepfusion.Targets()))
 
+	pipe := deepfusion.NewPipeline(models).
+		WithDocking(3, 1).
+		WithSelection(deepfusion.CostWeights(), *top)
 	for _, tgt := range deepfusion.Targets() {
-		so := deepfusion.DefaultScreenOptions()
-		so.MaxPoses = 3
-		so.Select = *top
-		scores, err := deepfusion.Screen(models, tgt, deck, so)
+		res, err := pipe.Run(context.Background(), tgt, deck)
 		if err != nil {
 			log.Fatalf("%s: %v", tgt.Name, err)
 		}
-		fmt.Printf("%s (site radius %.1f A): top %d of %d\n", tgt.Name, tgt.Radius, len(scores), len(deck))
-		for _, s := range scores {
+		if res.Rejected > 0 {
+			log.Printf("%s: docking rejected %d of %d compounds: %v", tgt.Name, res.Rejected, res.Compounds, res.Problems)
+		}
+		fmt.Printf("%s (site radius %.1f A): top %d of %d\n", tgt.Name, tgt.Radius, len(res.Selected), len(deck))
+		for _, s := range res.Selected {
 			fmt.Printf("  %-26s predicted pK %.2f (vina %.2f kcal/mol, %d poses)\n",
 				s.CompoundID, s.Fusion, s.Vina, s.NumPoses)
 		}

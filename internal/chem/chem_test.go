@@ -137,6 +137,7 @@ func TestParseErrors(t *testing.T) {
 		"[C",    // unterminated bracket
 		"C$C",   // bad character
 		"[123]", // bracket with no element
+		"C11",   // ring bond closing on the atom that opened it
 	}
 	for _, s := range bad {
 		if _, err := ParseSMILES(s); err == nil {

@@ -88,6 +88,9 @@ func (p *smilesParser) parse() error {
 				return fmt.Errorf("ring closure before any atom at %d", p.pos)
 			}
 			if open, ok := p.ring[n]; ok {
+				if open.atom == prev {
+					return fmt.Errorf("ring bond %d closes on the atom that opened it at %d", n, p.pos)
+				}
 				order := pendingOrder
 				if order == 0 {
 					order = open.order

@@ -157,8 +157,8 @@ func TestBuildGraphNodeLayout(t *testing.T) {
 	if g.NumLigand != 3 {
 		t.Fatalf("NumLigand = %d", g.NumLigand)
 	}
-	if g.NumNodes() != 3+len(target.Spike1.Atoms) {
-		t.Fatalf("NumNodes = %d", g.NumNodes())
+	if _, err := pocketSources(g, target.Spike1, m); err != nil {
+		t.Fatal(err)
 	}
 	// Ligand flag set on first nodes only.
 	for i := 0; i < g.NumNodes(); i++ {

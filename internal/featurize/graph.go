@@ -33,10 +33,13 @@ type Edge struct {
 	Dist     float64
 }
 
-// Graph is the SG-CNN input: node features for ligand atoms followed
-// by pocket pseudo-atoms, with covalent edges (bond graph, ligand
-// only) and non-covalent edges (distance-thresholded K-NN including
-// protein contacts).
+// Graph is the SG-CNN input: node features for the ligand atoms
+// followed by the pocket pseudo-atoms that some non-covalent edge
+// reads, in ascending pocket index, with covalent edges (bond graph,
+// ligand only) and non-covalent edges (distance-thresholded K-NN
+// including protein contacts). Every edge ends on a ligand node, so a
+// pocket atom no edge reads could not reach any output of the SG-CNN
+// and is left out of the graph.
 type Graph struct {
 	Nodes     *tensor.Tensor // [NumNodes, NodeFeatures]
 	NumLigand int            // ligand nodes come first
@@ -89,14 +92,16 @@ func sortCands(cs []cand) {
 // heavy-atom degrees, bonded partner lists, covalent candidate lists
 // (all indexed by ligand atom), one shared non-covalent candidate
 // buffer, and a generation-stamped bonded mark array that replaces the
-// old per-call map.
+// old per-call map. pocketRow, indexed by pocket atom, is the
+// finishing step's map from pocket atom to compact node row.
 type graphScratch struct {
-	deg      []int
-	nbrs     [][]int32
-	covCands [][]cand
-	cands    []cand
-	mark     []int
-	stamp    int
+	deg       []int
+	nbrs      [][]int32
+	covCands  [][]cand
+	cands     []cand
+	mark      []int
+	stamp     int
+	pocketRow []int
 }
 
 // listsWithLen resizes a slice-of-slices to length n, keeping every
@@ -153,8 +158,10 @@ func (sc *graphScratch) prepare(mol *chem.Mol) {
 // edges come from the ligand bond list filtered by CovThreshold and
 // capped at CovK per node; non-covalent edges connect each ligand atom
 // to its nearest non-bonded neighbors (ligand or pocket) within
-// NonCovThreshold, capped at NonCovK. Equidistant candidates rank by
-// node index, so the graph is a pure function of the geometry.
+// NonCovThreshold, capped at NonCovK. Equidistant candidates rank
+// ligand atoms before pocket atoms and each by index, so the graph is
+// a pure function of the geometry. The graph's nodes are the ligand
+// atoms and then only the pocket atoms those edges read.
 func BuildGraph(p *target.Pocket, mol *chem.Mol, o GraphOptions) *Graph {
 	g := BuildGraphInto(nil, p, mol, o)
 	// One-shot graphs (training corpora hold thousands, never rebuilt)
@@ -172,9 +179,6 @@ func BuildGraph(p *target.Pocket, mol *chem.Mol, o GraphOptions) *Graph {
 func BuildGraphInto(g *Graph, p *target.Pocket, mol *chem.Mol, o GraphOptions) *Graph {
 	g = buildGraphCommon(g, len(p.Atoms), mol, o)
 	nl, np := len(mol.Atoms), len(p.Atoms)
-	for j := range p.Atoms {
-		pocketNodeRow(&p.Atoms[j], g.Nodes.Row(nl+j))
-	}
 
 	// Non-covalent edges: for each ligand atom, nearest neighbors among
 	// all non-bonded atoms (ligand or protein) within the threshold.
@@ -204,6 +208,7 @@ func BuildGraphInto(g *Graph, p *target.Pocket, mol *chem.Mol, o GraphOptions) *
 		sc.cands = cs
 		g.appendNonCov(i, cs, o)
 	}
+	g.keepReadPocketNodes(p.Atoms)
 	return g
 }
 
@@ -211,9 +216,10 @@ func BuildGraphInto(g *Graph, p *target.Pocket, mol *chem.Mol, o GraphOptions) *
 // construction shared by the brute-force and prefeature-cached paths:
 // it sizes g for nl ligand + np pocket nodes, writes the ligand node
 // rows, rebuilds the covalent edge list and prepares the bonded
-// scratch the non-covalent pass reads. The caller fills the pocket
-// rows and the non-covalent edges. Every node row is written in full,
-// so no grid zeroing is needed.
+// scratch the non-covalent pass reads. The caller appends the
+// non-covalent edges, naming pocket atom j as node nl+j, and then
+// calls keepReadPocketNodes. Every node row is written in full, so no
+// grid zeroing is needed.
 func buildGraphCommon(g *Graph, np int, mol *chem.Mol, o GraphOptions) *Graph {
 	nl := len(mol.Atoms)
 	if g == nil {
@@ -275,10 +281,54 @@ func (g *Graph) appendNonCov(i int, cs []cand, o GraphOptions) {
 	}
 }
 
+// keepReadPocketNodes finishes a graph whose non-covalent edges name
+// pocket atom j as node NumLigand+j. It keeps only the pocket atoms
+// some edge reads, as rows NumLigand, NumLigand+1, … in ascending
+// pocket index, writes their feature rows, renumbers the edges'
+// sources to match and shrinks Nodes to the kept rows. Edge order and
+// every To index are unchanged.
+//
+// Nothing a model computes from the graph depends on a pocket node no
+// edge reads: no edge enters a pocket node, every per-node operation
+// of the SG-CNN is row-wise, and the gather pools ligand rows only.
+// Dropping those nodes leaves every score and every trained weight
+// bit-identical while the heads stop computing their rows.
+func (g *Graph) keepReadPocketNodes(atoms []target.PocketAtom) {
+	nl := g.NumLigand
+	sc := &g.scratch
+	if cap(sc.pocketRow) < len(atoms) {
+		sc.pocketRow = make([]int, len(atoms))
+	}
+	row := sc.pocketRow[:len(atoms)]
+	for j := range row {
+		row[j] = -1
+	}
+	for _, e := range g.NonCov {
+		if e.From >= nl {
+			row[e.From-nl] = 0
+		}
+	}
+	n := nl
+	for j := range row {
+		if row[j] < 0 {
+			continue
+		}
+		row[j] = n
+		pocketNodeRow(&atoms[j], g.Nodes.Row(n))
+		n++
+	}
+	for k := range g.NonCov {
+		if from := g.NonCov[k].From; from >= nl {
+			g.NonCov[k].From = row[from-nl]
+		}
+	}
+	g.Nodes.Data = g.Nodes.Data[:n*NodeFeatures]
+	g.Nodes.Shape[0] = n
+}
+
 // pocketNodeRow writes one pocket pseudo-atom's full node-feature row.
 // Writing every entry (zeros included) is what lets both build paths
-// skip zeroing the node tensor and lets the prefeature precompute the
-// rows once per target.
+// skip zeroing the node tensor.
 func pocketNodeRow(pa *target.PocketAtom, row []float64) {
 	for i := range row {
 		row[i] = 0

@@ -19,8 +19,6 @@ import (
 //     pocket channels — and a recycled slot restores itself by zeroing
 //     the handful of voxels the previous pose touched instead of
 //     re-zeroing (or re-copying) the whole grid;
-//   - the pocket's precomputed node-feature rows, copied wholesale
-//     into each pose's graph;
 //   - a uniform-grid cell list over the pocket atoms at the
 //     non-covalent cutoff, so per-pose K-NN visits only the atoms in
 //     the 27 cells around each ligand atom instead of every pocket
@@ -44,7 +42,6 @@ type PocketPrefeature struct {
 	// of a pose's ligand splats it bounds the whole grid's occupancy,
 	// which is what the voxel head restricts its convolution stack to.
 	baselineBox tensor.Box
-	nodeRows    []float64 // [np * NodeFeatures] pocket node features
 	cells       cellList
 }
 
@@ -57,7 +54,6 @@ func NewPocketPrefeature(p *target.Pocket, vo VoxelOptions, gro GraphOptions) *P
 		vox:      vo,
 		graph:    gro,
 		baseline: make([]float64, vo.Channels()*n*n*n),
-		nodeRows: make([]float64, len(p.Atoms)*NodeFeatures),
 	}
 	half := float64(n) * vo.Resolution / 2
 	for i := range p.Atoms {
@@ -65,9 +61,6 @@ func NewPocketPrefeature(p *target.Pocket, vo VoxelOptions, gro GraphOptions) *P
 		// VoxelizeInto — the baseline bytes equal the pocket half of an
 		// uncached grid.
 		splat(pf.baseline, chem.FeatureChannels, pocketChannels(&p.Atoms[i]), p.Atoms[i].Pos, half, vo, nil, &pf.baselineBox)
-	}
-	for j := range p.Atoms {
-		pocketNodeRow(&p.Atoms[j], pf.nodeRows[j*NodeFeatures:(j+1)*NodeFeatures])
 	}
 	pf.cells = buildCellList(p.Atoms, gro.NonCovThreshold)
 	return pf
@@ -204,15 +197,14 @@ func (pf *PocketPrefeature) VoxelizeInto(dst *tensor.Tensor, st *VoxelSlotState,
 }
 
 // BuildGraphInto constructs the pose's spatial graph into g using the
-// cached pocket node rows and the cell list for the pocket half of the
-// non-covalent K-NN. Byte-identical to BuildGraphInto against the
-// prefeature's pocket and options; a warm rebuild allocates nothing.
+// cell list for the pocket half of the non-covalent K-NN.
+// Byte-identical to BuildGraphInto against the prefeature's pocket and
+// options; a warm rebuild allocates nothing.
 func (pf *PocketPrefeature) BuildGraphInto(g *Graph, mol *chem.Mol) *Graph {
 	o := pf.graph
 	p := pf.pocket
 	g = buildGraphCommon(g, len(p.Atoms), mol, o)
 	nl := len(mol.Atoms)
-	copy(g.Nodes.Data[nl*NodeFeatures:], pf.nodeRows)
 
 	sc := &g.scratch
 	for i := 0; i < nl; i++ {
@@ -247,6 +239,7 @@ func (pf *PocketPrefeature) BuildGraphInto(g *Graph, mol *chem.Mol) *Graph {
 		sc.cands = cs
 		g.appendNonCov(i, cs, o)
 	}
+	g.keepReadPocketNodes(p.Atoms)
 	return g
 }
 

@@ -128,6 +128,9 @@ func TestRandomRotatePreservesDistancesProperty(t *testing.T) {
 func TestBuildGraphStructuralContracts(t *testing.T) {
 	// For random ligands and random K/threshold settings:
 	//   - every edge references a valid node,
+	//   - the pocket nodes are exactly the pocket atoms some edge reads,
+	//     in ascending pocket index, each with its atom's feature row
+	//     (pocketSources),
 	//   - covalent edges stay among ligand nodes and within threshold,
 	//   - non-covalent in-degree respects the K cap per receiving
 	//     ligand node (edges point neighbor -> ligand node),
@@ -144,7 +147,8 @@ func TestBuildGraphStructuralContracts(t *testing.T) {
 		}
 		g := BuildGraph(p, m, o)
 		n := g.NumNodes()
-		if n != len(m.Atoms)+len(p.Atoms) || g.NumLigand != len(m.Atoms) {
+		if _, err := pocketSources(g, p, m); err != nil {
+			t.Log(err)
 			return false
 		}
 		for _, e := range g.Covalent {

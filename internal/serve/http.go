@@ -129,7 +129,11 @@ func handleSubmit(e *Engine, w http.ResponseWriter, r *http.Request) {
 	}
 	poses, problems, err := e.dockSubmission(r.Context(), &sub)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, errSubmissionTooLarge) {
+			status = http.StatusUnprocessableEntity
+		}
+		writeError(w, status, err)
 		return
 	}
 	if len(poses) == 0 {
@@ -144,10 +148,30 @@ func handleSubmit(e *Engine, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: req.ID, Poses: len(poses), DockProblems: problems})
 }
 
+// Bounds on one submission, checked before any compound is resolved
+// or docked: docking costs milliseconds a compound and runs before
+// admission, so a request over either bound is answered 422 without
+// any of that work. Both sit far above what a client batching for
+// this engine sends (a few compounds at the default 3 poses).
+const (
+	maxSubmitCompounds = 1024 // compound IDs plus inline SMILES
+	maxSubmitPoses     = 64   // max_poses, docked poses per compound
+)
+
+// errSubmissionTooLarge marks a submission over maxSubmitCompounds or
+// maxSubmitPoses.
+var errSubmissionTooLarge = errors.New("submission too large")
+
 // dockSubmission resolves and docks the submission's compounds — the
 // ingest half of the funnel, run in the handler so the batcher only
 // ever sees ready-to-score poses.
 func (e *Engine) dockSubmission(ctx context.Context, sub *SubmitRequest) ([]screen.Pose, []string, error) {
+	if n := len(sub.Compounds) + len(sub.SMILES); n > maxSubmitCompounds {
+		return nil, nil, fmt.Errorf("%w: %d compounds, at most %d a request", errSubmissionTooLarge, n, maxSubmitCompounds)
+	}
+	if sub.MaxPoses > maxSubmitPoses {
+		return nil, nil, fmt.Errorf("%w: max_poses %d, at most %d", errSubmissionTooLarge, sub.MaxPoses, maxSubmitPoses)
+	}
 	pocket := target.ByName(sub.Target)
 	if pocket == nil {
 		return nil, nil, fmt.Errorf("unknown target %q", sub.Target)

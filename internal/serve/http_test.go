@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -155,6 +156,55 @@ func TestHTTPSubmitBodyCap(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
 			t.Errorf("%d-byte body: status %d, want %d", c.size, resp.StatusCode, c.want)
+		}
+	}
+	if got := e.Status().Requests; len(got) != 0 {
+		t.Fatalf("requests admitted: %v, want none", got)
+	}
+}
+
+// TestHTTPSubmitBounds pins the per-submission bounds: a request over
+// maxSubmitCompounds or maxSubmitPoses is refused with 422 before any
+// compound is resolved or docked. Each over-bound request would get a
+// different answer had anything run: its compound IDs name no library,
+// so resolving them leaves every one a listed problem, and its one
+// real compound would dock and be admitted.
+func TestHTTPSubmitBounds(t *testing.T) {
+	clock := campaign.NewFakeClock(time.Unix(1000, 0))
+	e := newTestEngine(t, testConfig(clock))
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+
+	unknown := func(n int) []string {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("no-such-library:%d", i)
+		}
+		return ids
+	}
+	for _, c := range []struct {
+		name     string
+		body     SubmitRequest
+		resolved bool // the compounds were resolved (and failed)
+	}{
+		{"compounds at the bound", SubmitRequest{Target: "protease1", Compounds: unknown(maxSubmitCompounds)}, true},
+		{"compounds over the bound", SubmitRequest{Target: "protease1", Compounds: unknown(maxSubmitCompounds)[1:], SMILES: []string{"CCO", "CCN"}}, false},
+		{"max_poses over the bound", SubmitRequest{Target: "protease1", Compounds: []string{"zinc-world-approved:0"}, MaxPoses: maxSubmitPoses + 1}, false},
+	} {
+		resp := postJSON(t, srv, "/v1/submit", c.body)
+		var er errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatalf("%s: decoding body: %v", c.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422", c.name, resp.StatusCode)
+		}
+		if resolved := strings.Contains(er.Error, "no-such-library"); resolved != c.resolved {
+			t.Errorf("%s: compounds resolved = %v, want %v (error %.120q)", c.name, resolved, c.resolved, er.Error)
+		}
+		if tooLarge := strings.Contains(er.Error, errSubmissionTooLarge.Error()); tooLarge == c.resolved {
+			t.Errorf("%s: error %.120q", c.name, er.Error)
 		}
 	}
 	if got := e.Status().Requests; len(got) != 0 {

@@ -47,34 +47,6 @@ func testDeck(t *testing.T, n int) []*Mol {
 	return mols
 }
 
-// TestLegacyScreenPinnedToPipeline pins the deprecated Screen wrapper
-// byte-identical to the new Pipeline path: same compounds, same
-// options, same selections — field for field.
-func TestLegacyScreenPinnedToPipeline(t *testing.T) {
-	m := tinyTestModels()
-	deck := testDeck(t, 5)
-	tgt := TargetByName("spike1")
-	o := DefaultScreenOptions()
-	o.MaxPoses = 2
-	o.Select = 3
-
-	legacy, err := Screen(m, tgt, deck, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewPipeline(m).
-		WithJob(o.Job).
-		WithDocking(o.MaxPoses, o.Seed).
-		WithSelection(CostWeights(), o.Select).
-		Run(context.Background(), tgt, deck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, res.Selected) {
-		t.Fatalf("legacy Screen diverged from the Pipeline path:\nlegacy:   %+v\npipeline: %+v", legacy, res.Selected)
-	}
-}
-
 // TestPipelineResultPerStageCounts checks the rich Result: docking and
 // scoring accounting is surfaced instead of swallowed.
 func TestPipelineResultPerStageCounts(t *testing.T) {
