@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-benchmark test-portable test-race fuzz-h5lite fuzz-smiles vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper clean
+.PHONY: all build verify test test-benchmark test-portable test-race fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper clean
 
 all: build
 
@@ -67,6 +67,13 @@ fuzz-h5lite:
 # bond between atoms that do not exist. CI runs this as a smoke step.
 fuzz-smiles:
 	$(GO) test ./internal/chem/ -fuzz=FuzzParseSMILES -fuzztime=30s
+
+# Short coverage-guided fuzz of the POST /v1/submit handler over a
+# stub scorer and stub docking: no body may panic it (a recovered panic
+# answers 500) or draw a status outside 202/400/413/422/429/503. CI
+# runs this as a smoke step.
+fuzz-submit:
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz=FuzzSubmitBody -fuzztime=30s
 
 # Tier-1 verification: build, vet, full test suite.
 verify: build vet test

@@ -131,13 +131,16 @@ func TestParseErrors(t *testing.T) {
 		"",
 		"C(",
 		"C)",
-		"C1CC",  // unclosed ring
-		"1CC",   // ring closure before atom
-		"[Xx]",  // unknown element
-		"[C",    // unterminated bracket
-		"C$C",   // bad character
-		"[123]", // bracket with no element
-		"C11",   // ring bond closing on the atom that opened it
+		"C1CC",    // unclosed ring
+		"1CC",     // ring closure before atom
+		"[Xx]",    // unknown element
+		"[C",      // unterminated bracket
+		"C$C",     // bad character
+		"[123]",   // bracket with no element
+		"C11",     // ring bond closing on the atom that opened it
+		"C1C1",    // ring bond duplicating the chain bond
+		"C12CC12", // two ring bonds between the same atoms
+		"C(C1)1",  // ring bond back onto the branch root it hangs from
 	}
 	for _, s := range bad {
 		if _, err := ParseSMILES(s); err == nil {

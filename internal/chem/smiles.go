@@ -37,6 +37,20 @@ type smilesParser struct {
 	pos  int
 	mol  *Mol
 	ring map[int]ringOpen
+	// firstBond[i] is how many bonds existed when atom i was added:
+	// every bond of atom i sits at or after it.
+	firstBond []int
+}
+
+// bonded reports whether atoms a and b already share a bond. Such a
+// bond sits at or after the later atom's firstBond.
+func (p *smilesParser) bonded(a, b int) bool {
+	for _, bd := range p.mol.Bonds[p.firstBond[max(a, b)]:] {
+		if bd.A == a && bd.B == b || bd.A == b && bd.B == a {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *smilesParser) parse() error {
@@ -90,6 +104,12 @@ func (p *smilesParser) parse() error {
 			if open, ok := p.ring[n]; ok {
 				if open.atom == prev {
 					return fmt.Errorf("ring bond %d closes on the atom that opened it at %d", n, p.pos)
+				}
+				// A second bond between two bonded atoms ("C1C1",
+				// "C12CC12") is an error, as in the reference toolkits:
+				// a bond's order is written once, not summed.
+				if p.bonded(open.atom, prev) {
+					return fmt.Errorf("ring bond %d duplicates an existing bond at %d", n, p.pos)
 				}
 				order := pendingOrder
 				if order == 0 {
@@ -261,6 +281,7 @@ func (p *smilesParser) bracketAtom() (int, error) {
 func (p *smilesParser) addAtom(sym string, charge int, aromatic bool, hCount int) int {
 	a := Atom{Symbol: sym, Charge: charge, Aromatic: aromatic, NumH: hCount}
 	p.mol.Atoms = append(p.mol.Atoms, a)
+	p.firstBond = append(p.firstBond, len(p.mol.Bonds))
 	return len(p.mol.Atoms) - 1
 }
 

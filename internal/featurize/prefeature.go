@@ -2,6 +2,7 @@ package featurize
 
 import (
 	"math"
+	"sync"
 
 	"deepfusion/internal/chem"
 	"deepfusion/internal/target"
@@ -27,7 +28,10 @@ import (
 // A prefeature is immutable after construction and safe to share
 // across goroutines: the screening engine builds one per job and hands
 // it to every loader on every rank, and the campaign orchestrator
-// reuses one per target across all of its compound chunks. Results are
+// reuses one per target across all of its compound chunks. The one
+// mutable part is a side table (Attached) where other packages keep
+// what they derive from the prefeature, so it lives exactly as long as
+// the prefeature does. Results are
 // byte-identical to the uncached Voxelize/BuildGraph path: the pocket
 // baseline accumulates splats in the same atom order, and K-NN ranks
 // candidates by the same (dist, index) total order the brute-force
@@ -43,6 +47,8 @@ type PocketPrefeature struct {
 	// which is what the voxel head restricts its convolution stack to.
 	baselineBox tensor.Box
 	cells       cellList
+
+	attached sync.Map // see Attached
 }
 
 // NewPocketPrefeature computes the target-invariant featurization
@@ -82,6 +88,31 @@ func (pf *PocketPrefeature) Matches(p *target.Pocket, vo VoxelOptions, gro Graph
 	return pf.pocket == p && pf.vox == vo && pf.graph == gro
 }
 
+// Baseline returns the protein-only grid every pose is rendered over:
+// [C*N^3] pocket-channel splats with the ligand channels zero. It is a
+// read-only view of the prefeature's own buffer; callers must not
+// write it.
+func (pf *PocketPrefeature) Baseline() []float64 { return pf.baseline }
+
+// BaselineBox returns a box containing every non-zero voxel of
+// Baseline.
+func (pf *PocketPrefeature) BaselineBox() tensor.Box { return pf.baselineBox }
+
+// Attached returns the value attached to the prefeature under key,
+// attaching newValue() first when there is none. It is where other
+// packages keep state derived from the prefeature — the voxel head's
+// response to the baseline grid — so that state is dropped with the
+// prefeature instead of outliving it in a global table. Keys are
+// compared like map keys; a pointer owned by the caller makes a
+// private, allocation-free key. Safe for concurrent use.
+func (pf *PocketPrefeature) Attached(key any, newValue func() any) any {
+	if v, ok := pf.attached.Load(key); ok {
+		return v
+	}
+	v, _ := pf.attached.LoadOrStore(key, newValue())
+	return v
+}
+
 // VoxelSlotState tracks what a recycled voxel buffer currently holds:
 // which prefeature's pocket baseline its protein channels carry, and
 // the ligand-channel voxels the previous pose splatted. The screening
@@ -106,6 +137,17 @@ func (st *VoxelSlotState) OccupiedBox() (box tensor.Box, ok bool) {
 		return tensor.Box{}, false
 	}
 	return st.owner.baselineBox.Union(st.ligand), true
+}
+
+// Ligand returns the prefeature whose baseline the slot's grid carries
+// and a box containing every voxel the current pose splatted over it:
+// outside that box the grid equals owner.Baseline() exactly. owner is
+// nil when the state holds nothing.
+func (st *VoxelSlotState) Ligand() (owner *PocketPrefeature, box tensor.Box) {
+	if st.owner == nil {
+		return nil, tensor.Box{}
+	}
+	return st.owner, st.ligand
 }
 
 // OccupiedBox scans a [C, N, N, N] voxel grid once and returns the

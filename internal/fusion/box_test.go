@@ -80,12 +80,15 @@ func translate(m *chem.Mol, d chem.Vec3) {
 }
 
 // TestBoxPathBitIdentity is the property that lets the voxel head skip
-// the empty part of the grid: whatever the batch's active box — the
-// whole grid, a small interior box, a box cut by the grid border,
-// samples with different boxes in one batch, with or without slot
-// state — the pooled scores equal the whole-grid reference bitwise at
-// both precisions, for zero and non-zero conv biases and with the
-// residual connections on and off. The f64 reference is the allocating
+// most of the grid: whatever the batch's active box — the whole grid, a
+// small interior box, a box cut by the grid border, samples with
+// different boxes in one batch, with or without slot state — the pooled
+// scores equal the whole-grid reference bitwise at both precisions, for
+// zero and non-zero conv biases and with the residual connections on
+// and off. Two batches per case: a mixed one, which takes the union of
+// the occupied boxes over the empty-grid response, and one whose
+// samples all share a prefeature, which takes the ligands' cone over
+// the baseline response. The f64 reference is the allocating
 // PredictBatch (the training Forward's own kernels); the f32 reference
 // is refForward32.
 func TestBoxPathBitIdentity(t *testing.T) {
@@ -94,6 +97,7 @@ func TestBoxPathBitIdentity(t *testing.T) {
 		{GridSize: 16, Resolution: 2.0, Sigma: 0.8}, // interior box
 		{GridSize: 24, Resolution: 1.0, Sigma: 1.0}, // box reaches most borders
 		{GridSize: 32, Resolution: 4.0, Sigma: 0.8}, // small box: a strict part of the grid at every stage
+		{GridSize: 48, Resolution: 1.0, Sigma: 1.0}, // the paper's grid: the cone is a small part of the union
 	}
 	gro := featurize.DefaultGraphOptions()
 	seed := int64(0)
@@ -102,8 +106,13 @@ func TestBoxPathBitIdentity(t *testing.T) {
 			for ci := 0; ci < 4; ci++ {
 				// The repro grid takes the full cross product; the larger
 				// ones (a dense whole-grid reference is seconds of work)
-				// give each pocket one of the four combinations.
-				if vo.GridSize > 8 && ci != pi {
+				// give each pocket one of the four combinations, and the
+				// paper's grid runs one case on one pocket.
+				skip := vo.GridSize > 8 && ci != pi
+				if vo.GridSize == 48 {
+					skip = pi != 0 || ci != 3 // one case: biased, residuals on
+				}
+				if skip {
 					continue
 				}
 				biased, residual := ci&1 != 0, ci&2 != 0
@@ -121,6 +130,11 @@ func TestBoxPathBitIdentity(t *testing.T) {
 						setConvBiases(m, func(b *tensor.Tensor) { b.RandNormal(rng, 0.3) })
 					}
 					checkBoxPath(t, m, boxTestSamples(rng, pocket, vo, gro))
+					cone := coneTestSamples(rng, pocket, vo, gro)
+					if _, pf := m.plan(cone); pf == nil {
+						t.Fatal("a batch sharing one prefeature did not take the cone plan")
+					}
+					checkBoxPath(t, m, cone)
 				})
 			}
 		}
@@ -148,6 +162,33 @@ func boxTestSamples(rng *rand.Rand, pocket *target.Pocket, vo featurize.VoxelOpt
 		FeaturizeComplexWithPrefeature(nil, pre, "touching", touching, 0),
 		FeaturizeComplex("crossing", pocket, crossing, 0, vo, gro),
 	}
+}
+
+// coneTestSamples builds a batch whose samples all carry slot state
+// from one prefeature, so every batch of them takes the cone plan: a
+// recycled slot, a fresh slot, ligands whose box touches the grid
+// border, crosses it, and lies entirely outside the grid (an empty
+// ligand box: that sample scores the baseline response itself).
+func coneTestSamples(rng *rand.Rand, pocket *target.Pocket, vo featurize.VoxelOptions, gro featurize.GraphOptions) []*Sample {
+	pre := featurize.NewPocketPrefeature(pocket, vo, gro)
+	mols := boxTestPoses(rng, pocket, 6)
+	extent := float64(vo.GridSize) * vo.Resolution / 2
+	translate(mols[3], chem.Vec3{X: extent - 2*vo.Resolution})
+	translate(mols[4], chem.Vec3{Y: -extent, Z: extent + vo.Resolution})
+	translate(mols[5], chem.Vec3{X: 1000})
+
+	recycled := FeaturizeComplexWithPrefeature(nil, pre, "first", mols[0], 0)
+	samples := []*Sample{
+		FeaturizeComplexWithPrefeature(recycled, pre, "recycled", mols[1], 0),
+		FeaturizeComplexWithPrefeature(nil, pre, "fresh", mols[2], 0),
+		FeaturizeComplexWithPrefeature(nil, pre, "touching", mols[3], 0),
+		FeaturizeComplexWithPrefeature(nil, pre, "crossing", mols[4], 0),
+		FeaturizeComplexWithPrefeature(nil, pre, "outside", mols[5], 0),
+	}
+	if _, box := samples[4].voxState.Ligand(); !box.Empty() {
+		panic(fmt.Sprintf("ligand moved outside the grid has box %v", box))
+	}
+	return samples
 }
 
 // checkBoxPath scores the samples in pairs (with a single left over)

@@ -11,7 +11,7 @@ import "deepfusion/internal/nn"
 // inputs in the layer structs for Backward. The weights are only read,
 // so replicas share them, and with them every weight form the model
 // has built (nn.Param: packed panels, kernel transposes, f32
-// conversions) plus the voxel head's empty-grid response. Nothing is
+// conversions) plus the voxel head's reference-grid responses. Nothing is
 // initialized, copied or allocated per parameter. PredictBatchInto
 // stashes nothing: it is safe on one shared instance from any number
 // of goroutines, each with its own Workspace.
@@ -34,7 +34,7 @@ func (m *CNN3D) Replica() *CNN3D {
 		flat:  &nn.Flatten{},
 		drop1: m.drop1.Replica(), drop2: m.drop2.Replica(),
 		fc1: m.fc1.Replica(), fc2: m.fc2.Replica(), out: m.out.Replica(),
-		empty: m.empty,
+		resp: m.resp,
 	}
 	if m.bn != nil {
 		r.bn = m.bn.Replica()

@@ -28,9 +28,9 @@ type CNN3D struct {
 	// cached forward state for residual backward routing
 	stash cnnStash
 
-	// empty caches the conv stack's empty-grid response (box.go); the
+	// resp is the conv stack's reference-grid responses (box.go); the
 	// pointer is shared with every Replica.
-	empty *emptyCache
+	resp *responseCache
 }
 
 type cnnStash struct {
@@ -65,7 +65,7 @@ func NewCNN3D(cfg CNN3DConfig, seed int64) *CNN3D {
 		fc1:   nn.NewDense(rng, flatWidth, cfg.DenseNodes),
 		fc2:   nn.NewDense(rng, cfg.DenseNodes, cfg.DenseNodes/2),
 		out:   nn.NewDense(rng, cfg.DenseNodes/2, 1),
-		empty: &emptyCache{},
+		resp:  &responseCache{},
 	}
 	if cfg.BatchNorm {
 		m.bn = nn.NewBatchNorm(cfg.DenseNodes)

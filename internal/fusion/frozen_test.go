@@ -24,7 +24,7 @@ func allParams(f *Fusion) []*nn.Param {
 // the active box to be a strict part of it, with batch norm in both the
 // head and the trunk and non-zero conv biases, so every weight-derived
 // form — packed panels, scatter taps, f32 vectors, the folded
-// normalization, the empty-grid response — is live.
+// normalization, the baseline and empty-grid responses — is live.
 func frozenTestModel(seed int64) *Fusion {
 	cfg := tinyCNNConfig()
 	cfg.Voxel = featurize.VoxelOptions{GridSize: 16, Resolution: 2.0, Sigma: 0.8}
@@ -80,7 +80,7 @@ func freshCopyScores(t *testing.T, f *Fusion, samples []*Sample) [2][]float64 {
 // and after each requires its scores, at both precisions and through a
 // workspace that was warm before the change, to equal a freshly built
 // model's. A stale packed panel, scatter-tap layout, folded
-// normalization or empty-grid response would break the equality.
+// normalization or baseline response would break the equality.
 func TestWeightChangesInvalidateCompiledForms(t *testing.T) {
 	f := frozenTestModel(7)
 	samples := frozenTestSamples(f)

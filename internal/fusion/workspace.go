@@ -31,7 +31,8 @@ import (
 //
 // A Workspace is not safe for concurrent use. It holds nothing derived
 // from weights — packed panels, transposes, f32 conversions and the
-// empty-grid response belong to the model and are shared by every
+// voxel head's reference-grid responses belong to the model (or to the
+// prefeature the response was built over) and are shared by every
 // workspace — so it never goes stale when weights change.
 type Workspace struct {
 	nn        *nn.Workspace
@@ -76,10 +77,8 @@ func stackBox[T tensor.Float](ws *Workspace, samples []*Sample, box tensor.Box) 
 	d, h, w := box.Dims()
 	b := nn.Arena[T](ws.nn).GetUninit(len(samples), c, d, h, w)
 	per := c * d * h * w
-	grid := tensor.GridBox(g, g, g)
 	for i, s := range samples {
-		dst, src := b.Data[i*per:(i+1)*per], s.Voxels.Data
-		boxRows(box, grid, box, c, func(d, s, w int) { tensor.Convert(dst[d:d+w], src[s:s+w]) })
+		convertBox(b.Data[i*per:(i+1)*per], box, s.Voxels.Data, tensor.GridBox(g, g, g), c)
 	}
 	return b
 }
@@ -122,20 +121,20 @@ func addInfer[T tensor.Float](ws *nn.Workspace, a, b *tensor.Dense[T]) *tensor.D
 	return r
 }
 
-// convStages are the conv stack's activations at the four points the
-// empty-grid response records (see emptyResponse); p2 is what the
-// dense stack consumes.
+// convStages are the conv stack's activations at the four points a
+// reference-grid response records (see response); p2 is what the dense
+// stack consumes.
 type convStages[T tensor.Float] struct {
 	a1, p1, a3, p2 *tensor.Dense[T]
 }
 
 // halo returns the input a conv stage must read to produce out
-// exactly: x itself when the empty-grid response around it is zero (or
-// there is nothing around it), otherwise the empty-grid response over
-// the stage's reach with x laid over its box.
-func halo[T tensor.Float](x *tensor.Dense[T], in tensor.Box, empty []T, grid, out tensor.Box, pad int, ws *nn.Workspace) (*tensor.Dense[T], tensor.Box) {
+// exactly: x itself when the outside response around it is zero (or
+// there is nothing around it), otherwise the outside response over the
+// stage's reach with x laid over its box.
+func halo[T tensor.Float](x *tensor.Dense[T], in tensor.Box, outside []T, grid, out tensor.Box, pad int, ws *nn.Workspace) (*tensor.Dense[T], tensor.Box) {
 	reach := out.Dilate(pad).Intersect(grid)
-	if empty == nil || reach == in {
+	if outside == nil || reach == in {
 		return x, in
 	}
 	n, c := x.Dim(0), x.Dim(1)
@@ -143,7 +142,7 @@ func halo[T tensor.Float](x *tensor.Dense[T], in tensor.Box, empty []T, grid, ou
 	y := nn.Arena[T](ws).GetUninit(n, c, d, h, w)
 	per, xper := c*d*h*w, c*in.Volume()
 	for i := 0; i < n; i++ {
-		copyBox(y.Data[i*per:(i+1)*per], reach, empty, grid, reach, c)
+		copyBox(y.Data[i*per:(i+1)*per], reach, outside, grid, reach, c)
 		copyBox(y.Data[i*per:(i+1)*per], reach, x.Data[i*xper:(i+1)*xper], in, in, c)
 	}
 	return y, reach
@@ -153,7 +152,7 @@ func halo[T tensor.Float](x *tensor.Dense[T], in tensor.Box, empty []T, grid, ou
 // of p: Forward's conv stages with train=false, stage for stage, into
 // arena buffers. x is the batch over p.in; e supplies what lies
 // outside the boxes.
-func convStack[T tensor.Float](m *CNN3D, x *tensor.Dense[T], p boxPlan, e *emptyResponse[T], ws *nn.Workspace) convStages[T] {
+func convStack[T tensor.Float](m *CNN3D, x *tensor.Dense[T], p boxPlan, e *response[T], ws *nn.Workspace) convStages[T] {
 	g := m.Cfg.Voxel.GridSize
 	full, half := tensor.GridBox(g, g, g), tensor.GridBox(g/2, g/2, g/2)
 	var st convStages[T]
@@ -183,13 +182,16 @@ func convStack[T tensor.Float](m *CNN3D, x *tensor.Dense[T], p boxPlan, e *empty
 	return st
 }
 
-// forwardInfer is the pooled inference forward of the voxel head:
-// the conv stack over the batch's active box, then the dense stack on
-// the flattened pooled grid — the box's values over the empty-grid
-// response.
+// forwardInfer is the pooled inference forward of the voxel head: the
+// conv stack over the batch's cone, then the dense stack on the
+// flattened pooled grid — the cone's values over the reference grid's
+// response. A cone that covers the grid reads no response.
 func forwardInfer[T tensor.Float](m *CNN3D, samples []*Sample, ws *Workspace) (pred, latent *tensor.Dense[T]) {
-	p := m.planBoxes(m.batchBox(samples))
-	e := emptyOf[T](m)
+	p, pf := m.plan(samples)
+	e := &response[T]{}
+	if p.c1 != m.gridBox() { // a c1 that covers the grid makes every later box cover its grid too
+		e = responseOf[T](m, pf)
+	}
 	st := convStack(m, stackBox[T](ws, samples, p.in), p, e, ws.nn)
 
 	q := m.Cfg.Voxel.GridSize / 4

@@ -217,7 +217,8 @@ func BenchmarkConsensusIndependentRuns(b *testing.B) {
 // fillConvBiases writes v into every convolution bias of the voxel
 // head: zero leaves the background of the grid identically zero through
 // the whole conv stack, non-zero makes every voxel carry the model's
-// empty-grid response, as a trained model's does.
+// empty-grid response (and the pocket's baseline response a bias term),
+// as a trained model's does.
 func fillConvBiases(cnn *fusion.CNN3D, v float64) {
 	for _, p := range cnn.Params() {
 		if p.Name == "conv3d.b" {
@@ -273,6 +274,6 @@ func runJobPaperBench(b *testing.B, convBias float64) {
 func BenchmarkRunJobPaperF32(b *testing.B) { runJobPaperBench(b, 0) }
 
 // BenchmarkRunJobPaperF32Biased is the same job on a model whose conv
-// biases are non-zero, as after training: dense inside the active box,
-// the empty-grid response outside it.
+// biases are non-zero, as after training: dense inside the ligand's
+// cone, the baseline response outside it.
 func BenchmarkRunJobPaperF32Biased(b *testing.B) { runJobPaperBench(b, 0.01) }

@@ -12,10 +12,10 @@ import (
 )
 
 // sparseGridScorer is a Coherent model on a grid the pocket fills only
-// partly, with non-zero conv biases: the voxel head runs over an active
-// box smaller than the grid and reads a non-zero empty-grid response
-// around it, so jobs exercise every piece of state the model shares
-// across ranks.
+// partly, with non-zero conv biases: the voxel head runs over a cone
+// smaller than the grid and reads the pocket's baseline response — built
+// over a non-zero empty-grid response — around it, so jobs exercise
+// every piece of state the model shares across ranks.
 func sparseGridScorer(seed int64) *fusion.Fusion {
 	cfg := fusion.DefaultCNN3DConfig()
 	cfg.Voxel = featurize.VoxelOptions{GridSize: 16, Resolution: 2.0, Sigma: 0.8}
@@ -28,7 +28,7 @@ func sparseGridScorer(seed int64) *fusion.Fusion {
 // TestRanksAndSessionShareOneModel runs, all at once on one cold model,
 // a multi-rank f32 job, a multi-rank f64 job and a session scoring
 // batch after batch — every rank and the session read the same weight
-// tensors and build or wait for the same weight forms and empty-grid
+// tensors and build or wait for the same weight forms and baseline
 // response — and requires every score to equal a serial single-rank
 // job on an identical model. Run under -race (CI does) it pins that
 // nothing shared is written after it is published.
@@ -132,5 +132,67 @@ func TestWarmModelDoesNoWeightWorkPerJob(t *testing.T) {
 		if second[i].Fusion != first[i].Fusion || third[i].Fusion != first[i].Fusion {
 			t.Fatalf("pose %d: warm job %v, session %v, first job %v", i, second[i].Fusion, third[i].Fusion, first[i].Fusion)
 		}
+	}
+}
+
+// TestRanksBuildOneResponsePerTarget counts, rather than times, the
+// voxel head's per-target work: P ranks hitting a cold model at once,
+// over several jobs at both widths on two targets, build the baseline
+// response once per (target, width) — plus, since the model's conv
+// biases are non-zero, the empty-grid response it is built over, once
+// per width. Run under -race it pins that ranks share one build.
+func TestRanksBuildOneResponsePerTarget(t *testing.T) {
+	f := sparseGridScorer(91)
+	poses := sessionTestPoses(t, 8)
+	o := DefaultJobOptions()
+	o.Ranks, o.LoadersPerRank, o.BatchSize = 3, 1, 2
+	precisions := []Precision{PrecisionF64, PrecisionF32}
+	targets := []*target.Pocket{target.Protease1, target.Spike1}
+	builds := fusion.ResponseBuilds()
+	for _, p := range targets {
+		for _, prec := range precisions {
+			o.Precision = prec
+			for job := 0; job < 2; job++ {
+				if _, err := RunJob(context.Background(), f, p, poses, o); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	want := int64(len(targets)*len(precisions) + len(precisions))
+	if got := fusion.ResponseBuilds() - builds; got != want {
+		t.Fatalf("%d jobs on a cold model built %d responses, want %d", 2*len(targets)*len(precisions), got, want)
+	}
+}
+
+// TestReproGridConeIsTheWholeGrid pins that the repro grid gains
+// nothing from the cone plan and so runs the whole-grid instructions:
+// for docked poses on all four pockets, scored in the engine's default
+// batches at both widths by a model with non-zero conv biases, every
+// batch's cone covers the whole 8^3 grid at every stage — a batch
+// whose cone did not would have to build a response, and none is
+// built. (A lone off-centre pose can leave the cone short of a grid
+// face; it then reads the baseline response, with the same bits.)
+func TestReproGridConeIsTheWholeGrid(t *testing.T) {
+	cnn := fusion.NewCNN3D(fusion.DefaultCNN3DConfig(), 5)
+	fillConvBiases(cnn, 0.05)
+	o := DefaultJobOptions()
+	o.Ranks, o.LoadersPerRank = 1, 1
+	mols := testMols(t, 8)
+	builds := fusion.ResponseBuilds()
+	for i, p := range target.All() {
+		poses, _, err := DockCompounds(context.Background(), p, mols, 3, int64(60+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
+			o.Precision = prec
+			if _, err := RunJob(context.Background(), cnn, p, poses, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := fusion.ResponseBuilds() - builds; got != 0 {
+		t.Fatalf("docked poses on the repro grid built %d responses, want 0", got)
 	}
 }

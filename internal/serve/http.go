@@ -72,7 +72,9 @@ type errorResponse struct {
 //	GET  /healthz                 liveness (503 while draining)
 //
 // Overload maps to 429 with a Retry-After header; submissions during
-// drain map to 503.
+// drain map to 503. A handler that panics — decoding, parsing or
+// preparing a submission — answers 500 and is counted in the status
+// page's panics, instead of dropping the connection.
 func NewHandler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/submit", func(w http.ResponseWriter, r *http.Request) {
@@ -99,7 +101,18 @@ func NewHandler(e *Engine) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if v := recover(); v != nil {
+				if v == http.ErrAbortHandler {
+					panic(v)
+				}
+				e.stats.panicked()
+				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", v))
+			}
+		}()
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // maxSubmitBody caps one POST /v1/submit body. A submission names
@@ -210,7 +223,7 @@ func (e *Engine) dockSubmission(ctx context.Context, sub *SubmitRequest) ([]scre
 	if len(mols) == 0 {
 		return nil, problems, nil
 	}
-	poses, dockProblems, err := screen.DockCompounds(ctx, pocket, mols, maxPoses, e.cfg.Job.Seed)
+	poses, dockProblems, err := e.dock(ctx, pocket, mols, maxPoses, e.cfg.Job.Seed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -32,12 +32,14 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"deepfusion/internal/campaign"
+	"deepfusion/internal/chem"
 	"deepfusion/internal/featurize"
 	"deepfusion/internal/screen"
 	"deepfusion/internal/target"
@@ -186,6 +188,9 @@ type Engine struct {
 	clock campaign.Clock
 	store *Store
 	stats *Stats
+	// dock docks a submission's compounds: screen.DockCompounds, or a
+	// stand-in in tests of the HTTP surface.
+	dock func(ctx context.Context, p *target.Pocket, mols []*chem.Mol, maxPoses int, seed int64) ([]screen.Pose, []screen.DockProblem, error)
 
 	batches   chan *batch
 	workers   sync.WaitGroup
@@ -236,6 +241,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		clock:    clock,
 		stats:    newStats(clock),
+		dock:     screen.DockCompounds,
 		targets:  map[string]*targetRuntime{},
 		reqs:     map[string]*Request{},
 		capacity: cfg.QueueDepth * cfg.Job.BatchSize,
@@ -472,9 +478,26 @@ func (e *Engine) worker(idx int) {
 		}
 		ws.lastUse = e.clock.Now()
 		out := make([]screen.Prediction, len(b.poses))
-		err := ws.sess.ScoreBatch(b.poses, out)
+		panicked, err := scoreBatch(ws.sess, b.poses, out)
+		if panicked {
+			// The session's buffers may hold a half-scored batch.
+			delete(sessions, b.tr.name)
+			e.stats.panicked()
+		}
 		e.completeBatch(b, out, err)
 	}
+}
+
+// scoreBatch scores poses on the session, turning a panic into an
+// error: a fault while scoring one batch fails that batch's requests,
+// not the process.
+func scoreBatch(sess *screen.Session, poses []screen.Pose, out []screen.Prediction) (panicked bool, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			panicked, err = true, fmt.Errorf("serve: scoring panicked: %v", v)
+		}
+	}()
+	return false, sess.ScoreBatch(poses, out)
 }
 
 // completeBatch routes scored predictions back to their requests,

@@ -41,6 +41,7 @@ type Stats struct {
 	flushesDrain    int64
 	rejections      int64
 	evictions       int64
+	panics          int64
 
 	lat  [latencyWindow]time.Duration
 	latN int64 // total latencies observed; ring index is latN % window
@@ -92,6 +93,12 @@ func (s *Stats) rejected() {
 	s.rejections++
 }
 
+func (s *Stats) panicked() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.panics++
+}
+
 func (s *Stats) evictedTarget() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,6 +125,9 @@ type StatsSnapshot struct {
 	FlushesDrain    int64   `json:"flushes_drain"`
 	Rejections      int64   `json:"rejections"`
 	TargetEvictions int64   `json:"target_evictions"`
+	// Panics counts scoring batches and HTTP requests that panicked and
+	// were failed (500, or a failed request) instead of crashing.
+	Panics int64 `json:"panics"`
 }
 
 func (s *Stats) snapshot() StatsSnapshot {
@@ -130,6 +140,7 @@ func (s *Stats) snapshot() StatsSnapshot {
 		FlushesDrain:    s.flushesDrain,
 		Rejections:      s.rejections,
 		TargetEvictions: s.evictions,
+		Panics:          s.panics,
 	}
 	snap.PosesPerSec = s.posesPerSecLocked()
 	snap.P50LatencyMS, snap.P99LatencyMS = s.percentilesLocked()
