@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"deepfusion/internal/featurize"
 	"deepfusion/internal/graph"
@@ -23,39 +24,51 @@ import (
 // one "name value" line per case, sorted by name.
 const f32GoldenFile = "testdata/f32_bits.golden"
 
-// f32Bits renders float32 values for the golden: their bit patterns in
-// hex when there are few, otherwise the count and a SHA-256 of their
+// bitsOf renders values for a bits golden: their bit patterns in hex
+// when there are few, otherwise the count and a SHA-256 of their
 // little-endian bits.
-func f32Bits(vs []float32) string {
+func bitsOf[T tensor.Float](vs []T) string {
+	size := int(unsafe.Sizeof(T(0)))
+	bits := func(v T) uint64 {
+		if f, ok := any(v).(float32); ok {
+			return uint64(math.Float32bits(f))
+		}
+		return math.Float64bits(float64(v))
+	}
 	if len(vs) <= 16 {
 		words := make([]string, len(vs))
 		for i, v := range vs {
-			words[i] = fmt.Sprintf("%08x", math.Float32bits(v))
+			words[i] = fmt.Sprintf("%0*x", 2*size, bits(v))
 		}
 		return strings.Join(words, " ")
 	}
 	h := sha256.New()
-	var b [4]byte
+	var b [8]byte
 	for _, v := range vs {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		h.Write(b[:])
+		binary.LittleEndian.PutUint64(b[:], bits(v))
+		h.Write(b[:size])
 	}
 	return fmt.Sprintf("n=%d sha256=%x", len(vs), h.Sum(nil))
 }
 
-// randF32 fills x with normal values, zero with probability zeros.
-func randF32(rng *rand.Rand, x *tensor.F32, zeros float64) {
+// randFill fills x with normal values, zero with probability zeros.
+func randFill[T tensor.Float](rng *rand.Rand, x *tensor.Dense[T], zeros float64) {
 	for i := range x.Data {
 		if rng.Float64() >= zeros {
-			x.Data[i] = float32(rng.NormFloat64())
+			x.Data[i] = T(rng.NormFloat64())
 		}
 	}
 }
 
-// goldenScores scores a fixed batch at f32 through every model family
-// on the repro grid and on a 16^3 grid at the paper's resolution and
-// conv/dense widths, each with zero and with non-zero conv biases.
-func goldenScores(got map[string]string) {
+// goldenScores and goldenKernels compute the f32 golden's cases.
+func goldenScores(got map[string]string)  { goldenScoresAt(PrecisionF32, got) }
+func goldenKernels(got map[string]string) { goldenKernelsAt[float32](got) }
+
+// goldenScoresAt scores a fixed batch at precision p through every
+// model family on the repro grid and on a 16^3 grid at the paper's
+// resolution and conv/dense widths, each with zero and with non-zero
+// conv biases.
+func goldenScoresAt(p Precision, got map[string]string) {
 	paper16 := featurize.PaperVoxelOptions()
 	paper16.GridSize = 16
 	grids := []struct {
@@ -96,25 +109,40 @@ func goldenScores(got map[string]string) {
 				{"Mid", NewFusion(DefaultMidFusionConfig(), cnn, sg, 14).PredictBatchInto},
 				{"Coherent", NewFusion(DefaultCoherentConfig(), cnn, sg, 15).PredictBatchInto},
 			}
-			ws := NewWorkspaceFor(PrecisionF32)
+			ws := NewWorkspaceFor(p)
 			for _, f := range families {
 				out := make([]float64, len(samples))
 				f.into(samples, ws, out)
-				scores := make([]float32, len(out))
-				for i, v := range out {
-					scores[i] = float32(v)
-				}
-				got[fmt.Sprintf("PredictBatchInto/%s/%s/biased=%v", f.name, g.name, biased)] = f32Bits(scores)
+				got[fmt.Sprintf("PredictBatchInto/%s/%s/biased=%v", f.name, g.name, biased)] = scoreBits(p, out)
 			}
 		}
 	}
 }
 
-// goldenKernels runs the f32 kernels below the models on fixed random
-// operands: the box convolution between two boxes that do not nest, the
-// gated graph convolution, and the packed GEMM with a full, a
-// half-panel and a ragged tail.
-func goldenKernels(got map[string]string) {
+// scoreBits renders scores at the width p computed them in: an f32
+// score is a float32 value carried in a float64, so narrowing it back
+// is exact.
+func scoreBits(p Precision, out []float64) string {
+	if p == PrecisionF64 {
+		return bitsOf(out)
+	}
+	scores := make([]float32, len(out))
+	for i, v := range out {
+		scores[i] = float32(v)
+	}
+	return bitsOf(scores)
+}
+
+// goldenKernelsAt runs the kernels below the models at width T on fixed
+// random operands: the box convolution between two boxes that do not
+// nest, the gated graph convolution, and the packed GEMM with a full, a
+// half-panel and a ragged tail. Case names carry the width's entry
+// point ("ForwardInfer32" at float32, "ForwardInfer" at float64).
+func goldenKernelsAt[T tensor.Float](got map[string]string) {
+	width := ""
+	if _, ok := any(T(0)).(float32); ok {
+		width = "32"
+	}
 	rng := rand.New(rand.NewSource(31))
 	ws := nn.NewWorkspace()
 
@@ -125,10 +153,10 @@ func goldenKernels(got map[string]string) {
 		in := tensor.Box{Lo: [3]int{1, 2, 0}, Hi: [3]int{7, 6, 5}}
 		out := tensor.Box{Lo: [3]int{0, 3, 1}, Hi: [3]int{8, 9, 4}}
 		d, h, w := in.Dims()
-		x := tensor.NewF32(2, k.in, d, h, w)
-		randF32(rng, x, 0.4)
+		x := tensor.FromSlice(make([]T, 2*k.in*d*h*w), 2, k.in, d, h, w)
+		randFill(rng, x, 0.4)
 		y := nn.InferBox(c, x, in, out, ws)
-		got[fmt.Sprintf("Conv3D.ForwardInferBox32/k=%d/out=%d", k.k, k.out)] = f32Bits(y.Data)
+		got[fmt.Sprintf("Conv3D.ForwardInferBox%s/k=%d/out=%d", width, k.k, k.out)] = bitsOf(y.Data)
 	}
 
 	gg := graph.NewGGConv(rng, 12, 2)
@@ -141,18 +169,20 @@ func goldenKernels(got map[string]string) {
 	for i := 0; i < 45; i++ {
 		edges = append(edges, featurize.Edge{From: rng.Intn(nodes), To: rng.Intn(nodes), Dist: 4 * rng.Float64()})
 	}
-	hIn := tensor.NewF32(nodes, 12)
-	randF32(rng, hIn, 0)
-	got["GGConv.ForwardInfer32"] = f32Bits(gg.ForwardInfer32(hIn, edges, ws).Data)
+	hIn := tensor.FromSlice(make([]T, nodes*12), nodes, 12)
+	randFill(rng, hIn, 0)
+	got["GGConv.ForwardInfer"+width] = bitsOf(graph.InferGGConv(gg, hIn, edges, ws).Data)
 
 	for _, n := range []int{16, 12, 11} {
-		a, b, c := tensor.NewF32(5, 37), tensor.NewF32(37, n), tensor.NewF32(5, n)
-		randF32(rng, a, 0.3)
-		randF32(rng, b, 0)
-		var pb tensor.PackedB32
+		a := tensor.FromSlice(make([]T, 5*37), 5, 37)
+		b := tensor.FromSlice(make([]T, 37*n), 37, n)
+		c := tensor.FromSlice(make([]T, 5*n), 5, n)
+		randFill(rng, a, 0.3)
+		randFill(rng, b, 0)
+		var pb tensor.Packed[T]
 		pb.Pack(b)
-		tensor.MatMulPacked32Into(c, a, &pb)
-		got[fmt.Sprintf("MatMulPacked32Into/n=%d", n)] = f32Bits(c.Data)
+		tensor.MatMulPackedInto(c, a, &pb)
+		got[fmt.Sprintf("MatMulPacked%sInto/n=%d", width, n)] = bitsOf(c.Data)
 	}
 }
 
