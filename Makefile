@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-benchmark test-portable test-race fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper clean
+.PHONY: all build verify test test-benchmark test-portable test-race fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 clean
 
 all: build
 
@@ -58,22 +58,24 @@ test-race:
 
 # Short coverage-guided fuzz of the h5lite decoder on top of the
 # checked-in seed corpus: no input may panic it, over-allocate, or
-# decode corrupt bytes silently. CI runs this as a smoke step.
+# decode corrupt bytes silently. CI runs this as a smoke step. Every
+# fuzz smoke caps minimization of a new interesting input at 5 s: Go's
+# default of 60 s would otherwise eat most of the 30 s of exploration.
 fuzz-h5lite:
-	$(GO) test ./internal/h5lite/ -fuzz=FuzzRead -fuzztime=30s
+	$(GO) test ./internal/h5lite/ -fuzz=FuzzRead -fuzztime=30s -fuzzminimizetime=5s
 
 # Short coverage-guided fuzz of the SMILES parser, which reads inline
 # structures from POST /v1/submit: no input may panic it or yield a
 # bond between atoms that do not exist. CI runs this as a smoke step.
 fuzz-smiles:
-	$(GO) test ./internal/chem/ -fuzz=FuzzParseSMILES -fuzztime=30s
+	$(GO) test ./internal/chem/ -fuzz=FuzzParseSMILES -fuzztime=30s -fuzzminimizetime=5s
 
 # Short coverage-guided fuzz of the POST /v1/submit handler over a
 # stub scorer and stub docking: no body may panic it (a recovered panic
 # answers 500) or draw a status outside 202/400/413/422/429/503. CI
 # runs this as a smoke step.
 fuzz-submit:
-	$(GO) test ./internal/serve/ -run '^$$' -fuzz=FuzzSubmitBody -fuzztime=30s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz=FuzzSubmitBody -fuzztime=30s -fuzzminimizetime=5s
 
 # Tier-1 verification: build, vet, full test suite.
 verify: build vet test
@@ -94,6 +96,15 @@ profile-paper:
 	$(GO) test ./internal/screen/ -run '^$$' -bench 'BenchmarkRunJobPaperF32$$' -benchtime 10x -cpu 2 \
 		-o $(PROFILE_DIR)/screen.test -cpuprofile $(PROFILE_DIR)/paper.cpu.prof
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/screen.test $(PROFILE_DIR)/paper.cpu.prof
+
+# CPU profile of the f64 job on the repro grid (BenchmarkRunJobBatched:
+# 24 poses, batch 8, 2 ranks) — the width the campaign_units and
+# serve_http workloads score at — and its 15 hottest functions.
+profile-f64:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test ./internal/screen/ -run '^$$' -bench 'BenchmarkRunJobBatched$$' -benchtime 3s -cpu 2 \
+		-o $(PROFILE_DIR)/screen.test -cpuprofile $(PROFILE_DIR)/f64.cpu.prof
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/screen.test $(PROFILE_DIR)/f64.cpu.prof
 
 # Ensemble-engine win: featurize-once/score-N consensus scoring vs N
 # independent single-scorer runs over the same poses.

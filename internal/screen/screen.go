@@ -447,11 +447,14 @@ type DockProblem struct {
 
 func (p DockProblem) String() string { return p.CompoundID + ": " + p.Reason }
 
+// dockPoses docks one compound; tests replace it to make docking fail.
+var dockPoses = dock.Dock
+
 // DockCompounds runs the ConveyorLC docking stage for a compound set,
 // producing the pose queue for scoring. Compounds that fail
-// preparation or docking are skipped and reported as DockProblems,
-// matching the production funnel's tolerance of bad inputs without
-// discarding the evidence. Poses and problems come out in input
+// preparation or docking — a panic in the docking code included — are
+// skipped and reported as DockProblems, matching the production
+// funnel's tolerance of bad inputs without discarding the evidence. Poses and problems come out in input
 // compound order, whatever order the docking goroutines finish in.
 // Cancelling ctx stops the stage between compounds and returns
 // ctx.Err().
@@ -461,6 +464,7 @@ func DockCompounds(ctx context.Context, p *target.Pocket, mols []*chem.Mol, maxP
 	so.MCSteps = 30
 	so.Restarts = 4
 	docked := make([][]dock.Pose, len(mols))
+	panicked := make([]string, len(mols))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 8)
 	for i, m := range mols {
@@ -472,12 +476,20 @@ func DockCompounds(ctx context.Context, p *target.Pocket, mols []*chem.Mol, maxP
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
+			// The docking goroutines run outside any caller's recover
+			// (the service's included): a panic here would end the
+			// process, so it becomes this compound's problem instead.
+			defer func() {
+				if r := recover(); r != nil {
+					panicked[i] = fmt.Sprintf("docking panicked: %v", r)
+				}
+			}()
 			so := so
 			// Per-compound seed from a name hash: XOR-ing with the name
 			// length (the old scheme) collided for any two compounds with
 			// same-length names, replaying identical MC trajectories.
 			so.Seed = seed ^ int64(compoundHash(m.Name))
-			docked[i] = dock.Dock(p, m, so)
+			docked[i] = dockPoses(p, m, so)
 		}()
 	}
 	wg.Wait()
@@ -488,6 +500,10 @@ func DockCompounds(ctx context.Context, p *target.Pocket, mols []*chem.Mol, maxP
 	var problems []DockProblem
 	for i, ps := range docked {
 		name := mols[i].Name
+		if panicked[i] != "" {
+			problems = append(problems, DockProblem{CompoundID: name, Reason: panicked[i]})
+			continue
+		}
 		if len(ps) == 0 {
 			problems = append(problems, DockProblem{CompoundID: name, Reason: "no pose survived the search"})
 			continue

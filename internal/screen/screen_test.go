@@ -134,6 +134,38 @@ func TestDockCompoundsOrderIsInputOrder(t *testing.T) {
 	}
 }
 
+// TestDockCompoundsRecoversDockingPanic pins that a panic while docking
+// one compound becomes that compound's DockProblem: the process
+// survives, and every other compound keeps its poses, in input order,
+// exactly as a run without the failing compound produces them.
+func TestDockCompoundsRecoversDockingPanic(t *testing.T) {
+	mols := testMols(t, 4)
+	bad := mols[1].Name
+	defer func(orig func(*target.Pocket, *chem.Mol, dock.SearchOptions) []dock.Pose) { dockPoses = orig }(dockPoses)
+	dockPoses = func(p *target.Pocket, m *chem.Mol, so dock.SearchOptions) []dock.Pose {
+		if m.Name == bad {
+			panic("bad geometry")
+		}
+		return dock.Dock(p, m, so)
+	}
+	poses, problems, err := DockCompounds(context.Background(), target.Spike1, mols, 2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []DockProblem{{CompoundID: bad, Reason: "docking panicked: bad geometry"}}
+	if !reflect.DeepEqual(problems, want) {
+		t.Fatalf("problems = %v, want %v", problems, want)
+	}
+	others := append([]*chem.Mol{mols[0]}, mols[2:]...)
+	wantPoses, _, err := DockCompounds(context.Background(), target.Spike1, others, 2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantPoses) == 0 || !reflect.DeepEqual(poses, wantPoses) {
+		t.Fatalf("the other compounds' poses changed: %d poses, want %d", len(poses), len(wantPoses))
+	}
+}
+
 func TestRunJobScoresAllPoses(t *testing.T) {
 	f := tinyFusion(t)
 	mols := testMols(t, 3)

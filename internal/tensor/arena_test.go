@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -18,8 +19,13 @@ func randMat(rng *rand.Rand, m, n int, sparsity float64) *Tensor {
 // TestPackedKernelsMatchScalar pins the packed GEMM family bitwise to
 // the scalar kernels across shapes that exercise full panels, tail
 // panels and sparse A — the invariant the zero-allocation inference
-// path's byte-identical-scores guarantee is built on.
+// path's byte-identical-scores guarantee is built on — on every kernel
+// path, so both the Go and the AVX2 float64 panel rows are compared.
 func TestPackedKernelsMatchScalar(t *testing.T) {
+	forEachKernelPath(t, testPackedKernels)
+}
+
+func testPackedKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 8}, {4, 7, 16}, {5, 9, 3}, {8, 16, 11},
@@ -68,6 +74,58 @@ func TestPackedKernelsMatchScalar(t *testing.T) {
 					t.Fatalf("MatMul %dx%dx%d elem %d: %v != %v", sh.m, sh.k, sh.n, i, mm.Data[i], ref.Data[i])
 				}
 			}
+		}
+	}
+}
+
+// TestPackedZeroSkipKeepsNaN pins the zero-skip of the (accumulate,
+// skip) panel rows at both widths on every kernel path: only a true
+// zero multiplier is skipped, as by the reference's av == 0 test, so a
+// NaN in A turns its whole output row NaN.
+func TestPackedZeroSkipKeepsNaN(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		testPackedNaN[float32](t)
+		testPackedNaN[float64](t)
+	})
+}
+
+func testPackedNaN[T Float](t *testing.T) {
+	const m, k, n = 3, 6, 21 // two full panels and a ragged tail
+	rng := rand.New(rand.NewSource(9))
+	a, b := make([]T, m*k), make([]T, k*n)
+	for i := range b {
+		b[i] = T(rng.NormFloat64())
+	}
+	for i := range a {
+		if i%3 != 0 {
+			a[i] = T(rng.NormFloat64())
+		}
+	}
+	const nanRow = 1
+	a[nanRow*k+2] = T(math.NaN())
+	want := make([]T, m*n)
+	for i := range want {
+		want[i] = T(rng.NormFloat64())
+	}
+	got := FromSlice(append([]T(nil), want...), m, n)
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p++ {
+			if av := a[i*k+p]; av != 0 {
+				for j := 0; j < n; j++ {
+					want[i*n+j] += av * b[p*n+j]
+				}
+			}
+		}
+	}
+	var pb Packed[T]
+	pb.Pack(FromSlice(b, k, n))
+	MatMulAccPacked(got, FromSlice(a, m, k), &pb)
+	for i, x := range got.Data {
+		if isNaN := x != x; isNaN != (i/n == nanRow) {
+			t.Fatalf("%T elem %d (row %d) = %v: the NaN multiplier of row %d was skipped or leaked", x, i, i/n, x, nanRow)
+		}
+		if i/n != nanRow && x != want[i] {
+			t.Fatalf("%T elem %d = %v, want %v", x, i, x, want[i])
 		}
 	}
 }

@@ -1,9 +1,10 @@
-// 4-wide SSE f32 AXPY: dst[i] += v * w[i], and its 8-wide AVX2 tap
-// block. See axpy_amd64.go for the bit-identity argument (independent
-// lanes, one multiply + one add rounding per element — the same two
-// roundings as the scalar loop). SSE MOVUPS/MULPS/ADDPS are baseline
-// amd64; the AVX2 kernel runs only when detectAVX2 says so. Buffers
-// need no alignment.
+// 4-wide SSE f32 AXPY: dst[i] += v * w[i], the AVX2 tap blocks at
+// both widths and the packed-panel rows at both widths (SSE at f32,
+// AVX2 at f64). See axpy_amd64.go for the bit-identity argument
+// (independent lanes, one multiply + one add rounding per element —
+// the same two roundings as the scalar loop, never an FMA). SSE
+// MOVUPS/MULPS/ADDPS are baseline amd64; the AVX2 kernels run only
+// when detectAVX2 says so. Buffers need no alignment.
 
 #include "textflag.h"
 
@@ -115,6 +116,76 @@ rowdone:
 	VZEROUPPER
 	RET
 
+// func tapBlockAVX2_64(pd, wd []float64, v float64, pOff, wOff, nd, nh, span, pPlane, pRow, wPlane, wRow int)
+// tapBlockAVX2 at float64: four lanes per YMM register, two registers
+// per eight-element step, a scalar tail. VMULPD then VADDPD, never an
+// FMA, as the Go rows of axpy64 round.
+TEXT ·tapBlockAVX2_64(SB), NOSPLIT, $0-128
+	MOVQ	pd_base+0(FP), DI
+	MOVQ	wd_base+24(FP), SI
+	VBROADCASTSD	v+48(FP), Y0
+	MOVQ	pOff+56(FP), AX
+	LEAQ	(DI)(AX*8), DI
+	MOVQ	wOff+64(FP), AX
+	LEAQ	(SI)(AX*8), SI
+	MOVQ	nd+72(FP), R10
+	MOVQ	span+88(FP), CX
+	MOVQ	CX, DX
+	ANDQ	$-8, DX
+	MOVQ	pRow+104(FP), R11
+	SHLQ	$3, R11
+	MOVQ	wRow+120(FP), R12
+	SHLQ	$3, R12
+plane64:
+	MOVQ	DI, BX
+	MOVQ	SI, R8
+	MOVQ	nh+80(FP), R9
+row64:
+	XORQ	AX, AX
+	CMPQ	AX, DX
+	JGE	rowtail64
+blk8_64:
+	VMOVUPD	(R8)(AX*8), Y1
+	VMOVUPD	32(R8)(AX*8), Y2
+	VMULPD	Y0, Y1, Y1
+	VMULPD	Y0, Y2, Y2
+	VMOVUPD	(BX)(AX*8), Y3
+	VMOVUPD	32(BX)(AX*8), Y4
+	VADDPD	Y1, Y3, Y3
+	VADDPD	Y2, Y4, Y4
+	VMOVUPD	Y3, (BX)(AX*8)
+	VMOVUPD	Y4, 32(BX)(AX*8)
+	ADDQ	$8, AX
+	CMPQ	AX, DX
+	JL	blk8_64
+rowtail64:
+	CMPQ	AX, CX
+	JGE	rowdone64
+tail1_64:
+	VMOVSD	(R8)(AX*8), X1
+	VMULSD	X0, X1, X1
+	VMOVSD	(BX)(AX*8), X2
+	VADDSD	X1, X2, X2
+	VMOVSD	X2, (BX)(AX*8)
+	INCQ	AX
+	CMPQ	AX, CX
+	JL	tail1_64
+rowdone64:
+	SUBQ	R11, BX
+	ADDQ	R12, R8
+	DECQ	R9
+	JNZ	row64
+	MOVQ	pPlane+96(FP), R13
+	SHLQ	$3, R13
+	SUBQ	R13, DI
+	MOVQ	wPlane+112(FP), R13
+	SHLQ	$3, R13
+	ADDQ	R13, SI
+	DECQ	R10
+	JNZ	plane64
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL	leaf+0(FP), AX
@@ -200,4 +271,67 @@ intoloop:
 intodone:
 	MOVUPS	X0, (DI)
 	MOVUPS	X1, 16(DI)
+	RET
+
+// func packedAccSkip64(ci, ai, panel []float64)
+// packedAccSkip32 at float64 in AVX2: the eight accumulators in Y0 and
+// Y1 across the whole k sweep. VUCOMISD/JP/JE skips only true zeros.
+TEXT ·packedAccSkip64(SB), NOSPLIT, $0-72
+	MOVQ	ci_base+0(FP), DI
+	MOVQ	ai_base+24(FP), SI
+	MOVQ	ai_len+32(FP), CX
+	MOVQ	panel_base+48(FP), BX
+	VMOVUPD	(DI), Y0
+	VMOVUPD	32(DI), Y1
+	VXORPD	X7, X7, X7
+	TESTQ	CX, CX
+	JZ	acc64done
+acc64loop:
+	VMOVSD	(SI), X2
+	VUCOMISD	X7, X2
+	JP	acc64work
+	JE	acc64next
+acc64work:
+	VBROADCASTSD	X2, Y2
+	VMULPD	(BX), Y2, Y3
+	VMULPD	32(BX), Y2, Y4
+	VADDPD	Y3, Y0, Y0
+	VADDPD	Y4, Y1, Y1
+acc64next:
+	ADDQ	$8, SI
+	ADDQ	$64, BX
+	DECQ	CX
+	JNZ	acc64loop
+acc64done:
+	VMOVUPD	Y0, (DI)
+	VMOVUPD	Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+// func packedInto64(ci, ai, panel []float64)
+// packedInto32 at float64 in AVX2: dense, the accumulators starting
+// from zero.
+TEXT ·packedInto64(SB), NOSPLIT, $0-72
+	MOVQ	ci_base+0(FP), DI
+	MOVQ	ai_base+24(FP), SI
+	MOVQ	ai_len+32(FP), CX
+	MOVQ	panel_base+48(FP), BX
+	VXORPD	Y0, Y0, Y0
+	VXORPD	Y1, Y1, Y1
+	TESTQ	CX, CX
+	JZ	into64done
+into64loop:
+	VBROADCASTSD	(SI), Y2
+	VMULPD	(BX), Y2, Y3
+	VMULPD	32(BX), Y2, Y4
+	VADDPD	Y3, Y0, Y0
+	VADDPD	Y4, Y1, Y1
+	ADDQ	$8, SI
+	ADDQ	$64, BX
+	DECQ	CX
+	JNZ	into64loop
+into64done:
+	VMOVUPD	Y0, (DI)
+	VMOVUPD	Y1, 32(DI)
+	VZEROUPPER
 	RET

@@ -20,6 +20,14 @@ func tapBlock32(pd, wd []float32, v float32, pOff, wOff, nd, nh, span int, st Ta
 	}
 }
 
+// tapBlock64 is the float64 tap-block leaf: the rows of the checked
+// block through axpy64.
+func tapBlock64(pd, wd []float64, v float64, pOff, wOff, nd, nh, span int, st TapStrides) {
+	if checkTapBlock(len(pd), len(wd), pOff, wOff, nd, nh, span, st) {
+		tapRows64(pd, wd, v, pOff, wOff, nd, nh, span, st)
+	}
+}
+
 // vectorPanels reports false: without vector kernels,
 // matMulPackedRows runs its own 8 lanes at both widths.
 func vectorPanels[T Float](c, a *Dense[T], pb *Packed[T], lo, hi int, acc, skip bool) bool {

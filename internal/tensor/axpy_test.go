@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
-// axpy32Scalar is the reference semantics of Axpy32: one multiply
-// rounding and one add rounding per element, ascending order.
-func axpy32Scalar(dst, w []float32, v float32) {
+// axpyScalar is the reference semantics of Axpy32 and axpy64: one
+// multiply rounding and one add rounding per element, ascending order.
+func axpyScalar[T Float](dst, w []T, v T) {
 	for i := range dst {
 		dst[i] += v * w[i]
 	}
@@ -29,7 +30,7 @@ func TestAxpy32MatchesScalarBitwise(t *testing.T) {
 		}
 		v := float32(rng.NormFloat64())
 		want := append([]float32(nil), dst...)
-		axpy32Scalar(want, w, v)
+		axpyScalar(want, w, v)
 		Axpy32(dst, w, v)
 		for i := range dst {
 			if dst[i] != want[i] {
@@ -42,7 +43,7 @@ func TestAxpy32MatchesScalarBitwise(t *testing.T) {
 	dst := []float32{1e-38, -1e-38, 0, 1e-38, -1, 2, -3, 4, 5e-40}
 	w := []float32{1e-38, 2e-38, 3e-38, -1e-38, 1e-38, 1, 2, 3, 4}
 	want := append([]float32(nil), dst...)
-	axpy32Scalar(want, w, 1e-5)
+	axpyScalar(want, w, 1e-5)
 	Axpy32(dst, w, 1e-5)
 	for i := range dst {
 		if dst[i] != want[i] {
@@ -80,12 +81,16 @@ func tapBlockRef[T Float](pd, wd []T, v T, pOff, wOff, nd, nh, span int, st TapS
 }
 
 // randFill fills xs with normal values, every third one scaled into the
-// float32 subnormal range so products and sums round there.
+// subnormal range of xs's width so products and sums round there.
 func randFill[T Float](rng *rand.Rand, xs []T) {
+	tiny := 1e-39
+	if _, ok := any(xs).([]float64); ok {
+		tiny = 1e-310
+	}
 	for i := range xs {
 		x := rng.NormFloat64()
 		if i%3 == 0 {
-			x *= 1e-39
+			x *= tiny
 		}
 		xs[i] = T(x)
 	}
@@ -100,33 +105,38 @@ func bitsEqual[T Float](t *testing.T, what string, got, want []T) {
 	}
 }
 
-// TestKernelPathsMatchScalarBitwise runs Axpy32 and the float32 tap-block
-// leaf over one row of every length 0–200 — the production spans 24,
-// 40, 48, 96, 160 and 192 and every tail the 8-lane loops leave — with
-// subnormal lanes, on every kernel path this host has, against the
-// scalar loop.
+// TestKernelPathsMatchScalarBitwise runs the row kernels — Axpy32 and
+// axpy64 — and the tap-block leaf at both widths over one row of every
+// length 0–200 — the production spans 24, 40, 48, 96, 160 and 192 and
+// every tail the 8-lane loops leave — with subnormal lanes, on every
+// kernel path this host has, against the scalar loop.
 func TestKernelPathsMatchScalarBitwise(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(72))
-		tap := TapBlockKernel[float32]()
-		for n := 0; n <= 200; n++ {
-			dst, w := make([]float32, n), make([]float32, n)
-			randFill(rng, dst)
-			randFill(rng, w)
-			v := float32(rng.NormFloat64())
-			if n%2 == 1 {
-				v *= 1e-3
-			}
-			want := append([]float32(nil), dst...)
-			axpy32Scalar(want, w, v)
-			got := append([]float32(nil), dst...)
-			Axpy32(got, w, v)
-			bitsEqual(t, fmt.Sprintf("Axpy32 n=%d", n), got, want)
-			got = append(got[:0], dst...)
-			tap(got, w, v, 0, 0, 1, 1, n, TapStrides{})
-			bitsEqual(t, fmt.Sprintf("tap row n=%d", n), got, want)
-		}
+		testKernelRows(t, Axpy32)
+		testKernelRows(t, axpy64)
 	})
+}
+
+func testKernelRows[T Float](t *testing.T, axpy func(dst, w []T, v T)) {
+	rng := rand.New(rand.NewSource(72))
+	tap := TapBlockKernel[T]()
+	for n := 0; n <= 200; n++ {
+		dst, w := make([]T, n), make([]T, n)
+		randFill(rng, dst)
+		randFill(rng, w)
+		v := T(rng.NormFloat64())
+		if n%2 == 1 {
+			v *= 1e-3
+		}
+		want := append([]T(nil), dst...)
+		axpyScalar(want, w, v)
+		got := append([]T(nil), dst...)
+		axpy(got, w, v)
+		bitsEqual(t, fmt.Sprintf("%T axpy n=%d", v, n), got, want)
+		got = append(got[:0], dst...)
+		tap(got, w, v, 0, 0, 1, 1, n, TapStrides{})
+		bitsEqual(t, fmt.Sprintf("%T tap row n=%d", v, n), got, want)
+	}
 }
 
 // TestTapBlockMatchesRowsBitwise runs both widths of the tap-block leaf
@@ -209,16 +219,20 @@ func testTapBlockPanics[T Float](t *testing.T) {
 	}
 }
 
-// BenchmarkTapBlock32 times the float32 leaf on the paper shape's
-// interior block: 5×5 rows of span 160 (k = 5, conv1's 32 filters).
-func BenchmarkTapBlock32(b *testing.B) {
+// BenchmarkTapBlock32 and BenchmarkTapBlock64 time the tap-block leaf
+// on the paper shape's interior block: 5×5 rows of span 160 (k = 5,
+// conv1's 32 filters).
+func BenchmarkTapBlock32(b *testing.B) { benchTapBlock[float32](b) }
+func BenchmarkTapBlock64(b *testing.B) { benchTapBlock[float64](b) }
+
+func benchTapBlock[T Float](b *testing.B) {
 	const k, nOut = 5, 32
 	st := TapStrides{PPlane: 20 * 20 * nOut, PRow: 20 * nOut, WPlane: k * k * nOut, WRow: k * nOut}
-	pd := make([]float32, 20*20*20*nOut)
-	wd := make([]float32, k*k*k*nOut)
-	tap := TapBlockKernel[float32]()
+	pd := make([]T, 20*20*20*nOut)
+	wd := make([]T, k*k*k*nOut)
+	tap := TapBlockKernel[T]()
 	pOff := ((10*20+10)*20 + 5) * nOut
-	b.SetBytes(int64(2 * 4 * k * k * k * nOut))
+	b.SetBytes(int64(2 * int(unsafe.Sizeof(T(0))) * k * k * k * nOut))
 	for i := 0; i < b.N; i++ {
 		tap(pd, wd, 0.5, pOff, 0, k, k, k*nOut, st)
 	}

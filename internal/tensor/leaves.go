@@ -8,13 +8,16 @@ package tensor
 // and why each stays per width:
 //
 //   - TapBlockKernel: the scatter convolution's per-voxel block of tap
-//     rows. At float32 on amd64 it is AVX2 assembly (eight lanes per
-//     instruction, no FMA) when the CPU and OS support it and the SSE
-//     Axpy32 row by row otherwise — both bit-identical to the scalar
-//     loop; at float64, and at float32 elsewhere, a Go loop over axpy64
-//     or Axpy32, the float64 order pinned bitwise by the goldens.
-//   - vectorPanels: SSE rows of the full GEMM panels at float32 (on
-//     amd64); matMulPackedRows's own 8-lane Go loop at float64.
+//     rows. On amd64 it is AVX2 assembly at both widths (eight float32
+//     lanes per instruction, or two registers of four float64 lanes;
+//     no FMA) when the CPU and OS support it; otherwise the rows run
+//     through the SSE Axpy32 at float32 and the Go axpy64 at float64
+//     (tapRows32, tapRows64), as they do under !amd64 through the Go
+//     Axpy32 and axpy64. Every path is bit-identical to the scalar
+//     loop; the Go loops are the reference the goldens recorded.
+//   - vectorPanels: the full GEMM panels' rows in assembly on amd64 —
+//     SSE at float32, AVX2 at float64 when the CPU has it — and
+//     matMulPackedRows's own 8-lane Go loop otherwise.
 //   - Convert: a memmove at float64; a narrowing loop at float32, the
 //     one point where per-pose float64 features become float32.
 //
@@ -84,11 +87,9 @@ func blockExtent(off, dd, dh int) (lo, hi int) {
 	return off + min(dd, 0) + min(dh, 0), off + max(dd, 0) + max(dh, 0)
 }
 
-// tapBlock64 is the float64 tap-block leaf: the rows through axpy64.
-func tapBlock64(pd, wd []float64, v float64, pOff, wOff, nd, nh, span int, st TapStrides) {
-	if !checkTapBlock(len(pd), len(wd), pOff, wOff, nd, nh, span, st) {
-		return
-	}
+// tapRows64 runs the rows of a checked float64 tap block through
+// axpy64: the portable leaf, and the reference the AVX2 block matches.
+func tapRows64(pd, wd []float64, v float64, pOff, wOff, nd, nh, span int, st TapStrides) {
 	for d := 0; d < nd; d++ {
 		p, w := pOff-d*st.PPlane, wOff+d*st.WPlane
 		for h := 0; h < nh; h++ {

@@ -20,8 +20,9 @@ import "fmt"
 // 2-4x slower at realistic voxel sparsity. Call sites choose by
 // operand character, not size.
 
-// packPanel is the panel width: 8 columns, one 64-byte cache line per
-// accumulation row at float64, two 16-byte vector registers at float32.
+// packPanel is the panel width: 8 columns, one 64-byte cache line and
+// two 32-byte AVX2 registers per accumulation row at float64, two
+// 16-byte SSE registers at float32.
 const packPanel = 8
 
 // Packed is a K x N matrix repacked into column panels for
@@ -49,6 +50,11 @@ func (pb *Packed[T]) init(k, n int) {
 	} else {
 		pb.data = pb.data[:need]
 	}
+}
+
+// panel returns the full panel holding columns [j0, j0+packPanel).
+func (pb *Packed[T]) panel(j0 int) []T {
+	return pb.data[j0/packPanel*pb.K*packPanel : (j0/packPanel+1)*pb.K*packPanel]
 }
 
 // Pack fills pb from the row-major K x N matrix b, reusing pb's buffer
@@ -149,7 +155,7 @@ func matMulPackedRows[T Float](c, a *Dense[T], pb *Packed[T], lo, hi int, acc, s
 	full := n / packPanel * packPanel
 	if !vectorPanels(c, a, pb, lo, hi, acc, skip) {
 		for j0 := 0; j0 < full; j0 += packPanel {
-			panel := pb.data[j0/packPanel*k*packPanel : (j0/packPanel+1)*k*packPanel]
+			panel := pb.panel(j0)
 			for i := lo; i < hi; i++ {
 				ai := a.Data[i*k : (i+1)*k]
 				ci := c.Data[i*n+j0 : i*n+j0+packPanel : i*n+j0+packPanel]
