@@ -5,11 +5,19 @@
 // the same two roundings as the scalar loop, never an FMA). SSE
 // MOVUPS/MULPS/ADDPS are baseline amd64; the AVX2 kernels run only
 // when detectAVX2 says so. Buffers need no alignment.
+//
+// Every kernel starts with PCALIGN $64, which pads nothing at a
+// function's entry but makes the linker start the function on a
+// 64-byte boundary. At its default 32-byte alignment the hot loops land
+// on either half of a cache line depending on what else the binary
+// holds, which moved the f32 paper job by about 10 % between builds
+// that did not touch the kernels.
 
 #include "textflag.h"
 
 // func Axpy32(dst, w []float32, v float32)
 TEXT ·Axpy32(SB), NOSPLIT, $0-52
+	PCALIGN	$64
 	MOVQ	dst_base+0(FP), DI
 	MOVQ	dst_len+8(FP), CX
 	MOVQ	w_base+24(FP), SI
@@ -56,6 +64,7 @@ done:
 // is rounded after the multiply and after the add, exactly as MULPS/
 // ADDPS in Axpy32 and the scalar loop.
 TEXT ·tapBlockAVX2(SB), NOSPLIT, $0-128
+	PCALIGN	$64
 	MOVQ	pd_base+0(FP), DI
 	MOVQ	wd_base+24(FP), SI
 	VBROADCASTSS	v+48(FP), Y0
@@ -121,6 +130,7 @@ rowdone:
 // per eight-element step, a scalar tail. VMULPD then VADDPD, never an
 // FMA, as the Go rows of axpy64 round.
 TEXT ·tapBlockAVX2_64(SB), NOSPLIT, $0-128
+	PCALIGN	$64
 	MOVQ	pd_base+0(FP), DI
 	MOVQ	wd_base+24(FP), SI
 	VBROADCASTSD	v+48(FP), Y0
@@ -212,6 +222,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // PF and falls through to the multiply, matching the Go loop's
 // av == 0 test.
 TEXT ·packedAccSkip32(SB), NOSPLIT, $0-72
+	PCALIGN	$64
 	MOVQ	ci_base+0(FP), DI
 	MOVQ	ai_base+24(FP), SI
 	MOVQ	ai_len+32(FP), CX
@@ -247,6 +258,7 @@ accdone:
 // func packedInto32(ci, ai, panel []float32)
 // ci[0:8] = sum over p of ai[p]*panel[p*8:p*8+8], dense (no skip).
 TEXT ·packedInto32(SB), NOSPLIT, $0-72
+	PCALIGN	$64
 	MOVQ	ci_base+0(FP), DI
 	MOVQ	ai_base+24(FP), SI
 	MOVQ	ai_len+32(FP), CX
@@ -277,6 +289,7 @@ intodone:
 // packedAccSkip32 at float64 in AVX2: the eight accumulators in Y0 and
 // Y1 across the whole k sweep. VUCOMISD/JP/JE skips only true zeros.
 TEXT ·packedAccSkip64(SB), NOSPLIT, $0-72
+	PCALIGN	$64
 	MOVQ	ci_base+0(FP), DI
 	MOVQ	ai_base+24(FP), SI
 	MOVQ	ai_len+32(FP), CX
@@ -312,6 +325,7 @@ acc64done:
 // packedInto32 at float64 in AVX2: dense, the accumulators starting
 // from zero.
 TEXT ·packedInto64(SB), NOSPLIT, $0-72
+	PCALIGN	$64
 	MOVQ	ci_base+0(FP), DI
 	MOVQ	ai_base+24(FP), SI
 	MOVQ	ai_len+32(FP), CX
