@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"deepfusion/internal/featurize"
 	"deepfusion/internal/graph"
@@ -28,12 +27,9 @@ const f32GoldenFile = "testdata/f32_bits.golden"
 // when there are few, otherwise the count and a SHA-256 of their
 // little-endian bits.
 func bitsOf[T tensor.Float](vs []T) string {
-	size := int(unsafe.Sizeof(T(0)))
-	bits := func(v T) uint64 {
-		if f, ok := any(v).(float32); ok {
-			return uint64(math.Float32bits(f))
-		}
-		return math.Float64bits(float64(v))
+	size, bits := 8, func(v T) uint64 { return math.Float64bits(float64(v)) }
+	if _, ok := any(T(0)).(float32); ok {
+		size, bits = 4, func(v T) uint64 { return uint64(math.Float32bits(float32(v))) }
 	}
 	if len(vs) <= 16 {
 		words := make([]string, len(vs))
