@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-benchmark test-portable test-race fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 clean
+.PHONY: all build verify test test-benchmark test-portable test-race smoke-campaign fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 clean
 
 all: build
 
@@ -55,6 +55,22 @@ test-portable:
 # that depends on another's side effects fails here.
 test-race:
 	$(GO) test -race -shuffle=on -timeout 20m ./...
+
+# The campaign CLI end to end, since cmd/campaign has no unit tests:
+# build the binary, run a one-target campaign (the coordinator plus its
+# in-process workers), resume it (a no-op that must exit 0), then read
+# it back with status -json and fsck. Any non-zero exit fails the
+# target. About 20 s on 2 CPUs, nearly all of it training the
+# smoke-scale model for run and again for resume.
+SMOKE_DIR ?= .smoke-campaign
+smoke-campaign:
+	rm -rf $(SMOKE_DIR)
+	mkdir -p $(SMOKE_DIR)
+	$(GO) build -o $(SMOKE_DIR)/campaign ./cmd/campaign
+	$(SMOKE_DIR)/campaign run -dir $(SMOKE_DIR)/camp -targets protease1 -n 8 -chunk 4 -top 2
+	$(SMOKE_DIR)/campaign resume -dir $(SMOKE_DIR)/camp
+	$(SMOKE_DIR)/campaign status -dir $(SMOKE_DIR)/camp -json
+	$(SMOKE_DIR)/campaign fsck -dir $(SMOKE_DIR)/camp
 
 # Short coverage-guided fuzz of the h5lite decoder on top of the
 # checked-in seed corpus: no input may panic it, over-allocate, or

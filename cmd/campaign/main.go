@@ -11,9 +11,9 @@
 //	campaign run    -dir DIR [-targets a,b] [-scorers a,b,c] [-n N]
 //	                [-chunk N] [-workers N] [-loaders N] [-top N]
 //	                [-precision f64|f32] [-failprob P] [-seed N] [-full]
-//	                [-distributed] [-lease-ttl D] [-listen ADDR]
-//	campaign resume -dir DIR [-precision f64|f32] [-distributed]
-//	                [-workers N] [-lease-ttl D] [-listen ADDR]
+//	                [-lease-ttl D] [-listen ADDR]
+//	campaign resume -dir DIR [-precision f64|f32] [-workers N]
+//	                [-lease-ttl D] [-listen ADDR]
 //	campaign worker -dir DIR [-id ID] [-lease-ttl D]
 //	campaign worker -coordinator URL [-scratch DIR] [-id ID] [-lease-ttl D]
 //	campaign status -dir DIR [-json]
@@ -26,23 +26,21 @@
 // deterministically rebuilds the same scorer set from the recorded
 // names and scale, skips completed chunks and re-runs the rest —
 // refusing to resume under a different scorer set. `status` prints
-// per-target progress, the manifest's scorer set and (for distributed
-// runs) per-worker liveness without touching models or compound
-// libraries.
+// per-target progress, the manifest's scorer set and per-worker
+// liveness without touching models or compound libraries.
 //
-// With -distributed, run/resume start the multi-process runtime
-// instead of the in-process worker pool: the coordinator runs in this
-// process (sole manifest writer, lease expiry, finalization) and
-// forks -workers N worker processes over the `worker` subcommand,
-// each claiming (target, chunk) units through the campaign
-// directory's lease store. `campaign worker -dir DIR` is the attach
-// mode: run it by hand — on this host or any host sharing the
-// directory — to join extra workers to a live campaign
-// (-distributed -workers 0 runs a coordinator that relies entirely
-// on attached workers). Killing a worker at any instant loses
-// nothing: its leases expire and the coordinator reassigns the units,
-// with final selections byte-identical to an uninterrupted
-// single-process run.
+// run and resume start the coordinator (sole manifest writer, lease
+// expiry, finalization) plus -workers in-process workers, each
+// claiming (target, chunk) units through the campaign directory's
+// lease store. `campaign worker -dir DIR` is the attach mode: run it
+// by hand — on this host or any host sharing the directory — to join
+// extra workers to a live campaign (-workers 0 runs a coordinator
+// that relies entirely on attached workers). Killing a worker at any
+// instant loses nothing: its leases expire and the coordinator
+// reassigns the units, with final selections byte-identical to an
+// uninterrupted run. resume fences the claims of a run that was
+// killed, so their units re-run at once rather than after a lease
+// TTL.
 //
 // With -listen the coordinator additionally serves the lease protocol
 // over HTTP, so workers on hosts that do NOT share the campaign
@@ -91,22 +89,22 @@ func usage() {
 Subcommands:
   run     create a campaign directory and run it to completion
   resume  continue a killed, interrupted or failure-stalled campaign
-  worker  attach one worker process to a distributed campaign
+  worker  attach one more worker process to a live campaign
   status  print per-target unit progress (and worker liveness) from the manifest
   fsck    verify every shard's checksums offline; -repair quarantines damage and re-queues units
 
 Run 'campaign <subcommand> -h' for the subcommand's flags.
 
-A campaign directory holds manifest.json plus shards/*.h5l (and, for
-distributed runs, claims/ + results/). Kill the process at any time;
+A campaign directory holds manifest.json, shards/*.h5l and the lease
+store's claims/ + results/. Kill the process at any time;
 'campaign resume -dir DIR' skips completed chunks and re-runs only
 in-flight or failed ones, producing the same selections as an
-uninterrupted run. With -distributed the campaign runs as a
-coordinator plus N worker processes claiming chunks through a
-lease-aware store; killed workers' units are reassigned on lease
-expiry with the same byte-identity guarantee. Add -listen ADDR to
-also serve the lease protocol over HTTP, and join workers from hosts
-with no shared filesystem via
+uninterrupted run. A campaign runs as a coordinator plus -workers
+in-process workers claiming chunks through a lease-aware store; more
+workers join with 'campaign worker -dir DIR', and killed workers'
+units are reassigned on lease expiry with the same byte-identity
+guarantee. Add -listen ADDR to also serve the lease protocol over
+HTTP, and join workers from hosts with no shared filesystem via
 'campaign worker -coordinator http://host:port'.
 `)
 }
@@ -153,16 +151,15 @@ func cmdRun(args []string) {
 	scorers := fs.String("scorers", "coherent", "comma-separated scorer set, primary first: "+strings.Join(experiments.ScorerNames(), "|"))
 	n := fs.Int("n", 48, "compounds in the screening deck")
 	chunk := fs.Int("chunk", 12, "compounds per work unit")
-	workers := fs.Int("workers", 2, "concurrently running units")
+	workers := fs.Int("workers", 2, "in-process workers, so concurrently running units (0: coordinator only; attach workers with `campaign worker`)")
 	loaders := fs.Int("loaders", 0, "data loaders per rank inside each unit's scoring job — the featurization/inference balance, recorded in the manifest (0 = engine default)")
 	precision := fs.String("precision", "f64", "engine arithmetic: f64 (reference) or f32 (fast path), recorded in the manifest")
 	top := fs.Int("top", 8, "compounds selected per target")
 	failprob := fs.Float64("failprob", 0, "injected per-job failure probability (paper: ~0.03 at 4 nodes)")
 	seed := fs.Int64("seed", 1, "campaign seed (docking + failure dice; never the scores)")
 	full := fs.Bool("full", false, "train the scoring model at the full budget")
-	distributed := fs.Bool("distributed", false, "run as coordinator + forked worker processes claiming chunks through the lease store (0 workers: coordinator only, attach workers by hand)")
-	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "distributed: heartbeat TTL before a worker's units are reassigned")
-	listen := fs.String("listen", "", "distributed: also serve the lease protocol over HTTP on this address (host:port) so workers on other hosts can join with -coordinator")
+	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "heartbeat TTL before a worker's units are reassigned")
+	listen := fs.String("listen", "", "also serve the lease protocol over HTTP on this address (host:port) so workers on other hosts can join with -coordinator")
 	fs.Parse(args)
 	if *dir == "" {
 		log.Fatal("run: -dir is required")
@@ -197,24 +194,16 @@ func cmdRun(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *distributed {
-		executeDistributed(c, *workers, *leaseTTL, *listen)
-		return
-	}
-	if *listen != "" {
-		log.Fatal("run: -listen requires -distributed (the HTTP server fronts the coordinator's lease store)")
-	}
-	execute(c)
+	execute(c, *workers, *leaseTTL, *listen)
 }
 
 func cmdResume(args []string) {
 	fs := flag.NewFlagSet("campaign resume", flag.ExitOnError)
 	dir := fs.String("dir", "", "campaign directory to resume (required)")
 	precision := fs.String("precision", "", "engine arithmetic the resume expects (f64|f32); must match the manifest (default: accept the manifest's)")
-	distributed := fs.Bool("distributed", false, "resume as coordinator + forked worker processes")
-	workers := fs.Int("workers", 2, "distributed: worker processes to fork (0: coordinator only)")
-	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "distributed: heartbeat TTL before a worker's units are reassigned")
-	listen := fs.String("listen", "", "distributed: also serve the lease protocol over HTTP on this address (host:port) so workers on other hosts can join with -coordinator")
+	workers := fs.Int("workers", 0, "in-process workers (default: the manifest's count; 0: coordinator only, attach workers with `campaign worker`)")
+	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "heartbeat TTL before a worker's units are reassigned")
+	listen := fs.String("listen", "", "also serve the lease protocol over HTTP on this address (host:port) so workers on other hosts can join with -coordinator")
 	fs.Parse(args)
 	if *dir == "" {
 		log.Fatal("resume: -dir is required")
@@ -245,14 +234,13 @@ func cmdResume(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *distributed {
-		executeDistributed(c, *workers, *leaseTTL, *listen)
-		return
-	}
-	if *listen != "" {
-		log.Fatal("resume: -listen requires -distributed (the HTTP server fronts the coordinator's lease store)")
-	}
-	execute(c)
+	n := cfg.Workers
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "workers" {
+			n = *workers
+		}
+	})
+	execute(c, n, *leaseTTL, *listen)
 }
 
 // cmdWorker attaches one worker process to an existing campaign: it
@@ -352,19 +340,16 @@ func plural(n int, one, many string) string {
 	return many
 }
 
-// executeDistributed runs the coordinator in this process and forks n
-// workers over the `worker` subcommand. The campaign handle must come
-// from New or Load (the coordinator is the manifest writer). A
-// non-empty listen address additionally serves the lease protocol
-// over HTTP for workers on hosts that do not share the campaign
-// directory.
-func executeDistributed(c *campaign.Campaign, n int, leaseTTL time.Duration, listen string) {
+// execute runs (or continues) a campaign: the coordinator in this
+// process plus n in-process workers sharing its handle. The campaign
+// handle must come from New or Load (the coordinator is the manifest
+// writer). A non-empty listen address additionally serves the lease
+// protocol over HTTP for workers on hosts that do not share the
+// campaign directory. It prints per-unit progress, the final
+// selections and the two-stage confirmation summary.
+func execute(c *campaign.Campaign, n int, leaseTTL time.Duration, listen string) {
 	ctx, stop := interruptibleContext()
 	defer stop()
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
 	if listen != "" {
 		ln, err := net.Listen("tcp", listen)
 		if err != nil {
@@ -379,27 +364,43 @@ func executeDistributed(c *campaign.Campaign, n int, leaseTTL time.Duration, lis
 	if n == 0 {
 		fmt.Printf("coordinator only: attach workers with `campaign worker -dir %s`\n", c.Dir())
 	}
-	lastDone := -1
+	total := len(c.Units())
+	lease := campaign.LeaseOptions{TTL: leaseTTL}
 	co := &dispatch.Coordinator{
 		Camp:  c,
-		Lease: campaign.LeaseOptions{TTL: leaseTTL},
+		Lease: lease,
 		OnSync: func(rep campaign.SyncReport) {
-			if rep.Done != lastDone {
-				lastDone = rep.Done
-				fmt.Printf("  %d done / %d in flight / %d pending / %d failed\n",
-					rep.Done, rep.InFlight, rep.Pending, rep.Failed)
+			// rep.Done counts this pass's folds; number them in order.
+			done := rep.Done
+			for _, rec := range rep.Completed {
+				if rec.Err == "" {
+					done--
+				}
+			}
+			for _, rec := range rep.Completed {
+				if rec.Err != "" {
+					fmt.Printf("  unit %-18s failed after %d attempt(s): %s\n", rec.Unit, rec.Attempts, rec.Err)
+					continue
+				}
+				done++
+				fmt.Printf("  unit %-18s done: %4d poses (%d skipped, %d attempt(s))  [%d/%d]\n",
+					rec.Unit, rec.Poses, rec.Skipped, rec.Attempts, done, total)
 			}
 			for _, u := range rep.Reassigned {
 				fmt.Printf("  lease expired: unit %s reassigned\n", u)
 			}
+			for _, u := range rep.Quarantined {
+				fmt.Printf("  corrupt shards quarantined: unit %s re-queued\n", u)
+			}
 		},
 	}
-	res, err := dispatch.RunProcesses(ctx, co, n, exe, func(i int) []string {
-		return []string{"worker", "-dir", c.Dir(), "-id", dispatch.WorkerID(i), "-lease-ttl", leaseTTL.String()}
+	store := campaign.NewDispatchStore(c.Dir(), nil)
+	res, err := dispatch.RunLocal(ctx, co, n, func(i int) *dispatch.Worker {
+		return &dispatch.Worker{ID: dispatch.WorkerID(i), Camp: c, Store: store, Lease: lease}
 	})
 	if err != nil {
 		if errors.Is(err, campaign.ErrInterrupted) {
-			fmt.Printf("\ninterrupted — resume with: campaign resume -distributed -dir %s\n", c.Dir())
+			fmt.Printf("\ninterrupted — resume with: campaign resume -dir %s\n", c.Dir())
 			os.Exit(3)
 		}
 		log.Fatal(err)
@@ -412,7 +413,7 @@ func printRunStats(rs cluster.RunStats) {
 	if rs.Units == 0 {
 		return
 	}
-	fmt.Printf("\ndistributed run: %d units, %d poses in %v (%.1f poses/s), peak %d in flight, %d reassignment(s)\n",
+	fmt.Printf("\nrun: %d units, %d poses in %v (%.1f poses/s), peak %d in flight, %d reassignment(s)\n",
 		rs.Units, rs.PosesScored, rs.Makespan.Round(time.Millisecond), rs.PosesPerSecond(), rs.PeakUnits, rs.Reassignments)
 	for _, w := range rs.PerWorker {
 		fmt.Printf("  %-12s %3d units  %6d poses  busy %v\n", w.Worker, w.Units, w.Poses, w.Busy.Round(time.Millisecond))
@@ -503,27 +504,6 @@ func printFsck(rep campaign.FsckReport) {
 	if rep.Clean() {
 		fmt.Println("clean: every done unit's shards verified")
 	}
-}
-
-// execute runs (or continues) a campaign and prints progress, the
-// final selections and the two-stage confirmation summary.
-func execute(c *campaign.Campaign) {
-	ctx, stop := interruptibleContext()
-	defer stop()
-	c.OnUnitDone = func(u campaign.UnitRecord) {
-		st := c.Status()
-		fmt.Printf("  unit %-18s done: %4d poses (%d skipped, %d attempt(s))  [%d/%d]\n",
-			u.ID, u.Poses, u.Skipped, u.Attempts, st.Done, st.Total)
-	}
-	res, err := c.Run(ctx)
-	if err != nil {
-		if errors.Is(err, campaign.ErrInterrupted) {
-			fmt.Printf("\ninterrupted — resume with: campaign resume -dir %s\n", c.Dir())
-			os.Exit(3)
-		}
-		log.Fatal(err)
-	}
-	printResult(res)
 }
 
 func printResult(res *campaign.Result) {

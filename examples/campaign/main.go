@@ -1,11 +1,14 @@
 // campaign walks through the production screening layer end to end:
 //
-//  1. run a two-target campaign and kill it mid-flight (simulated
-//     with a cancelled context, exactly what SIGINT does in
+//  1. run a two-target campaign — a coordinator plus two in-process
+//     workers claiming chunks through the campaign directory's lease
+//     store, as cmd/campaign runs it — and kill it mid-flight
+//     (simulated with a cancelled context, exactly what SIGINT does in
 //     cmd/campaign),
 //
 //  2. resume it from the manifest — completed chunks are skipped,
-//     in-flight chunks re-run — and finalize the selections,
+//     in-flight chunks are fenced and re-run — and finalize the
+//     selections,
 //
 //  3. run the same campaign uninterrupted and show the selections are
 //     byte-identical,
@@ -25,9 +28,10 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sync"
+	"time"
 
 	"deepfusion/internal/campaign"
+	"deepfusion/internal/campaign/dispatch"
 	"deepfusion/internal/featurize"
 	"deepfusion/internal/fusion"
 	"deepfusion/internal/screen"
@@ -76,6 +80,35 @@ func demoConfig() campaign.Config {
 	return cfg
 }
 
+// run drives a campaign to settlement: the coordinator plus
+// Config.Workers in-process workers sharing its handle. onDone sees
+// each unit the coordinator folds done; onClaimed each unit a worker
+// claims. Either may be nil.
+func run(ctx context.Context, c *campaign.Campaign, onDone func(campaign.ResultRecord), onClaimed func(unit string)) (*campaign.Result, error) {
+	co := &dispatch.Coordinator{Camp: c, Poll: 20 * time.Millisecond}
+	if onDone != nil {
+		co.OnSync = func(rep campaign.SyncReport) {
+			for _, rec := range rep.Completed {
+				if rec.Err == "" {
+					onDone(rec)
+				}
+			}
+		}
+	}
+	store := campaign.NewDispatchStore(c.Dir(), nil)
+	return dispatch.RunLocal(ctx, co, c.Config().Workers, func(i int) *dispatch.Worker {
+		w := &dispatch.Worker{ID: dispatch.WorkerID(i), Camp: c, Store: store, Poll: 20 * time.Millisecond}
+		if onClaimed != nil {
+			w.OnEvent = func(ev dispatch.Event) {
+				if ev.Kind == dispatch.EventClaimed {
+					onClaimed(ev.Unit)
+				}
+			}
+		}
+		return w
+	})
+}
+
 func selections(dir string) string {
 	m, err := campaign.ReadSelections(dir)
 	if err != nil {
@@ -101,23 +134,17 @@ func main() {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var once sync.Once
 	killAfter := 3
-	var mu sync.Mutex
 	done := 0
-	c.OnUnitDone = func(u campaign.UnitRecord) {
-		mu.Lock()
-		defer mu.Unlock()
+	onDone := func(u campaign.ResultRecord) {
 		done++
-		fmt.Printf("  unit %-16s done (%d poses)\n", u.ID, u.Poses)
-		if done >= killAfter {
-			once.Do(func() {
-				fmt.Println("  *** kill -9 (simulated): cancelling mid-campaign ***")
-				cancel()
-			})
+		fmt.Printf("  unit %-16s done (%d poses)\n", u.Unit, u.Poses)
+		if done == killAfter {
+			fmt.Println("  *** kill -9 (simulated): cancelling mid-campaign ***")
+			cancel()
 		}
 	}
-	if _, err := c.Run(ctx); !errors.Is(err, campaign.ErrInterrupted) {
+	if _, err := run(ctx, c, onDone, nil); !errors.Is(err, campaign.ErrInterrupted) {
 		log.Fatalf("expected an interrupted campaign, got %v", err)
 	}
 	st, err := campaign.ReadStatus(dir)
@@ -128,14 +155,15 @@ func main() {
 
 	// --- 2. Resume from the manifest. --------------------------------
 	fmt.Println("== resume: completed chunks skipped, the rest re-run ==")
+	// Load fences the killed run's claims, so their units re-run at
+	// once instead of waiting out a lease TTL.
 	cr, err := campaign.Load(dir, demoScorers())
 	if err != nil {
 		log.Fatal(err)
 	}
-	cr.OnUnitStart = func(u campaign.UnitRecord) {
-		fmt.Printf("  re-running unit %s\n", u.ID)
-	}
-	res, err := cr.Run(context.Background())
+	res, err := run(context.Background(), cr, nil, func(unit string) {
+		fmt.Printf("  re-running unit %s\n", unit)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -152,7 +180,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := c2.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), c2, nil, nil); err != nil {
 		log.Fatal(err)
 	}
 	if selections(dir) == selections(dir2) {

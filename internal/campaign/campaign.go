@@ -3,13 +3,15 @@
 // months-long multi-target screening run. A campaign divides each
 // target's compound deck into per-chunk work units (the repro-scale
 // analogue of the paper's 125 concurrent four-node, 2M-pose Fusion
-// jobs), schedules them onto a bounded worker pool, and records every
-// state change in a manifest (JSON) plus compound-keyed h5lite shards
-// — so a killed or failure-injected campaign resumes exactly where it
-// stopped: completed chunks are skipped, in-flight chunks re-run, and
-// injected job failures (screen.ErrJobFailed) are retried per-chunk
-// instead of per-campaign, the paper's "another job takes its place"
-// fault tolerance.
+// jobs), hands them to workers through a lease store, and records
+// every state change in a manifest (JSON) plus compound-keyed h5lite
+// shards — so a killed or failure-injected campaign resumes exactly
+// where it stopped: completed chunks are skipped, in-flight chunks
+// re-run, and injected job failures (screen.ErrJobFailed) are retried
+// per-chunk instead of per-campaign, the paper's "another job takes
+// its place" fault tolerance. The runtime that executes a campaign —
+// a coordinator plus workers, in this process or others — is package
+// dispatch; this package holds the state it drives.
 //
 // Determinism is load-bearing: the deck is regenerated from the
 // manifest config, docked poses are sorted into a canonical order
@@ -52,8 +54,9 @@ type Config struct {
 	ChunkSize int `json:"chunk_size"`
 	// MaxPoses caps docked poses per compound.
 	MaxPoses int `json:"max_poses"`
-	// Workers bounds the number of concurrently running units (the
-	// allocation's concurrent-job capacity). Zero means 2.
+	// Workers is the number of in-process workers a run starts, so
+	// the number of concurrently running units (the allocation's
+	// concurrent-job capacity). Zero means 2.
 	Workers int `json:"workers"`
 	// Job configures each unit's distributed scoring job, including
 	// FailureProb for the paper's observed job failures.
@@ -63,8 +66,9 @@ type Config struct {
 	// injected scorers; Load refuses to resume under a different set —
 	// shard columns and selections are only comparable within one set.
 	Scorers []string `json:"scorers,omitempty"`
-	// MaxAttempts is the per-chunk Fusion job retry budget per Run
-	// call (resume grants a fresh budget). Zero means 3.
+	// MaxAttempts is the per-chunk Fusion job retry budget of one
+	// execution; a unit that spends it parks failed until the next
+	// Load grants a fresh budget. Zero means 3.
 	MaxAttempts int `json:"max_attempts"`
 	// MaxRepairs is the per-unit lifetime budget of corruption
 	// re-queues: each time a unit's shards fail integrity verification
@@ -166,7 +170,7 @@ func (c Config) validate() error {
 	return nil
 }
 
-// ErrInterrupted reports a Run stopped by context cancellation with
+// ErrInterrupted reports a run stopped by context cancellation with
 // work remaining; the manifest holds the resume point.
 var ErrInterrupted = errors.New("campaign: interrupted; resume from manifest")
 
@@ -196,12 +200,6 @@ type Campaign struct {
 	preMu       sync.Mutex
 	prefeatures map[string]*featurize.PocketPrefeature
 
-	// OnUnitStart and OnUnitDone are optional observers called from
-	// worker goroutines as units are claimed and retired. Tests use
-	// them to assert completed chunks are never re-scored and to
-	// inject mid-campaign kills.
-	OnUnitStart func(u UnitRecord)
-	OnUnitDone  func(u UnitRecord)
 	// OnShardWrite is an optional observer called after each shard
 	// file of a unit lands on disk — the fault-injection harness's
 	// mid-shard-write kill point.
@@ -287,24 +285,25 @@ func WithPrecision(p screen.Precision) LoadOption {
 	}
 }
 
-// Load reopens an existing campaign directory: the deck is
-// regenerated from the stored config, units recorded in-flight (the
-// process died mid-chunk) are reset to pending, and done units whose
-// shard files have gone missing are demoted to pending so their data
-// is reproduced rather than silently dropped. The provided scorer set
-// must match the manifest's recorded names exactly — completed shards
-// were written by that set, and mixing sets would corrupt the
-// campaign's comparability guarantee. Options declare further intents
-// (e.g. WithPrecision) the manifest must agree with.
+// Load reopens an existing campaign directory for a coordinator: the
+// deck is regenerated from the stored config and the unit grid is
+// readied for a new run (see fenceForRun) — acks the previous run left
+// on disk are folded, and every unit it had in flight, every failed
+// unit and every done unit whose shards have gone missing returns to
+// pending at a fresh epoch. The provided scorer set must match the
+// manifest's recorded names exactly — completed shards were written by
+// that set, and mixing sets would corrupt the campaign's comparability
+// guarantee. Options declare further intents (e.g. WithPrecision) the
+// manifest must agree with.
 func Load(dir string, scorers []screen.Scorer, opts ...LoadOption) (*Campaign, error) {
 	return openCampaign(dir, scorers, true, opts...)
 }
 
 // Attach opens an existing campaign for a worker process: the same
 // validation as Load (scorer set, deck size, declared intents), but
-// it never mutates unit states and never writes the manifest — in the
-// distributed runtime the coordinator is the only manifest writer,
-// and workers take their units through the lease store instead.
+// it never mutates unit states and never writes the manifest — the
+// coordinator is the only manifest writer, and workers take their
+// units through the lease store instead.
 func Attach(dir string, scorers []screen.Scorer, opts ...LoadOption) (*Campaign, error) {
 	return openCampaign(dir, scorers, false, opts...)
 }
@@ -332,25 +331,8 @@ func openCampaign(dir string, scorers []screen.Scorer, mutate bool, opts ...Load
 		return nil, fmt.Errorf("campaign: deck regenerated to %d compounds, manifest has %d (library drift?)", len(deck), man.DeckSize)
 	}
 	if mutate {
-		changed := false
-		for i := range man.Units {
-			u := &man.Units[i]
-			if u.State == UnitInFlight {
-				u.State = UnitPending
-				u.Shards = nil
-				changed = true
-				continue
-			}
-			if u.State == UnitDone && !shardsExist(dir, u.Shards) {
-				u.State = UnitPending
-				u.Shards = nil
-				changed = true
-			}
-		}
-		if changed {
-			if err := saveManifest(dir, man); err != nil {
-				return nil, err
-			}
+		if err := fenceForRun(dir, man); err != nil {
+			return nil, err
 		}
 	}
 	return newHandle(dir, man, deck, scorers), nil
@@ -456,177 +438,6 @@ func shardsExist(dir string, shards []string) bool {
 	return true
 }
 
-// Run executes every runnable unit on a pool of Config.Workers
-// goroutines, persisting the manifest after each state change, then
-// finalizes the campaign (selection + confirmation) once all units
-// are done. Cancellation is real and threaded through the whole unit
-// — the docking stage stops between compounds and the scoring engine
-// within one inference batch — so cancelling ctx stops the campaign
-// promptly and returns ErrInterrupted with the interrupted units left
-// in-flight (re-run on resume). Units that exhaust their retry budget
-// are recorded failed and Run reports them, leaving the rest of the
-// campaign complete. In both cases a subsequent Run (same process or
-// a fresh Load) continues from the manifest.
-func (c *Campaign) Run(ctx context.Context) (*Result, error) {
-	for {
-		if err := c.runUnits(ctx); err != nil {
-			return nil, err
-		}
-		res, err := c.Finalize()
-		if errors.Is(err, ErrShardsQuarantined) {
-			// Finalize verified every done unit's shards, quarantined
-			// the damage and re-queued the owners under their repair
-			// budgets. Units that exhausted the budget parked as
-			// failed — surface those instead of looping forever.
-			if n := c.failedUnitCount(); n > 0 {
-				return nil, fmt.Errorf("campaign: %d unit(s) exhausted the repair budget: %w", n, err)
-			}
-			continue
-		}
-		return res, err
-	}
-}
-
-// failedUnitCount counts units currently parked failed.
-func (c *Campaign) failedUnitCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, u := range c.man.Units {
-		if u.State == UnitFailed {
-			n++
-		}
-	}
-	return n
-}
-
-// runUnits drives the worker pool over every runnable unit once: the
-// execution half of Run, split out so the self-healing loop can
-// re-enter it after finalize quarantines a corrupt shard and
-// re-queues its unit.
-func (c *Campaign) runUnits(ctx context.Context) error {
-	cfg := c.man.Config
-	work := make(chan int)
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(c.man.Units)+1)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if err := c.runUnit(ctx, i); err != nil {
-					errCh <- err
-				}
-			}
-		}()
-	}
-	// Feed runnable units; stop feeding the moment ctx is cancelled.
-	interrupted := false
-feed:
-	for i := range c.man.Units {
-		c.mu.Lock()
-		state := c.man.Units[i].State
-		c.mu.Unlock()
-		if state == UnitDone {
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			interrupted = true
-			break feed
-		case work <- i:
-		}
-	}
-	close(work)
-	wg.Wait()
-	close(errCh)
-
-	var unitErrs []error
-	for err := range errCh {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			interrupted = true
-			continue
-		}
-		unitErrs = append(unitErrs, err)
-	}
-	if interrupted {
-		return fmt.Errorf("%w (%s)", ErrInterrupted, c.progressLine())
-	}
-	if len(unitErrs) > 0 {
-		return fmt.Errorf("campaign: %d unit(s) failed, rerun to retry: %w", len(unitErrs), errors.Join(unitErrs...))
-	}
-	return nil
-}
-
-func (c *Campaign) progressLine() string {
-	s := c.Status()
-	return fmt.Sprintf("%d/%d units done", s.Done, s.Total)
-}
-
-// runUnit executes one work unit end to end: dock the chunk, score
-// every pose with the distributed ensemble job (retrying injected
-// failures per-chunk), and write the unit's h5lite shards. The
-// manifest transitions pending -> inflight -> done around the work so
-// a kill at any point re-runs only this chunk. A context
-// cancellation mid-unit propagates out with the unit left in-flight:
-// that is interruption, not failure.
-func (c *Campaign) runUnit(ctx context.Context, idx int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	u := c.man.Units[idx]
-	u.State = UnitInFlight
-	c.man.Units[idx] = u
-	err := saveManifest(c.dir, c.man)
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if c.OnUnitStart != nil {
-		c.OnUnitStart(u)
-	}
-
-	out, execErr := c.ExecuteUnit(ctx, u, u.Epoch)
-	if execErr != nil {
-		if ctx.Err() != nil {
-			return ctx.Err() // interruption, not a failed unit
-		}
-		if !errors.Is(execErr, ErrUnitFailed) {
-			return execErr // infrastructure error; unit stays in-flight
-		}
-		c.mu.Lock()
-		u = c.man.Units[idx]
-		u.State = UnitFailed
-		u.Attempts += out.Attempts
-		c.man.Units[idx] = u
-		saveErr := saveManifest(c.dir, c.man)
-		c.mu.Unlock()
-		if saveErr != nil {
-			return saveErr
-		}
-		return execErr
-	}
-
-	c.mu.Lock()
-	u = c.man.Units[idx]
-	u.State = UnitDone
-	u.Attempts += out.Attempts
-	u.Poses = out.Poses
-	u.Skipped = out.Skipped
-	u.Shards = out.Shards
-	c.man.Units[idx] = u
-	err = saveManifest(c.dir, c.man)
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if c.OnUnitDone != nil {
-		c.OnUnitDone(u)
-	}
-	return nil
-}
-
 // UnitOutcome is the result of executing one work unit: the shard
 // files written and the counts the manifest records. Attempts is
 // filled even when execution fails, so the retry seeds keep
@@ -640,10 +451,9 @@ type UnitOutcome struct {
 
 // ExecuteUnit runs one work unit end to end — dock the chunk, score
 // every pose with the distributed ensemble job, write the unit's
-// h5lite shards — WITHOUT touching the manifest. It is the
-// worker-process half of the orchestrator: single-process Run wraps
-// it in manifest transitions, distributed workers wrap it in the
-// lease store's claim/ack protocol. epoch qualifies the shard
+// h5lite shards — WITHOUT touching the manifest. It is the worker
+// half of the orchestrator: dispatch workers wrap it in the lease
+// store's claim/ack protocol. epoch qualifies the shard
 // filenames, so a fenced zombie's late shard write lands under its
 // own (ignored) epoch and can never collide with the current owner's.
 //
@@ -676,7 +486,7 @@ func (c *Campaign) ExecuteUnit(ctx context.Context, u UnitRecord, epoch int) (Un
 
 	o := cfg.Job
 	// Advance past failure-injection seeds consumed by earlier
-	// attempts (this Run or a previous, resumed one), so a chunk that
+	// attempts (this run or a previous, resumed one), so a chunk that
 	// keeps drawing the failure dice eventually clears it. Scores
 	// never depend on the seed, only the injected-failure roll does.
 	o.Seed = seed + int64(u.Attempts)
@@ -710,8 +520,8 @@ func (c *Campaign) ExecuteUnit(ctx context.Context, u UnitRecord, epoch int) (Un
 // writeUnitShards persists one unit's predictions as compound-keyed
 // h5lite shards (screen.WriteShards layout), each written to a temp
 // file and renamed so a kill never leaves a torn shard behind a
-// done-marked unit. Epoch 0 keeps the legacy single-process names;
-// later epochs (distributed reassignments) qualify the filename so a
+// done-marked unit. Epoch 0 keeps the plain names; later epochs
+// (reassignments, repairs, resumes) qualify the filename so a
 // zombie's late write can never race the current owner's. The context
 // is checked between shard files: a mid-shard-write kill leaves the
 // earlier shards complete on disk and the unit unacked.

@@ -1,4 +1,4 @@
-package campaign
+package campaign_test
 
 import (
 	"context"
@@ -6,11 +6,18 @@ import (
 	"path/filepath"
 	"testing"
 
+	. "deepfusion/internal/campaign"
+	"deepfusion/internal/campaign/dispatchtest"
 	"deepfusion/internal/featurize"
 	"deepfusion/internal/fusion"
 	"deepfusion/internal/screen"
 	"deepfusion/internal/target"
 )
+
+// run drives c to settlement on the campaign runtime, unobserved.
+func run(ctx context.Context, c *Campaign) (*Result, error) {
+	return dispatchtest.Run(ctx, c, dispatchtest.Hooks{})
+}
 
 // tinyModel builds an untrained (but functional and fully
 // deterministic) Coherent Fusion model. Two calls with the same seeds
@@ -66,14 +73,14 @@ func TestCampaignPrefeatureReusedAcrossChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := target.ByName("protease1")
-	pfA, err := c.prefeatureFor(p1)
+	pfA, err := c.PrefeatureFor(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pfA == nil {
 		t.Fatal("featurizing scorer set must get a prefeature")
 	}
-	pfB, err := c.prefeatureFor(p1)
+	pfB, err := c.PrefeatureFor(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +90,11 @@ func TestCampaignPrefeatureReusedAcrossChunks(t *testing.T) {
 	if pfA.Pocket() != p1 {
 		t.Fatalf("cached prefeature is for %s, want %s", pfA.Pocket().Name, p1.Name)
 	}
-	if _, err := c.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.prefeatures); got != len(c.man.Config.Targets) {
-		t.Fatalf("campaign built %d prefeatures for %d targets", got, len(c.man.Config.Targets))
+	if got := c.Prefeatures(); got != len(c.Config().Targets) {
+		t.Fatalf("campaign built %d prefeatures for %d targets", got, len(c.Config().Targets))
 	}
 }
 
@@ -97,7 +104,7 @@ func TestCampaignRunsToCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
+	res, err := run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +127,7 @@ func TestCampaignRunsToCompletion(t *testing.T) {
 		t.Fatal("campaign not finalized")
 	}
 	// Every done unit left its shard files behind.
-	for _, u := range c.man.Units {
+	for _, u := range c.Units() {
 		if len(u.Shards) == 0 {
 			t.Fatalf("unit %s has no shards", u.ID)
 		}

@@ -1,4 +1,4 @@
-package dispatch
+package dispatch_test
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"deepfusion/internal/campaign"
+	. "deepfusion/internal/campaign/dispatch"
 )
 
 // killShard is the extra kill point the chaos plan drives through

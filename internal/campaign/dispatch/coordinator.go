@@ -4,20 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"deepfusion/internal/campaign"
 	"deepfusion/internal/cluster"
 )
 
-// Coordinator drives a distributed campaign: it owns the manifest,
-// folds worker claims and result acks into it on every pass, expires
-// stale leases (reassigning dead workers' in-flight units), and
-// finalizes the campaign once every unit is done. It executes no
-// units itself.
+// Coordinator drives a campaign: it owns the manifest, folds worker
+// claims and result acks into it on every pass, expires stale leases
+// (reassigning dead workers' in-flight units), and finalizes the
+// campaign once every unit is done. It executes no units itself;
+// RunLocal pairs it with in-process workers, and workers of other
+// processes join through the lease store.
 type Coordinator struct {
 	// Camp is the coordinator's campaign handle (campaign.New or
-	// campaign.Load) — the single manifest writer of the run.
+	// campaign.Load, which fences the previous run's claims) — the
+	// single manifest writer of the run.
 	Camp *campaign.Campaign
 	// Clock drives lease expiry and the sync cadence. Nil means the
 	// system clock.
@@ -58,16 +61,14 @@ func targetOf(unitID string, units []campaign.UnitRecord) string {
 	return ""
 }
 
-// Run prepares the store, then syncs until the campaign settles:
-// every unit done → finalize and return the campaign result; some
-// units failed with none left runnable → error (a fresh run grants
-// new retry budgets); context cancelled → ErrInterrupted, with the
-// manifest holding the resume point exactly as in the single-process
-// orchestrator.
+// Run syncs until the campaign settles: every unit done → finalize
+// and return the campaign result; some units failed with none left
+// runnable → an error wrapping campaign.ErrUnitFailed (a scoring job
+// spent its retry budget) and/or campaign.ErrShardsQuarantined (a
+// unit's shards kept failing verification past its repair budget),
+// and a fresh Load grants new budgets; context cancelled →
+// campaign.ErrInterrupted, with the manifest holding the resume point.
 func (co *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
-	if err := co.Camp.PrepareDispatch(); err != nil {
-		return nil, err
-	}
 	units := co.Camp.Units()
 	for {
 		rep, err := co.Camp.SyncDispatch(co.clock().Now(), co.Lease)
@@ -103,7 +104,7 @@ func (co *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
 			return res, err
 		}
 		if rep.AllSettled {
-			return nil, fmt.Errorf("dispatch: %d unit(s) failed and no workers can retry them this run; rerun to grant a fresh budget", rep.Failed)
+			return nil, settledErr(rep)
 		}
 		select {
 		case <-ctx.Done():
@@ -113,9 +114,56 @@ func (co *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
 	}
 }
 
+// settledErr reports a run that settled with failed units, wrapping
+// the budget each of them spent.
+func settledErr(rep campaign.SyncReport) error {
+	var causes []error
+	if rep.Failed > rep.Parked {
+		causes = append(causes, campaign.ErrUnitFailed)
+	}
+	if rep.Parked > 0 {
+		causes = append(causes, campaign.ErrShardsQuarantined)
+	}
+	return fmt.Errorf("dispatch: %d unit(s) failed and no workers can retry them this run; resume to grant a fresh budget: %w",
+		rep.Failed, errors.Join(causes...))
+}
+
 // RunStats aggregates the completed-unit spans the coordinator
 // observed into the real-run counterpart of the cluster simulator's
 // PlanResult.
 func (co *Coordinator) RunStats() cluster.RunStats {
 	return cluster.CollectRun(co.spans, co.reassignments)
 }
+
+// RunLocal runs a campaign in this process: the coordinator plus n
+// workers from newWorker, run as goroutines. Workers that share the
+// coordinator's handle share its featurization caches; workers of
+// other processes may join the same campaign through the lease store
+// at any time. RunLocal returns once every worker has stopped. When
+// the run is interrupted, it folds the acks workers wrote while
+// stopping, so the manifest it leaves holds every unit finished.
+func RunLocal(ctx context.Context, co *Coordinator, n int, newWorker func(i int) *Worker) (*campaign.Result, error) {
+	wctx, stopWorkers := context.WithCancel(ctx)
+	defer stopWorkers()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		w := newWorker(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run(wctx)
+		}()
+	}
+	res, err := co.Run(ctx)
+	stopWorkers()
+	wg.Wait()
+	if errors.Is(err, campaign.ErrInterrupted) {
+		if _, serr := co.Camp.SyncDispatch(co.clock().Now(), co.Lease); serr != nil {
+			err = errors.Join(err, serr)
+		}
+	}
+	return res, err
+}
+
+// WorkerID formats the conventional ID for the i-th worker of a run.
+func WorkerID(i int) string { return fmt.Sprintf("w%02d", i+1) }

@@ -1,4 +1,4 @@
-package dispatch
+package dispatch_test
 
 import (
 	"testing"

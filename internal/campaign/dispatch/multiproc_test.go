@@ -1,17 +1,55 @@
-package dispatch
+package dispatch_test
 
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"deepfusion/internal/campaign"
+	. "deepfusion/internal/campaign/dispatch"
 )
 
 const workerDirEnv = "DEEPFUSION_TEST_WORKER_DIR"
+
+// RunProcesses runs a campaign across real OS processes: the
+// coordinator in this process, plus n worker processes started as
+// `exe workerArgs(i)...` with stdout/stderr inherited, each expected to
+// run the worker loop against the shared campaign directory and exit 0
+// when the campaign settles. If the coordinator stops first (error or
+// interrupt), the workers' context is cancelled so they die promptly
+// and their leases expire for the next run.
+func RunProcesses(ctx context.Context, co *Coordinator, n int, exe string, workerArgs func(i int) []string) (*campaign.Result, error) {
+	wctx, stopWorkers := context.WithCancel(ctx)
+	defer stopWorkers()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		cmd := exec.CommandContext(wctx, exe, workerArgs(i)...)
+		cmd.Stdout = os.Stdout
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			stopWorkers()
+			wg.Wait()
+			return nil, fmt.Errorf("start worker %v: %w", workerArgs(i), err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Worker exit is reported through the manifest (units it
+			// acked) and lease expiry (units it did not).
+			_ = cmd.Wait()
+		}()
+	}
+	res, err := co.Run(ctx)
+	stopWorkers()
+	wg.Wait()
+	return res, err
+}
 
 // TestWorkerProcessHelper is not a test: it is the body of the forked
 // worker processes TestDistributedProcessesByteIdentical launches by

@@ -1,14 +1,15 @@
-// Package dispatch is the distributed campaign runtime: the
-// coordinator and worker halves of the multi-process orchestrator
-// that turns cluster.SimulatePlan's simulated ~125-jobs-in-flight
-// regime into real processes. Workers claim (target, chunk) work
-// units through the campaign package's lease-aware manifest store,
-// heartbeat while they hold them, and ack completion with
-// epoch-fenced result records; the coordinator folds claims and acks
-// into the manifest, reassigns dead workers' units when their leases
-// expire, and finalizes — with the same byte-identical kill/resume
-// guarantee the single-process orchestrator pins, now across process
-// boundaries.
+// Package dispatch is the campaign runtime: the coordinator and
+// worker halves of the orchestrator that turns cluster.SimulatePlan's
+// simulated ~125-jobs-in-flight regime into real work. Workers claim
+// (target, chunk) work units through the campaign package's
+// lease-aware manifest store, heartbeat while they hold them, and ack
+// completion with epoch-fenced result records; the coordinator folds
+// claims and acks into the manifest, reassigns dead workers' units
+// when their leases expire, and finalizes. Every campaign runs this
+// way: RunLocal starts the coordinator with in-process workers, and
+// workers of other processes or hosts join the same lease store —
+// with selections byte-identical across kills, resumes, worker counts
+// and transports.
 package dispatch
 
 import (
@@ -43,16 +44,17 @@ type Event struct {
 	Epoch  int
 }
 
-// Worker runs the claim → execute → ack loop of one worker process.
-// It owns no campaign state: the manifest is read through the store,
-// units are executed through a read-only campaign.Attach handle, and
-// every durable write (claim, heartbeat, shard, ack) goes through the
-// store's atomic file protocol.
+// Worker runs the claim → execute → ack loop of one worker. It owns
+// no campaign state: the manifest is read through the store, units are
+// executed through a campaign handle it never writes the manifest
+// with, and every durable write (claim, heartbeat, shard, ack) goes
+// through the store's atomic file protocol.
 type Worker struct {
 	// ID names the worker in claims and the manifest's liveness
 	// table. Empty means "host-pid".
 	ID string
-	// Camp is the read-only campaign handle (campaign.Attach).
+	// Camp executes the units: a worker process's campaign.Attach
+	// handle, or the coordinator's own handle for RunLocal's workers.
 	Camp *campaign.Campaign
 	// Store is the lease backend: campaign.NewDispatchStore on a
 	// shared directory, or dispatchhttp.NewClient against a

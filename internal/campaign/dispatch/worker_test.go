@@ -1,4 +1,4 @@
-package dispatch
+package dispatch_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"deepfusion/internal/campaign"
+	. "deepfusion/internal/campaign/dispatch"
 )
 
 // flakyDispatcher wraps a real Dispatcher and fails a scripted count
@@ -89,9 +90,6 @@ func TestHeartbeatAbsorbsTransientErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "camp")
 	c, err := campaign.New(dir, oneUnitConfig(), tinyScorers())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PrepareDispatch(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,9 +233,6 @@ func TestWorkerRetriesTransientStoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PrepareDispatch(); err != nil {
-		t.Fatal(err)
-	}
 	flaky := &flakyDispatcher{
 		Dispatcher:    campaign.NewDispatchStore(dir, fc),
 		failClaims:    2,
@@ -287,9 +282,6 @@ func TestWorkerGivesUpAfterRetryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PrepareDispatch(); err != nil {
-		t.Fatal(err)
-	}
 	flaky := &flakyDispatcher{
 		Dispatcher: campaign.NewDispatchStore(dir, fc),
 		failClaims: 1000,
@@ -300,32 +292,5 @@ func TestWorkerGivesUpAfterRetryBudget(t *testing.T) {
 	}
 	if consumed := 1000 - flaky.failClaims; consumed != 3 {
 		t.Fatalf("store attempts = %d, want exactly the budget of 3", consumed)
-	}
-}
-
-// TestJitterRange pins the poll/backoff jitter envelope: [0.5d, 1.5d),
-// deterministic per worker ID.
-func TestJitterRange(t *testing.T) {
-	w := &Worker{ID: "jitter-test"}
-	d := time.Second
-	var lo, hi time.Duration = d, 0
-	for i := 0; i < 2000; i++ {
-		j := w.jitter(d)
-		if j < d/2 || j >= d+d/2 {
-			t.Fatalf("jitter(%v) = %v, outside [%v, %v)", d, j, d/2, d+d/2)
-		}
-		if j < lo {
-			lo = j
-		}
-		if j > hi {
-			hi = j
-		}
-	}
-	if hi-lo < d/4 {
-		t.Fatalf("jitter spread %v over 2000 draws, want real dispersion", hi-lo)
-	}
-	w2 := &Worker{ID: "jitter-test"}
-	if a, b := w2.jitter(d), (&Worker{ID: "jitter-test"}).jitter(d); a != b {
-		t.Fatalf("same-ID jitter streams diverge: %v vs %v", a, b)
 	}
 }

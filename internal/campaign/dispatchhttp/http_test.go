@@ -32,9 +32,6 @@ func newCoordinator(t *testing.T, cfg campaign.Config, fc *campaign.FakeClock) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PrepareDispatch(); err != nil {
-		t.Fatal(err)
-	}
 	srv := httptest.NewServer(dispatchhttp.NewServer(dir, fc).Handler())
 	t.Cleanup(srv.Close)
 	return dir, c, srv

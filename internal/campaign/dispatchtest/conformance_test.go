@@ -24,9 +24,6 @@ func newCampaign(t *testing.T, fc *campaign.FakeClock) (string, *campaign.Campai
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PrepareDispatch(); err != nil {
-		t.Fatal(err)
-	}
 	return dir, c
 }
 

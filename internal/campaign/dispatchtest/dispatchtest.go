@@ -1,10 +1,11 @@
-// Package dispatchtest holds the shared verification kit for
-// campaign dispatch backends: the tiny deterministic campaign fixture
-// every distributed-runtime test builds on, and the Dispatcher
-// conformance suite both the filesystem store and the HTTP backend
-// must pass. It lives outside the _test files so the dispatch,
-// dispatchhttp and campaign test packages can all drive one suite
-// instead of three drifting copies.
+// Package dispatchtest holds the shared verification kit for the
+// campaign runtime: the tiny deterministic campaign fixture, Run (the
+// runtime with test-speed polls), and the Dispatcher conformance suite
+// both the filesystem store and the HTTP backend must pass. It lives
+// outside the _test files so the dispatch, dispatchhttp and campaign
+// test packages can all drive one kit instead of three drifting
+// copies; those packages' tests import it from their external
+// (_test) packages.
 package dispatchtest
 
 import (
@@ -12,8 +13,10 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"deepfusion/internal/campaign"
+	"deepfusion/internal/campaign/dispatch"
 	"deepfusion/internal/featurize"
 	"deepfusion/internal/fusion"
 	"deepfusion/internal/screen"
@@ -77,9 +80,49 @@ func SelectionBytes(t *testing.T, dir string) []byte {
 	return b
 }
 
-// ReferenceRun executes the campaign uninterrupted in a single
-// process and returns its directory and selection bytes — the golden
-// answer every distributed run must reproduce exactly.
+// Hooks observe a Run; either may be nil.
+type Hooks struct {
+	// Claimed sees each unit a worker claims.
+	Claimed func(unit string)
+	// Done sees each unit the coordinator folds done.
+	Done func(campaign.ResultRecord)
+}
+
+// Poll is the coordinator and worker poll Run uses: short, so a test
+// campaign settles in milliseconds of idle time.
+const Poll = 5 * time.Millisecond
+
+// Run drives c to settlement the way every campaign runs:
+// dispatch.RunLocal with c.Config().Workers workers sharing c over the
+// filesystem lease store.
+func Run(ctx context.Context, c *campaign.Campaign, h Hooks) (*campaign.Result, error) {
+	co := &dispatch.Coordinator{Camp: c, Poll: Poll}
+	if h.Done != nil {
+		co.OnSync = func(rep campaign.SyncReport) {
+			for _, rec := range rep.Completed {
+				if rec.Err == "" {
+					h.Done(rec)
+				}
+			}
+		}
+	}
+	store := campaign.NewDispatchStore(c.Dir(), nil)
+	return dispatch.RunLocal(ctx, co, c.Config().Workers, func(i int) *dispatch.Worker {
+		w := &dispatch.Worker{ID: dispatch.WorkerID(i), Camp: c, Store: store, Poll: Poll}
+		if h.Claimed != nil {
+			w.OnEvent = func(ev dispatch.Event) {
+				if ev.Kind == dispatch.EventClaimed {
+					h.Claimed(ev.Unit)
+				}
+			}
+		}
+		return w
+	})
+}
+
+// ReferenceRun executes the campaign uninterrupted and returns its
+// directory and selection bytes — the answer every chaos, transport
+// and multi-process run must reproduce exactly.
 func ReferenceRun(t *testing.T, cfg campaign.Config) (string, []byte) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ref")
@@ -87,7 +130,7 @@ func ReferenceRun(t *testing.T, cfg campaign.Config) (string, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(context.Background()); err != nil {
+	if _, err := Run(context.Background(), c, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	return dir, SelectionBytes(t, dir)

@@ -1,4 +1,4 @@
-package campaign
+package campaign_test
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	. "deepfusion/internal/campaign"
+	"deepfusion/internal/campaign/dispatchtest"
 	"deepfusion/internal/dock"
 	"deepfusion/internal/mmgbsa"
 	"deepfusion/internal/screen"
@@ -33,13 +35,13 @@ func TestEnsembleResumeAfterKillMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ca.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), ca); err != nil {
 		t.Fatal(err)
 	}
 	wantSel := selectionBytes(t, dirA)
 
 	// The manifest records the scorer names, primary first.
-	ma, err := loadManifest(dirA)
+	ma, err := LoadManifest(dirA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestEnsembleResumeAfterKillMatchesUninterrupted(t *testing.T) {
 	}
 
 	// Every shard row carries one column per scorer.
-	preds, err := ca.readTargetPredictions(ma.Units, "protease1")
+	preds, err := ca.ReadTargetPredictions(ma.Units, "protease1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestEnsembleResumeAfterKillMatchesUninterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	done := 0
-	cb.OnUnitDone = func(u UnitRecord) {
+	onDone := func(ResultRecord) {
 		mu.Lock()
 		defer mu.Unlock()
 		done++
@@ -82,7 +84,7 @@ func TestEnsembleResumeAfterKillMatchesUninterrupted(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := cb.Run(ctx); !errors.Is(err, ErrInterrupted) {
+	if _, err := dispatchtest.Run(ctx, cb, dispatchtest.Hooks{Done: onDone}); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("killed run returned %v, want ErrInterrupted", err)
 	}
 	st, err := ReadStatus(dirB)
@@ -97,7 +99,7 @@ func TestEnsembleResumeAfterKillMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), cr); err != nil {
 		t.Fatal(err)
 	}
 	if got := selectionBytes(t, dirB); string(got) != string(wantSel) {
@@ -146,9 +148,10 @@ func TestStatusReportsScorerSet(t *testing.T) {
 }
 
 // TestRunCancellationStopsPromptly cancels a campaign while its first
-// units are mid-chunk and checks Run returns ErrInterrupted without
-// draining the full unit grid — cancellation is threaded through
-// docking and the scoring engine, not just the feed loop — and that
+// units are mid-chunk and checks the run returns ErrInterrupted
+// without draining the full unit grid — cancellation is threaded
+// through docking and the scoring engine, not just the claim loop —
+// and that
 // the interrupted campaign resumes to the uninterrupted selections.
 func TestRunCancellationStopsPromptly(t *testing.T) {
 	cfg := tinyConfig()
@@ -159,11 +162,11 @@ func TestRunCancellationStopsPromptly(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	c.OnUnitStart = func(UnitRecord) {
+	onClaimed := func(string) {
 		once.Do(cancel) // cancel while the very first units are mid-chunk
 	}
 	start := time.Now()
-	_, runErr := c.Run(ctx)
+	_, runErr := dispatchtest.Run(ctx, c, dispatchtest.Hooks{Claimed: onClaimed})
 	elapsed := time.Since(start)
 	if !errors.Is(runErr, ErrInterrupted) {
 		t.Fatalf("cancelled Run returned %v, want ErrInterrupted", runErr)
@@ -185,7 +188,7 @@ func TestRunCancellationStopsPromptly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cRef.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), cRef); err != nil {
 		t.Fatal(err)
 	}
 	// ...match the cancelled campaign after resume.
@@ -193,7 +196,7 @@ func TestRunCancellationStopsPromptly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), cr); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := selectionBytes(t, dir), selectionBytes(t, dirRef); string(got) != string(want) {

@@ -53,11 +53,11 @@ func (r *Result) HitRate() float64 {
 // byte-identical selections.
 func (c *Campaign) Finalize() (*Result, error) {
 	c.mu.Lock()
-	// Defense in depth: even though the distributed fold path verified
-	// each shard before marking its unit done, re-verify here — the
-	// last gate before bytes flow into selections. Anything damaged
-	// since folding is quarantined and its unit re-queued; finalize
-	// then refuses with ErrShardsQuarantined rather than fold.
+	// Defense in depth: even though the fold path verified each shard
+	// before marking its unit done, re-verify here — the last gate
+	// before bytes flow into selections. Anything damaged since
+	// folding is quarantined and its unit re-queued; finalize then
+	// refuses with ErrShardsQuarantined rather than fold.
 	probs, changed, err := verifyAndQuarantineDone(c.dir, c.man)
 	if err != nil {
 		c.mu.Unlock()

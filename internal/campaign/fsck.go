@@ -123,14 +123,7 @@ func Fsck(dir string, repair bool) (FsckReport, error) {
 		man.Corruptions += len(probs)
 		man.Repairs++
 		u.Repairs++
-		e := u.Epoch
-		if me := maxEpoch(claims[u.ID]); me > e {
-			e = me
-		}
-		if me := maxEpoch(results[u.ID]); me > e {
-			e = me
-		}
-		u.Epoch = e + 1
+		u.Epoch = diskEpoch(u, claims, results) + 1
 		u.State = UnitPending
 		u.Worker = ""
 		u.Poses = 0

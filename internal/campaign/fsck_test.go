@@ -1,4 +1,4 @@
-package campaign
+package campaign_test
 
 import (
 	"bytes"
@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	. "deepfusion/internal/campaign"
 )
 
 // completedCampaign runs a tiny campaign to completion and returns
@@ -17,7 +19,7 @@ func completedCampaign(t *testing.T) (string, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	return dir, selectionBytes(t, dir)
@@ -42,7 +44,7 @@ func TestFsckCleanCampaign(t *testing.T) {
 // moves.
 func TestFsckReportsWithoutRepair(t *testing.T) {
 	dir, _ := completedCampaign(t)
-	man, err := loadManifest(dir)
+	man, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestFsckReportsWithoutRepair(t *testing.T) {
 	if _, err := os.Stat(corrupt); err != nil {
 		t.Fatalf("report-only fsck moved the corrupt shard: %v", err)
 	}
-	after, err := loadManifest(dir)
+	after, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestFsckReportsWithoutRepair(t *testing.T) {
 // undamaged run.
 func TestFsckRepairThenResumeMatchesReference(t *testing.T) {
 	dir, wantSel := completedCampaign(t)
-	man, err := loadManifest(dir)
+	man, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestFsckRepairThenResumeMatchesReference(t *testing.T) {
 		t.Fatalf("fsck counters corruptions=%d repairs=%d, want 2/2", rep.Corruptions, rep.Repairs)
 	}
 
-	after, err := loadManifest(dir)
+	after, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestFsckRepairThenResumeMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), cr); err != nil {
 		t.Fatal(err)
 	}
 	if got := selectionBytes(t, dir); !bytes.Equal(got, wantSel) {

@@ -146,8 +146,8 @@ func quarantineAndRequeue(dir string, man *Manifest, u *UnitRecord, probs []Shar
 
 // verifyAndQuarantineDone verifies every done unit's shards and runs
 // the repair state machine on failures. Used by Finalize (and Fsck
-// with repair enabled) — the distributed fold path verifies in
-// syncDispatch instead, before a unit ever becomes done. The caller
+// with repair enabled) — the fold path verifies in syncDispatch
+// instead, before a unit ever becomes done. The caller
 // must hold c.mu. Returns the problems found and whether the
 // manifest changed.
 func verifyAndQuarantineDone(dir string, man *Manifest) (probs []ShardProblem, changed bool, err error) {
@@ -171,14 +171,7 @@ func verifyAndQuarantineDone(dir string, man *Manifest) (probs []ShardProblem, c
 			continue
 		}
 		probs = append(probs, unitProbs...)
-		e := u.Epoch
-		if me := maxEpoch(claims[u.ID]); me > e {
-			e = me
-		}
-		if me := maxEpoch(results[u.ID]); me > e {
-			e = me
-		}
-		if _, err := quarantineAndRequeue(dir, man, u, unitProbs, e+1); err != nil {
+		if _, err := quarantineAndRequeue(dir, man, u, unitProbs, diskEpoch(u, claims, results)+1); err != nil {
 			return probs, changed, err
 		}
 		changed = true

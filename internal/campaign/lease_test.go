@@ -2,9 +2,14 @@ package campaign
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"deepfusion/internal/dock"
+	"deepfusion/internal/screen"
 )
 
 // leaseFixture writes a synthetic campaign directory holding only a
@@ -240,17 +245,16 @@ func TestZombieFencedByEpoch(t *testing.T) {
 	}
 }
 
-// TestPrepareDispatchRetriesFailedAtFreshEpoch pins the failed-unit
-// retry path: a new distributed run returns failed units to pending at
-// an epoch past every claim/result file on disk, so the fresh claim
-// cannot collide with a tombstone.
-func TestPrepareDispatchRetriesFailedAtFreshEpoch(t *testing.T) {
+// TestLoadRetriesFailedAtFreshEpoch pins the failed-unit retry path:
+// Load returns failed units to pending at an epoch past every
+// claim/result file on disk, so the fresh claim cannot collide with a
+// tombstone.
+func TestLoadRetriesFailedAtFreshEpoch(t *testing.T) {
 	u := leaseUnit("a")
 	u.State = UnitFailed
 	u.Epoch = 2
-	dir, man := leaseFixture(t, u)
+	dir, _ := leaseFixture(t, u)
 	fc := NewFakeClock(leaseT0)
-	c := newHandle(dir, man, nil, nil)
 
 	// Tombstones from the failed run, including one at an epoch ahead
 	// of the manifest (a crash between claim and sync).
@@ -258,9 +262,8 @@ func TestPrepareDispatchRetriesFailedAtFreshEpoch(t *testing.T) {
 	if err := createExclusiveJSON(claimPath(dir, "a", 3), rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PrepareDispatch(); err != nil {
-		t.Fatal(err)
-	}
+	c := loadFixture(t, dir)
+	man := c.man
 	if man.Units[0].State != UnitPending || man.Units[0].Epoch != 4 {
 		t.Fatalf("retried unit = state %s epoch %d, want pending at epoch 4", man.Units[0].State, man.Units[0].Epoch)
 	}
@@ -274,6 +277,90 @@ func TestPrepareDispatchRetriesFailedAtFreshEpoch(t *testing.T) {
 	if claim.Epoch != 4 {
 		t.Fatalf("fresh claim epoch = %d, want 4", claim.Epoch)
 	}
+}
+
+// TestLoadFencesDeadRun pins the rest of Load's fence: the acks a
+// dead run left on disk are folded first (the unit is done and will
+// not be claimed again), and a unit the dead run held in flight —
+// its claim still fresh, so no lease expiry would free it for a TTL —
+// returns to pending at once, past its claim.
+func TestLoadFencesDeadRun(t *testing.T) {
+	dir, _ := leaseFixture(t, leaseUnit("acked"), leaseUnit("held"), leaseUnit("idle"))
+	fc := NewFakeClock(leaseT0)
+	s := NewDispatchStore(dir, fc)
+	acked, _, err := s.Claim("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(shardDirName, "acked_s00.h5l")
+	if err := os.MkdirAll(filepath.Join(dir, shardDirName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	shardFixture(t, filepath.Join(dir, shard))
+	if err := s.Complete(acked, UnitOutcome{Poses: 5, Attempts: 1, Shards: []string{shard}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Claim("w2"); err != nil { // "held": never acked
+		t.Fatal(err)
+	}
+
+	c := loadFixture(t, dir)
+	want := map[string]struct {
+		state UnitState
+		epoch int
+	}{
+		"acked": {UnitDone, 0},
+		"held":  {UnitPending, 1},
+		"idle":  {UnitPending, 0},
+	}
+	for _, u := range c.Units() {
+		if w := want[u.ID]; u.State != w.state || u.Epoch != w.epoch {
+			t.Fatalf("unit %s = state %s epoch %d, want %s at epoch %d", u.ID, u.State, u.Epoch, w.state, w.epoch)
+		}
+	}
+	if st := c.Status(); st.Poses != 5 {
+		t.Fatalf("status poses = %d, want the acked unit's 5", st.Poses)
+	}
+	for _, w := range c.Status().Workers {
+		if len(w.Leases) != 0 {
+			t.Fatalf("worker %s still holds %v after the fence", w.ID, w.Leases)
+		}
+	}
+
+	// Both pending units are claimable right away, on a clock that
+	// has not moved: nothing waits for the dead claim to expire.
+	got := map[string]int{}
+	for range 2 {
+		claim, _, err := s.Claim("w3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[claim.Unit] = claim.Epoch
+	}
+	if got["held"] != 1 || got["idle"] != 0 || len(got) != 2 {
+		t.Fatalf("claims after Load = %v, want held at epoch 1 and idle at epoch 0", got)
+	}
+}
+
+// loadFixture opens a leaseFixture directory with Load, as a
+// coordinator would: the fixture gets a scorer set and the deck size
+// Load regenerates from its config.
+func loadFixture(t *testing.T, dir string) *Campaign {
+	t.Helper()
+	man, err := loadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Config.Scorers = []string{"vina"}
+	man.DeckSize = len(drawDeck(man.Config))
+	if err := saveManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Load(dir, []screen.Scorer{dock.VinaScorer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestConcurrentClaimExactlyOnce is the racing-workers property test:

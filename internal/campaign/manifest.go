@@ -12,10 +12,11 @@ import (
 // UnitState is the lifecycle of one work unit in the manifest.
 type UnitState string
 
-// Unit states. InFlight units were started but never recorded done —
-// a crash or kill caught them mid-chunk — and are re-run on resume.
-// Failed units exhausted their per-chunk retry budget and are retried
-// (with advanced failure-injection seeds) on the next Run.
+// Unit states. InFlight units are held by a worker's claim; if the
+// run dies with them in flight, the next Load fences the claims and
+// they re-run. Failed units exhausted their per-chunk retry budget
+// (or their repair budget) and are retried, with advanced
+// failure-injection seeds, after the next Load.
 const (
 	UnitPending  UnitState = "pending"
 	UnitInFlight UnitState = "inflight"
@@ -38,14 +39,14 @@ type UnitRecord struct {
 	Poses    int       `json:"poses"`    // docked poses scored (done units)
 	Skipped  int       `json:"skipped"`  // compounds that failed prep/docking
 	Shards   []string  `json:"shards"`   // shard filenames relative to the campaign dir
-	// Epoch is the unit's claim generation in a distributed run. Each
-	// lease-expiry reassignment bumps it; claim files and result acks
-	// are epoch-named, so artifacts from a fenced (zombie) worker can
-	// never be confused with the current owner's. Single-process runs
-	// leave it at 0.
+	// Epoch is the unit's claim generation. A unit's first claim is
+	// at epoch 0; each lease-expiry reassignment, repair re-queue and
+	// Load fence bumps it. Claim files and result acks are
+	// epoch-named, so artifacts from a fenced (zombie) worker can
+	// never be confused with the current owner's.
 	Epoch int `json:"epoch,omitempty"`
 	// Worker is the worker holding (in-flight) or last holding (done/
-	// failed) the unit's lease in a distributed run.
+	// failed) the unit's lease.
 	Worker string `json:"worker,omitempty"`
 	// Repairs counts corruption re-queues this unit has consumed from
 	// its lifetime repair budget (Config.MaxRepairs). A unit whose
@@ -97,8 +98,7 @@ type Manifest struct {
 	Units      []UnitRecord                 `json:"units"`
 	Finalized  bool                         `json:"finalized"`
 	Selections map[string][]SelectionRecord `json:"selections,omitempty"`
-	// Workers and Reassignments are maintained by the distributed
-	// coordinator: per-worker liveness/throughput, and the number of
+	// Workers and Reassignments are maintained by the coordinator: per-worker liveness/throughput, and the number of
 	// lease-expiry reassignments over the campaign's lifetime.
 	Workers       map[string]*WorkerRecord `json:"workers,omitempty"`
 	Reassignments int                      `json:"reassignments,omitempty"`

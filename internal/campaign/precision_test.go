@@ -1,4 +1,4 @@
-package campaign
+package campaign_test
 
 import (
 	"bytes"
@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	. "deepfusion/internal/campaign"
 )
 
 // TestManifestRecordsPrecision pins the durable half of the precision
@@ -82,7 +84,7 @@ func TestLegacyManifestBackfillsPrecision(t *testing.T) {
 	}
 	// Rewrite the manifest without the precision key, as a pre-knob
 	// process would have written it.
-	raw, err := os.ReadFile(manifestPath(dir))
+	raw, err := os.ReadFile(ManifestPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestLegacyManifestBackfillsPrecision(t *testing.T) {
 	if bytes.Contains(stripped, []byte("precision")) {
 		t.Fatal("test bug: precision key survived stripping")
 	}
-	if err := os.WriteFile(manifestPath(dir), stripped, 0o644); err != nil {
+	if err := os.WriteFile(ManifestPath(dir), stripped, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := ReadConfig(dir)
@@ -127,7 +129,7 @@ func TestCampaignRunsAtF32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
+	res, err := run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

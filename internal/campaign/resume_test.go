@@ -1,4 +1,4 @@
-package campaign
+package campaign_test
 
 import (
 	"context"
@@ -7,13 +7,16 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	. "deepfusion/internal/campaign"
+	"deepfusion/internal/campaign/dispatchtest"
 )
 
 // selectionBytes renders a manifest's selections deterministically,
 // the byte-level identity the resume guarantee is stated in.
 func selectionBytes(t *testing.T, dir string) []byte {
 	t.Helper()
-	m, err := loadManifest(dir)
+	m, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func TestResumeAfterKillMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ca.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), ca); err != nil {
 		t.Fatal(err)
 	}
 	wantSel := selectionBytes(t, dirA)
@@ -55,15 +58,15 @@ func TestResumeAfterKillMatchesUninterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	doneBeforeKill := map[string]bool{}
-	cb.OnUnitDone = func(u UnitRecord) {
+	onDone := func(u ResultRecord) {
 		mu.Lock()
 		defer mu.Unlock()
-		doneBeforeKill[u.ID] = true
+		doneBeforeKill[u.Unit] = true
 		if len(doneBeforeKill) == 2 {
 			cancel()
 		}
 	}
-	if _, err := cb.Run(ctx); !errors.Is(err, ErrInterrupted) {
+	if _, err := dispatchtest.Run(ctx, cb, dispatchtest.Hooks{Done: onDone}); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("killed run returned %v, want ErrInterrupted", err)
 	}
 	st, err := ReadStatus(dirB)
@@ -77,7 +80,7 @@ func TestResumeAfterKillMatchesUninterrupted(t *testing.T) {
 		t.Fatal("killed campaign must not be finalized")
 	}
 	// The authoritative completed-at-kill set is the manifest on disk.
-	mKill, err := loadManifest(dirB)
+	mKill, err := LoadManifest(dirB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,19 +98,19 @@ func TestResumeAfterKillMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rerun []string
-	cr.OnUnitStart = func(u UnitRecord) {
+	onClaimed := func(unit string) {
 		mu.Lock()
 		defer mu.Unlock()
-		rerun = append(rerun, u.ID)
+		rerun = append(rerun, unit)
 	}
-	if _, err := cr.Run(context.Background()); err != nil {
+	if _, err := dispatchtest.Run(context.Background(), cr, dispatchtest.Hooks{Claimed: onClaimed}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Every unit ends done...
 	mu.Lock()
 	defer mu.Unlock()
-	mb, err := loadManifest(dirB)
+	mb, err := LoadManifest(dirB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func TestFailureInjectionRetriesPerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ca.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), ca); err != nil {
 		t.Fatal(err)
 	}
 	wantSel := selectionBytes(t, dirA)
@@ -160,10 +163,10 @@ func TestFailureInjectionRetriesPerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cb.Run(context.Background()); err != nil {
+	if _, err := run(context.Background(), cb); err != nil {
 		t.Fatal(err)
 	}
-	m, err := loadManifest(dirB)
+	m, err := LoadManifest(dirB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +183,9 @@ func TestFailureInjectionRetriesPerChunk(t *testing.T) {
 }
 
 // TestExhaustedRetriesFailUnitAndResume drives a chunk past its
-// retry budget, checks Run surfaces the failure with the rest of the
-// campaign intact, and that a later Run (fresh budget, advanced
-// failure seeds) completes it.
+// retry budget, checks the run surfaces the failure with the rest of
+// the campaign intact, and that a later run after Load (fresh budget,
+// advanced failure seeds) completes it.
 func TestExhaustedRetriesFailUnitAndResume(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Job.FailureProb = 0.5
@@ -192,7 +195,7 @@ func TestExhaustedRetriesFailUnitAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runErr := c.Run(context.Background())
+	_, runErr := run(context.Background(), c)
 	if runErr == nil {
 		t.Skip("no unit drew the failure dice at this seed; nothing to exercise")
 	}
@@ -212,7 +215,7 @@ func TestExhaustedRetriesFailUnitAndResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err = cl.Run(context.Background()); err == nil {
+		if _, err = run(context.Background(), cl); err == nil {
 			return
 		}
 	}

@@ -14,6 +14,10 @@ type SyncReport struct {
 	Failed   int
 	InFlight int
 	Pending  int
+	// Parked counts the failed units whose last ack carried no error:
+	// their shards failed verification after their repair budget ran
+	// out. The rest of Failed spent their scoring job's retry budget.
+	Parked int
 	// Reassigned lists units whose lease expired this pass; each was
 	// fenced (epoch bumped) and returned to pending.
 	Reassigned []string
@@ -89,15 +93,12 @@ func syncDispatch(dir string, man *Manifest, now time.Time, lease LeaseOptions) 
 			continue
 		case UnitFailed:
 			rep.Failed++
+			if results[u.ID][u.Epoch].Err == "" {
+				rep.Parked++
+			}
 			continue
 		}
-		e := u.Epoch
-		if me := maxEpoch(claims[u.ID]); me > e {
-			e = me
-		}
-		if me := maxEpoch(results[u.ID]); me > e {
-			e = me
-		}
+		e := diskEpoch(u, claims, results)
 		if e != u.Epoch {
 			u.Epoch = e
 			changed = true
@@ -130,6 +131,7 @@ func syncDispatch(dir string, man *Manifest, now time.Time, lease LeaseOptions) 
 					rep.Pending++
 				} else {
 					rep.Failed++
+					rep.Parked++
 				}
 				changed = true
 				continue
@@ -200,8 +202,8 @@ func syncDispatch(dir string, man *Manifest, now time.Time, lease LeaseOptions) 
 
 // SyncDispatch runs one coordinator pass: fold claims and results
 // into the manifest, expire stale leases, and persist the manifest if
-// anything changed. The coordinator is the only manifest writer in a
-// distributed campaign, so workers always read a consistent view.
+// anything changed. The coordinator is the only manifest writer, so
+// workers always read a consistent view.
 func (c *Campaign) SyncDispatch(now time.Time, lease LeaseOptions) (SyncReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -217,45 +219,68 @@ func (c *Campaign) SyncDispatch(now time.Time, lease LeaseOptions) (SyncReport, 
 	return rep, nil
 }
 
-// PrepareDispatch readies a campaign directory for a distributed run:
-// the claim and result directories are created, and units that failed
-// a previous run are returned to pending at a fresh epoch — past any
-// claim or result file on disk — granting them a fresh retry budget
-// exactly like a single-process resume does.
-func (c *Campaign) PrepareDispatch() error {
-	if err := ensureDispatchDirs(c.dir); err != nil {
+// fenceForRun readies a manifest Load opened for a new run; it is the
+// one place that decides what a run may execute. It first folds the
+// claim and result files on disk into the manifest, at the zero time
+// so that no lease expires — a unit acked before the previous run
+// stopped is done, not re-run. It then returns every unit that is in
+// flight, failed, or done with missing shards to pending, at an epoch
+// past every claim and result file on disk:
+//
+//   - the dead run's claims are fenced at once, instead of holding
+//     their units for a lease TTL;
+//   - failed units get a fresh retry budget;
+//   - lost shards are reproduced rather than silently dropped.
+//
+// A live worker of another process that outlived the previous
+// coordinator is fenced too: its ack lands at the old epoch and is
+// ignored, and it claims again — the epoch fence keeps every unit
+// counted exactly once.
+func fenceForRun(dir string, man *Manifest) error {
+	if err := ensureDispatchDirs(dir); err != nil {
 		return err
 	}
-	claims, err := readClaimFiles(c.dir)
+	_, changed, err := syncDispatch(dir, man, time.Time{}, LeaseOptions{})
 	if err != nil {
 		return err
 	}
-	results, err := readResultFiles(c.dir)
+	claims, err := readClaimFiles(dir)
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	changed := false
-	for i := range c.man.Units {
-		u := &c.man.Units[i]
-		if u.State != UnitFailed {
+	results, err := readResultFiles(dir)
+	if err != nil {
+		return err
+	}
+	for i := range man.Units {
+		u := &man.Units[i]
+		switch {
+		case u.State == UnitInFlight, u.State == UnitFailed:
+		case u.State == UnitDone && !shardsExist(dir, u.Shards):
+		default:
 			continue
 		}
-		e := u.Epoch
-		if me := maxEpoch(claims[u.ID]); me > e {
-			e = me
-		}
-		if me := maxEpoch(results[u.ID]); me > e {
-			e = me
-		}
-		u.Epoch = e + 1
+		u.Epoch = diskEpoch(u, claims, results) + 1
 		u.State = UnitPending
 		u.Worker = ""
+		u.Shards = nil
 		changed = true
+	}
+	// Every claim is fenced now, so no worker holds a lease.
+	for _, w := range man.Workers {
+		if w.Leases != nil {
+			w.Leases = nil
+			changed = true
+		}
 	}
 	if !changed {
 		return nil
 	}
-	return saveManifest(c.dir, c.man)
+	return saveManifest(dir, man)
+}
+
+// diskEpoch returns the largest of the unit's manifest epoch and the
+// epochs of its claim and result files on disk.
+func diskEpoch(u *UnitRecord, claims map[string]map[int]ClaimRecord, results map[string]map[int]ResultRecord) int {
+	return max(u.Epoch, maxEpoch(claims[u.ID]), maxEpoch(results[u.ID]))
 }
