@@ -66,7 +66,7 @@ func TinyConfig() campaign.Config {
 
 // SelectionBytes serializes a finalized campaign's per-target
 // selections — the byte-identity oracle shared by every
-// distributed-runtime test.
+// campaign-runtime test.
 func SelectionBytes(t *testing.T, dir string) []byte {
 	t.Helper()
 	sel, err := campaign.ReadSelections(dir)
