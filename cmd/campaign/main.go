@@ -389,9 +389,6 @@ func execute(c *campaign.Campaign, n int, leaseTTL time.Duration, listen string)
 			for _, u := range rep.Reassigned {
 				fmt.Printf("  lease expired: unit %s reassigned\n", u)
 			}
-			for _, u := range rep.Quarantined {
-				fmt.Printf("  corrupt shards quarantined: unit %s re-queued\n", u)
-			}
 		},
 	}
 	store := campaign.NewDispatchStore(c.Dir(), nil)
