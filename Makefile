@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-benchmark test-portable test-race smoke-campaign fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 clean
+.PHONY: all build verify test test-benchmark test-portable test-race smoke-campaign fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 profile-dock clean
 
 all: build
 
@@ -121,6 +121,16 @@ profile-f64:
 	$(GO) test ./internal/screen/ -run '^$$' -bench 'BenchmarkRunJobBatched$$' -benchtime 3s -cpu 2 \
 		-o $(PROFILE_DIR)/screen.test -cpuprofile $(PROFILE_DIR)/f64.cpu.prof
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/screen.test $(PROFILE_DIR)/f64.cpu.prof
+
+# CPU profile of docking one prepared compound at the service's
+# settings (BenchmarkDockCompound: DockCompounds with 3 poses, 30
+# Monte-Carlo steps, 4 restarts on protease1 — what the benchmark's
+# dock.compound_ms measures) and its 15 hottest functions.
+profile-dock:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test ./internal/screen/ -run '^$$' -bench 'BenchmarkDockCompound$$' -benchtime 3s -cpu 2 \
+		-o $(PROFILE_DIR)/screen.test -cpuprofile $(PROFILE_DIR)/dock.cpu.prof
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/screen.test $(PROFILE_DIR)/dock.cpu.prof
 
 # Ensemble-engine win: featurize-once/score-N consensus scoring vs N
 # independent single-scorer runs over the same poses.

@@ -55,18 +55,18 @@ func Embed3D(m *Mol, seed int64) {
 		}
 	}
 
-	// Precompute bonded and 1-3 pair sets.
-	bonded := map[[2]int]bool{}
-	for _, b := range m.Bonds {
-		bonded[pairKey(b.A, b.B)] = true
-	}
-	oneThree := map[[2]int]bool{}
+	// Precompute each pair's relation once: rel[i*n+j] for i < j.
+	// Bonded is written last, so it takes precedence over 1-3.
+	rel := make([]uint8, n*n)
 	for a := 0; a < n; a++ {
 		for i := 0; i < len(adj[a]); i++ {
 			for j := i + 1; j < len(adj[a]); j++ {
-				oneThree[pairKey(adj[a][i].Nbr, adj[a][j].Nbr)] = true
+				rel[pairIndex(n, adj[a][i].Nbr, adj[a][j].Nbr)] = relOneThree
 			}
 		}
+	}
+	for _, b := range m.Bonds {
+		rel[pairIndex(n, b.A, b.B)] = relBonded
 	}
 	angleDist := idealBondLength * math.Sqrt(8.0/3.0) // tetrahedral 1-3 distance
 
@@ -84,16 +84,16 @@ func Embed3D(m *Mol, seed int64) {
 					r = 1e-3
 				}
 				var f float64 // positive pulls together, negative pushes apart
-				key := pairKey(i, j)
-				switch {
-				case bonded[key]:
+				switch rel[i*n+j] {
+				case relBonded:
 					f = 2 * (r - idealBondLength)
-				case oneThree[key]:
+				case relOneThree:
 					f = 1 * (r - angleDist)
-				case r < minNonBonded:
-					f = 4 * (r - minNonBonded)
 				default:
-					continue
+					if !(r < minNonBonded) {
+						continue
+					}
+					f = 4 * (r - minNonBonded)
 				}
 				u := d.Scale(f / r)
 				grad[i] = grad[i].Add(u)
@@ -109,11 +109,19 @@ func Embed3D(m *Mol, seed int64) {
 	m.Translate(m.Centroid().Scale(-1))
 }
 
-func pairKey(a, b int) [2]int {
+// Pair relations of the embedding force field; 0 is non-bonded.
+const (
+	relBonded uint8 = 1 + iota
+	relOneThree
+)
+
+// pairIndex is the index of the unordered pair {a, b} in an n×n
+// relation table, smaller index first.
+func pairIndex(n, a, b int) int {
 	if a > b {
 		a, b = b, a
 	}
-	return [2]int{a, b}
+	return a*n + b
 }
 
 func randomUnit(rng *rand.Rand) Vec3 {

@@ -53,9 +53,13 @@ type Mol struct {
 	// rotCache memoizes RotatableBonds as count+1 (0 = not yet
 	// computed). Topology is fixed once a Mol is built — only atom
 	// positions change after parsing — so the count is computed at most
-	// once per molecule instead of re-deriving ring membership on every
-	// scoring call. Accessed atomically; the stored value is a pure
-	// function of Bonds, so concurrent recomputation is idempotent.
+	// once per Mol value instead of re-deriving ring membership on every
+	// scoring call. Clone starts a fresh memo (a copied one would go
+	// stale if the caller then edits Bonds), so a loop that scores many
+	// conformations should move atoms within a few reused buffers, as
+	// dock.Dock does, rather than score a Clone per step. Accessed
+	// atomically; the stored value is a pure function of Bonds, so
+	// concurrent recomputation is idempotent.
 	rotCache int32
 }
 

@@ -79,10 +79,16 @@ func WriteSDF(w io.Writer, mols ...*Mol) error {
 // aromatic bonds (type 4) are restored as aromatic.
 func ParseSDF(r io.Reader) ([]*Mol, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Lines may run to 1 MiB; the buffer grows to that only on demand.
+	sc.Buffer(nil, 1<<20)
 	var mols []*Mol
 	for {
 		m, err := parseOneSDF(sc)
+		if serr := sc.Err(); serr != nil {
+			// A read error or an over-long line ends the scan; without
+			// this check it would read as a clean end of file.
+			return nil, fmt.Errorf("chem: reading SDF: %w", serr)
+		}
 		if err == io.EOF {
 			return mols, nil
 		}

@@ -1,8 +1,11 @@
 package chem
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -110,6 +113,62 @@ func TestParseSDFEmpty(t *testing.T) {
 	mols, err := ParseSDF(strings.NewReader(""))
 	if err != nil || len(mols) != 0 {
 		t.Fatalf("empty SDF: %v %v", mols, err)
+	}
+}
+
+// TestParseSDFSmallRecordAllocs pins that parsing a record of a few
+// hundred bytes allocates in proportion to the record, not to the
+// 1 MiB line limit.
+func TestParseSDFSmallRecordAllocs(t *testing.T) {
+	m := mustParse(t, "CC(=O)Oc1ccccc1C(=O)O")
+	m.Name = "aspirin"
+	Embed3D(m, 3)
+	var buf bytes.Buffer
+	if err := WriteSDF(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	rec := buf.String()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ParseSDF(strings.NewReader(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("parsing a %d-byte SDF record allocates %d bytes", len(rec), per)
+	}
+}
+
+// TestParseSDFLineLimit pins ParseSDF's line limit: a title line past
+// bufio's 64 KiB default reads, a line that fills the 1 MiB buffer
+// fails with bufio.ErrTooLong instead of reading as end of file.
+func TestParseSDFLineLimit(t *testing.T) {
+	record := func(titleLen int) string {
+		m := mustParse(t, "CCO")
+		m.Name = strings.Repeat("x", titleLen)
+		var buf bytes.Buffer
+		if err := WriteSDF(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, n := range []int{100 << 10, 1<<20 - 1} {
+		mols, err := ParseSDF(strings.NewReader(record(n)))
+		if err != nil {
+			t.Fatalf("title of %d bytes: %v", n, err)
+		}
+		if len(mols) != 1 || len(mols[0].Name) != n || len(mols[0].Atoms) != 3 {
+			t.Fatalf("title of %d bytes: got %d molecules", n, len(mols))
+		}
+	}
+	for _, rec := range []string{record(1 << 20), record(0) + record(2<<20)} {
+		mols, err := ParseSDF(strings.NewReader(rec))
+		if !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("line over the limit: got %d molecules, error %v; want bufio.ErrTooLong", len(mols), err)
+		}
 	}
 }
 

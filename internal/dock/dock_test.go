@@ -116,6 +116,22 @@ func TestDockDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestDockAllocsIndependentOfSteps pins the search's allocation shape:
+// the Monte-Carlo steps move atoms within reused buffers, so a longer
+// search allocates exactly what a shorter one does.
+func TestDockAllocsIndependentOfSteps(t *testing.T) {
+	m := mustMol(t, "CC(=O)Nc1ccc(OCCN)cc1", "alloc-probe")
+	for _, torsion := range []bool{false, true} {
+		allocs := func(steps int) float64 {
+			o := SearchOptions{NumPoses: 3, MCSteps: steps, Restarts: 4, Temperature: 1.2, Seed: 41, TorsionMoves: torsion}
+			return testing.AllocsPerRun(10, func() { Dock(target.Protease1, m, o) })
+		}
+		if a30, a120 := allocs(30), allocs(120); a30 != a120 {
+			t.Fatalf("torsion=%t: Dock allocates %v times at 30 steps, %v at 120", torsion, a30, a120)
+		}
+	}
+}
+
 func TestDockDeterministicForSeed(t *testing.T) {
 	m := mustMol(t, "c1ccccc1O", "phenol")
 	o := SearchOptions{NumPoses: 5, MCSteps: 20, Restarts: 3, Temperature: 1, Seed: 42}

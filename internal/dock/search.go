@@ -50,9 +50,14 @@ func Dock(p *target.Pocket, mol *chem.Mol, o SearchOptions) []Pose {
 	if maxTorAngle <= 0 {
 		maxTorAngle = math.Pi / 3
 	}
-	var poses []Pose
+	// Two atom buffers serve every restart: each step copies cur into
+	// cand and moves cand. Bonds never change, so the rotatable-bond
+	// memo each buffer computes on its first score stays valid, and the
+	// steps allocate nothing. A returned pose owns its own copy.
+	cur, cand := mol.Clone(), mol.Clone()
+	poses := make([]Pose, 0, o.Restarts)
 	for restart := 0; restart < o.Restarts; restart++ {
-		cur := mol.Clone()
+		copy(cur.Atoms, mol.Atoms)
 		p.PlaceLigand(cur)
 		// Random initial placement within the site.
 		jitter(cur, rng, p.Radius*0.4, math.Pi)
@@ -60,7 +65,7 @@ func Dock(p *target.Pocket, mol *chem.Mol, o SearchOptions) []Pose {
 		best := cur.Clone()
 		bestScore := curScore
 		for step := 0; step < o.MCSteps; step++ {
-			cand := cur.Clone()
+			copy(cand.Atoms, cur.Atoms)
 			if len(tors) > 0 && rng.Float64() < 0.5 {
 				torsionJitter(cand, tors, rng, maxTorAngle)
 			} else {
@@ -68,9 +73,10 @@ func Dock(p *target.Pocket, mol *chem.Mol, o SearchOptions) []Pose {
 			}
 			s := VinaScore(p, cand)
 			if s < curScore || rng.Float64() < math.Exp((curScore-s)/o.Temperature) {
-				cur, curScore = cand, s
+				cur, cand, curScore = cand, cur, s
 				if s < bestScore {
-					best, bestScore = cand.Clone(), s
+					copy(best.Atoms, cur.Atoms)
+					bestScore = s
 				}
 			}
 		}
@@ -78,7 +84,7 @@ func Dock(p *target.Pocket, mol *chem.Mol, o SearchOptions) []Pose {
 	}
 	sort.Slice(poses, func(a, b int) bool { return poses[a].Score < poses[b].Score })
 	// Deduplicate near-identical poses (RMSD < 0.5 A), keep best-scored.
-	var kept []Pose
+	kept := make([]Pose, 0, len(poses))
 	for _, cand := range poses {
 		dup := false
 		for _, k := range kept {

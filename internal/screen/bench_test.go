@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"deepfusion/internal/chem"
 	"deepfusion/internal/dock"
 	"deepfusion/internal/featurize"
 	"deepfusion/internal/fusion"
@@ -277,3 +278,31 @@ func BenchmarkRunJobPaperF32(b *testing.B) { runJobPaperBench(b, 0) }
 // biases are non-zero, as after training: dense inside the ligand's
 // cone, the baseline response outside it.
 func BenchmarkRunJobPaperF32Biased(b *testing.B) { runJobPaperBench(b, 0.01) }
+
+// BenchmarkDockCompound docks one prepared library compound per
+// operation through DockCompounds at the service's settings (3 poses;
+// DockCompounds' 30 Monte-Carlo steps and 4 restarts), cycling over
+// eight compounds: the per-compound cost the benchmark's
+// dock.compound_ms reports.
+//
+//	make profile-dock
+//
+// profiles it.
+func BenchmarkDockCompound(b *testing.B) {
+	b.ReportAllocs()
+	var mols []*chem.Mol
+	for i := 0; len(mols) < 8; i++ {
+		m, err := libgen.Enamine.Mol(i)
+		if err != nil {
+			continue
+		}
+		mols = append(mols, m)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DockCompounds(ctx, target.Protease1, mols[i%len(mols):][:1], 3, 41); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
