@@ -55,19 +55,30 @@ func Embed3D(m *Mol, seed int64) {
 		}
 	}
 
-	// Precompute each pair's relation once: rel[i*n+j] for i < j.
-	// Bonded is written last, so it takes precedence over 1-3.
-	rel := make([]uint8, n*n)
-	for a := 0; a < n; a++ {
-		for i := 0; i < len(adj[a]); i++ {
-			for j := i + 1; j < len(adj[a]); j++ {
-				rel[pairIndex(n, adj[a][i].Nbr, adj[a][j].Nbr)] = relOneThree
+	// Each atom's bonded and 1-3 partners of higher index, found once:
+	// partners[start[i]:start[i+1]] for atom i. A bonded entry follows
+	// any 1-3 entry for the same pair, so it takes precedence when a
+	// row's entries are written in order.
+	start := make([]int, n+1)
+	var partners []partner
+	for i := 0; i < n; i++ {
+		for _, e := range adj[i] {
+			for _, f := range adj[e.Nbr] {
+				if f.Nbr > i {
+					partners = append(partners, partner{f.Nbr, relOneThree})
+				}
 			}
 		}
+		for _, e := range adj[i] {
+			if e.Nbr > i {
+				partners = append(partners, partner{e.Nbr, relBonded})
+			}
+		}
+		start[i+1] = len(partners)
 	}
-	for _, b := range m.Bonds {
-		rel[pairIndex(n, b.A, b.B)] = relBonded
-	}
+	// rel holds atom i's relations while i is the outer atom of a step,
+	// so the table stays O(n) however large the molecule.
+	rel := make([]uint8, n)
 	angleDist := idealBondLength * math.Sqrt(8.0/3.0) // tetrahedral 1-3 distance
 
 	grad := make([]Vec3, n)
@@ -76,6 +87,10 @@ func Embed3D(m *Mol, seed int64) {
 			grad[i] = Vec3{}
 		}
 		for i := 0; i < n; i++ {
+			row := partners[start[i]:start[i+1]]
+			for _, p := range row {
+				rel[p.j] = p.rel
+			}
 			for j := i + 1; j < n; j++ {
 				d := m.Atoms[j].Pos.Sub(m.Atoms[i].Pos)
 				r := d.Norm()
@@ -84,20 +99,23 @@ func Embed3D(m *Mol, seed int64) {
 					r = 1e-3
 				}
 				var f float64 // positive pulls together, negative pushes apart
-				switch rel[i*n+j] {
-				case relBonded:
+				rij := rel[j]
+				switch {
+				case rij == relBonded:
 					f = 2 * (r - idealBondLength)
-				case relOneThree:
+				case rij == relOneThree:
 					f = 1 * (r - angleDist)
-				default:
-					if !(r < minNonBonded) {
-						continue
-					}
+				case r < minNonBonded:
 					f = 4 * (r - minNonBonded)
+				default:
+					continue
 				}
 				u := d.Scale(f / r)
 				grad[i] = grad[i].Add(u)
 				grad[j] = grad[j].Sub(u)
+			}
+			for _, p := range row {
+				rel[p.j] = 0
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -115,13 +133,10 @@ const (
 	relOneThree
 )
 
-// pairIndex is the index of the unordered pair {a, b} in an n×n
-// relation table, smaller index first.
-func pairIndex(n, a, b int) int {
-	if a > b {
-		a, b = b, a
-	}
-	return a*n + b
+// partner is one bonded or 1-3 partner of an atom.
+type partner struct {
+	j   int
+	rel uint8
 }
 
 func randomUnit(rng *rand.Rand) Vec3 {

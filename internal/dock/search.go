@@ -55,7 +55,7 @@ func Dock(p *target.Pocket, mol *chem.Mol, o SearchOptions) []Pose {
 	// memo each buffer computes on its first score stays valid, and the
 	// steps allocate nothing. A returned pose owns its own copy.
 	cur, cand := mol.Clone(), mol.Clone()
-	poses := make([]Pose, 0, o.Restarts)
+	var poses []Pose
 	for restart := 0; restart < o.Restarts; restart++ {
 		copy(cur.Atoms, mol.Atoms)
 		p.PlaceLigand(cur)
