@@ -108,12 +108,14 @@ func bitsEqual[T Float](t *testing.T, what string, got, want []T) {
 // TestKernelPathsMatchScalarBitwise runs the row kernels — Axpy32 and
 // axpy64 — and the tap-block leaf at both widths over one row of every
 // length 0–200 — the production spans 24, 40, 48, 96, 160 and 192 and
-// every tail the 8-lane loops leave — with subnormal lanes, on every
-// kernel path this host has, against the scalar loop.
+// every tail the 8-lane loops leave — with subnormal lanes, and
+// ExpInto (testExpInto), on every kernel path this host has, against
+// the scalar loop.
 func TestKernelPathsMatchScalarBitwise(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
 		testKernelRows(t, Axpy32)
 		testKernelRows(t, axpy64)
+		testExpInto(t)
 	})
 }
 
