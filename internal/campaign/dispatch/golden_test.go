@@ -23,10 +23,13 @@ const tinyGoldenFile = "testdata/tiny_selections.golden"
 // that runtime. The file changes only with an intended change of the
 // selections.
 //
-// Scores pass through math.Exp, whose last bit depends on the platform
-// (amd64 assembly against the portable Go code elsewhere). The golden
-// records math.Exp over fixed inputs, and the selections are compared
-// only where this host's math.Exp matches it.
+// Fusion scoring (SELU, the SG-CNN gates, the voxel splat) still
+// calls math.Exp, whose last bit depends on the platform (amd64
+// assembly, with or without FMA, against the portable Go code
+// elsewhere); docking no longer does (tensor.Exp). The golden records
+// math.Exp over fixed inputs, and the selections are compared only
+// where this host's math.Exp matches it. The probe goes when the last
+// of those calls moves to tensor.Exp.
 func TestReferenceRunMatchesGolden(t *testing.T) {
 	raw, err := os.ReadFile(tinyGoldenFile)
 	if err != nil {

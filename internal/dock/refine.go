@@ -29,7 +29,8 @@ func DefaultRefineOptions() RefineOptions {
 // modified.
 func RefinePose(p *target.Pocket, mol *chem.Mol, o RefineOptions) (*chem.Mol, float64) {
 	cur := mol.Clone()
-	curScore := VinaScore(p, cur)
+	sc := newPairScratch(p, mol)
+	curScore := sc.score(p, cur)
 	for step := 0; step < o.Steps; step++ {
 		bestScore := curScore
 		var best *chem.Mol
@@ -47,13 +48,13 @@ func RefinePose(p *target.Pocket, mol *chem.Mol, o RefineOptions) (*chem.Mol, fl
 					d.Z = sign * o.TransStep
 				}
 				cand.Translate(d)
-				if s := VinaScore(p, cand); s < bestScore {
+				if s := sc.score(p, cand); s < bestScore {
 					bestScore, best = s, cand
 				}
 				// Rotation probe about the centroid.
 				cand2 := cur.Clone()
 				rotateRigid(cand2, axis, sign*o.RotStep)
-				if s := VinaScore(p, cand2); s < bestScore {
+				if s := sc.score(p, cand2); s < bestScore {
 					bestScore, best = s, cand2
 				}
 			}

@@ -7,6 +7,7 @@ import (
 
 	"deepfusion/internal/chem"
 	"deepfusion/internal/target"
+	"deepfusion/internal/tensor"
 )
 
 // Pose is one docked ligand conformation with its Vina score.
@@ -54,14 +55,16 @@ func Dock(p *target.Pocket, mol *chem.Mol, o SearchOptions) []Pose {
 	// cand and moves cand. Bonds never change, so the rotatable-bond
 	// memo each buffer computes on its first score stays valid, and the
 	// steps allocate nothing. A returned pose owns its own copy.
+	// One pair scratch serves every score of the call.
 	cur, cand := mol.Clone(), mol.Clone()
+	sc := newPairScratch(p, mol)
 	var poses []Pose
 	for restart := 0; restart < o.Restarts; restart++ {
 		copy(cur.Atoms, mol.Atoms)
 		p.PlaceLigand(cur)
 		// Random initial placement within the site.
 		jitter(cur, rng, p.Radius*0.4, math.Pi)
-		curScore := VinaScore(p, cur)
+		curScore := sc.score(p, cur)
 		best := cur.Clone()
 		bestScore := curScore
 		for step := 0; step < o.MCSteps; step++ {
@@ -71,8 +74,8 @@ func Dock(p *target.Pocket, mol *chem.Mol, o SearchOptions) []Pose {
 			} else {
 				jitter(cand, rng, 1.2, 0.35)
 			}
-			s := VinaScore(p, cand)
-			if s < curScore || rng.Float64() < math.Exp((curScore-s)/o.Temperature) {
+			s := sc.score(p, cand)
+			if s < curScore || rng.Float64() < tensor.Exp((curScore-s)/o.Temperature) {
 				cur, cand, curScore = cand, cur, s
 				if s < bestScore {
 					copy(best.Atoms, cur.Atoms)

@@ -28,8 +28,10 @@ const f64GoldenFile = "testdata/f64_bits.golden"
 // only with an intended change of f64 results.
 //
 // The model scores and the graph convolution also pass through
-// math.Exp, whose last bit depends on the platform (amd64 assembly,
-// with or without FMA, against the portable Go code elsewhere). The
+// math.Exp (SELU, the SG-CNN gates, the voxel splat), whose last bit
+// depends on the platform (amd64 assembly, with or without FMA,
+// against the portable Go code elsewhere); unlike docking, they have
+// not moved to tensor.Exp yet, so the probe stays. The
 // golden records math.Exp over fixed inputs; where this host's math.Exp
 // rounds differently, only the cases the leaves alone decide — the box
 // convolution and the packed GEMMs — are compared, so GOARCH=386 still

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 
 	"deepfusion/internal/chem"
+	"deepfusion/internal/tensor"
 )
 
 // PocketAtom is one rigid protein pseudo-atom: a position in the
@@ -93,7 +94,7 @@ func (p *Pocket) surface(m *chem.Mol) (contact, hydro, hbond, arom, charge float
 			continue
 		}
 		d := a.Pos.Norm()
-		w := 1 / (1 + math.Exp((d-p.Radius)/2.0))
+		w := 1 / (1 + tensor.Exp((d-p.Radius)/2.0))
 		contact += w
 		if e.Hydrophobic {
 			hydro += w
