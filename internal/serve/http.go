@@ -161,18 +161,26 @@ func handleSubmit(e *Engine, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: req.ID, Poses: len(poses), DockProblems: problems})
 }
 
-// Bounds on one submission, checked before any compound is resolved
-// or docked: docking costs milliseconds a compound and runs before
-// admission, so a request over either bound is answered 422 without
-// any of that work. Both sit far above what a client batching for
-// this engine sends (a few compounds at the default 3 poses).
+// Bounds on one submission, checked before any compound is resolved,
+// prepared or docked: preparation and docking cost milliseconds a
+// compound and run before admission, so a request over any bound is
+// answered 422 without any of that work. Each sits far above what a
+// client batching for this engine sends (a few compounds of at most
+// a few dozen atoms at the default 3 poses).
+//
+// Preparation (chem.Embed3D) is quadratic in the atom count, so the
+// atom bound is what keeps one inline SMILES cheap: a 1000-atom chain
+// took 0.88 s to prepare. Parsing is linear but allocates about half a
+// kilobyte an atom, so a SMILES longer than 16 bytes an atom of the
+// bound is refused before it is parsed.
 const (
-	maxSubmitCompounds = 1024 // compound IDs plus inline SMILES
-	maxSubmitPoses     = 64   // max_poses, docked poses per compound
+	maxSubmitCompounds   = 1024 // compound IDs plus inline SMILES
+	maxSubmitPoses       = 64   // max_poses, docked poses per compound
+	maxSubmitAtoms       = 128  // atoms of one parsed inline SMILES
+	maxSubmitSMILESBytes = 16 * maxSubmitAtoms
 )
 
-// errSubmissionTooLarge marks a submission over maxSubmitCompounds or
-// maxSubmitPoses.
+// errSubmissionTooLarge marks a submission over one of the bounds.
 var errSubmissionTooLarge = errors.New("submission too large")
 
 // dockSubmission resolves and docks the submission's compounds — the
@@ -193,9 +201,30 @@ func (e *Engine) dockSubmission(ctx context.Context, sub *SubmitRequest) ([]scre
 	if maxPoses <= 0 {
 		maxPoses = 3
 	}
+	// Parse every inline SMILES first, so an oversized one is refused
+	// before any compound is resolved or prepared.
+	parsed := make([]*chem.Mol, len(sub.SMILES))
+	parseErrs := make([]error, len(sub.SMILES))
+	for i, s := range sub.SMILES {
+		if len(s) > maxSubmitSMILESBytes {
+			return nil, nil, fmt.Errorf("%w: smiles[%d] is %d bytes, at most %d", errSubmissionTooLarge, i, len(s), maxSubmitSMILESBytes)
+		}
+		m, err := chem.ParseSMILES(s)
+		if err != nil {
+			parseErrs[i] = err
+			continue
+		}
+		if len(m.Atoms) > maxSubmitAtoms {
+			return nil, nil, fmt.Errorf("%w: smiles[%d] has %d atoms, at most %d a compound", errSubmissionTooLarge, i, len(m.Atoms), maxSubmitAtoms)
+		}
+		parsed[i] = m
+	}
 	var mols []*chem.Mol
 	var problems []string
 	for _, id := range sub.Compounds {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		m, err := libgen.MolByID(id)
 		if err != nil {
 			problems = append(problems, err.Error())
@@ -203,10 +232,12 @@ func (e *Engine) dockSubmission(ctx context.Context, sub *SubmitRequest) ([]scre
 		}
 		mols = append(mols, m)
 	}
-	for i, s := range sub.SMILES {
-		m, err := chem.ParseSMILES(s)
-		if err != nil {
-			problems = append(problems, fmt.Sprintf("smiles[%d]: %v", i, err))
+	for i, m := range parsed {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		if parseErrs[i] != nil {
+			problems = append(problems, fmt.Sprintf("smiles[%d]: %v", i, parseErrs[i]))
 			continue
 		}
 		if m.Name == "" {

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"deepfusion/internal/campaign"
+	"deepfusion/internal/screen"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path string, body any) *http.Response {
@@ -164,8 +166,9 @@ func TestHTTPSubmitBodyCap(t *testing.T) {
 }
 
 // TestHTTPSubmitBounds pins the per-submission bounds: a request over
-// maxSubmitCompounds or maxSubmitPoses is refused with 422 before any
-// compound is resolved or docked. Each over-bound request would get a
+// maxSubmitCompounds or maxSubmitPoses, or with an inline SMILES over
+// maxSubmitAtoms or maxSubmitSMILESBytes, is refused with 422 before
+// any compound is resolved, prepared or docked. Each over-bound request would get a
 // different answer had anything run: its compound IDs name no library,
 // so resolving them leaves every one a listed problem, and its one
 // real compound would dock and be admitted.
@@ -190,6 +193,8 @@ func TestHTTPSubmitBounds(t *testing.T) {
 		{"compounds at the bound", SubmitRequest{Target: "protease1", Compounds: unknown(maxSubmitCompounds)}, true},
 		{"compounds over the bound", SubmitRequest{Target: "protease1", Compounds: unknown(maxSubmitCompounds)[1:], SMILES: []string{"CCO", "CCN"}}, false},
 		{"max_poses over the bound", SubmitRequest{Target: "protease1", Compounds: []string{"zinc-world-approved:0"}, MaxPoses: maxSubmitPoses + 1}, false},
+		{"smiles atoms over the bound", SubmitRequest{Target: "protease1", Compounds: unknown(2), SMILES: []string{"CCO", chain(maxSubmitAtoms + 1)}}, false},
+		{"smiles bytes over the bound", SubmitRequest{Target: "protease1", Compounds: unknown(2), SMILES: []string{"C" + strings.Repeat("(C)", maxSubmitSMILESBytes/3)}}, false},
 	} {
 		resp := postJSON(t, srv, "/v1/submit", c.body)
 		var er errorResponse
@@ -209,6 +214,48 @@ func TestHTTPSubmitBounds(t *testing.T) {
 	}
 	if got := e.Status().Requests; len(got) != 0 {
 		t.Fatalf("requests admitted: %v, want none", got)
+	}
+}
+
+// chain is the SMILES of an n-carbon chain.
+func chain(n int) string { return strings.Repeat("C", n) }
+
+// TestHTTPSubmitAtomBound pins the atom bound from both sides: a
+// chain of maxSubmitAtoms carbons is prepared and admitted, and a body
+// of maxSubmitCompounds 1000-atom chains — about 15 CPU-minutes of
+// preparation without the bound — is answered 422 in well under a
+// second.
+func TestHTTPSubmitAtomBound(t *testing.T) {
+	cfg := testConfig(nil)
+	cfg.Scorers = []screen.Scorer{stubScorer{calls: &atomic.Int32{}}}
+	e := newTestEngine(t, cfg)
+	e.dock = stubDock
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+
+	resp := postJSON(t, srv, "/v1/submit", SubmitRequest{Target: "protease1", SMILES: []string{chain(maxSubmitAtoms)}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("a %d-atom chain: status %d, want 202", maxSubmitAtoms, resp.StatusCode)
+	}
+
+	long := make([]string, maxSubmitCompounds)
+	for i := range long {
+		long[i] = chain(1000)
+	}
+	start := time.Now()
+	resp = postJSON(t, srv, "/v1/submit", SubmitRequest{Target: "protease1", SMILES: long})
+	elapsed := time.Since(start)
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(er.Error, "1000 atoms") {
+		t.Fatalf("%d 1000-atom chains: status %d (%s), want 422 naming the atom count", len(long), resp.StatusCode, er.Error)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("%d 1000-atom chains answered in %v, want well under a second", len(long), elapsed)
 	}
 }
 
