@@ -30,7 +30,7 @@ func DefaultRefineOptions() RefineOptions {
 func RefinePose(p *target.Pocket, mol *chem.Mol, o RefineOptions) (*chem.Mol, float64) {
 	cur := mol.Clone()
 	sc := newPairScratch(p, mol)
-	curScore := sc.score(p, cur)
+	curScore := sc.score(cur)
 	for step := 0; step < o.Steps; step++ {
 		bestScore := curScore
 		var best *chem.Mol
@@ -48,13 +48,13 @@ func RefinePose(p *target.Pocket, mol *chem.Mol, o RefineOptions) (*chem.Mol, fl
 					d.Z = sign * o.TransStep
 				}
 				cand.Translate(d)
-				if s := sc.score(p, cand); s < bestScore {
+				if s := sc.score(cand); s < bestScore {
 					bestScore, best = s, cand
 				}
 				// Rotation probe about the centroid.
 				cand2 := cur.Clone()
 				rotateRigid(cand2, axis, sign*o.RotStep)
-				if s := sc.score(p, cand2); s < bestScore {
+				if s := sc.score(cand2); s < bestScore {
 					bestScore, best = s, cand2
 				}
 			}

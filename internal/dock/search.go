@@ -54,8 +54,8 @@ func Dock(p *target.Pocket, mol *chem.Mol, o SearchOptions) []Pose {
 	// Two atom buffers serve every restart: each step copies cur into
 	// cand and moves cand. Bonds never change, so the rotatable-bond
 	// memo each buffer computes on its first score stays valid, and the
-	// steps allocate nothing. A returned pose owns its own copy.
-	// One pair scratch serves every score of the call.
+	// steps allocate nothing. A returned pose owns its own copy. One
+	// pair scratch serves every score.
 	cur, cand := mol.Clone(), mol.Clone()
 	sc := newPairScratch(p, mol)
 	var poses []Pose
@@ -64,7 +64,7 @@ func Dock(p *target.Pocket, mol *chem.Mol, o SearchOptions) []Pose {
 		p.PlaceLigand(cur)
 		// Random initial placement within the site.
 		jitter(cur, rng, p.Radius*0.4, math.Pi)
-		curScore := sc.score(p, cur)
+		curScore := sc.score(cur)
 		best := cur.Clone()
 		bestScore := curScore
 		for step := 0; step < o.MCSteps; step++ {
@@ -74,7 +74,7 @@ func Dock(p *target.Pocket, mol *chem.Mol, o SearchOptions) []Pose {
 			} else {
 				jitter(cand, rng, 1.2, 0.35)
 			}
-			s := sc.score(p, cand)
+			s := sc.score(cand)
 			if s < curScore || rng.Float64() < tensor.Exp((curScore-s)/o.Temperature) {
 				cur, cand, curScore = cand, cur, s
 				if s < bestScore {

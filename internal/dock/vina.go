@@ -48,13 +48,12 @@ const kcalPerPK = 1.36
 // method's biased view of the planted affinity surface.
 func VinaScore(p *target.Pocket, mol *chem.Mol) float64 {
 	s := newPairScratch(p, mol)
-	return s.score(p, mol)
+	return s.score(mol)
 }
 
-// score is VinaScore through s, which was built for p and a molecule
-// with mol's atoms.
-func (s *pairScratch) score(p *target.Pocket, mol *chem.Mol) float64 {
-	return -kcalPerPK*p.BiasedAffinity(mol, vinaBias) + 0.15*s.empiricalTerms(mol)
+// score is VinaScore of mol, a pose of the molecule s was built for.
+func (s *pairScratch) score(mol *chem.Mol) float64 {
+	return -kcalPerPK*s.pocket.BiasedAffinity(mol, vinaBias) + 0.15*s.empiricalTerms(mol)
 }
 
 // Pocket pseudo-atom flags, and the flags a ligand atom pairs with.
@@ -75,6 +74,7 @@ const expWindow = 512
 // buffers each score reuses. It is valid for any pose of molecules
 // with the same atom symbols in the same order.
 type pairScratch struct {
+	pocket     *target.Pocket
 	px, py, pz []float64 // pocket atom positions
 	pflags     []uint8   // pocket atom flags
 	lig        []ligAtom // the ligand atoms of a known element, in order
@@ -94,7 +94,8 @@ func newPairScratch(p *target.Pocket, mol *chem.Mol) pairScratch {
 	m := len(p.Atoms)
 	f, b := make([]float64, 4*m+expWindow), make([]uint8, 2*m)
 	s := pairScratch{
-		px: f[:m], py: f[m : 2*m], pz: f[2*m : 3*m], pairD: f[3*m : 4*m], args: f[4*m:],
+		pocket: p,
+		px:     f[:m], py: f[m : 2*m], pz: f[2*m : 3*m], pairD: f[3*m : 4*m], args: f[4*m:],
 		pflags: b[:m], pairF: b[m:],
 		lig: make([]ligAtom, 0, len(mol.Atoms)),
 	}

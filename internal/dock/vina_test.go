@@ -68,8 +68,8 @@ func sameBits(a, b float64) bool {
 // TestEmpiricalTermsMatchReference scores random poses — inside the
 // pocket, straddling the cutoff, far outside, with an atom of unknown
 // element, with a NaN coordinate, and large enough to span several
-// exp windows — through VinaScore and through a Dock-style reused
-// scratch, and checks both against the plain pair loop bit for bit:
+// exp windows — through a Dock-style reused scratch, and once through
+// VinaScore, and checks them against the plain pair loop bit for bit:
 // with tensor.Exp on every host, and with math.Exp where it agrees.
 func TestEmpiricalTermsMatchReference(t *testing.T) {
 	exps := []struct {
@@ -111,8 +111,9 @@ func TestEmpiricalTermsMatchReference(t *testing.T) {
 		for pose := 0; pose < 3; pose++ {
 			got := sc.empiricalTerms(m)
 			if pose == 0 {
-				if v := VinaScore(p, m); !sameBits(v, sc.score(p, m)) {
-					t.Fatalf("trial %d: VinaScore %v differs from the scratch's %v", trial, v, sc.score(p, m))
+				want := -kcalPerPK*p.BiasedAffinity(m, vinaBias) + 0.15*empiricalTermsRef(p, m, tensor.Exp)
+				if v := VinaScore(p, m); !sameBits(v, want) {
+					t.Fatalf("trial %d: VinaScore = %v, reference %v", trial, v, want)
 				}
 			}
 			for _, e := range exps {
