@@ -39,10 +39,13 @@ test-benchmark:
 
 # The kernel packages on a 32-bit, non-amd64 target: the only run of
 # the pure-Go leaves (axpy_generic.go — Axpy32, the tap-block rows,
-# the GEMM panels) and of their float32 results against the goldens the
-# amd64 assembly recorded (fusion.TestF32BitsGolden). ~40 s on 2 CPUs.
+# the GEMM panels; Exp on every element of ExpInto) and of their
+# results against the goldens the amd64 assembly recorded
+# (fusion.TestF32BitsGolden, tensor.TestExpBitsGolden), and of docking
+# against dock.TestDockBitsMatchGolden, whose bits no longer depend on
+# the host. About a minute on 2 CPUs.
 test-portable:
-	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/nn/ ./internal/fusion/
+	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/nn/ ./internal/fusion/ ./internal/dock/
 
 # Race-enabled pass over the whole module: the campaign runtime and its
 # dispatch backends, the screening service, the durability layer, and
@@ -125,7 +128,11 @@ profile-f64:
 # CPU profile of docking one prepared compound at the service's
 # settings (BenchmarkDockCompound: DockCompounds with 3 poses, 30
 # Monte-Carlo steps, 4 restarts on protease1 — what the benchmark's
-# dock.compound_ms measures) and its 15 hottest functions.
+# dock.compound_ms measures) and its 15 hottest functions. Expect
+# dock.(*pairScratch).empiricalTerms first (~55 % flat, most of it the
+# distance pass), then tensor.expAVX2 (~11 %; absent on a CPU without
+# AVX2 and FMA, where tensor.Exp takes its place) and tensor.Exp
+# (~7 %, the pocket oracle's per-atom calls).
 profile-dock:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test ./internal/screen/ -run '^$$' -bench 'BenchmarkDockCompound$$' -benchtime 3s -cpu 2 \
