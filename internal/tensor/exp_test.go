@@ -36,10 +36,10 @@ func expEdges() []float64 {
 	return xs
 }
 
-// expInputs fills xs with draw-th batch of the random inputs: uniform
-// on [−710, 710], normal with σ 5, uniform on [−50, 0] (the docking
-// terms' range), uniform on [−760, −720] (denormal results) and random
-// bit patterns, in turn.
+// expInputs fills xs with random inputs from five distributions in
+// turn: uniform on [−710, 710], normal with σ 5, uniform on [−50, 0]
+// (the docking terms' range), uniform on [−760, −720] (denormal
+// results) and random bit patterns.
 func expInputs(rng *rand.Rand, xs []float64) {
 	for i := range xs {
 		switch i % 5 {
