@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-benchmark test-portable test-race smoke-campaign fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 profile-dock clean
+.PHONY: all build verify test test-benchmark test-portable test-race smoke-campaign fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 profile-dock profile-campaign clean
 
 all: build
 
@@ -138,6 +138,21 @@ profile-dock:
 	$(GO) test ./internal/screen/ -run '^$$' -bench 'BenchmarkDockCompound$$' -benchtime 3s -cpu 2 \
 		-o $(PROFILE_DIR)/screen.test -cpuprofile $(PROFILE_DIR)/dock.cpu.prof
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/screen.test $(PROFILE_DIR)/dock.cpu.prof
+
+# CPU profile of the campaign control plane (BenchmarkDispatchClaimAck:
+# one Claim and one Complete per op on a 1024-unit campaign over the
+# filesystem lease store, a coordinator SyncDispatch every 8 ops) and
+# its 15 hottest functions. Expect internal/runtime/syscall.Syscall6
+# first (about half, flat: creating, fsyncing and renaming the temp
+# files of claims, acks and manifest saves), then encoding/json's
+# appendIndent (the coordinator's MarshalIndent of the whole manifest)
+# and decodeState.object (the store's decode, once per manifest
+# change, ~15 % cumulative).
+profile-campaign:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test ./internal/campaign/ -run '^$$' -bench 'BenchmarkDispatchClaimAck$$' -benchtime 2000x -cpu 2 \
+		-o $(PROFILE_DIR)/campaign.test -cpuprofile $(PROFILE_DIR)/campaign.cpu.prof
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/campaign.test $(PROFILE_DIR)/campaign.cpu.prof
 
 # Ensemble-engine win: featurize-once/score-N consensus scoring vs N
 # independent single-scorer runs over the same poses.

@@ -51,16 +51,6 @@ func (co *Coordinator) poll() time.Duration {
 	return 500 * time.Millisecond
 }
 
-// targetOf maps completed units back to their target for run stats.
-func targetOf(unitID string, units []campaign.UnitRecord) string {
-	for i := range units {
-		if units[i].ID == unitID {
-			return units[i].Target
-		}
-	}
-	return ""
-}
-
 // Run syncs until the campaign settles: every unit done → finalize
 // and return the campaign result; some units failed with none left
 // runnable → an error wrapping campaign.ErrUnitFailed (a scoring job
@@ -69,7 +59,13 @@ func targetOf(unitID string, units []campaign.UnitRecord) string {
 // and a fresh Load grants new budgets; context cancelled →
 // campaign.ErrInterrupted, with the manifest holding the resume point.
 func (co *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
+	// targetOf maps completed units back to their target for run
+	// stats.
 	units := co.Camp.Units()
+	targetOf := make(map[string]string, len(units))
+	for _, u := range units {
+		targetOf[u.ID] = u.Target
+	}
 	for {
 		rep, err := co.Camp.SyncDispatch(co.clock().Now(), co.Lease)
 		if err != nil {
@@ -82,7 +78,7 @@ func (co *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
 			}
 			co.spans = append(co.spans, cluster.UnitSpan{
 				Worker: rec.Worker,
-				Target: targetOf(rec.Unit, units),
+				Target: targetOf[rec.Unit],
 				Start:  rec.Started,
 				End:    rec.Finished,
 				Poses:  rec.Poses,

@@ -70,11 +70,11 @@ func Fsck(dir string, repair bool) (FsckReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	claims, err := readClaimFiles(dir)
+	claims, err := readClaimFiles(dir, nil)
 	if err != nil {
 		return rep, err
 	}
-	results, err := readResultFiles(dir)
+	results, err := readResultFiles(dir, nil)
 	if err != nil {
 		return rep, err
 	}

@@ -153,11 +153,11 @@ func quarantineAndRequeue(dir string, man *Manifest, u *UnitRecord, probs []Shar
 func verifyAndQuarantineDone(dir string, man *Manifest) (probs []ShardProblem, changed bool, err error) {
 	// Re-queue epochs must land past every claim/result file on disk,
 	// or the stale result at the current epoch would instantly re-fold.
-	claims, err := readClaimFiles(dir)
+	claims, err := readClaimFiles(dir, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	results, err := readResultFiles(dir)
+	results, err := readResultFiles(dir, nil)
 	if err != nil {
 		return nil, false, err
 	}

@@ -234,20 +234,25 @@ func parseEpochName(name, ext string) (string, int, bool) {
 	return stem[:i], epoch, true
 }
 
-// readClaimFiles loads every claim record, keyed unit -> epoch.
-// Unparsable files (a crashed writer's leftover temp, a truncated
-// record — impossible under the link/rename protocol but cheap to
-// tolerate) are skipped.
-func readClaimFiles(dir string) (map[string]map[int]ClaimRecord, error) {
-	return readEpochJSON[ClaimRecord](filepath.Join(dir, claimDirName), ".claim")
+// readClaimFiles loads the claim records of every unit keep accepts
+// (every unit when keep is nil), keyed unit -> epoch. Unparsable
+// files (a crashed writer's leftover temp, a truncated record —
+// impossible under the link/rename protocol but cheap to tolerate)
+// are skipped.
+func readClaimFiles(dir string, keep func(unit string) bool) (map[string]map[int]ClaimRecord, error) {
+	return readEpochJSON[ClaimRecord](filepath.Join(dir, claimDirName), ".claim", keep)
 }
 
-// readResultFiles loads every result record, keyed unit -> epoch.
-func readResultFiles(dir string) (map[string]map[int]ResultRecord, error) {
-	return readEpochJSON[ResultRecord](filepath.Join(dir, resultDirName), ".json")
+// readResultFiles loads the result records of every unit keep accepts
+// (every unit when keep is nil), keyed unit -> epoch.
+func readResultFiles(dir string, keep func(unit string) bool) (map[string]map[int]ResultRecord, error) {
+	return readEpochJSON[ResultRecord](filepath.Join(dir, resultDirName), ".json", keep)
 }
 
-func readEpochJSON[T any](dir, ext string) (map[string]map[int]T, error) {
+// readEpochJSON lists dir and decodes the files named
+// "<unit>.e<NNNNN><ext>" whose unit keep accepts; the name alone
+// decides, so a skipped file is never opened.
+func readEpochJSON[T any](dir, ext string, keep func(unit string) bool) (map[string]map[int]T, error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
@@ -258,7 +263,7 @@ func readEpochJSON[T any](dir, ext string) (map[string]map[int]T, error) {
 	out := map[string]map[int]T{}
 	for _, e := range entries {
 		unit, epoch, ok := parseEpochName(e.Name(), ext)
-		if !ok {
+		if !ok || (keep != nil && !keep(unit)) {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))

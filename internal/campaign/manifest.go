@@ -131,33 +131,16 @@ func ManifestPath(dir string) string { return manifestPath(dir) }
 // workers.
 func ShardDir(dir string) string { return filepath.Join(dir, shardDirName) }
 
-// saveManifest writes the manifest atomically: serialize to a temp
-// file in the same directory, fsync, rename over the live copy. A
-// kill at any instant leaves either the old or the new manifest,
-// never a torn one.
+// saveManifest writes the manifest through commitBytes: temp file in
+// the campaign directory, fsync, rename over the live copy, fsync the
+// directory. A kill at any instant leaves either the old or the new
+// manifest, never a torn one, and the rename survives power loss.
 func saveManifest(dir string, m *Manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := marshalJSONRecord(m)
 	if err != nil {
 		return fmt.Errorf("campaign: marshal manifest: %w", err)
 	}
-	data = append(data, '\n')
-	tmp, err := os.CreateTemp(dir, manifestName+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), manifestPath(dir))
+	return commitBytes(manifestPath(dir), data)
 }
 
 // loadManifest reads and validates a campaign manifest.
@@ -166,6 +149,12 @@ func loadManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: no manifest in %s: %w", dir, err)
 	}
+	return parseManifest(dir, data)
+}
+
+// parseManifest decodes and validates the manifest bytes read from
+// dir (named in errors only).
+func parseManifest(dir string, data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("campaign: corrupt manifest in %s: %w", dir, err)

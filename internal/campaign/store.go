@@ -1,9 +1,14 @@
 package campaign
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"os"
+	"slices"
+	"sync"
 )
 
 // DispatchStore is a worker process's handle on the shared
@@ -16,9 +21,22 @@ import (
 // and current claim epochs, and writes only worker-owned files:
 // claim files (exclusive create), heartbeat renewals, and result
 // acks.
+//
+// The store decodes the manifest only when its bytes change. Every
+// call reads the file into a buffer the store keeps; when the bytes
+// equal the ones it last decoded, it reuses that decode. The check
+// cannot go stale — equal bytes decode to an equal manifest — and an
+// unchanged manifest costs one read and one compare, no allocation.
+// One store may serve any number of goroutines.
 type DispatchStore struct {
-	dir   string
-	clock Clock
+	dir     string
+	manPath string
+	clock   Clock
+
+	mu  sync.Mutex
+	buf []byte    // the next read's buffer
+	raw []byte    // the bytes man was decoded from
+	man *Manifest // read-only: shared by every caller
 }
 
 // NewDispatchStore opens the filesystem store backing a campaign
@@ -27,7 +45,7 @@ func NewDispatchStore(dir string, clock Clock) *DispatchStore {
 	if clock == nil {
 		clock = SystemClock{}
 	}
-	return &DispatchStore{dir: dir, clock: clock}
+	return &DispatchStore{dir: dir, manPath: manifestPath(dir), clock: clock}
 }
 
 // Dir returns the campaign directory the store is backed by.
@@ -40,7 +58,7 @@ func (s *DispatchStore) Dir() string { return s.dir }
 // unit. Returns ErrNoWork when every unfinished unit is currently
 // leased, ErrAllDone when none are unfinished.
 func (s *DispatchStore) Claim(workerID string) (*ClaimRecord, *UnitRecord, error) {
-	man, err := loadManifest(s.dir)
+	man, err := s.manifest()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -51,15 +69,23 @@ func (s *DispatchStore) Claim(workerID string) (*ClaimRecord, *UnitRecord, error
 			continue
 		}
 		unfinished++
+		path := claimPath(s.dir, u.ID, u.Epoch)
+		// A unit whose claim file exists is leased (possibly a
+		// tombstone awaiting expiry): skip it before paying for an
+		// fsync'd temp file that would only lose the link below.
+		if _, err := os.Lstat(path); err == nil {
+			continue
+		}
 		now := s.clock.Now()
 		rec := ClaimRecord{Unit: u.ID, Epoch: u.Epoch, Worker: workerID, Granted: now, Heartbeat: now}
-		err := createExclusiveJSON(claimPath(s.dir, u.ID, u.Epoch), rec)
+		err := createExclusiveJSON(path, rec)
 		if errors.Is(err, fs.ErrExist) {
-			continue // leased by someone (possibly a tombstone awaiting expiry)
+			continue // a racing claimer linked it first
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("campaign: claim %s: %w", u.ID, err)
 		}
+		u.Shards = slices.Clone(u.Shards) // the record must not alias the shared manifest
 		return &rec, &u, nil
 	}
 	if unfinished == 0 {
@@ -138,7 +164,7 @@ func (s *DispatchStore) Fail(c *ClaimRecord, out UnitOutcome, unitErr error) err
 // fenced reports whether the manifest's epoch for the claim's unit
 // has moved past the claim.
 func (s *DispatchStore) fenced(c *ClaimRecord) (bool, error) {
-	man, err := loadManifest(s.dir)
+	man, err := s.manifest()
 	if err != nil {
 		return false, err
 	}
@@ -148,4 +174,58 @@ func (s *DispatchStore) fenced(c *ClaimRecord) (bool, error) {
 		}
 	}
 	return false, fmt.Errorf("campaign: claim for unknown unit %s", c.Unit)
+}
+
+// manifest returns the current manifest, decoding the file only when
+// its bytes differ from the ones the store last decoded. The result
+// is shared: callers must not write to it.
+func (s *DispatchStore) manifest() (*Manifest, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, err := readFileInto(s.manPath, s.buf)
+	s.buf = data
+	if err != nil {
+		return nil, fmt.Errorf("campaign: no manifest in %s: %w", s.dir, err)
+	}
+	if s.man != nil && bytes.Equal(data, s.raw) {
+		return s.man, nil
+	}
+	man, err := parseManifest(s.dir, data)
+	if err != nil {
+		return nil, err
+	}
+	// Keep the decoded bytes; the old ones become the next read's
+	// buffer.
+	s.man, s.raw, s.buf = man, data, s.raw
+	return man, nil
+}
+
+// readFileInto reads the file at path into buf[:0], growing buf only
+// when the file does not fit. The buffer is sized from the open
+// file's size, so an unchanged file reads with no allocation.
+func readFileInto(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	buf = buf[:0]
+	// One byte past the size, so the read that reports EOF needs no
+	// growth.
+	if fi, err := f.Stat(); err == nil && int(fi.Size()) >= cap(buf) {
+		buf = make([]byte, 0, int(fi.Size())+bytes.MinRead)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, bytes.MinRead)
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }

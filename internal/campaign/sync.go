@@ -56,15 +56,25 @@ type SyncReport struct {
 //   - Worker liveness (last heartbeat, held leases, units/poses
 //     completed) is folded into the manifest's worker table.
 //
+// Only the claim and result files of units not yet done are read: the
+// fold counts a done unit without looking at its records.
+//
 // Returns the report and whether the manifest changed.
 func syncDispatch(dir string, man *Manifest, now time.Time, lease LeaseOptions) (SyncReport, bool, error) {
 	lease = lease.withDefaults()
 	var rep SyncReport
-	claims, err := readClaimFiles(dir)
+	open := make(map[string]bool, len(man.Units))
+	for i := range man.Units {
+		if man.Units[i].State != UnitDone {
+			open[man.Units[i].ID] = true
+		}
+	}
+	keep := func(unit string) bool { return open[unit] }
+	claims, err := readClaimFiles(dir, keep)
 	if err != nil {
 		return rep, false, fmt.Errorf("campaign: read claims: %w", err)
 	}
-	results, err := readResultFiles(dir)
+	results, err := readResultFiles(dir, keep)
 	if err != nil {
 		return rep, false, fmt.Errorf("campaign: read results: %w", err)
 	}
@@ -244,11 +254,11 @@ func fenceForRun(dir string, man *Manifest) error {
 	if err != nil {
 		return err
 	}
-	claims, err := readClaimFiles(dir)
+	claims, err := readClaimFiles(dir, nil)
 	if err != nil {
 		return err
 	}
-	results, err := readResultFiles(dir)
+	results, err := readResultFiles(dir, nil)
 	if err != nil {
 		return err
 	}
