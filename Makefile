@@ -33,9 +33,10 @@ test:
 # The repository benchmark is a nested module (benchmark/go.mod), so
 # `go test ./...` never descends into it: build it and run its tests
 # (maths, accounting rules, a smoke run of all four workloads) here, so
-# a refactor that breaks its build fails in CI and not in the pipeline.
+# a refactor that breaks its build — or that its vet pass would flag —
+# fails in CI and not in the pipeline.
 test-benchmark:
-	cd benchmark && $(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The kernel packages on a 32-bit, non-amd64 target: the only run of
 # the pure-Go leaves (axpy_generic.go — Axpy32, the tap-block rows,
@@ -52,8 +53,8 @@ test-portable:
 # the generic kernels (tensor, nn, graph, featurize) that rank
 # goroutines share through one model's weights. Everything
 # time-dependent runs on injected fake clocks, so -timeout is a hang
-# detector: the slowest package (internal/experiments) takes ~6 min
-# under -race on 2 CPUs, the whole pass ~7 min. -shuffle=on runs each
+# detector: the slowest package (internal/experiments) takes ~5 min
+# under -race on 2 CPUs, the whole pass ~6.5 min. -shuffle=on runs each
 # package's tests in a random order (the seed is printed), so a test
 # that depends on another's side effects fails here.
 test-race:

@@ -158,7 +158,7 @@ func BenchmarkRealRankScaling(b *testing.B) {
 		mols = append(mols, m)
 	}
 	poses, _, _ := screen.DockCompounds(context.Background(), target.Protease1, mols, 4, 303)
-	fmt.Printf("Real rank scaling (%d poses, one model replica per rank):\n", len(poses))
+	fmt.Printf("Real rank scaling (%d poses, one model shared by every rank):\n", len(poses))
 	for _, ranks := range []int{1, 2, 4, 8} {
 		o := screen.DefaultJobOptions()
 		o.Ranks = ranks

@@ -7,21 +7,22 @@ import "deepfusion/internal/fusion"
 // the same funnel as the deep models — the paper's method comparison
 // is exactly this: Vina vs the fusion families against one selection
 // cost function. The scorer reads the raw posed complex off the shared
-// Sample (it does not implement the Featurizer handshake) and is
-// stateless, so ranks share one instance.
+// Sample (it declares no featurization) and is stateless, so ranks
+// share one instance.
 type VinaScorer struct{}
 
 // Name identifies the Vina surrogate in shard columns and manifests.
 func (VinaScorer) Name() string { return "vina" }
 
-// ScoreBatch evaluates the empirical score of each posed complex, in
-// kcal/mol (lower is stronger).
-func (VinaScorer) ScoreBatch(samples []*fusion.Sample) []float64 {
-	out := make([]float64, len(samples))
+// FeatureOptions is the zero value: the score reads the raw pose.
+func (VinaScorer) FeatureOptions() fusion.FeatureOptions { return fusion.FeatureOptions{} }
+
+// ScoreInto writes the empirical score of each posed complex, in
+// kcal/mol (lower is stronger). It needs no workspace.
+func (VinaScorer) ScoreInto(samples []*fusion.Sample, _ *fusion.Workspace, out []float64) {
 	for i, s := range samples {
 		out[i] = VinaScore(s.Pocket, s.Mol)
 	}
-	return out
 }
 
 // LowerIsBetter reports the kcal/mol orientation.

@@ -6,14 +6,20 @@ import (
 	"deepfusion/internal/tensor"
 )
 
-// This file is the batched-inference surface of the fusion models.
-// Every model exposes PredictBatch([]*Sample) []float64, the screening
-// engine's unit of work: voxel grids stack into a leading batch
-// dimension, complex graphs join into a disjoint union scored in one
-// pass, and the dense stacks run one GEMM per layer for the whole
-// batch. Per-row math matches single-sample evaluation exactly, so
-// Predict is just the B=1 case and batch composition never changes a
-// prediction.
+// This file is the training side's batched prediction.
+// PredictBatch([]*Sample) []float64 runs the training Forward in
+// inference mode: voxel grids stack into a leading batch dimension,
+// complex graphs join into a disjoint union scored in one pass, and
+// the dense stacks run one GEMM per layer for the whole batch. Per-row
+// math matches single-sample evaluation exactly, so Predict is just
+// the B=1 case and batch composition never changes a prediction.
+//
+// PredictBatch and its chunked form PredictAll serve training
+// evaluation, fine-tuning and the experiments' tables. Forward stashes
+// each layer's input for Backward, so one instance must not run them
+// on two goroutines at once. Scoring never calls them: it goes through
+// ScoreInto → PredictBatchInto (workspace.go), which stashes nothing
+// and at f64 is pinned byte-identical to PredictBatch.
 
 // predictChunk is the batch size PredictAll uses: the paper's
 // production jobs score up to 56 poses per device; 16 keeps the
@@ -72,7 +78,7 @@ func (m *CNN3D) PredictBatch(samples []*Sample) []float64 {
 	return out
 }
 
-// PredictAll evaluates many samples through the batched engine.
+// PredictAll evaluates many samples in PredictBatch chunks.
 func (m *CNN3D) PredictAll(samples []*Sample) []float64 {
 	return chunked(samples, m.PredictBatch)
 }
@@ -89,7 +95,7 @@ func (m *SGCNN) PredictBatch(samples []*Sample) []float64 {
 	return out
 }
 
-// PredictAll evaluates many samples through the batched engine.
+// PredictAll evaluates many samples in PredictBatch chunks.
 func (m *SGCNN) PredictAll(samples []*Sample) []float64 {
 	return chunked(samples, m.PredictBatch)
 }

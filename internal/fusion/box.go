@@ -153,8 +153,8 @@ type responses struct {
 	r32 atomic.Pointer[response[float32]]
 }
 
-// responseCache is a model's share of the responses, shared by the
-// model and all of its replicas: the lock that serializes builds (ranks
+// responseCache is a model's share of the responses, read by every
+// goroutine scoring the model: the lock that serializes builds (ranks
 // hitting a cold model build once) and the empty grid's responses. A
 // baseline's responses live in its prefeature (Attached), keyed by this
 // cache, so they die with the prefeature.

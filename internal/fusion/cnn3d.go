@@ -28,8 +28,7 @@ type CNN3D struct {
 	// cached forward state for residual backward routing
 	stash cnnStash
 
-	// resp is the conv stack's reference-grid responses (box.go); the
-	// pointer is shared with every Replica.
+	// resp is the conv stack's reference-grid responses (box.go).
 	resp *responseCache
 }
 
@@ -172,5 +171,6 @@ func (m *CNN3D) Backward(dpred, dlatent *tensor.Tensor) {
 	if m.Cfg.Residual1 {
 		gConv.AddInPlace(g)
 	}
-	m.conv1.Backward(m.act[0].Backward(gConv))
+	// The input is the voxel grid: conv1 needs no input gradient.
+	m.conv1.BackwardParams(m.act[0].Backward(gConv))
 }

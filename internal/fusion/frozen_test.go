@@ -160,52 +160,15 @@ func TestWeightChangesInvalidateCompiledForms(t *testing.T) {
 	check("FineTune of a clone")
 }
 
-// TestReplicaSharesWeightsAndForms pins what a rank replica is: the
-// source's parameters themselves, not copies — so nothing is drawn,
-// allocated or packed per replica — scoring identically through both
-// the pooled and the allocating path.
-func TestReplicaSharesWeightsAndForms(t *testing.T) {
-	f := frozenTestModel(41)
-	samples := frozenTestSamples(f)
-	want := scoresOf(f, samples) // warms f's forms
-
-	draws, builds := nn.GlorotInits(), nn.FormBuilds()
-	r := f.Replica()
-	got := scoresOf(r, samples)
-	if d, b := nn.GlorotInits()-draws, nn.FormBuilds()-builds; d != 0 || b != 0 {
-		t.Fatalf("building and scoring a replica drew %d initializations and built %d weight forms, want 0 and 0", d, b)
-	}
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("replica scores %v, source %v", got[i][j], want[i][j])
-			}
-		}
-	}
-	src, rep := allParams(f), allParams(r)
-	for i := range src {
-		if src[i] != rep[i] {
-			t.Fatalf("replica parameter %d (%s) is a copy, not the source's", i, src[i].Name)
-		}
-	}
-	a, b := f.PredictBatch(samples), r.PredictBatch(samples)
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatalf("replica PredictBatch %v != source %v", b[j], a[j])
-		}
-	}
-}
-
 // TestSharedModelConcurrentScoring scores one model from many
-// goroutines at once — the pooled path directly on the shared instance,
-// the allocating path on per-goroutine replicas, both precisions, cold
-// forms — and requires every result to equal the serial one. Run under
-// -race it pins that sharing weights and forms across ranks is sound.
+// goroutines at once — the pooled path on the shared instance, both
+// precisions, cold forms — and requires every result to equal the
+// serial one. Run under -race it pins that sharing weights and forms
+// across ranks is sound.
 func TestSharedModelConcurrentScoring(t *testing.T) {
 	f := frozenTestModel(51)
 	samples := frozenTestSamples(f)
 	want := scoresOf(frozenTestModel(51), samples)
-	wantAlloc := frozenTestModel(51).PredictBatch(samples)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -214,18 +177,12 @@ func TestSharedModelConcurrentScoring(t *testing.T) {
 			defer wg.Done()
 			prec := []Precision{PrecisionF64, PrecisionF32}[g%2]
 			ws := NewWorkspaceFor(prec)
-			r := f.Replica()
 			got := make([]float64, len(samples))
 			for round := 0; round < 3; round++ {
 				f.PredictBatchInto(samples, ws, got)
 				for j := range got {
 					if got[j] != want[g%2][j] {
 						t.Errorf("goroutine %d %s sample %d: %v != serial %v", g, prec, j, got[j], want[g%2][j])
-					}
-				}
-				for j, v := range r.PredictBatch(samples) {
-					if v != wantAlloc[j] {
-						t.Errorf("goroutine %d replica sample %d: %v != serial %v", g, j, v, wantAlloc[j])
 					}
 				}
 			}

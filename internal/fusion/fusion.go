@@ -19,7 +19,7 @@ func (l *LateFusion) Predict(s *Sample) float64 {
 	return l.PredictBatch([]*Sample{s})[0]
 }
 
-// PredictAll evaluates many samples through the batched engine.
+// PredictAll evaluates many samples in PredictBatch chunks.
 func (l *LateFusion) PredictAll(samples []*Sample) []float64 {
 	return chunked(samples, l.PredictBatch)
 }
@@ -227,12 +227,10 @@ func (f *Fusion) Predict(s *Sample) float64 {
 	return f.PredictBatch([]*Sample{s})[0]
 }
 
-// PredictAll evaluates samples through the batched engine. (PredictBatch
-// runs the training Forward, which stashes each layer's input for
-// Backward, so concurrent PredictBatch calls on one instance are not
-// safe; the screening pipeline gives each rank its own Replica, as the
-// paper loads one model instance per GPU. PredictBatchInto stashes
-// nothing and may be called concurrently, one Workspace per caller.)
+// PredictAll evaluates many samples in PredictBatch chunks: a
+// training-side helper (see batch.go) that must not run on two
+// goroutines at once. Screening scores through ScoreInto instead,
+// concurrently on one instance, one Workspace per caller.
 func (f *Fusion) PredictAll(samples []*Sample) []float64 {
 	return chunked(samples, f.PredictBatch)
 }

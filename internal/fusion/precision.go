@@ -13,7 +13,7 @@ import "fmt"
 //
 // The knob rides on the inference workspace (NewWorkspaceFor), so one
 // Scorer contract serves both widths: the engine builds per-rank
-// workspaces at the job's precision and every ScoreBatchInto dispatch
+// workspaces at the job's precision and every ScoreInto dispatch
 // follows the workspace.
 type Precision string
 

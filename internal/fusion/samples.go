@@ -39,17 +39,6 @@ func FeaturizeComplex(id string, p *target.Pocket, mol *chem.Mol, label float64,
 	}
 }
 
-// FeaturizeAll featurizes complexes in parallel.
-func FeaturizeAll(ids []string, pockets []*target.Pocket, mols []*chem.Mol, labels []float64, vo featurize.VoxelOptions, gro featurize.GraphOptions) []*Sample {
-	out := make([]*Sample, len(ids))
-	tensor.ParallelFor(len(ids), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = FeaturizeComplex(ids[i], pockets[i], mols[i], labels[i], vo, gro)
-		}
-	})
-	return out
-}
-
 // stackVoxels concatenates per-sample [C,G,G,G] grids into a batch
 // tensor [B,C,G,G,G]. When rng is non-nil, each grid is independently
 // rotation-augmented per the paper (10% chance per axis).

@@ -10,24 +10,27 @@ import (
 	"deepfusion/internal/tensor"
 )
 
-// This file is the zero-allocation batched-inference surface of the
-// fusion models: every family gains PredictBatchInto, which scores a
-// batch through workspace-pooled buffers and writes predictions into a
-// caller-owned slice. After one warm-up batch, a steady-state call
-// performs zero heap allocations. Each family's forward is one generic
-// body over the element width, run at the precision the workspace was
-// built for: at float64 the scores are byte-identical to PredictBatch —
-// the allocating path survives unchanged as the training/reference
-// engine and the golden baseline — and at float32 they are the fast
-// path, widened to float64 only at the output.
+// This file is the scoring path of the fusion models: every family's
+// PredictBatchInto (behind ScoreInto, scorer.go) scores a batch
+// through workspace-pooled buffers and writes predictions into a
+// caller-owned slice. It stashes nothing in the model, so one instance
+// is shared by every goroutine that scores with it, each with its own
+// Workspace. After one warm-up batch, a steady-state call performs
+// zero heap allocations. Each family's forward is one generic body
+// over the element width, run at the precision the workspace was built
+// for: at float64 the scores are byte-identical to PredictBatch — the
+// training Forward in inference mode, kept for training evaluation and
+// as the golden baseline — and at float32 they are the fast path,
+// widened to float64 only at the output.
 
 // Workspace owns the pooled buffers of one inference stream: the
 // tensor arenas (via nn.Workspace) plus the batch-assembly scratch —
 // disjoint-union edge lists and gather segments. The screening engine
-// gives each rank one workspace, shared by every scorer replica the
-// rank owns; each PredictBatchInto call recycles the previous call's
-// buffers, so results must be copied out before the next call
-// (PredictBatchInto's out slice satisfies this by construction).
+// gives each rank (and each session) one workspace, shared by every
+// scorer it scores with; each PredictBatchInto call recycles the
+// previous call's buffers, so results must be copied out before the
+// next call (PredictBatchInto's out slice satisfies this by
+// construction).
 //
 // A Workspace is not safe for concurrent use. It holds nothing derived
 // from weights — packed panels, transposes, f32 conversions and the
@@ -47,9 +50,9 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return NewWorkspaceFor(PrecisionF64) }
 
 // NewWorkspaceFor returns an empty inference workspace running at the
-// given precision: every PredictBatchInto/ScoreBatchInto call through
-// it dispatches to that numeric width, so the engine selects the
-// whole funnel's precision by constructing rank workspaces once. It
+// given precision: every PredictBatchInto/ScoreInto call through it
+// dispatches to that numeric width, so the engine selects the whole
+// funnel's precision by constructing rank workspaces once. It
 // panics on an unknown precision (Validate upstream for an error).
 func NewWorkspaceFor(p Precision) *Workspace {
 	if err := p.Validate(); err != nil {
@@ -334,27 +337,6 @@ func predictFusion[T tensor.Float](f *Fusion, samples []*Sample, ws *Workspace, 
 		}
 	}
 	widen(out, nn.Infer(f.out, h, ws.nn).Data)
-}
-
-// ScoreBatchInto implements the screening engine's pooled scoring
-// handshake (screen.ScorerInto) for the voxel head.
-func (m *CNN3D) ScoreBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	m.PredictBatchInto(samples, ws, out)
-}
-
-// ScoreBatchInto implements the pooled scoring handshake.
-func (m *SGCNN) ScoreBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	m.PredictBatchInto(samples, ws, out)
-}
-
-// ScoreBatchInto implements the pooled scoring handshake.
-func (l *LateFusion) ScoreBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	l.PredictBatchInto(samples, ws, out)
-}
-
-// ScoreBatchInto implements the pooled scoring handshake.
-func (f *Fusion) ScoreBatchInto(samples []*Sample, ws *Workspace, out []float64) {
-	f.PredictBatchInto(samples, ws, out)
 }
 
 // FeaturizeComplexWithPrefeature featurizes a posed complex into s

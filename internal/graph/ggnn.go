@@ -60,13 +60,6 @@ func NewGGConv(rng *rand.Rand, h, k int) *GGConv {
 	return g
 }
 
-// Replica returns an inference replica aliasing g's parameters (see
-// the nn package's replica contract): its own per-step Forward stash,
-// no initialization, no copies.
-func (g *GGConv) Replica() *GGConv {
-	return &GGConv{H: g.H, K: g.K, Wmsg: g.Wmsg, Uz: g.Uz, Wz: g.Wz, Uh: g.Uh, Wh: g.Wh, Bz: g.Bz, Bh: g.Bh}
-}
-
 // Params returns the trainable parameters.
 func (g *GGConv) Params() []*nn.Param {
 	return []*nn.Param{g.Wmsg, g.Uz, g.Wz, g.Uh, g.Wh, g.Bz, g.Bh}
@@ -211,11 +204,6 @@ func NewGather(rng *rand.Rand, hIn, xIn, out int) *Gather {
 	return ga
 }
 
-// Replica returns an inference replica aliasing ga's parameters.
-func (ga *Gather) Replica() *Gather {
-	return &Gather{HIn: ga.HIn, XIn: ga.XIn, Out: ga.Out, Wg: ga.Wg, Bg: ga.Bg, Wo: ga.Wo, Bo: ga.Bo}
-}
-
 // Params returns the trainable parameters.
 func (ga *Gather) Params() []*nn.Param {
 	return []*nn.Param{ga.Wg, ga.Bg, ga.Wo, ga.Bo}
@@ -342,9 +330,6 @@ func NewProject(rng *rand.Rand, in, out int) *Project {
 	nn.GlorotInit(rng, p.W, in, out)
 	return p
 }
-
-// Replica returns an inference replica aliasing p's parameters.
-func (p *Project) Replica() *Project { return &Project{In: p.In, Out: p.Out, W: p.W, B: p.B} }
 
 // Params returns the trainable parameters.
 func (p *Project) Params() []*nn.Param { return []*nn.Param{p.W, p.B} }

@@ -6,7 +6,7 @@ import "deepfusion/internal/fusion"
 // engine's scoring contract: the physics rescoring stage of the
 // paper's funnel, runnable at scale on the same batched engine as the
 // deep models. It reads the raw posed complex off the shared Sample
-// (no Featurizer handshake) and is stateless, so ranks share one
+// (it declares no featurization) and is stateless, so ranks share one
 // instance.
 type Scorer struct{}
 
@@ -14,14 +14,16 @@ type Scorer struct{}
 // manifests.
 func (Scorer) Name() string { return "mmgbsa" }
 
-// ScoreBatch evaluates the MM/GBSA single-point binding energy of each
-// posed complex, in kcal/mol (lower is stronger).
-func (Scorer) ScoreBatch(samples []*fusion.Sample) []float64 {
-	out := make([]float64, len(samples))
+// FeatureOptions is the zero value: the rescore reads the raw pose.
+func (Scorer) FeatureOptions() fusion.FeatureOptions { return fusion.FeatureOptions{} }
+
+// ScoreInto writes the MM/GBSA single-point binding energy of each
+// posed complex, in kcal/mol (lower is stronger). It needs no
+// workspace.
+func (Scorer) ScoreInto(samples []*fusion.Sample, _ *fusion.Workspace, out []float64) {
 	for i, s := range samples {
 		out[i] = Rescore(s.Pocket, s.Mol)
 	}
-	return out
 }
 
 // LowerIsBetter reports the kcal/mol orientation.

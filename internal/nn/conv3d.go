@@ -236,15 +236,29 @@ func (c *Conv3D) forwardDirect(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	dx := tensor.New(c.lastX.Shape...)
+	c.backward(grad, dx)
+	return dx
+}
+
+// BackwardParams accumulates W.Grad and B.Grad exactly as Backward
+// does, bit for bit, but computes no input gradient: for a first layer,
+// whose input needs none. It skips the widest work of the backward
+// pass, the product into the column tile and its scatter onto the grid.
+func (c *Conv3D) BackwardParams(grad *tensor.Tensor) { c.backward(grad, nil) }
+
+// backward accumulates the parameter gradients of grad and, when dx is
+// not nil, the input gradient into dx.
+func (c *Conv3D) backward(grad, dx *tensor.Tensor) {
 	if c.Direct {
-		return c.backwardDirect(grad)
+		c.backwardDirect(grad, dx)
+		return
 	}
 	x := c.lastX
 	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
 	k := c.K
 	dhw := d * h * w
 	ck3 := c.In * k * k * k
-	dx := tensor.New(x.Shape...)
 	wmat := c.W.Value.Reshape(c.Out, ck3)
 	tile := dhw
 	if tile > convTile {
@@ -258,7 +272,10 @@ func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.ParallelFor(n, func(blo, bhi int) {
 		cols := tensor.New(tile, ck3)
 		dyT := tensor.New(tile, c.Out)
-		dcols := tensor.New(tile, ck3)
+		var dcols *tensor.Tensor
+		if dx != nil {
+			dcols = tensor.New(tile, ck3)
+		}
 		dw := tensor.New(c.Out, ck3)
 		db := tensor.New(c.Out)
 		dws[blo], dbs[blo] = dw, db
@@ -269,11 +286,10 @@ func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 					hi = dhw
 				}
 				rows := hi - lo
-				ct, dyt, dct := cols, dyT, dcols
+				ct, dyt := cols, dyT
 				if rows != tile {
 					ct = tensor.FromSlice(cols.Data[:rows*ck3], rows, ck3)
 					dyt = tensor.FromSlice(dyT.Data[:rows*c.Out], rows, c.Out)
-					dct = tensor.FromSlice(dcols.Data[:rows*ck3], rows, ck3)
 				}
 				tensor.Im2Col3D(x, b, k, lo, hi, ct)
 				// Gather the output gradient tile position-major.
@@ -285,6 +301,13 @@ func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 					}
 				}
 				dw.AddInPlace(tensor.MatMulTransA(dyt, ct)) // [Out, CK^3]
+				if dx == nil {
+					continue
+				}
+				dct := dcols
+				if rows != tile {
+					dct = tensor.FromSlice(dcols.Data[:rows*ck3], rows, ck3)
+				}
 				dct.Zero()
 				tensor.MatMulAcc(dct, dyt, wmat) // [rows, CK^3]
 				tensor.Col2Im3D(dct, b, k, lo, hi, dx)
@@ -298,16 +321,15 @@ func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		c.W.Grad.AddInPlace(dws[b])
 		c.B.Grad.AddInPlace(dbs[b])
 	}
-	return dx
 }
 
-// backwardDirect is the reference backward matching forwardDirect.
-func (c *Conv3D) backwardDirect(grad *tensor.Tensor) *tensor.Tensor {
+// backwardDirect is the reference backward matching forwardDirect; dx
+// as in backward.
+func (c *Conv3D) backwardDirect(grad, dx *tensor.Tensor) {
 	x := c.lastX
 	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
 	pad := c.K / 2
 	k := c.K
-	dx := tensor.New(x.Shape...)
 	// Parameter gradients are accumulated serially per output channel to
 	// avoid write races; input gradients are accumulated per sample.
 	for ni := 0; ni < n; ni++ {
@@ -339,7 +361,9 @@ func (c *Conv3D) backwardDirect(grad *tensor.Tensor) *tensor.Tensor {
 											continue
 										}
 										c.W.Grad.Data[wBase+kw] += g * x.Data[xBase+iw]
-										dx.Data[xBase+iw] += g * c.W.Value.Data[wBase+kw]
+										if dx != nil {
+											dx.Data[xBase+iw] += g * c.W.Value.Data[wBase+kw]
+										}
 									}
 								}
 							}
@@ -349,7 +373,6 @@ func (c *Conv3D) backwardDirect(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return dx
 }
 
 // Params implements Layer.

@@ -73,6 +73,45 @@ func TestConv3DLoweredMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestConv3DBackwardParamsMatchesBackward pins that skipping the input
+// gradient changes no parameter gradient bit, on the direct reference
+// path and on the lowered one, single- and multi-tile.
+func TestConv3DBackwardParamsMatchesBackward(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct{ batch, in, out, k, g int }{
+		{3, 4, 5, 5, 6},
+		{1, 2, 5, 3, 21},
+	} {
+		for _, direct := range []bool{false, true} {
+			c := NewConv3D(rand.New(rand.NewSource(13)), tc.in, tc.out, tc.k)
+			c.Direct = direct
+			x := tensor.New(tc.batch, tc.in, tc.g, tc.g, tc.g)
+			sparseVoxels(rng, x)
+			grad := tensor.New(c.Forward(x, true).Shape...)
+			sparseVoxels(rng, grad)
+			// Accumulate twice, as training does across a batch's
+			// contributions, so the sums land on non-zero gradients.
+			ZeroGrads(c.Params())
+			c.Backward(grad)
+			c.Backward(grad)
+			wantW, wantB := c.W.Grad.Clone(), c.B.Grad.Clone()
+			ZeroGrads(c.Params())
+			c.BackwardParams(grad)
+			c.BackwardParams(grad)
+			for i := range wantW.Data {
+				if c.W.Grad.Data[i] != wantW.Data[i] {
+					t.Fatalf("case %+v direct=%v: dW[%d] %v != Backward's %v", tc, direct, i, c.W.Grad.Data[i], wantW.Data[i])
+				}
+			}
+			for i := range wantB.Data {
+				if c.B.Grad.Data[i] != wantB.Data[i] {
+					t.Fatalf("case %+v direct=%v: dB[%d] %v != Backward's %v", tc, direct, i, c.B.Grad.Data[i], wantB.Data[i])
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkConv3DForward compares the lowered GEMM path against the
 // direct reference loops at the screening-default geometry.
 func BenchmarkConv3DForward(b *testing.B) {

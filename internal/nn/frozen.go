@@ -13,8 +13,8 @@ import (
 // raw float64 values — packed GEMM panels, the scatter convolution's
 // kernel layout, flat vectors, each at both element widths, and the
 // folded float32 BatchNorm — is built on first use, stored on the
-// parameter itself and shared read-only by every goroutine, rank
-// replica, workspace, job and session that aliases the parameter.
+// parameter itself and shared read-only by every goroutine, rank,
+// workspace, job and session that scores with the parameter.
 // Whatever writes a parameter's values (optimizer steps, CopyParams,
 // LoadParams, initialization, anything assigning Value.Data directly)
 // must call Invalidate afterwards; the next inference call rebuilds.

@@ -21,8 +21,8 @@ import (
 
 // Param is a trainable tensor together with its accumulated gradient.
 // It also owns the inference forms derived from its values (frozen.go),
-// so every replica, workspace and job that aliases the parameter shares
-// one copy of them. Always handle a Param by pointer.
+// so every rank, workspace and job that scores with the parameter
+// shares one copy of them. Always handle a Param by pointer.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor

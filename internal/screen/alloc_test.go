@@ -34,9 +34,9 @@ func allocTestSamples(t testing.TB, f *fusion.Fusion, n int) []*fusion.Sample {
 
 // TestWarmRankLoopZeroAlloc is the allocation-regression pin of the
 // tentpole: the steady-state scoring step of a rank — a full batch
-// through the production-config Coherent Fusion scorer via the
-// ScorerInto handshake, exactly what runRanks' flush does — performs
-// zero heap allocations once the rank's workspace is warm. The pin
+// through the production-config Coherent Fusion scorer's ScoreInto,
+// exactly what runRanks' flush does — performs zero heap allocations
+// once the rank's workspace is warm. The pin
 // covers both engine precisions: the f32 fast path must hold the same
 // zero-allocation bar as the f64 reference.
 func TestWarmRankLoopZeroAlloc(t *testing.T) {
@@ -46,8 +46,8 @@ func TestWarmRankLoopZeroAlloc(t *testing.T) {
 			samples := allocTestSamples(t, f, 8)
 			ws := fusion.NewWorkspaceFor(p)
 			out := make([]float64, len(samples))
-			var s ScorerInto = f
-			loop := func() { s.ScoreBatchInto(samples, ws, out) }
+			var s Scorer = f
+			loop := func() { s.ScoreInto(samples, ws, out) }
 			for i := 0; i < 3; i++ {
 				loop() // warm the workspace pools and packed-weight caches
 			}
@@ -124,7 +124,7 @@ func TestWarmFeaturizingLoaderZeroAlloc(t *testing.T) {
 
 // TestEnsembleSharedWorkspaceMatchesSoloRuns guards the engine-level
 // buffer-isolation contract: a rank's single workspace is shared by
-// every scorer replica it owns, so an ensemble job's per-scorer
+// every scorer it scores with, so an ensemble job's per-scorer
 // predictions must be byte-identical to running each scorer in its own
 // job (its own workspaces). Cross-scorer buffer leakage or a packing
 // cache collision would break the equality.
@@ -170,23 +170,11 @@ func TestEnsembleSharedWorkspaceMatchesSoloRuns(t *testing.T) {
 	}
 }
 
-// renamed wraps a scorer with a distinct stable name, forwarding every
-// engine handshake the wrapped scorer implements.
+// renamed wraps a scorer with a distinct stable name, forwarding the
+// rest of the contract to the wrapped scorer.
 type renamed struct {
 	Scorer
 	name string
 }
 
 func (r renamed) Name() string { return r.name }
-
-func (r renamed) ScoreBatchInto(samples []*fusion.Sample, ws *fusion.Workspace, out []float64) {
-	r.Scorer.(ScorerInto).ScoreBatchInto(samples, ws, out)
-}
-
-func (r renamed) FeatureOptions() FeatureOptions {
-	return r.Scorer.(Featurizer).FeatureOptions()
-}
-
-func (r renamed) CloneScorer() any {
-	return renamed{Scorer: r.Scorer.(Cloner).CloneScorer().(Scorer), name: r.name}
-}

@@ -146,8 +146,11 @@ type sampleProbe struct {
 	sawNil    *atomic.Bool
 }
 
-func (p sampleProbe) Name() string { return "probe" }
-func (p sampleProbe) ScoreBatch(samples []*fusion.Sample) []float64 {
+func (p sampleProbe) Name() string                   { return "probe" }
+func (p sampleProbe) FeatureOptions() FeatureOptions { return FeatureOptions{} }
+func (p sampleProbe) LowerIsBetter() bool            { return false }
+func (p sampleProbe) ScoreInto(samples []*fusion.Sample, _ *fusion.Workspace, out []float64) {
+	clear(out)
 	for _, s := range samples {
 		if s.Voxels != nil && s.Graph != nil {
 			p.sawVoxels.Store(true)
@@ -156,13 +159,13 @@ func (p sampleProbe) ScoreBatch(samples []*fusion.Sample) []float64 {
 			p.sawNil.Store(true)
 		}
 	}
-	return make([]float64, len(samples))
 }
 
 // TestFeaturizationSkippedWithoutFeaturizer pins the loader contract:
-// a job whose scorer set declares no representation receives raw
-// samples (identity, pocket, pose only); adding one Featurizer scorer
-// turns featurization back on for the whole shared batch.
+// a job whose scorer set declares only zero FeatureOptions receives
+// raw samples (identity, pocket, pose only); adding one scorer that
+// declares a representation turns featurization back on for the whole
+// shared batch.
 func TestFeaturizationSkippedWithoutFeaturizer(t *testing.T) {
 	mols := testMols(t, 2)
 	poses, _, err := DockCompounds(context.Background(), target.Spike1, mols, 2, 45)
@@ -176,7 +179,7 @@ func TestFeaturizationSkippedWithoutFeaturizer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if probe.sawVoxels.Load() || !probe.sawNil.Load() {
-		t.Fatal("featurizer-free job must hand raw samples to ScoreBatch")
+		t.Fatal("featurizer-free job must hand raw samples to ScoreInto")
 	}
 
 	probe = sampleProbe{sawVoxels: &atomic.Bool{}, sawNil: &atomic.Bool{}}
@@ -184,7 +187,7 @@ func TestFeaturizationSkippedWithoutFeaturizer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !probe.sawVoxels.Load() || probe.sawNil.Load() {
-		t.Fatal("a Featurizer in the set must featurize the shared samples")
+		t.Fatal("a scorer declaring a representation must featurize the shared samples")
 	}
 }
 
@@ -207,12 +210,14 @@ type slowScorer struct {
 	once    *sync.Once
 }
 
-func (s slowScorer) Name() string { return "slow" }
-func (s slowScorer) ScoreBatch(samples []*fusion.Sample) []float64 {
+func (s slowScorer) Name() string                   { return "slow" }
+func (s slowScorer) FeatureOptions() FeatureOptions { return FeatureOptions{} }
+func (s slowScorer) LowerIsBetter() bool            { return false }
+func (s slowScorer) ScoreInto(samples []*fusion.Sample, _ *fusion.Workspace, out []float64) {
 	s.once.Do(func() { close(s.started) })
 	<-s.release
 	s.batches.Add(1)
-	return make([]float64, len(samples))
+	clear(out)
 }
 
 // TestRunJobCancellationStopsWithinOneBatch cancels a running job

@@ -132,7 +132,7 @@ func TestRunJobRefusesMismatchedPrefeature(t *testing.T) {
 }
 
 // TestPrefeatureForPhysicsOnlySet pins the no-featurization case: a
-// scorer set with no Featurizer representation gets a nil prefeature
+// scorer set that declares no representation gets a nil prefeature
 // and the job still runs (on raw samples).
 func TestPrefeatureForPhysicsOnlySet(t *testing.T) {
 	pf, err := PrefeatureFor([]Scorer{stubScorer{}}, target.Protease1, DefaultJobOptions())
@@ -147,11 +147,11 @@ func TestPrefeatureForPhysicsOnlySet(t *testing.T) {
 // stubScorer is a minimal featurization-free Scorer.
 type stubScorer struct{}
 
-func (stubScorer) Name() string { return "stub" }
-func (stubScorer) ScoreBatch(samples []*fusion.Sample) []float64 {
-	out := make([]float64, len(samples))
+func (stubScorer) Name() string                   { return "stub" }
+func (stubScorer) FeatureOptions() FeatureOptions { return FeatureOptions{} }
+func (stubScorer) LowerIsBetter() bool            { return false }
+func (stubScorer) ScoreInto(samples []*fusion.Sample, _ *fusion.Workspace, out []float64) {
 	for i, s := range samples {
 		out[i] = float64(len(s.ID))
 	}
-	return out
 }

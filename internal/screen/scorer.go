@@ -16,98 +16,63 @@ import (
 // them. The engine featurizes each pose exactly once and hands the
 // shared samples to every scorer.
 //
-// ScoreBatch must be deterministic, must return exactly one score per
-// sample in input order, and must give batch-composition-independent
-// results (scoring a batch equals scoring each sample alone). Name
-// must be stable across calls: it keys the per-scorer prediction
-// columns in the h5lite shards and the campaign manifest's recorded
-// scorer set.
+// The contract is these four methods and nothing else; the compiler
+// checks every implementation (see the conformance tests):
+//
+//   - Name must be stable across calls: it keys the per-scorer
+//     prediction columns in the h5lite shards and the campaign
+//     manifest's recorded scorer set.
+//   - FeatureOptions declares the featurization the scorer reads. The
+//     zero value means "raw pose only": a job whose scorer set
+//     declares no representation skips featurization and hands
+//     ScoreInto samples that carry only identity, pocket and posed
+//     molecule.
+//   - ScoreInto writes exactly one score per sample, in input order,
+//     into out (len(out) == len(samples)), through ws — the caller's
+//     workspace, whose precision selects the numeric width of the
+//     neural scorers (the physics scorers ignore it). It must be
+//     deterministic, batch-composition independent (scoring a batch
+//     equals scoring each sample alone), and safe to call on one
+//     shared instance from any number of goroutines, each with its own
+//     workspace: every rank and session of every job scores on the
+//     scorer it was given, the paper's one model instance per GPU.
+//   - LowerIsBetter reports the orientation of the raw score: true for
+//     the kcal/mol physics surrogates, false for the models, which
+//     predict pK (higher is stronger). Consensus uses it to mix
+//     heterogeneous scorers on one scale.
 type Scorer interface {
 	Name() string
-	ScoreBatch(samples []*fusion.Sample) []float64
-}
-
-// FeatureOptions is the Featurizer handshake payload: the featurization
-// a scorer requires, with nil meaning "no requirement". The engine
-// merges the declarations of every scorer in a job — featurization
-// happens once, shared by all of them — and falls back to the
-// JobOptions for anything left undeclared. The type lives in fusion
-// (next to Sample) so model packages can declare their needs without
-// importing the engine.
-type FeatureOptions = fusion.FeatureOptions
-
-// Featurizer is implemented by scorers that consume featurized
-// representations (voxel grids, complex graphs) and therefore need the
-// engine to featurize with specific options. Scorers that read only
-// the raw pose (physics surrogates) do not implement it — and a job
-// whose scorer set declares no representation at all skips
-// featurization entirely, handing ScoreBatch samples that carry only
-// identity, pocket and posed molecule. A scorer that reads
-// Sample.Voxels or Sample.Graph MUST therefore implement Featurizer.
-type Featurizer interface {
 	FeatureOptions() FeatureOptions
-}
-
-// ScorerInto is the pooled-scoring handshake: scorers that can score a
-// batch through a reusable fusion.Workspace — writing predictions into
-// a caller-owned slice instead of allocating — implement it, and the
-// engine's rank loop scores allocation-free after warm-up (each rank
-// owns one workspace, shared by all of its scorer replicas).
-// ScoreBatchInto must produce byte-identical results to ScoreBatch;
-// scorers that do not implement it simply stay on the allocating path.
-type ScorerInto interface {
-	ScoreBatchInto(samples []*fusion.Sample, ws *fusion.Workspace, out []float64)
-}
-
-// Cloner is the replication handshake: scorers whose ScoreBatch is not
-// safe for concurrent use (the neural models' ScoreBatch runs the
-// training Forward, which stashes layer inputs for Backward) implement
-// it, and each simulated MPI rank scores on its own replica — the
-// paper's one-model-instance-per-GPU deployment. CloneScorer must
-// return a value implementing Scorer with identical outputs; it is
-// called once per rank per job, so it should share rather than copy
-// whatever is only read (the fusion models alias their weights).
-// Stateless scorers are shared across ranks as-is.
-type Cloner interface {
-	CloneScorer() any
-}
-
-// LowerIsBetter is implemented by scorers whose raw score improves
-// downward (the kcal/mol physics surrogates). Model scorers predict pK
-// (higher is stronger) and do not implement it. Consensus uses the
-// orientation to mix heterogeneous scorers on one scale.
-type LowerIsBetter interface {
+	ScoreInto(samples []*fusion.Sample, ws *fusion.Workspace, out []float64)
 	LowerIsBetter() bool
 }
 
-// lowerIsBetter reports the scorer's orientation.
-func lowerIsBetter(s Scorer) bool {
-	l, ok := s.(LowerIsBetter)
-	return ok && l.LowerIsBetter()
-}
+// FeatureOptions is the featurization a scorer requires, with nil
+// meaning "no requirement". The engine merges the declarations of
+// every scorer in a job — featurization happens once, shared by all of
+// them — and falls back to the JobOptions for anything left
+// undeclared. The type lives in fusion (next to Sample) so model
+// packages can declare their needs without importing the engine.
+type FeatureOptions = fusion.FeatureOptions
 
 // orientToPK maps a raw score onto the pK scale used for mixing:
 // kcal/mol scorers are negated and converted (dG = -RT ln K, 1.36
 // kcal/mol per pK unit at ~300 K), pK scorers pass through.
 func orientToPK(s Scorer, v float64) float64 {
-	if lowerIsBetter(s) {
+	if s.LowerIsBetter() {
 		return -v / kcalPerPK
 	}
 	return v
 }
 
-// mergeFeatureOptions folds the Featurizer declarations of a scorer
-// set over the JobOptions fallback. Two scorers declaring different
-// options for the same representation cannot share one featurization
-// pass, so the merge refuses.
+// mergeFeatureOptions folds the FeatureOptions declarations of a
+// scorer set over the JobOptions fallback. Two scorers declaring
+// different options for the same representation cannot share one
+// featurization pass, so the merge refuses.
 func mergeFeatureOptions(scorers []Scorer, vo featurize.VoxelOptions, gro featurize.GraphOptions) (featurize.VoxelOptions, featurize.GraphOptions, error) {
 	var vBy, gBy string
 	for _, s := range scorers {
-		f, ok := s.(Featurizer)
-		if !ok {
-			continue
-		}
-		fo := f.FeatureOptions()
+		fo := s.FeatureOptions()
 		if fo.Voxel != nil {
 			if vBy != "" && *fo.Voxel != vo {
 				return vo, gro, fmt.Errorf("screen: scorer %s needs voxel options %+v but %s already claimed %+v", s.Name(), *fo.Voxel, vBy, vo)
@@ -125,15 +90,12 @@ func mergeFeatureOptions(scorers []Scorer, vo featurize.VoxelOptions, gro featur
 }
 
 // scorerSetNeedsFeatures reports whether any scorer in the set
-// declares a featurized representation through the Featurizer
-// handshake — when none does, jobs skip voxelization and graph
-// construction entirely.
+// declares a featurized representation — when none does, jobs skip
+// voxelization and graph construction entirely.
 func scorerSetNeedsFeatures(scorers []Scorer) bool {
 	for _, s := range scorers {
-		if f, ok := s.(Featurizer); ok {
-			if fo := f.FeatureOptions(); fo.Voxel != nil || fo.Graph != nil {
-				return true
-			}
+		if fo := s.FeatureOptions(); fo.Voxel != nil || fo.Graph != nil {
+			return true
 		}
 	}
 	return false
@@ -159,32 +121,6 @@ func PrefeatureFor(scorers []Scorer, p *target.Pocket, o JobOptions) (*featurize
 		return nil, nil
 	}
 	return featurize.NewPocketPrefeature(p, vo, gro), nil
-}
-
-// replicaOf returns the scorer a rank should score on: a private clone
-// when the scorer implements the Cloner handshake, the shared instance
-// otherwise.
-func replicaOf(s Scorer) Scorer {
-	c, ok := s.(Cloner)
-	if !ok {
-		return s
-	}
-	r, ok := c.CloneScorer().(Scorer)
-	if !ok {
-		return s
-	}
-	return r
-}
-
-// replicasOf builds the per-rank replica set of a scorer list — one
-// replicaOf per scorer, in order. Shared by the engine's rank loop and
-// the conformance suite.
-func replicasOf(scorers []Scorer) []Scorer {
-	replicas := make([]Scorer, len(scorers))
-	for i, s := range scorers {
-		replicas[i] = replicaOf(s)
-	}
-	return replicas
 }
 
 // ScorerNames returns the stable name set of a scorer list, in list
@@ -221,17 +157,16 @@ func ValidateScorerSet(scorers []Scorer) error {
 // consensus-docking line of ensemble screening — ranking quality lives
 // in agreement across methods, not in any single scorer. Members score
 // the same shared samples, so an N-way consensus still featurizes each
-// pose once.
+// pose once. It holds no per-call state, so like every Scorer one
+// instance serves every rank and session at once.
 type Consensus struct {
 	members []Scorer
 	name    string
-
-	scratch []float64 // pooled member-score buffer for ScoreBatchInto
 }
 
 // NewConsensus builds a consensus scorer over the given members. It
 // refuses an empty or name-duplicated member set and members whose
-// Featurizer handshakes conflict (they could not share one
+// featurization declarations conflict (they could not share one
 // featurization pass).
 func NewConsensus(members ...Scorer) (*Consensus, error) {
 	if err := ValidateScorerSet(members); err != nil {
@@ -251,43 +186,19 @@ func (c *Consensus) Members() []Scorer { return append([]Scorer(nil), c.members.
 // built over different members never alias in a manifest.
 func (c *Consensus) Name() string { return c.name }
 
-// ScoreBatch returns the mean pK-oriented member score per sample. The
+// ScoreInto writes the mean pK-oriented member score per sample. The
 // mix is per-sample (no batch statistics), keeping consensus scores
-// batch-composition independent like every other Scorer.
-func (c *Consensus) ScoreBatch(samples []*fusion.Sample) []float64 {
-	out := make([]float64, len(samples))
-	for _, m := range c.members {
-		vals := m.ScoreBatch(samples)
-		for i, v := range vals {
-			out[i] += orientToPK(m, v)
-		}
-	}
-	n := float64(len(c.members))
-	for i := range out {
-		out[i] /= n
-	}
-	return out
-}
-
-// ScoreBatchInto implements the pooled-scoring handshake: members that
-// implement ScorerInto score through the shared workspace, the rest
-// fall back to ScoreBatch. The mix is byte-identical to ScoreBatch
-// (same member order, same per-sample accumulation).
-func (c *Consensus) ScoreBatchInto(samples []*fusion.Sample, ws *fusion.Workspace, out []float64) {
-	if len(c.scratch) < len(samples) {
-		c.scratch = make([]float64, len(samples))
-	}
+// batch-composition independent like every other Scorer. Members score
+// through the caller's workspace into a buffer allocated per call:
+// one small slice per batch, owned by this call alone, so concurrent
+// callers and a consensus nested in another never share it.
+func (c *Consensus) ScoreInto(samples []*fusion.Sample, ws *fusion.Workspace, out []float64) {
+	vals := make([]float64, len(samples))
 	for i := range out {
 		out[i] = 0
 	}
 	for _, m := range c.members {
-		var vals []float64
-		if mi, ok := m.(ScorerInto); ok {
-			vals = c.scratch[:len(samples)]
-			mi.ScoreBatchInto(samples, ws, vals)
-		} else {
-			vals = m.ScoreBatch(samples)
-		}
+		m.ScoreInto(samples, ws, vals)
 		for i, v := range vals {
 			out[i] += orientToPK(m, v)
 		}
@@ -303,11 +214,7 @@ func (c *Consensus) ScoreBatchInto(samples []*fusion.Sample, ws *fusion.Workspac
 func (c *Consensus) FeatureOptions() FeatureOptions {
 	var fo FeatureOptions
 	for _, m := range c.members {
-		f, ok := m.(Featurizer)
-		if !ok {
-			continue
-		}
-		mfo := f.FeatureOptions()
+		mfo := m.FeatureOptions()
 		if mfo.Voxel != nil {
 			fo.Voxel = mfo.Voxel
 		}
@@ -318,12 +225,5 @@ func (c *Consensus) FeatureOptions() FeatureOptions {
 	return fo
 }
 
-// CloneScorer replicates the members that need replication, so a
-// consensus can be scored on every rank concurrently.
-func (c *Consensus) CloneScorer() any {
-	members := make([]Scorer, len(c.members))
-	for i, m := range c.members {
-		members[i] = replicaOf(m)
-	}
-	return &Consensus{members: members, name: c.name}
-}
+// LowerIsBetter is false: the mix is on the pK scale.
+func (c *Consensus) LowerIsBetter() bool { return false }

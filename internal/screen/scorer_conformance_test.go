@@ -17,8 +17,19 @@ import (
 // and consensus — must satisfy the same invariants the engine relies
 // on: a stable non-empty name, deterministic scores, batch ==
 // per-sample composition independence, one score per sample in input
-// order, and replica equivalence for scorers implementing the Cloner
-// handshake.
+// order, and the same scores through any workspace of one precision
+// (every rank scores the one shared instance through its own).
+
+// Every production scorer satisfies the contract at compile time.
+var (
+	_ Scorer = (*fusion.CNN3D)(nil)
+	_ Scorer = (*fusion.SGCNN)(nil)
+	_ Scorer = (*fusion.LateFusion)(nil)
+	_ Scorer = (*fusion.Fusion)(nil) // "mid" and "coherent"
+	_ Scorer = dock.VinaScorer{}
+	_ Scorer = mmgbsa.Scorer{}
+	_ Scorer = (*Consensus)(nil)
+)
 
 // conformanceScorers builds one instance of every Scorer
 // implementation (tiny untrained models: the contract is about
@@ -79,68 +90,44 @@ func TestScorerConformance(t *testing.T) {
 	for wantName, s := range conformanceScorers(t) {
 		s := s
 		t.Run(wantName, func(t *testing.T) {
-			runScorerConformance(t, wantName, s, samples)
+			runScorerConformance(t, wantName, s, samples, PrecisionF64)
 		})
 	}
 }
 
 // TestScorerConformanceF32 reruns the whole conformance suite with
-// every scorer operating in f32 mode: the fast path is a precision
-// choice, not a different contract, so the same invariants — name
-// stability, determinism, batch composition independence, replica
-// equivalence — must hold verbatim. Scorers without a pooled f32 path
-// (the physics surrogates) pass through and stay precision-blind.
+// every scorer scoring through f32 workspaces, exactly what a rank
+// does when the job's Precision knob is "f32": the fast path is a
+// precision choice, not a different contract, so the same invariants
+// — name stability, determinism, batch composition independence, the
+// same scores through any workspace — must hold verbatim. The physics
+// surrogates ignore the workspace and stay precision-blind.
 func TestScorerConformanceF32(t *testing.T) {
 	samples := conformanceSamples(t, 5)
 	for wantName, s := range conformanceScorers(t) {
 		s := s
 		t.Run(wantName, func(t *testing.T) {
-			runScorerConformance(t, wantName, inF32Mode(s), samples)
+			runScorerConformance(t, wantName, s, samples, PrecisionF32)
 		})
 	}
 }
 
-// f32Mode adapts a scorer to score through an f32 workspace: exactly
-// what a rank does when the job's Precision knob is "f32".
-type f32Mode struct {
-	inner Scorer
-	ws    *fusion.Workspace
-}
-
-func inF32Mode(s Scorer) Scorer {
-	return &f32Mode{inner: s, ws: fusion.NewWorkspaceFor(fusion.PrecisionF32)}
-}
-
-func (m *f32Mode) Name() string { return m.inner.Name() }
-
-func (m *f32Mode) ScoreBatch(samples []*fusion.Sample) []float64 {
-	into, ok := m.inner.(ScorerInto)
-	if !ok {
-		return m.inner.ScoreBatch(samples)
-	}
+// scoreAll scores samples through ws into a fresh slice whose every
+// slot starts as NaN, so a slot the scorer did not write shows.
+func scoreAll(s Scorer, samples []*fusion.Sample, ws *fusion.Workspace) []float64 {
 	out := make([]float64, len(samples))
-	into.ScoreBatchInto(samples, m.ws, out)
+	for i := range out {
+		out[i] = math.NaN()
+	}
+	s.ScoreInto(samples, ws, out)
 	return out
 }
 
-func (m *f32Mode) CloneScorer() any {
-	if c, ok := m.inner.(Cloner); ok {
-		return inF32Mode(c.CloneScorer().(Scorer))
-	}
-	return inF32Mode(m.inner)
-}
-
-func (m *f32Mode) FeatureOptions() FeatureOptions {
-	if f, ok := m.inner.(Featurizer); ok {
-		return f.FeatureOptions()
-	}
-	return FeatureOptions{}
-}
-
 // runScorerConformance is the suite body, shared by the f64 and f32
-// conformance runs.
-func runScorerConformance(t *testing.T, wantName string, s Scorer, samples []*fusion.Sample) {
+// conformance runs: s scores through workspaces of precision prec.
+func runScorerConformance(t *testing.T, wantName string, s Scorer, samples []*fusion.Sample, prec Precision) {
 	t.Helper()
+	ws := fusion.NewWorkspaceFor(prec)
 	// Name stability: non-empty, the expected constant, and identical
 	// on every call.
 	if s.Name() == "" {
@@ -153,11 +140,8 @@ func runScorerConformance(t *testing.T, wantName string, s Scorer, samples []*fu
 		t.Fatal("Name() is not stable across calls")
 	}
 
-	// One score per sample.
-	batch := s.ScoreBatch(samples)
-	if len(batch) != len(samples) {
-		t.Fatalf("ScoreBatch returned %d scores for %d samples", len(batch), len(samples))
-	}
+	// One score per sample: every slot written, none NaN or infinite.
+	batch := scoreAll(s, samples, ws)
 	for i, v := range batch {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("sample %d scored %v", i, v)
@@ -165,7 +149,7 @@ func runScorerConformance(t *testing.T, wantName string, s Scorer, samples []*fu
 	}
 
 	// Determinism: a second call reproduces the first exactly.
-	again := s.ScoreBatch(samples)
+	again := scoreAll(s, samples, ws)
 	for i := range batch {
 		if batch[i] != again[i] {
 			t.Fatalf("sample %d: %v then %v — scorer is not deterministic", i, batch[i], again[i])
@@ -174,62 +158,22 @@ func runScorerConformance(t *testing.T, wantName string, s Scorer, samples []*fu
 
 	// Batch == per-sample: composition must not change a score.
 	for i, smp := range samples {
-		solo := s.ScoreBatch([]*fusion.Sample{smp})
-		if len(solo) != 1 {
-			t.Fatalf("singleton batch returned %d scores", len(solo))
+		solo := scoreAll(s, []*fusion.Sample{smp}, ws)
+		if math.IsNaN(solo[0]) {
+			t.Fatal("singleton batch left its score unwritten")
 		}
 		if math.Abs(solo[0]-batch[i]) > 1e-9 {
 			t.Fatalf("sample %d: batch %v != per-sample %v", i, batch[i], solo[0])
 		}
 	}
 
-	// Replica equivalence for the Cloner handshake.
-	if c, ok := s.(Cloner); ok {
-		replica, ok := c.CloneScorer().(Scorer)
-		if !ok {
-			t.Fatal("CloneScorer did not return a Scorer")
-		}
-		if replica.Name() != s.Name() {
-			t.Fatalf("replica renamed itself: %q vs %q", replica.Name(), s.Name())
-		}
-		rep := replica.ScoreBatch(samples)
-		for i := range batch {
-			if rep[i] != batch[i] {
-				t.Fatalf("sample %d: replica %v != original %v", i, rep[i], batch[i])
-			}
-		}
-	}
-}
-
-// TestReplicasOfMatchesOriginals pins the replica-set helper the rank
-// loop is built on: replicasOf replicates every Cloner in the set into
-// a distinct instance with identical scores, and passes stateless
-// scorers through unchanged.
-func TestReplicasOfMatchesOriginals(t *testing.T) {
-	byName := conformanceScorers(t)
-	samples := conformanceSamples(t, 3)
-	var set []Scorer
-	for _, name := range []string{"cnn3d", "sgcnn", "coherent", "vina", "mmgbsa"} {
-		set = append(set, byName[name])
-	}
-	replicas := replicasOf(set)
-	if len(replicas) != len(set) {
-		t.Fatalf("replicasOf returned %d scorers for %d", len(replicas), len(set))
-	}
-	for i, s := range set {
-		r := replicas[i]
-		if r.Name() != s.Name() {
-			t.Fatalf("replica %d renamed itself: %q vs %q", i, r.Name(), s.Name())
-		}
-		if _, cloner := s.(Cloner); cloner && r == s {
-			t.Fatalf("replica %d (%s) shares the original instance despite the Cloner handshake", i, s.Name())
-		}
-		want := s.ScoreBatch(samples)
-		got := r.ScoreBatch(samples)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("replica %d (%s) sample %d: %v != original %v", i, s.Name(), j, got[j], want[j])
-			}
+	// Workspace equivalence: another rank's workspace of the same
+	// precision, scoring the same shared instance, reproduces the
+	// scores exactly.
+	other := scoreAll(s, samples, fusion.NewWorkspaceFor(prec))
+	for i := range batch {
+		if other[i] != batch[i] {
+			t.Fatalf("sample %d: second workspace %v != first %v", i, other[i], batch[i])
 		}
 	}
 }
@@ -244,8 +188,9 @@ func TestConsensusOrientsKcalMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := vina.ScoreBatch(samples)
-	mixed := c.ScoreBatch(samples)
+	ws := fusion.NewWorkspace()
+	raw := scoreAll(vina, samples, ws)
+	mixed := scoreAll(c, samples, ws)
 	for i := range raw {
 		want := -raw[i] / kcalPerPK
 		if math.Abs(mixed[i]-want) > 1e-12 {
@@ -261,8 +206,8 @@ func TestConsensusRejectsBadMemberSets(t *testing.T) {
 	if _, err := NewConsensus(dock.VinaScorer{}, dock.VinaScorer{}); err == nil {
 		t.Fatal("duplicate members must be rejected")
 	}
-	// Conflicting Featurizer handshakes cannot share one featurization
-	// pass.
+	// Conflicting featurization declarations cannot share one
+	// featurization pass.
 	cnnCfgA := fusion.DefaultCNN3DConfig()
 	cnnCfgA.Voxel = featurize.VoxelOptions{GridSize: 4, Resolution: 6.0, Sigma: 0.8}
 	cnnCfgA.ConvFilters1 = 4
@@ -274,6 +219,6 @@ func TestConsensusRejectsBadMemberSets(t *testing.T) {
 	a := fusion.NewFusion(fusion.DefaultCoherentConfig(), fusion.NewCNN3D(cnnCfgA, 1), fusion.NewSGCNN(sgCfg, 2), 3)
 	b := fusion.NewFusion(fusion.DefaultMidFusionConfig(), fusion.NewCNN3D(cnnCfgB, 4), fusion.NewSGCNN(sgCfg, 5), 6)
 	if _, err := NewConsensus(a, b); err == nil {
-		t.Fatal("conflicting voxel handshakes must be rejected")
+		t.Fatal("conflicting voxel declarations must be rejected")
 	}
 }

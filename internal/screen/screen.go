@@ -1,8 +1,9 @@
 // Package screen implements the high-throughput distributed scoring
 // architecture of paper Section 4.2 (Figure 3), executed with real
 // concurrency: a job takes a set of docked poses, divides them across
-// simulated MPI ranks (goroutines, one scorer replica each, as the
-// paper loads one Fusion instance per GPU), runs parallel data loaders
+// simulated MPI ranks (goroutines that all score on the one scorer
+// instance they were given, as the paper loads one Fusion instance
+// per GPU and streams batches through it), runs parallel data loaders
 // per rank to featurize poses ahead of inference, gathers identifiers
 // and predictions across ranks (the paper's Horovod allgather), and
 // writes sharded h5lite archives whose layout mirrors ConveyorLC's
@@ -73,9 +74,9 @@ type JobOptions struct {
 	Ranks          int // simulated MPI ranks (paper: 16 = 4 nodes x 4 GPUs)
 	LoadersPerRank int // parallel data loaders per rank (paper: 12)
 	BatchSize      int // poses per inference batch (paper: up to 56)
-	// Voxel and Graph are the featurization fallback; scorers
-	// implementing the Featurizer handshake override them (the engine
-	// featurizes once with the merged options).
+	// Voxel and Graph are the featurization fallback; a scorer's
+	// FeatureOptions declarations override them (the engine featurizes
+	// once with the merged options).
 	Voxel featurize.VoxelOptions
 	Graph featurize.GraphOptions
 	// Prefeature optionally injects a shared, read-only featurization
@@ -170,24 +171,23 @@ func injectFailure(o JobOptions) bool {
 }
 
 // runRanks is the batched scoring engine behind every job entry point.
-// Each rank gets its own replica of every scorer (via the Cloner
-// handshake) and its index-strided share of the poses; loader
-// goroutines featurize ahead of inference — once per pose, shared by
-// the whole ensemble; the rank accumulates featurized samples until a
-// full batch forms and scores it with one ScoreBatch call per scorer
-// (the paper's up-to-56-poses-per-GPU batches). emit is called once
-// per pose, from the scoring rank's goroutine, and must be safe for
-// concurrent calls across ranks. runRanks returns when every rank has
-// drained, or with ctx.Err() if cancelled — cancellation lands at
-// batch boundaries, so a running job stops within one batch.
+// Every rank scores on the job's scorer instances themselves and takes
+// its index-strided share of the poses; loader goroutines featurize
+// ahead of inference — once per pose, shared by the whole ensemble;
+// the rank accumulates featurized samples until a full batch forms and
+// scores it with one ScoreInto call per scorer (the paper's
+// up-to-56-poses-per-GPU batches). emit is called once per pose, from
+// the scoring rank's goroutine, and must be safe for concurrent calls
+// across ranks. runRanks returns when every rank has drained, or with
+// ctx.Err() if cancelled — cancellation lands at batch boundaries, so
+// a running job stops within one batch.
 //
 // Memory model: the steady state is allocation-free. Each rank owns
-// one fusion.Workspace shared by all of its scorer replicas — scorers
-// implementing the ScorerInto handshake score through it into
-// rank-owned prediction buffers — and the loaders draw pose slots from
-// a per-rank free list (stocked from the previous job's slots, see
-// poseSlots), featurizing into recycled voxel/graph buffers and
-// returning each slot once its batch has been emitted. The
+// one fusion.Workspace at the job's precision, through which every
+// scorer scores into rank-owned prediction buffers, and the loaders
+// draw pose slots from a per-rank free list (stocked from the previous
+// job's slots, see poseSlots), featurizing into recycled voxel/graph
+// buffers and returning each slot once its batch has been emitted. The
 // target-invariant half of featurization is computed once per job (or
 // injected via JobOptions.Prefeature and shared across jobs) and read
 // concurrently by every loader (FeaturizeComplexWithPrefeature), so a
@@ -333,8 +333,8 @@ func runRanks(ctx context.Context, scorers []Scorer, p *target.Pocket, poses []P
 // caller injects one — a campaign shares one per target — refused
 // unless it was built for this target and the scorers' merged options,
 // otherwise the engine's cached one. It is nil when no scorer in the
-// set declares a representation through the Featurizer handshake (pure
-// physics surrogates, or a consensus of them).
+// set declares a representation in its FeatureOptions (pure physics
+// surrogates, or a consensus of them).
 func jobPrefeature(scorers []Scorer, p *target.Pocket, o JobOptions) (*featurize.PocketPrefeature, error) {
 	vo, gro, err := mergeFeatureOptions(scorers, o.Voxel, o.Graph)
 	switch {

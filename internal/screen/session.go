@@ -10,16 +10,16 @@ import (
 )
 
 // batchEmitter is the per-batch scoring core shared by runRanks' rank
-// loop and the Session seam: one replica set, one fusion workspace,
-// and the prediction-assembly logic that turns raw scorer outputs into
-// Prediction values (pK orientation of the primary column, MM/GBSA
-// reuse-or-rescore, per-scorer ensemble columns). Both entry points
-// run literally this code over identically featurized samples, which
-// is what makes a Session's scores byte-identical to a RunJob over the
-// same poses.
+// loop and the Session seam: the job's scorers (shared instances — the
+// Scorer contract makes ScoreInto safe on one instance from every
+// rank), one fusion workspace, and the prediction-assembly logic that
+// turns raw scorer outputs into Prediction values (pK orientation of
+// the primary column, MM/GBSA reuse-or-rescore, per-scorer ensemble
+// columns). Both entry points run literally this code over identically
+// featurized samples, which is what makes a Session's scores
+// byte-identical to a RunJob over the same poses.
 type batchEmitter struct {
-	scorers   []Scorer // the job's scorer set (names + orientation)
-	replicas  []Scorer // what is actually scored (per-rank clones)
+	scorers   []Scorer
 	ws        *fusion.Workspace
 	scoreBuf  []float64
 	extraBufs [][]float64
@@ -31,23 +31,13 @@ type batchEmitter struct {
 }
 
 // newBatchEmitter builds the scoring core for one rank (or one
-// session): private replicas of every scorer via the Cloner handshake,
-// one workspace shared by all of them (allocation-free scoring for
-// ScorerInto scorers), and pre-sized score buffers.
+// session): one workspace at the job's precision, shared by every
+// scorer in the set, and pre-sized score buffers — so the scoring loop
+// is allocation-free once warm.
 func newBatchEmitter(scorers []Scorer, p *target.Pocket, bs int, prec Precision, rank int) *batchEmitter {
-	replicas := replicasOf(scorers)
-	// One workspace per emitter, shared by its replicas, makes the
-	// scoring loop allocation-free for ScorerInto scorers.
-	var ws *fusion.Workspace
-	for _, r := range replicas {
-		if _, ok := r.(ScorerInto); ok {
-			ws = fusion.NewWorkspaceFor(prec)
-			break
-		}
-	}
-	// When the MM/GBSA surrogate is in the scorer set, its ScoreBatch
+	// When the MM/GBSA surrogate is in the scorer set, its ScoreInto
 	// already computes the rescore carried in the legacy MMGBSA column
-	// (ScoreBatch is contractually deterministic) — reuse it instead of
+	// (ScoreInto is contractually deterministic) — reuse it instead of
 	// paying the physics rescore twice per pose.
 	mmgbsaIdx := -1
 	for i, s := range scorers {
@@ -58,9 +48,8 @@ func newBatchEmitter(scorers []Scorer, p *target.Pocket, bs int, prec Precision,
 	}
 	e := &batchEmitter{
 		scorers:   scorers,
-		replicas:  replicas,
-		ws:        ws,
-		scoreBuf:  make([]float64, len(replicas)*bs),
+		ws:        fusion.NewWorkspaceFor(prec),
+		scoreBuf:  make([]float64, len(scorers)*bs),
 		bs:        bs,
 		ensemble:  len(scorers) > 1,
 		mmgbsaIdx: mmgbsaIdx,
@@ -68,20 +57,17 @@ func newBatchEmitter(scorers []Scorer, p *target.Pocket, bs int, prec Precision,
 		rank:      rank,
 	}
 	if e.ensemble {
-		e.extraBufs = make([][]float64, len(replicas))
+		e.extraBufs = make([][]float64, len(scorers))
 	}
 	return e
 }
 
-// score runs one scorer replica over the batch, through the shared
-// workspace when the scorer supports pooled scoring.
+// score runs one scorer over the batch through the emitter's
+// workspace, into the scorer's own slice of the score buffer.
 func (e *batchEmitter) score(si int, batch []*fusion.Sample) []float64 {
-	if r, ok := e.replicas[si].(ScorerInto); ok && e.ws != nil {
-		out := e.scoreBuf[si*e.bs : si*e.bs+len(batch)]
-		r.ScoreBatchInto(batch, e.ws, out)
-		return out
-	}
-	return e.replicas[si].ScoreBatch(batch)
+	out := e.scoreBuf[si*e.bs : si*e.bs+len(batch)]
+	e.scorers[si].ScoreInto(batch, e.ws, out)
+	return out
 }
 
 // scoreBatch scores one assembled batch with every scorer — one
@@ -95,7 +81,7 @@ func (e *batchEmitter) scoreBatch(batch []*fusion.Sample, batchPoses []Pose, emi
 	if e.ensemble {
 		extra = e.extraBufs
 		extra[0] = primary
-		for si := 1; si < len(e.replicas); si++ {
+		for si := 1; si < len(e.scorers); si++ {
 			extra[si] = e.score(si, batch)
 		}
 	}

@@ -92,9 +92,44 @@ func TestRanksAndSessionShareOneModel(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSharedConsensusConcurrentScoring shares one cold Consensus of
+// coherent, vina and mmgbsa across goroutines, each scoring through
+// its own workspace and alternating f64 and f32, and requires every
+// score to equal the serial one from an identical consensus. Run under
+// -race it pins that a Consensus keeps no per-call state on itself.
+func TestSharedConsensusConcurrentScoring(t *testing.T) {
+	const name = "consensus(coherent+vina+mmgbsa)"
+	samples := conformanceSamples(t, 4)
+	precs := []Precision{PrecisionF64, PrecisionF32}
+	serial := conformanceScorers(t)[name]
+	want := make(map[Precision][]float64)
+	for _, p := range precs {
+		want[p] = scoreAll(serial, samples, fusion.NewWorkspaceFor(p))
+	}
+
+	shared := conformanceScorers(t)[name]
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p := precs[g%2]
+			ws := fusion.NewWorkspaceFor(p)
+			for round := 0; round < 3; round++ {
+				for j, v := range scoreAll(shared, samples, ws) {
+					if v != want[p][j] {
+						t.Errorf("goroutine %d %s sample %d: %v != serial %v", g, p, j, v, want[p][j])
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestWarmModelDoesNoWeightWorkPerJob counts, rather than times, what a
 // job on an already-scored model must not do: no parameter is
-// initialized (rank replicas alias the model's weights instead of being
+// initialized (every rank scores the model itself instead of a copy
 // constructed and overwritten) and no weight form is built (panels,
 // scatter taps and f32 conversions belong to the model, not to the
 // job's workspaces).

@@ -23,17 +23,17 @@ type stubScorer struct {
 	panicAt int32
 }
 
-func (s stubScorer) Name() string { return "stub" }
+func (s stubScorer) Name() string                          { return "stub" }
+func (s stubScorer) FeatureOptions() fusion.FeatureOptions { return fusion.FeatureOptions{} }
+func (s stubScorer) LowerIsBetter() bool                   { return false }
 
-func (s stubScorer) ScoreBatch(samples []*fusion.Sample) []float64 {
+func (s stubScorer) ScoreInto(samples []*fusion.Sample, _ *fusion.Workspace, out []float64) {
 	if s.calls.Add(1) == s.panicAt {
 		panic("stub scorer: injected fault")
 	}
-	out := make([]float64, len(samples))
 	for i := range out {
 		out[i] = 1
 	}
-	return out
 }
 
 // stubDock "docks" each compound as one pose placed in the pocket, so
