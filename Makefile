@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-benchmark test-portable test-race smoke-campaign fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 profile-dock profile-campaign clean
+.PHONY: all build verify test test-benchmark test-portable test-race smoke-campaign deadcode fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 profile-dock profile-campaign clean
 
 all: build
 
@@ -20,6 +20,13 @@ vet:
 # (benchmarks, integration probes) stay analyzable as they appear.
 vet-tags:
 	$(GO) vet -tags bench,integration ./...
+
+# Liveness gate: fails on any package-level production function that
+# only tests reach, or nothing does, in the main module and benchmark/
+# (built for amd64 and for 386). The roots, the allow-list and its
+# reasons are in tools/deadcode/main.go.
+deadcode:
+	$(GO) run ./tools/deadcode
 
 # Known-vulnerability scan of the module and its (stdlib-only)
 # dependency graph. Installs govulncheck on demand; requires network

@@ -487,9 +487,6 @@ func TestWeightEmptyMol(t *testing.T) {
 	if m.Centroid() != (Vec3{}) {
 		t.Fatal("empty centroid")
 	}
-	if RadiusOfGyration(m) != 0 {
-		t.Fatal("empty Rg")
-	}
 }
 
 func TestCloneDeep(t *testing.T) {
@@ -502,25 +499,12 @@ func TestCloneDeep(t *testing.T) {
 	}
 }
 
-func TestRadiusOfGyrationScales(t *testing.T) {
-	small := mustParse(t, "CC")
-	big := mustParse(t, "CCCCCCCCCCCC")
-	Embed3D(small, 1)
-	Embed3D(big, 1)
-	if RadiusOfGyration(big) <= RadiusOfGyration(small) {
-		t.Fatal("larger molecule should have larger Rg")
-	}
-}
-
 func TestFingerprintIdenticalMolecules(t *testing.T) {
 	a := mustParse(t, "CC(=O)Oc1ccccc1C(=O)O")
 	b := mustParse(t, "CC(=O)Oc1ccccc1C(=O)O")
 	fa, fb := ComputeFingerprint(a), ComputeFingerprint(b)
 	if fa != fb {
 		t.Fatal("identical molecules must share fingerprints")
-	}
-	if Tanimoto(fa, fb) != 1 {
-		t.Fatal("self-Tanimoto must be 1")
 	}
 }
 
@@ -530,18 +514,6 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	if a == b {
 		t.Fatal("benzene and hexane share a fingerprint")
 	}
-	if s := Tanimoto(a, b); s > 0.5 {
-		t.Fatalf("dissimilar molecules Tanimoto %v", s)
-	}
-}
-
-func TestFingerprintSimilarCompoundsScoreHigh(t *testing.T) {
-	tol := ComputeFingerprint(mustParse(t, "Cc1ccccc1"))  // toluene
-	xyl := ComputeFingerprint(mustParse(t, "Cc1ccccc1C")) // xylene
-	hex := ComputeFingerprint(mustParse(t, "CCCCCC"))
-	if Tanimoto(tol, xyl) <= Tanimoto(tol, hex) {
-		t.Fatal("toluene should be closer to xylene than to hexane")
-	}
 }
 
 func TestFingerprintEmptyMol(t *testing.T) {
@@ -549,9 +521,6 @@ func TestFingerprintEmptyMol(t *testing.T) {
 	got := ComputeFingerprint(&Mol{})
 	if got != fp {
 		t.Fatal("empty molecule must give empty fingerprint")
-	}
-	if Tanimoto(fp, fp) != 1 {
-		t.Fatal("empty-vs-empty Tanimoto convention is 1")
 	}
 }
 

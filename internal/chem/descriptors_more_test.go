@@ -80,15 +80,6 @@ func TestLogPAromaticCarbonExceedsAliphatic(t *testing.T) {
 	}
 }
 
-func TestElementBySymbol(t *testing.T) {
-	if e, ok := ElementBySymbol("C"); !ok || e.Number != 6 {
-		t.Fatalf("carbon lookup = %+v, %v", e, ok)
-	}
-	if _, ok := ElementBySymbol("Xx"); ok {
-		t.Fatal("unknown element should not resolve")
-	}
-}
-
 func TestMolStringSummarizes(t *testing.T) {
 	m, err := ParseSMILES("CCO")
 	if err != nil {

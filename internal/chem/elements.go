@@ -44,13 +44,6 @@ var Elements = map[string]Element{
 	"Fe": {Symbol: "Fe", Number: 26, Mass: 55.845, VdwRadius: 1.94, EN: 1.83, Valence: 2, Metal: true},
 }
 
-// ElementBySymbol returns the element data for sym and whether it is
-// known.
-func ElementBySymbol(sym string) (Element, bool) {
-	e, ok := Elements[sym]
-	return e, ok
-}
-
 // FeatureChannels is the number of per-atom channels produced by
 // AtomChannels, shared by the voxelizer and the graph featurizer.
 const FeatureChannels = 8

@@ -147,18 +147,3 @@ func randomUnit(rng *rand.Rand) Vec3 {
 		}
 	}
 }
-
-// RadiusOfGyration returns the RMS distance of heavy atoms from the
-// centroid, a compactness measure used in tests and workload stats.
-func RadiusOfGyration(m *Mol) float64 {
-	c := m.Centroid()
-	if len(m.Atoms) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, a := range m.Atoms {
-		d := a.Pos.Dist(c)
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(m.Atoms)))
-}

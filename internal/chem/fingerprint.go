@@ -110,17 +110,3 @@ func (fp Fingerprint) PopCount() int {
 	}
 	return n
 }
-
-// Tanimoto returns the Tanimoto (Jaccard) similarity of two
-// fingerprints: |A and B| / |A or B|, 1 for identical bit sets.
-func Tanimoto(a, b Fingerprint) float64 {
-	inter, union := 0, 0
-	for i := range a {
-		inter += bits.OnesCount64(a[i] & b[i])
-		union += bits.OnesCount64(a[i] | b[i])
-	}
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}

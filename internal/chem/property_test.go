@@ -166,32 +166,6 @@ func TestFragmentsPartitionAtomsProperty(t *testing.T) {
 	}
 }
 
-func TestTanimotoMetricProperties(t *testing.T) {
-	check := func(pa, pb uint) bool {
-		a, err := ParseSMILES(roundTripCorpus[int(pa%uint(len(roundTripCorpus)))])
-		if err != nil {
-			return false
-		}
-		b, err := ParseSMILES(roundTripCorpus[int(pb%uint(len(roundTripCorpus)))])
-		if err != nil {
-			return false
-		}
-		fa, fb := ComputeFingerprint(a), ComputeFingerprint(b)
-		self := Tanimoto(fa, fa)
-		sym1, sym2 := Tanimoto(fa, fb), Tanimoto(fb, fa)
-		if fa.PopCount() > 0 && math.Abs(self-1) > 1e-12 {
-			return false // self-similarity is exactly 1
-		}
-		if math.Abs(sym1-sym2) > 1e-12 {
-			return false // symmetric
-		}
-		return sym1 >= 0 && sym1 <= 1
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEmbed3DSeedDeterminismProperty(t *testing.T) {
 	check := func(pick uint, seed int64) bool {
 		s := roundTripCorpus[int(pick%uint(len(roundTripCorpus)))]

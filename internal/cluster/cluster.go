@@ -91,12 +91,6 @@ func RankRate(batch int) float64 {
 	return r
 }
 
-// GPUUtilization reports the fraction of GPU capability used at a
-// batch size — the under-utilization the paper observed.
-func GPUUtilization(batch int) float64 {
-	return RankRate(batch) / gpuPeakRate
-}
-
 // FailureRate returns the paper's measured per-job failure probability
 // by node count (~2% for 1-2 nodes, ~3% for 4, ~20% for 8, driven by
 // Horovod/PyTorch instability on POWER9).

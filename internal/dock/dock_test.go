@@ -196,67 +196,3 @@ func TestJitterPreservesGeometry(t *testing.T) {
 		}
 	}
 }
-
-func TestConveyorLCStages(t *testing.T) {
-	pl := NewPipeline(func(p *target.Pocket, m *chem.Mol) float64 { return -7.5 })
-	pl.Search = SearchOptions{NumPoses: 4, MCSteps: 15, Restarts: 3, Temperature: 1, Seed: 3}
-	r, err := pl.CDT1Receptor(target.Protease1)
-	if err != nil || !r.Prepared {
-		t.Fatalf("CDT1Receptor: %v", err)
-	}
-	raw, err := chem.ParseSMILES("CC(=O)Oc1ccccc1C(=O)O.[Na+]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw.Name = "aspirin"
-	lig, err := pl.CDT2Ligand(raw, 9)
-	if err != nil {
-		t.Fatalf("CDT2Ligand: %v", err)
-	}
-	if lig.ContainsMetal() {
-		t.Fatal("ligand prep kept the counter-ion")
-	}
-	poses, err := pl.CDT3Docking(r, lig)
-	if err != nil {
-		t.Fatalf("CDT3Docking: %v", err)
-	}
-	rescored, err := pl.CDT4mmgbsa(r, poses)
-	if err != nil {
-		t.Fatalf("CDT4mmgbsa: %v", err)
-	}
-	if len(rescored) == 0 || len(rescored) > pl.MaxRescorePoses {
-		t.Fatalf("rescored %d poses", len(rescored))
-	}
-	for _, rp := range rescored {
-		if rp.MMGBSA != -7.5 {
-			t.Fatal("rescore function not applied")
-		}
-	}
-}
-
-func TestConveyorLCRunEndToEnd(t *testing.T) {
-	pl := NewPipeline(func(p *target.Pocket, m *chem.Mol) float64 { return -5 })
-	pl.Search = SearchOptions{NumPoses: 3, MCSteps: 10, Restarts: 2, Temperature: 1, Seed: 4}
-	raw, _ := chem.ParseSMILES("c1ccccc1CCO")
-	raw.Name = "pea"
-	out, err := pl.Run(target.Spike1, raw, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) == 0 {
-		t.Fatal("pipeline produced no poses")
-	}
-}
-
-func TestConveyorLCErrors(t *testing.T) {
-	pl := NewPipeline(nil)
-	if _, err := pl.CDT1Receptor(nil); err == nil {
-		t.Fatal("nil receptor must error")
-	}
-	if _, err := pl.CDT3Docking(&Receptor{}, nil); err == nil {
-		t.Fatal("unprepared receptor must error")
-	}
-	if _, err := pl.CDT4mmgbsa(&Receptor{Prepared: true}, nil); err == nil {
-		t.Fatal("missing rescorer must error")
-	}
-}

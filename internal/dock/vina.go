@@ -1,9 +1,7 @@
 // Package dock implements the physics-based docking substrate of the
 // screening pipeline: an AutoDock-Vina-style empirical scoring
-// function, Monte-Carlo rigid-body pose search, RMSD pose comparison
-// and the four-stage ConveyorLC toolchain (receptor prep, ligand prep,
-// docking, MM/GBSA rescoring hand-off) the paper's physics pipeline is
-// built on.
+// function, Monte-Carlo rigid-body pose search and RMSD pose
+// comparison — the docking stage of the paper's ConveyorLC toolchain.
 package dock
 
 import (

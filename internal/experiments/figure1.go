@@ -19,31 +19,3 @@ func Figure1(s Scale) string {
 	b.WriteString(f.Summary())
 	return b.String()
 }
-
-// DescribeModels renders all five trained model variants' headline
-// numbers for quick comparison (used by cmd/train -v style output).
-func DescribeModels(s Scale) string {
-	m := models(s)
-	var b strings.Builder
-	fmt.Fprintf(&b, "model parameter counts at %s scale:\n", scaleLabel(s))
-	fmt.Fprintf(&b, "  3D-CNN: %s", firstLineTotal(m.cnn.Summary()))
-	fmt.Fprintf(&b, "  SG-CNN: %s", firstLineTotal(m.sg.Summary()))
-	fmt.Fprintf(&b, "  Coherent Fusion: %s", firstLineTotal(m.coherent.Summary()))
-	return b.String()
-}
-
-func firstLineTotal(summary string) string {
-	for _, line := range strings.Split(summary, "\n") {
-		if strings.Contains(line, "total") {
-			return strings.TrimSpace(line) + "\n"
-		}
-	}
-	return "?\n"
-}
-
-func scaleLabel(s Scale) string {
-	if s == Full {
-		return "full"
-	}
-	return "smoke"
-}

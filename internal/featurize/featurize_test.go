@@ -2,7 +2,6 @@ package featurize
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"deepfusion/internal/chem"
@@ -88,64 +87,6 @@ func TestVoxelizeCenteredAtomLands(t *testing.T) {
 	}
 	if centerMass <= 0 {
 		t.Fatal("centered atom produced no central density")
-	}
-}
-
-func TestRotate90Preserves(t *testing.T) {
-	m := mustMol(t, "CC(=O)O")
-	orig := m.Clone()
-	// Four rotations about the same axis restore coordinates.
-	for i := 0; i < 4; i++ {
-		Rotate90(m, AxisZ)
-	}
-	for i := range m.Atoms {
-		d := m.Atoms[i].Pos.Dist(orig.Atoms[i].Pos)
-		if d > 1e-12 {
-			t.Fatalf("atom %d moved by %v after 4 rotations", i, d)
-		}
-	}
-	// Rotation preserves pairwise distances.
-	Rotate90(m, AxisX)
-	for i := range m.Atoms {
-		for j := i + 1; j < len(m.Atoms); j++ {
-			a := m.Atoms[i].Pos.Dist(m.Atoms[j].Pos)
-			b := orig.Atoms[i].Pos.Dist(orig.Atoms[j].Pos)
-			if math.Abs(a-b) > 1e-9 {
-				t.Fatal("rotation distorted geometry")
-			}
-		}
-	}
-}
-
-func TestRandomRotateDoesNotMutate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := mustMol(t, "CCCCC")
-	orig := m.Clone()
-	for i := 0; i < 50; i++ {
-		RandomRotate(m, rng)
-	}
-	for i := range m.Atoms {
-		if m.Atoms[i].Pos != orig.Atoms[i].Pos {
-			t.Fatal("RandomRotate mutated its input")
-		}
-	}
-}
-
-func TestRandomRotateRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := mustMol(t, "CCN")
-	changed := 0
-	const trials = 2000
-	for i := 0; i < trials; i++ {
-		r := RandomRotate(m, rng)
-		if r.Atoms[0].Pos != m.Atoms[0].Pos {
-			changed++
-		}
-	}
-	// P(any rotation) = 1 - 0.9^3 ~ 27.1%
-	rate := float64(changed) / trials
-	if rate < 0.20 || rate < 0.001 || rate > 0.35 {
-		t.Fatalf("rotation rate %v, want ~0.27", rate)
 	}
 }
 

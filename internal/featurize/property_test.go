@@ -1,7 +1,7 @@
 package featurize
 
 // Property-based tests (testing/quick) for the featurizers: voxel mass
-// conservation under the augmentation rotations, non-negativity, and
+// conservation under 90-degree rotations, non-negativity, and
 // the structural contracts of the spatial graph builder.
 
 import (
@@ -71,11 +71,10 @@ func TestVoxelizeMassInvariantUnderRotate90(t *testing.T) {
 	o := DefaultVoxelOptions()
 	inner := float64(o.GridSize)/2*o.Resolution - 2*o.Resolution
 	check := func(seed int64, axisPick uint) bool {
-		axis := RotationAxis(axisPick % 3)
 		m := randomLigand(rand.New(rand.NewSource(seed)), inner)
 		before := Voxelize(p, m, o).Sum()
 		r := m.Clone()
-		Rotate90(r, axis)
+		rotate90(r, axisPick%3)
 		after := Voxelize(p, r, o).Sum()
 		return math.Abs(before-after) < 1e-6*(1+math.Abs(before))
 	}
@@ -84,44 +83,19 @@ func TestVoxelizeMassInvariantUnderRotate90(t *testing.T) {
 	}
 }
 
-func TestRotate90IsFourCycleProperty(t *testing.T) {
-	check := func(seed int64, axisPick uint) bool {
-		axis := RotationAxis(axisPick % 3)
-		m := randomLigand(rand.New(rand.NewSource(seed)), 10)
-		r := m.Clone()
-		for i := 0; i < 4; i++ {
-			Rotate90(r, axis)
+// rotate90 rotates m's coordinates in place by 90 degrees about the
+// X (0), Y (1) or Z (2) axis through the origin.
+func rotate90(m *chem.Mol, axis uint) {
+	for i := range m.Atoms {
+		p := m.Atoms[i].Pos
+		switch axis {
+		case 0:
+			m.Atoms[i].Pos = chem.Vec3{X: p.X, Y: -p.Z, Z: p.Y}
+		case 1:
+			m.Atoms[i].Pos = chem.Vec3{X: p.Z, Y: p.Y, Z: -p.X}
+		default:
+			m.Atoms[i].Pos = chem.Vec3{X: -p.Y, Y: p.X, Z: p.Z}
 		}
-		for i := range m.Atoms {
-			if m.Atoms[i].Pos.Dist(r.Atoms[i].Pos) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRandomRotatePreservesDistancesProperty(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := randomLigand(rng, 10)
-		r := RandomRotate(m, rng)
-		for i := range m.Atoms {
-			for j := i + 1; j < len(m.Atoms); j++ {
-				d0 := m.Atoms[i].Pos.Dist(m.Atoms[j].Pos)
-				d1 := r.Atoms[i].Pos.Dist(r.Atoms[j].Pos)
-				if math.Abs(d0-d1) > 1e-9 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,6 @@ package featurize
 
 import (
 	"math"
-	"math/rand"
 
 	"deepfusion/internal/chem"
 	"deepfusion/internal/target"
@@ -152,45 +151,4 @@ func splat(data []float64, chOffset int, ch [chem.FeatureChannels]float64, pos c
 			}
 		}
 	}
-}
-
-// RotationAxis selects the axis for RandomRotate.
-type RotationAxis int
-
-// Rotation axes.
-const (
-	AxisX RotationAxis = iota
-	AxisY
-	AxisZ
-)
-
-// Rotate90 rotates the molecule's coordinates by 90 degrees about the
-// given axis through the origin, in place.
-func Rotate90(m *chem.Mol, axis RotationAxis) {
-	for i := range m.Atoms {
-		p := m.Atoms[i].Pos
-		switch axis {
-		case AxisX:
-			m.Atoms[i].Pos = chem.Vec3{X: p.X, Y: -p.Z, Z: p.Y}
-		case AxisY:
-			m.Atoms[i].Pos = chem.Vec3{X: p.Z, Y: p.Y, Z: -p.X}
-		case AxisZ:
-			m.Atoms[i].Pos = chem.Vec3{X: -p.Y, Y: p.X, Z: p.Z}
-		}
-	}
-}
-
-// RandomRotate applies the paper's training-time augmentation to a
-// copy of mol: a 90-degree rotation about each of X, Y and Z, each
-// applied independently with probability 0.10. The input is not
-// modified. Augmentation applies only to the voxelized representation,
-// so callers rotate before Voxelize and leave the graph input alone.
-func RandomRotate(m *chem.Mol, rng *rand.Rand) *chem.Mol {
-	out := m.Clone()
-	for _, axis := range []RotationAxis{AxisX, AxisY, AxisZ} {
-		if rng.Float64() < 0.10 {
-			Rotate90(out, axis)
-		}
-	}
-	return out
 }

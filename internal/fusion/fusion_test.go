@@ -90,7 +90,6 @@ func TestCNN3DGradientThroughLatent(t *testing.T) {
 	_, lat := m.Forward(x, false)
 	dlat := tensor.New(lat.Shape...)
 	dlat.Fill(1)
-	nn.ZeroGrads(m.Params())
 	m.Backward(nil, dlat)
 	// Check gradient of one conv1 weight numerically.
 	p := m.conv1.Params()[0]
@@ -166,7 +165,6 @@ func TestFusionGradientCheck(t *testing.T) {
 	pred := f.forward(s, false, nil)
 	dpred := tensor.New(pred.Shape...)
 	dpred.Fill(1)
-	nn.ZeroGrads(f.Params())
 	// Re-run forward in "train" mode (no dropout configured) so caches
 	// line up, then backward.
 	f.forward(s, false, nil)

@@ -45,10 +45,6 @@ type Workspace struct {
 	segs      []graph.Segment
 }
 
-// NewWorkspace returns an empty inference workspace on the f64
-// reference path.
-func NewWorkspace() *Workspace { return NewWorkspaceFor(PrecisionF64) }
-
 // NewWorkspaceFor returns an empty inference workspace running at the
 // given precision: every PredictBatchInto/ScoreInto call through it
 // dispatches to that numeric width, so the engine selects the whole

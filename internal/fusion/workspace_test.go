@@ -20,7 +20,7 @@ func TestPredictBatchIntoByteIdentical(t *testing.T) {
 	mid := NewFusion(DefaultMidFusionConfig(), cnn, sg, 93)
 	coh := NewFusion(DefaultCoherentConfig(), cnn, sg, 94)
 
-	ws := NewWorkspace() // one workspace shared across families and batches
+	ws := NewWorkspaceFor(PrecisionF64) // one workspace shared across families and batches
 	models := []struct {
 		name  string
 		batch func(ss []*Sample) []float64
@@ -68,7 +68,7 @@ func TestWorkspaceInterleavedScorersNoLeakage(t *testing.T) {
 	sgB := NewSGCNN(tinySGConfig(), 42)
 	b := NewFusion(DefaultMidFusionConfig(), cnnB, sgB, 43)
 
-	ws := NewWorkspace()
+	ws := NewWorkspaceFor(PrecisionF64)
 	out := make([]float64, len(samples))
 	for round := 0; round < 3; round++ {
 		for bi, m := range []*Fusion{a, b} {
@@ -101,7 +101,7 @@ func TestPredictBatchIntoZeroAlloc(t *testing.T) {
 	cnn := NewCNN3D(tinyCNNConfig(), 51)
 	sg := NewSGCNN(tinySGConfig(), 52)
 	f := NewFusion(DefaultCoherentConfig(), cnn, sg, 53)
-	ws := NewWorkspace()
+	ws := NewWorkspaceFor(PrecisionF64)
 	out := make([]float64, len(samples))
 	run := func() { f.PredictBatchInto(samples, ws, out) }
 	for i := 0; i < 3; i++ {

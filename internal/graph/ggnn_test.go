@@ -60,7 +60,6 @@ func TestGGConvInputGradient(t *testing.T) {
 	out := g.Forward(h, edges)
 	ones := tensor.New(out.Shape...)
 	ones.Fill(1)
-	nn.ZeroGrads(g.Params())
 	dh := g.Backward(ones)
 
 	const eps = 1e-6
@@ -88,7 +87,6 @@ func TestGGConvParamGradient(t *testing.T) {
 	out := g.Forward(h, edges)
 	ones := tensor.New(out.Shape...)
 	ones.Fill(1)
-	nn.ZeroGrads(g.Params())
 	g.Backward(ones)
 
 	const eps = 1e-6
@@ -140,7 +138,6 @@ func TestGatherInputGradient(t *testing.T) {
 	out := ga.Forward(h, x, 3)
 	ones := tensor.New(out.Shape...)
 	ones.Fill(1)
-	nn.ZeroGrads(ga.Params())
 	dh := ga.Backward(ones)
 
 	const eps = 1e-6
@@ -175,7 +172,6 @@ func TestGatherParamGradient(t *testing.T) {
 	out := ga.Forward(h, x, 3)
 	ones := tensor.New(out.Shape...)
 	ones.Fill(1)
-	nn.ZeroGrads(ga.Params())
 	ga.Backward(ones)
 
 	const eps = 1e-6
@@ -206,7 +202,6 @@ func TestProjectGradient(t *testing.T) {
 	}
 	ones := tensor.New(out.Shape...)
 	ones.Fill(1)
-	nn.ZeroGrads(p.Params())
 	dx := p.Backward(ones)
 	const eps = 1e-6
 	for i := range x.Data {

@@ -26,7 +26,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"sort"
 )
 
@@ -289,16 +288,6 @@ func Read(r io.Reader) (*File, error) {
 // shard files through this so integrity reports name the file.
 func Decode(path string, data []byte) (*File, error) {
 	return decode(data, path)
-}
-
-// ReadFile loads a container from disk, naming the file in any
-// corruption report.
-func ReadFile(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(path, data)
 }
 
 // decoder walks the in-memory stream by offset. On the happy path a

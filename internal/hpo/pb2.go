@@ -35,11 +35,6 @@ type Options struct {
 	Seed             int64
 }
 
-// DefaultOptions returns the paper's PB2 settings at repro scale.
-func DefaultOptions() Options {
-	return Options{Population: 8, QuantileFraction: 0.5, Rounds: 4, UCBBeta: 1.0, Seed: 1}
-}
-
 // Result is the outcome of a PB2 run.
 type Result struct {
 	Best       Trial

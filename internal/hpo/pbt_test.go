@@ -121,16 +121,6 @@ func TestAblationLadderOnSyntheticObjective(t *testing.T) {
 	}
 }
 
-func TestDefaultOptionsMatchPaperSettings(t *testing.T) {
-	o := DefaultOptions()
-	if o.QuantileFraction != 0.5 {
-		t.Fatalf("paper initialized PB2 with a 50%% quantile fraction, got %v", o.QuantileFraction)
-	}
-	if o.Population < 2 || o.Rounds < 1 {
-		t.Fatalf("degenerate defaults: %+v", o)
-	}
-}
-
 func TestReproSpacesSampleWithinPaperRanges(t *testing.T) {
 	// The *Repro spaces shrink layer widths but must keep every sample
 	// inside its declared bounds, like the paper-scale spaces.

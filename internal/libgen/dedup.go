@@ -4,40 +4,6 @@ import (
 	"deepfusion/internal/chem"
 )
 
-// Dedup removes duplicate compounds from a multi-library draw using
-// exact fingerprint identity plus a Tanimoto near-duplicate threshold.
-// The real screen combined four overlapping vendor catalogs; compounds
-// present in several libraries must be evaluated once. Returns the
-// surviving molecules (first occurrence wins) and the number dropped.
-func Dedup(mols []*chem.Mol, tanimotoCutoff float64) (kept []*chem.Mol, dropped int) {
-	type entry struct {
-		fp   chem.Fingerprint
-		bits int
-	}
-	var seen []entry
-	for _, m := range mols {
-		fp := chem.ComputeFingerprint(m)
-		dup := false
-		for _, e := range seen {
-			if fp == e.fp {
-				dup = true
-				break
-			}
-			if tanimotoCutoff < 1 && chem.Tanimoto(fp, e.fp) >= tanimotoCutoff {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			dropped++
-			continue
-		}
-		seen = append(seen, entry{fp: fp, bits: fp.PopCount()})
-		kept = append(kept, m)
-	}
-	return kept, dropped
-}
-
 // Draw assembles a deduplicated screening deck of n compounds taken
 // round-robin from the given libraries, skipping preparation failures
 // and duplicates (exact fingerprint matches).

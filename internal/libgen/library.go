@@ -151,15 +151,6 @@ func All() []*Library {
 	return []*Library{ZINC, ChEMBL, EMolecules, Enamine}
 }
 
-// TotalPaperSize sums the real library sizes (500M+ compounds).
-func TotalPaperSize() int {
-	n := 0
-	for _, l := range All() {
-		n += l.PaperSize
-	}
-	return n
-}
-
 // TotalSize sums the scaled library sizes.
 func TotalSize() int {
 	n := 0

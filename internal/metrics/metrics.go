@@ -190,30 +190,6 @@ func BestF1(scores []float64, labels []bool) (f1, threshold float64) {
 	return f1, threshold
 }
 
-// F1At computes the F1 score classifying score >= threshold as
-// positive.
-func F1At(scores []float64, labels []bool, threshold float64) float64 {
-	if len(scores) != len(labels) {
-		panic(ErrLengthMismatch)
-	}
-	tp, fp, fn := 0, 0, 0
-	for i, s := range scores {
-		pred := s >= threshold
-		switch {
-		case pred && labels[i]:
-			tp++
-		case pred && !labels[i]:
-			fp++
-		case !pred && labels[i]:
-			fn++
-		}
-	}
-	if 2*tp+fp+fn == 0 {
-		return 0
-	}
-	return 2 * float64(tp) / float64(2*tp+fp+fn)
-}
-
 // CohenKappa returns Cohen's kappa statistic for binary predictions
 // against labels: agreement beyond chance. A random classifier scores
 // ~0 (Equation 2 of the paper).
@@ -246,19 +222,6 @@ func CohenKappa(pred, labels []bool) float64 {
 		return 0
 	}
 	return (po - pe) / (1 - pe)
-}
-
-// AveragePrecision returns the area under the PR curve via the step
-// interpolation used by scikit-learn.
-func AveragePrecision(scores []float64, labels []bool) float64 {
-	curve := PRCurve(scores, labels)
-	ap := 0.0
-	prevRecall := 0.0
-	for _, p := range curve {
-		ap += (p.Recall - prevRecall) * p.Precision
-		prevRecall = p.Recall
-	}
-	return ap
 }
 
 // PositiveRate returns the fraction of true labels — the precision of a

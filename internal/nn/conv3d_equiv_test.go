@@ -46,14 +46,14 @@ func TestConv3DLoweredMatchesDirect(t *testing.T) {
 		grad := tensor.New(lowered.Shape...)
 		sparseVoxels(rng, grad)
 		// Direct backward (caches from the direct forward just run).
-		ZeroGrads(c.Params())
+		zeroGrads(c.Params())
 		dxDirect := c.Backward(grad)
 		wgDirect := c.W.Grad.Clone()
 		bgDirect := c.B.Grad.Clone()
 		// Lowered backward.
 		c.Direct = false
 		c.Forward(x, false)
-		ZeroGrads(c.Params())
+		zeroGrads(c.Params())
 		dxLowered := c.Backward(grad)
 		for i := range dxDirect.Data {
 			if diff := dxDirect.Data[i] - dxLowered.Data[i]; diff > 1e-12 || diff < -1e-12 {
@@ -91,11 +91,11 @@ func TestConv3DBackwardParamsMatchesBackward(t *testing.T) {
 			sparseVoxels(rng, grad)
 			// Accumulate twice, as training does across a batch's
 			// contributions, so the sums land on non-zero gradients.
-			ZeroGrads(c.Params())
+			zeroGrads(c.Params())
 			c.Backward(grad)
 			c.Backward(grad)
 			wantW, wantB := c.W.Grad.Clone(), c.B.Grad.Clone()
-			ZeroGrads(c.Params())
+			zeroGrads(c.Params())
 			c.BackwardParams(grad)
 			c.BackwardParams(grad)
 			for i := range wantW.Data {

@@ -95,7 +95,7 @@ func TestInfer32MatchesF64Tolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 
 	t.Run("dense-chain", func(t *testing.T) {
-		seq := NewSequential(
+		seq := &Sequential{Layers: []Layer{
 			NewDense(rng, 33, 20),
 			NewActivation(ActReLU),
 			NewDense(rng, 20, 12),
@@ -104,7 +104,7 @@ func TestInfer32MatchesF64Tolerance(t *testing.T) {
 			NewActivation(ActSELU),
 			NewDropout(rng, 0.25),
 			NewDense(rng, 7, 1),
-		)
+		}}
 		x64, x32 := randInput32Pair(rng, false, 9, 33)
 		ws := NewWorkspace()
 		want := Infer(seq, x64, ws)

@@ -107,7 +107,7 @@ func TestForwardInferMatchesForward(t *testing.T) {
 	}
 	// Flatten + Sequential plumbing.
 	{
-		s := NewSequential(NewMaxPool3D(2), &Flatten{}, NewDense(rng, 3*2*2*2, 4), NewActivation(ActReLU))
+		s := &Sequential{Layers: []Layer{NewMaxPool3D(2), &Flatten{}, NewDense(rng, 3*2*2*2, 4), NewActivation(ActReLU)}}
 		x := inferInput(rng, 2, 3, 4, 4, 4)
 		check("Sequential", s.Forward(x, false), Infer(s, x, ws))
 		ws.Reset()

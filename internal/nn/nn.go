@@ -65,11 +65,6 @@ type Sequential struct {
 	Layers []Layer
 }
 
-// NewSequential builds a Sequential from the given layers.
-func NewSequential(layers ...Layer) *Sequential {
-	return &Sequential{Layers: layers}
-}
-
 // Forward implements Layer.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range s.Layers {
@@ -93,13 +88,6 @@ func (s *Sequential) Params() []*Param {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
-}
-
-// ZeroGrads clears the gradients of every parameter in ps.
-func ZeroGrads(ps []*Param) {
-	for _, p := range ps {
-		p.ZeroGrad()
-	}
 }
 
 // GlorotInit fills w (shaped fanOut x fanIn or a conv kernel) with

@@ -36,11 +36,16 @@ func checkInputGrad(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	}
 }
 
-func checkParamGrad(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
-	t.Helper()
-	for _, p := range l.Params() {
+// zeroGrads clears the gradients of every parameter in ps.
+func zeroGrads(ps []*Param) {
+	for _, p := range ps {
 		p.ZeroGrad()
 	}
+}
+
+func checkParamGrad(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
+	t.Helper()
+	zeroGrads(l.Params())
 	out := l.Forward(x, false)
 	ones := tensor.New(out.Shape...)
 	ones.Fill(1)
@@ -334,7 +339,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 
 func TestSequentialComposesBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	s := NewSequential(NewDense(rng, 3, 5), NewActivation(ActReLU), NewDense(rng, 5, 1))
+	s := &Sequential{Layers: []Layer{NewDense(rng, 3, 5), NewActivation(ActReLU), NewDense(rng, 5, 1)}}
 	x := tensor.New(4, 3)
 	x.RandNormal(rng, 1)
 	checkInputGrad(t, s, x, 1e-6)
@@ -360,7 +365,7 @@ func TestMSELoss(t *testing.T) {
 func trainToyRegression(t *testing.T, makeOpt func([]*Param) Optimizer, steps int) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(15))
-	model := NewSequential(NewDense(rng, 2, 8), NewActivation(ActReLU), NewDense(rng, 8, 1))
+	model := &Sequential{Layers: []Layer{NewDense(rng, 2, 8), NewActivation(ActReLU), NewDense(rng, 8, 1)}}
 	opt := makeOpt(model.Params())
 	x := tensor.New(64, 2)
 	x.RandNormal(rng, 1)

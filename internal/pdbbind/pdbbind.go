@@ -213,12 +213,3 @@ func QuintileSplit(cs []*Complex, valFraction float64, seed int64) (train, val [
 	}
 	return train, val
 }
-
-// Labels extracts the label vector of a complex list.
-func Labels(cs []*Complex) []float64 {
-	out := make([]float64, len(cs))
-	for i, c := range cs {
-		out[i] = c.Label
-	}
-	return out
-}

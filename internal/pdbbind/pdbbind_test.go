@@ -134,7 +134,10 @@ func TestQuintileSplitCoversRange(t *testing.T) {
 	// Validation must include at least one sample from the lowest and
 	// highest label quintiles of the combined data.
 	all := append(append([]*Complex{}, ds.Train...), ds.Val...)
-	labels := Labels(all)
+	labels := make([]float64, len(all))
+	for i, c := range all {
+		labels[i] = c.Label
+	}
 	sort.Float64s(labels)
 	loCut := labels[len(labels)/5]   // top of bottom count-quintile
 	hiCut := labels[len(labels)*4/5] // bottom of top count-quintile
@@ -191,19 +194,6 @@ func TestBadValFractionPanics(t *testing.T) {
 func TestMeasureString(t *testing.T) {
 	if MeasureKi.String() != "Ki" || MeasureKd.String() != "Kd" || MeasureIC50.String() != "IC50" {
 		t.Fatal("measurement names")
-	}
-}
-
-func TestLabelsHelper(t *testing.T) {
-	ds := Generate(smallOptions())
-	ls := Labels(ds.Core)
-	if len(ls) != len(ds.Core) {
-		t.Fatal("labels length")
-	}
-	for i := range ls {
-		if ls[i] != ds.Core[i].Label {
-			t.Fatal("labels mismatch")
-		}
 	}
 }
 

@@ -188,7 +188,7 @@ func TestConsensusOrientsKcalMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := fusion.NewWorkspace()
+	ws := fusion.NewWorkspaceFor(fusion.PrecisionF64)
 	raw := scoreAll(vina, samples, ws)
 	mixed := scoreAll(c, samples, ws)
 	for i := range raw {

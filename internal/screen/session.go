@@ -38,12 +38,15 @@ func newBatchEmitter(scorers []Scorer, p *target.Pocket, bs int, prec Precision,
 	// When the MM/GBSA surrogate is in the scorer set, its ScoreInto
 	// already computes the rescore carried in the legacy MMGBSA column
 	// (ScoreInto is contractually deterministic) — reuse it instead of
-	// paying the physics rescore twice per pose.
+	// paying the physics rescore twice per pose. It is found by type:
+	// any other scorer may call itself "mmgbsa".
 	mmgbsaIdx := -1
+find:
 	for i, s := range scorers {
-		if s.Name() == "mmgbsa" {
+		switch s.(type) {
+		case mmgbsa.Scorer, *mmgbsa.Scorer:
 			mmgbsaIdx = i
-			break
+			break find
 		}
 	}
 	e := &batchEmitter{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"deepfusion/internal/mmgbsa"
 	"deepfusion/internal/target"
 )
 
@@ -72,6 +73,25 @@ func TestSessionEnsembleMatchesRunJob(t *testing.T) {
 			if got[i].Scores[name] != want[i].Scores[name] {
 				t.Fatalf("pose %d scorer %s: session %v != RunJobEnsemble %v", i, name, got[i].Scores[name], want[i].Scores[name])
 			}
+		}
+	}
+}
+
+// TestMMGBSAColumnIsThePhysicsRescore: a scorer that only calls itself
+// "mmgbsa" is not the MM/GBSA surrogate, so the MMGBSA column keeps the
+// physics rescore of each pose instead of that scorer's output.
+func TestMMGBSAColumnIsThePhysicsRescore(t *testing.T) {
+	impostor := renamed{Scorer: allocTestScorer(97), name: "mmgbsa"}
+	poses := sessionTestPoses(t, 5)
+	o := DefaultJobOptions()
+	o.BatchSize = 2
+	got, err := RunJob(context.Background(), impostor, target.Protease1, poses, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pr := range got {
+		if want := mmgbsa.Rescore(target.Protease1, poses[i].Mol); pr.MMGBSA != want {
+			t.Fatalf("pose %d: MMGBSA = %v, want the physics rescore %v", i, pr.MMGBSA, want)
 		}
 	}
 }

@@ -221,13 +221,13 @@ func TestArenaZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestNewFromShapeOwnership documents the single-shot constructor's
+// TestNewF32FromShapeOwnership documents the single-shot constructor's
 // ownership contract.
-func TestNewFromShapeOwnership(t *testing.T) {
+func TestNewF32FromShapeOwnership(t *testing.T) {
 	shape := []int{2, 3}
-	tt := NewFromShape(shape)
+	tt := NewF32FromShape(shape)
 	if &tt.Shape[0] != &shape[0] {
-		t.Fatalf("NewFromShape copied the shape it was given ownership of")
+		t.Fatalf("NewF32FromShape copied the shape it was given ownership of")
 	}
 	if tt.Len() != 6 {
 		t.Fatalf("len %d", tt.Len())

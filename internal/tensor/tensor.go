@@ -50,13 +50,10 @@ func newDense[T Float](shape ...int) *Dense[T] {
 	return newFromShape[T](append([]int(nil), shape...))
 }
 
-// NewFromShape is the single-shot float64 constructor: it takes
+// NewF32FromShape is the single-shot float32 constructor: it takes
 // ownership of shape (no defensive copy), so building a tensor costs
 // exactly one data allocation plus the header. The caller must not
 // retain or mutate shape afterwards.
-func NewFromShape(shape []int) *Tensor { return newFromShape[float64](shape) }
-
-// NewF32FromShape is the float32 NewFromShape.
 func NewF32FromShape(shape []int) *F32 { return newFromShape[float32](shape) }
 
 func newFromShape[T Float](shape []int) *Dense[T] {
@@ -202,30 +199,6 @@ func Add[T Float](t, o *Dense[T]) *Dense[T] {
 	r := newDense[T](t.Shape...)
 	for i := range t.Data {
 		r.Data[i] = t.Data[i] + o.Data[i]
-	}
-	return r
-}
-
-// Sub returns t - o as a new tensor.
-func Sub[T Float](t, o *Dense[T]) *Dense[T] {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: Sub length mismatch")
-	}
-	r := newDense[T](t.Shape...)
-	for i := range t.Data {
-		r.Data[i] = t.Data[i] - o.Data[i]
-	}
-	return r
-}
-
-// Mul returns the element-wise (Hadamard) product of t and o.
-func Mul[T Float](t, o *Dense[T]) *Dense[T] {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: Mul length mismatch")
-	}
-	r := newDense[T](t.Shape...)
-	for i := range t.Data {
-		r.Data[i] = t.Data[i] * o.Data[i]
 	}
 	return r
 }
