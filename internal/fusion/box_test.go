@@ -63,12 +63,11 @@ func boxTestPoses(rng *rand.Rand, p *target.Pocket, count int) []*chem.Mol {
 }
 
 // setConvBiases rewrites every convolution bias of m — a fresh model's
-// are zero, a trained model's are not — and drops what was compiled
-// from them.
+// are zero, a trained model's are not — through Update, which drops
+// what was compiled from them.
 func setConvBiases(m *CNN3D, set func(b *tensor.Tensor)) {
 	for _, c := range []*nn.Conv3D{m.conv1, m.conv2, m.conv3, m.conv4} {
-		set(c.B.Value)
-		c.B.Invalidate()
+		c.B.Update(func([]float64) { set(c.B.Value) })
 	}
 }
 

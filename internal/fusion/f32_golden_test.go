@@ -144,8 +144,7 @@ func goldenKernelsAt[T tensor.Float](got map[string]string) {
 
 	for _, k := range []struct{ in, out, k int }{{3, 8, 3}, {2, 6, 5}} {
 		c := nn.NewConv3D(rng, k.in, k.out, k.k)
-		c.B.Value.RandNormal(rng, 0.5)
-		c.B.Invalidate()
+		c.B.Update(func([]float64) { c.B.Value.RandNormal(rng, 0.5) })
 		in := tensor.Box{Lo: [3]int{1, 2, 0}, Hi: [3]int{7, 6, 5}}
 		out := tensor.Box{Lo: [3]int{0, 3, 1}, Hi: [3]int{8, 9, 4}}
 		d, h, w := in.Dims()
@@ -156,10 +155,8 @@ func goldenKernelsAt[T tensor.Float](got map[string]string) {
 	}
 
 	gg := graph.NewGGConv(rng, 12, 2)
-	gg.Bz.Value.RandNormal(rng, 0.3)
-	gg.Bh.Value.RandNormal(rng, 0.3)
-	gg.Bz.Invalidate()
-	gg.Bh.Invalidate()
+	gg.Bz.Update(func([]float64) { gg.Bz.Value.RandNormal(rng, 0.3) })
+	gg.Bh.Update(func([]float64) { gg.Bh.Value.RandNormal(rng, 0.3) })
 	const nodes = 20
 	var edges []featurize.Edge
 	for i := 0; i < 45; i++ {

@@ -369,7 +369,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("clone predicts differently")
 	}
 	// Mutating the clone must not affect the original.
-	c.CNN.Params()[0].Value.Data[0] += 10
+	c.CNN.Params()[0].Update(func(w []float64) { w[0] += 10 })
 	if c.Predict(s) == f.Predict(s) {
 		t.Fatal("clone shares weights with original")
 	}

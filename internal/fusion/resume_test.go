@@ -17,7 +17,7 @@ import (
 // the restoration work.
 func zeroParams(params []*nn.Param) {
 	for _, p := range params {
-		p.Value.Fill(0)
+		p.Update(func(w []float64) { clear(w) })
 	}
 }
 

@@ -29,7 +29,7 @@ func (h *History) Best() float64 {
 // Adam, mini-batches and the rotation augmentation of the paper.
 func TrainCNN3D(cfg CNN3DConfig, train, val []*Sample, seed int64) (*CNN3D, *History) {
 	m := NewCNN3D(cfg, seed)
-	m.out.B.Value.Data[0] = meanLabel(train)
+	m.out.B.Update(func(w []float64) { w[0] = meanLabel(train) })
 	return m, ContinueCNN3D(m, cfg, train, val, seed)
 }
 
@@ -38,7 +38,7 @@ func TrainCNN3D(cfg CNN3DConfig, train, val []*Sample, seed int64) (*CNN3D, *His
 // augmentation's effect.
 func TrainCNN3DNoAugment(cfg CNN3DConfig, train, val []*Sample, seed int64) (*CNN3D, *History) {
 	m := NewCNN3D(cfg, seed)
-	m.out.B.Value.Data[0] = meanLabel(train)
+	m.out.B.Update(func(w []float64) { w[0] = meanLabel(train) })
 	return m, continueCNN3D(m, cfg, train, val, seed, false)
 }
 
@@ -124,7 +124,7 @@ func mseOf(preds []float64, samples []*Sample) float64 {
 // a segment boundary) with a single batched backward pass.
 func TrainSGCNN(cfg SGCNNConfig, train, val []*Sample, seed int64) (*SGCNN, *History) {
 	m := NewSGCNN(cfg, seed)
-	m.out.B.Value.Data[0] = meanLabel(train)
+	m.out.B.Update(func(w []float64) { w[0] = meanLabel(train) })
 	return m, ContinueSGCNN(m, cfg, train, val, seed)
 }
 
@@ -190,8 +190,7 @@ func PredictSGCNN(m *SGCNN, samples []*Sample) []float64 {
 func TrainFusion(f *Fusion, train, val []*Sample, seed int64) *History {
 	cfg := f.Cfg
 	if f.out.B.Value.Data[0] == 0 {
-		f.out.B.Value.Data[0] = meanLabel(train)
-		f.out.B.Invalidate()
+		f.out.B.Update(func(w []float64) { w[0] = meanLabel(train) })
 	}
 	opt := nn.NewOptimizer(cfg.Optimizer, f.Params(), cfg.LearningRate)
 	rng := rand.New(rand.NewSource(seed + 3))
@@ -272,8 +271,7 @@ func snapshotParams(ps []*nn.Param) []*tensor.Tensor {
 // restoreParams writes a snapshot back into the parameters.
 func restoreParams(ps []*nn.Param, snap []*tensor.Tensor) {
 	for i, p := range ps {
-		copy(p.Value.Data, snap[i].Data)
-		p.Invalidate()
+		p.Update(func(w []float64) { copy(w, snap[i].Data) })
 	}
 }
 

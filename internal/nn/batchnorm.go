@@ -34,7 +34,11 @@ func NewBatchNorm(f int) *BatchNorm {
 		Momentum: 0.9,
 		Eps:      1e-5,
 	}
-	b.Gamma.Value.Fill(1)
+	b.Gamma.Update(func(w []float64) {
+		for i := range w {
+			w[i] = 1
+		}
+	})
 	for i := range b.RunVar {
 		b.RunVar[i] = 1
 	}
@@ -87,7 +91,7 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		b.RunMean[j] = b.Momentum*b.RunMean[j] + (1-b.Momentum)*mean[j]
 		b.RunVar[j] = b.Momentum*b.RunVar[j] + (1-b.Momentum)*vari[j]
 	}
-	b.Gamma.Invalidate() // the folded inference form bakes in the running statistics
+	b.Gamma.invalidate() // the folded inference form bakes in the running statistics
 	for i := 0; i < n; i++ {
 		for j := 0; j < b.F; j++ {
 			xh := (x.At(i, j) - mean[j]) / b.lastStd[j]

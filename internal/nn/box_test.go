@@ -45,8 +45,7 @@ func TestForwardInferBoxMatchesWholeGrid(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		k := []int{3, 5}[trial%2]
 		c := NewConv3D(rng, 1+rng.Intn(3), []int{3, 8, 5}[trial%3], k)
-		c.B.Value.RandNormal(rng, 0.5)
-		c.B.Invalidate()
+		c.B.Update(func([]float64) { c.B.Value.RandNormal(rng, 0.5) })
 		c.Direct = trial%4 == 3
 
 		// The input is non-zero only inside in; half the time in is
@@ -103,8 +102,7 @@ func TestForwardInferBoxMatchesWholeGrid(t *testing.T) {
 func TestForwardInferBoxEmptyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	c := NewConv3D(rng, 2, 3, 3)
-	c.B.Value.RandNormal(rng, 1)
-	c.B.Invalidate()
+	c.B.Update(func([]float64) { c.B.Value.RandNormal(rng, 1) })
 	ws := NewWorkspace()
 	out := tensor.GridBox(2, 3, 2)
 	y := InferBox(c, tensor.New(1, 2, 0, 0, 0), tensor.Box{}, out, ws)
@@ -141,7 +139,7 @@ func TestActivationInferInPlace(t *testing.T) {
 
 // TestParamFormsBuildOnceAndInvalidate pins the compile-once contract
 // of the parameter-owned weight forms: a form is built on first use,
-// the same object is returned to every caller until Invalidate, and a
+// the same object is returned to every caller until Update, and a
 // rebuilt form reflects the new values.
 func TestParamFormsBuildOnceAndInvalidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -158,10 +156,9 @@ func TestParamFormsBuildOnceAndInvalidate(t *testing.T) {
 		t.Fatalf("warm lookups built forms: %d", got-3)
 	}
 	gen := d.B.Gen()
-	d.B.Value.Data[1] = 42
-	d.B.Invalidate()
+	d.B.Update(func(w []float64) { w[1] = 42 })
 	if d.B.Gen() == gen {
-		t.Fatal("Invalidate did not advance the generation")
+		t.Fatal("Update did not advance the generation")
 	}
 	if got := Vec[float32](d.B)[1]; got != 42 {
 		t.Fatalf("rebuilt f32 vector holds %v, want 42", got)

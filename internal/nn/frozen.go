@@ -15,9 +15,13 @@ import (
 // folded float32 BatchNorm — is built on first use, stored on the
 // parameter itself and shared read-only by every goroutine, rank,
 // workspace, job and session that scores with the parameter.
-// Whatever writes a parameter's values (optimizer steps, CopyParams,
-// LoadParams, initialization, anything assigning Value.Data directly)
-// must call Invalidate afterwards; the next inference call rebuilds.
+// Parameter values change through one door, Param.Update, which drops
+// the forms and advances the generation once the write is done; the
+// next inference call rebuilds. Optimizer steps, CopyParams,
+// LoadParams and initialization all write through it. The training
+// forward and backward read Value directly and never a form, so a
+// gradient check may still nudge Value.Data in place between forward
+// calls; anything that writes values and then scores must use Update.
 // Writing weights concurrently with inference on them is a data race,
 // exactly as it is for the values themselves.
 
@@ -58,16 +62,25 @@ func FormBuilds() int64 { return formBuilds.Load() }
 // Glorot-initialized so far.
 func GlorotInits() int64 { return glorotInits.Load() }
 
-// Invalidate drops every form derived from the parameter's values.
-// Call it after writing Value.
-func (p *Param) Invalidate() {
+// Update runs write on the parameter's values, then drops every form
+// derived from them and advances the generation. It is the one way to
+// change a parameter's values.
+func (p *Param) Update(write func(w []float64)) {
+	write(p.Value.Data)
+	p.invalidate()
+}
+
+// invalidate drops every form derived from the parameter's values. Only
+// Update and BatchNorm's running statistics, which the folded float32
+// form bakes in, call it.
+func (p *Param) invalidate() {
 	p.gen.Add(1)
 	p.forms.Store(nil)
 }
 
-// Gen returns the parameter's generation: it changes exactly when
-// Invalidate is called, so caches derived from several parameters
-// compare generations to notice a weight change.
+// Gen returns the parameter's generation: it changes exactly when the
+// parameter's forms are dropped, so caches derived from several
+// parameters compare generations to notice a weight change.
 func (p *Param) Gen() uint64 { return p.gen.Load() }
 
 func (p *Param) frozen() *frozenForms {
@@ -123,27 +136,33 @@ func Vec[T tensor.Float](p *Param) []T {
 	})
 }
 
-// scatterTaps returns a [out, in, k, k, k] convolution kernel laid out
-// for the scatter convolution at width T: [in*k*k, k, out] with the
+// scatterTaps returns the parameter's scatter layout (scatterLayout)
+// at width T, built once per generation.
+func scatterTaps[T tensor.Float](p *Param, out, in, k int) []T {
+	f := p.frozen()
+	return *form(f, &formsAt[T](f).taps, func() *[]T {
+		t := scatterLayout[T](p.Value.Data, out, in, k)
+		return &t
+	})
+}
+
+// scatterLayout lays a [out, in, k, k, k] convolution kernel out for
+// the scatter convolution at width T: [in*k*k, k, out] with the
 // innermost tap axis reversed. One input voxel sends its k taps along a
 // grid row to k adjacent output positions, the highest tap to the
 // lowest position; reversing the axis makes those k out-wide weight
 // rows contiguous in the order of the contiguous accumulator rows they
 // update, so a row of taps is one axpy instead of k.
-func scatterTaps[T tensor.Float](p *Param, out, in, k int) []T {
-	f := p.frozen()
-	return *form(f, &formsAt[T](f).taps, func() *[]T {
-		w := p.Value.Data
-		t := make([]T, in*k*k*k*out)
-		for o := 0; o < out; o++ {
-			for r := 0; r < in*k*k; r++ {
-				for kw := 0; kw < k; kw++ {
-					t[(r*k+k-1-kw)*out+o] = T(w[(o*in*k*k+r)*k+kw])
-				}
+func scatterLayout[T tensor.Float](w []float64, out, in, k int) []T {
+	t := make([]T, in*k*k*k*out)
+	for o := 0; o < out; o++ {
+		for r := 0; r < in*k*k; r++ {
+			for kw := 0; kw < k; kw++ {
+				t[(r*k+k-1-kw)*out+o] = T(w[(o*in*k*k+r)*k+kw])
 			}
 		}
-		return &t
-	})
+	}
+	return t
 }
 
 // bnFold32 is the evaluation-mode BatchNorm folded to one multiply-add

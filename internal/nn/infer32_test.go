@@ -116,12 +116,16 @@ func TestInfer32MatchesF64Tolerance(t *testing.T) {
 
 	t.Run("batchnorm", func(t *testing.T) {
 		bn := NewBatchNorm(11)
-		for j := 0; j < 11; j++ {
-			bn.RunMean[j] = rng.NormFloat64()
-			bn.RunVar[j] = 0.5 + rng.Float64()
-			bn.Gamma.Value.Data[j] = 1 + 0.3*rng.NormFloat64()
-			bn.Beta.Value.Data[j] = rng.NormFloat64()
-		}
+		bn.Gamma.Update(func(gamma []float64) {
+			bn.Beta.Update(func(beta []float64) {
+				for j := 0; j < 11; j++ {
+					bn.RunMean[j] = rng.NormFloat64()
+					bn.RunVar[j] = 0.5 + rng.Float64()
+					gamma[j] = 1 + 0.3*rng.NormFloat64()
+					beta[j] = rng.NormFloat64()
+				}
+			})
+		})
 		x64, x32 := randInput32Pair(rng, false, 6, 11)
 		ws := NewWorkspace()
 		want := Infer(bn, x64, ws)

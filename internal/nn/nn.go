@@ -98,7 +98,10 @@ func GlorotInit(rng *rand.Rand, p *Param, fanIn, fanOut int) {
 	if fanIn+fanOut > 0 {
 		std = math.Sqrt(2.0 / float64(fanIn+fanOut))
 	}
-	p.Value.RandNormal(rng, std)
-	p.Invalidate()
+	p.Update(func(w []float64) {
+		for i := range w {
+			w[i] = rng.NormFloat64() * std
+		}
+	})
 	glorotInits.Add(1)
 }

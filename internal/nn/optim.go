@@ -67,15 +67,16 @@ func (a *Adam) Step() {
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, p := range a.Params {
 		st := a.state[i]
-		for j, g := range p.Grad.Data {
-			st.m[j] = a.Beta1*st.m[j] + (1-a.Beta1)*g
-			st.v[j] = a.Beta2*st.v[j] + (1-a.Beta2)*g*g
-			mh := st.m[j] / bc1
-			vh := st.v[j] / bc2
-			p.Value.Data[j] -= a.Rate * (mh/(math.Sqrt(vh)+a.Eps) + a.DecoupledWD*p.Value.Data[j])
-		}
+		p.Update(func(w []float64) {
+			for j, g := range p.Grad.Data {
+				st.m[j] = a.Beta1*st.m[j] + (1-a.Beta1)*g
+				st.v[j] = a.Beta2*st.v[j] + (1-a.Beta2)*g*g
+				mh := st.m[j] / bc1
+				vh := st.v[j] / bc2
+				w[j] -= a.Rate * (mh/(math.Sqrt(vh)+a.Eps) + a.DecoupledWD*w[j])
+			}
+		})
 		p.ZeroGrad()
-		p.Invalidate()
 	}
 }
 
@@ -109,12 +110,13 @@ func NewRMSprop(params []*Param, lr float64) *RMSprop {
 func (r *RMSprop) Step() {
 	for i, p := range r.Params {
 		sq := r.sq[i]
-		for j, g := range p.Grad.Data {
-			sq[j] = r.Decay*sq[j] + (1-r.Decay)*g*g
-			p.Value.Data[j] -= r.Rate * g / (math.Sqrt(sq[j]) + r.Eps)
-		}
+		p.Update(func(w []float64) {
+			for j, g := range p.Grad.Data {
+				sq[j] = r.Decay*sq[j] + (1-r.Decay)*g*g
+				w[j] -= r.Rate * g / (math.Sqrt(sq[j]) + r.Eps)
+			}
+		})
 		p.ZeroGrad()
-		p.Invalidate()
 	}
 }
 
@@ -149,14 +151,15 @@ func NewAdadelta(params []*Param) *Adadelta {
 func (a *Adadelta) Step() {
 	for i, p := range a.Params {
 		ag, ad := a.accG[i], a.accD[i]
-		for j, g := range p.Grad.Data {
-			ag[j] = a.Rho*ag[j] + (1-a.Rho)*g*g
-			upd := math.Sqrt(ad[j]+a.Eps) / math.Sqrt(ag[j]+a.Eps) * g
-			ad[j] = a.Rho*ad[j] + (1-a.Rho)*upd*upd
-			p.Value.Data[j] -= upd
-		}
+		p.Update(func(w []float64) {
+			for j, g := range p.Grad.Data {
+				ag[j] = a.Rho*ag[j] + (1-a.Rho)*g*g
+				upd := math.Sqrt(ad[j]+a.Eps) / math.Sqrt(ag[j]+a.Eps) * g
+				ad[j] = a.Rho*ad[j] + (1-a.Rho)*upd*upd
+				w[j] -= upd
+			}
+		})
 		p.ZeroGrad()
-		p.Invalidate()
 	}
 }
 

@@ -80,10 +80,11 @@ func LoadParams(r io.Reader, params []*Param) error {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return err
 		}
-		for i := range p.Value.Data {
-			p.Value.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		p.Invalidate()
+		p.Update(func(w []float64) {
+			for i := range w {
+				w[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+			}
+		})
 	}
 	return nil
 }
@@ -98,8 +99,7 @@ func CopyParams(dst, src []*Param) error {
 		if !dst[i].Value.SameShape(src[i].Value) {
 			return fmt.Errorf("nn: CopyParams shape mismatch at %d (%v vs %v)", i, dst[i].Value.Shape, src[i].Value.Shape)
 		}
-		copy(dst[i].Value.Data, src[i].Value.Data)
-		dst[i].Invalidate()
+		dst[i].Update(func(w []float64) { copy(w, src[i].Value.Data) })
 	}
 	return nil
 }

@@ -223,8 +223,11 @@ func BenchmarkConsensusIndependentRuns(b *testing.B) {
 func fillConvBiases(cnn *fusion.CNN3D, v float64) {
 	for _, p := range cnn.Params() {
 		if p.Name == "conv3d.b" {
-			p.Value.Fill(v)
-			p.Invalidate()
+			p.Update(func(w []float64) {
+				for i := range w {
+					w[i] = v
+				}
+			})
 		}
 	}
 }
