@@ -1,29 +1,30 @@
 package fusion
 
 import (
+	"sync"
+
 	"deepfusion/internal/featurize"
 	"deepfusion/internal/graph"
 	"deepfusion/internal/tensor"
 )
 
-// This file is the training side's batched prediction.
-// PredictBatch([]*Sample) []float64 runs the training Forward in
-// inference mode: voxel grids stack into a leading batch dimension,
-// complex graphs join into a disjoint union scored in one pass, and
-// the dense stacks run one GEMM per layer for the whole batch. Per-row
-// math matches single-sample evaluation exactly, so Predict is just
-// the B=1 case and batch composition never changes a prediction.
+// This file is the training side's batch assembly and its prediction
+// helpers. Training stacks voxel grids into a leading batch dimension
+// (stackVoxels, with the rotation augmentation) and joins complex
+// graphs into one disjoint union scored in one pass, so every layer of
+// the training forward sees a real batch.
 //
 // PredictBatch and its chunked form PredictAll serve training
-// evaluation, fine-tuning and the experiments' tables. Forward stashes
-// each layer's input for Backward, so one instance must not run them
-// on two goroutines at once. Scoring never calls them: it goes through
-// ScoreInto → PredictBatchInto (workspace.go), which stashes nothing
-// and at f64 is pinned byte-identical to PredictBatch.
+// evaluation, fine-tuning and the experiments' tables. They score
+// through the family's PredictBatchInto on a pooled float64 workspace:
+// the inference path, which stashes nothing in the model, so any number
+// of goroutines may evaluate one instance at once. Inference is
+// batch-invariant, so Predict is just the B=1 case and batch
+// composition never changes a prediction.
 
 // predictChunk is the batch size PredictAll uses: the paper's
 // production jobs score up to 56 poses per device; 16 keeps the
-// im2col scratch modest on repro-scale grids while amortizing
+// pooled batch buffers modest on repro-scale grids while amortizing
 // per-layer dispatch.
 const predictChunk = 16
 
@@ -66,77 +67,55 @@ func sampleGraphs(samples []*Sample) []*featurize.Graph {
 	return gs
 }
 
-// PredictBatch evaluates featurized samples in one batched forward
-// pass of the voxel head.
+// f64Workspaces pools the float64 workspaces that training-side
+// prediction scores through.
+var f64Workspaces = sync.Pool{New: func() any { return NewWorkspaceFor(PrecisionF64) }}
+
+// predictPooled scores samples through into, a family's
+// PredictBatchInto, chunk samples at a time on one pooled float64
+// workspace.
+func predictPooled(samples []*Sample, chunk int, into func([]*Sample, *Workspace, []float64)) []float64 {
+	if len(samples) == 0 {
+		return nil
+	}
+	ws := f64Workspaces.Get().(*Workspace)
+	defer f64Workspaces.Put(ws)
+	out := make([]float64, len(samples))
+	for lo := 0; lo < len(samples); lo += chunk {
+		hi := min(lo+chunk, len(samples))
+		into(samples[lo:hi], ws, out[lo:hi])
+	}
+	return out
+}
+
+// PredictBatch evaluates featurized samples as one batch.
 func (m *CNN3D) PredictBatch(samples []*Sample) []float64 {
-	if len(samples) == 0 {
-		return nil
-	}
-	pred, _ := m.Forward(stackVoxels(samples, nil), false)
-	out := make([]float64, len(samples))
-	copy(out, pred.Data)
-	return out
+	return predictPooled(samples, len(samples), m.PredictBatchInto)
 }
 
-// PredictAll evaluates many samples in PredictBatch chunks.
+// PredictAll evaluates many samples in predictChunk batches.
 func (m *CNN3D) PredictAll(samples []*Sample) []float64 {
-	return chunked(samples, m.PredictBatch)
+	return predictPooled(samples, predictChunk, m.PredictBatchInto)
 }
 
-// PredictBatch evaluates featurized samples as one disjoint-union
-// graph forward pass.
+// PredictBatch evaluates featurized samples as one batch.
 func (m *SGCNN) PredictBatch(samples []*Sample) []float64 {
-	if len(samples) == 0 {
-		return nil
-	}
-	pred, _ := m.ForwardBatch(sampleGraphs(samples), false)
-	out := make([]float64, len(samples))
-	copy(out, pred.Data)
-	return out
+	return predictPooled(samples, len(samples), m.PredictBatchInto)
 }
 
-// PredictAll evaluates many samples in PredictBatch chunks.
+// PredictAll evaluates many samples in predictChunk batches.
 func (m *SGCNN) PredictAll(samples []*Sample) []float64 {
-	return chunked(samples, m.PredictBatch)
+	return predictPooled(samples, predictChunk, m.PredictBatchInto)
 }
 
-// PredictBatch evaluates samples through both heads in one batched
-// pass each and averages the predictions (paper Section 2.1).
+// PredictBatch evaluates samples through both heads as one batch and
+// averages the predictions (paper Section 2.1).
 func (l *LateFusion) PredictBatch(samples []*Sample) []float64 {
-	if len(samples) == 0 {
-		return nil
-	}
-	cnnPred, _ := l.CNN.Forward(stackVoxels(samples, nil), false)
-	sgPred, _ := l.SG.ForwardBatch(sampleGraphs(samples), false)
-	out := make([]float64, len(samples))
-	for i := range out {
-		out[i] = (cnnPred.Data[i] + sgPred.Data[i]) / 2
-	}
-	return out
+	return predictPooled(samples, len(samples), l.PredictBatchInto)
 }
 
-// PredictBatch evaluates samples in one batched inference pass through
-// both heads and the fusion stack.
+// PredictBatch evaluates samples through both heads and the fusion
+// stack as one batch.
 func (f *Fusion) PredictBatch(samples []*Sample) []float64 {
-	if len(samples) == 0 {
-		return nil
-	}
-	pred := f.forwardBatch(samples, false, nil)
-	out := make([]float64, len(samples))
-	copy(out, pred.Data)
-	return out
-}
-
-// chunked folds a batch predictor over samples in predictChunk-sized
-// batches, preserving order.
-func chunked(samples []*Sample, predict func([]*Sample) []float64) []float64 {
-	out := make([]float64, 0, len(samples))
-	for lo := 0; lo < len(samples); lo += predictChunk {
-		hi := lo + predictChunk
-		if hi > len(samples) {
-			hi = len(samples)
-		}
-		out = append(out, predict(samples[lo:hi])...)
-	}
-	return out
+	return predictPooled(samples, len(samples), f.PredictBatchInto)
 }

@@ -1,7 +1,9 @@
 package fusion
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -87,5 +89,61 @@ func TestPredictAllMatchesPredict(t *testing.T) {
 		if d := math.Abs(all[i] - f.Predict(s)); d > 1e-9 {
 			t.Fatalf("sample %d: PredictAll %v vs Predict %v", i, all[i], f.Predict(s))
 		}
+	}
+}
+
+// TestPredictConcurrentOnOneModel has several goroutines evaluate one
+// instance of every family at once, through PredictAll and
+// PredictBatch, and checks each result against a serial run. Training
+// evaluation scores through the inference path, which stashes nothing
+// in the model, so under -race this shows no write to shared state.
+func TestPredictConcurrentOnOneModel(t *testing.T) {
+	ds := dataset(t)
+	samples := featurized(t, ds.Core[:predictChunk+3])
+	cnn := NewCNN3D(tinyCNNConfig(), 101)
+	sg := NewSGCNN(tinySGConfig(), 102)
+	late := &LateFusion{CNN: cnn, SG: sg}
+	mid := NewFusion(DefaultMidFusionConfig(), cnn, sg, 103)
+	coh := NewFusion(DefaultCoherentConfig(), cnn, sg, 104)
+	models := []struct {
+		name       string
+		all, batch func([]*Sample) []float64
+	}{
+		{"CNN3D", cnn.PredictAll, cnn.PredictBatch},
+		{"SGCNN", sg.PredictAll, sg.PredictBatch},
+		{"Late", late.PredictAll, late.PredictBatch},
+		{"Mid", mid.PredictAll, mid.PredictBatch},
+		{"Coherent", coh.PredictAll, coh.PredictBatch},
+	}
+	want := make([][]float64, len(models))
+	for i, m := range models {
+		want[i] = m.all(samples)
+	}
+	const goroutines = 4
+	errs := make(chan string, goroutines*len(models)*2)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lo := g * 3 // each goroutine's PredictBatch takes its own slice
+			for i, m := range models {
+				for j, v := range m.all(samples) {
+					if v != want[i][j] {
+						errs <- fmt.Sprintf("%s PredictAll sample %d: %v, serial %v", m.name, j, v, want[i][j])
+					}
+				}
+				for j, v := range m.batch(samples[lo : lo+5]) {
+					if v != want[i][lo+j] {
+						errs <- fmt.Sprintf("%s PredictBatch sample %d: %v, serial %v", m.name, lo+j, v, want[i][lo+j])
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

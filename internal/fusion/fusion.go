@@ -19,9 +19,9 @@ func (l *LateFusion) Predict(s *Sample) float64 {
 	return l.PredictBatch([]*Sample{s})[0]
 }
 
-// PredictAll evaluates many samples in PredictBatch chunks.
+// PredictAll evaluates many samples in predictChunk batches.
 func (l *LateFusion) PredictAll(samples []*Sample) []float64 {
-	return chunked(samples, l.PredictBatch)
+	return predictPooled(samples, predictChunk, l.PredictBatchInto)
 }
 
 // Fusion is the Mid-level / Coherent Fusion model: latent vectors from
@@ -221,16 +221,13 @@ func residualApplied(f *Fusion, i int) bool {
 	return inW == f.Cfg.DenseNodes
 }
 
-// Predict evaluates one sample in inference mode (the B=1 case of
-// PredictBatch).
+// Predict evaluates one sample (the B=1 case of PredictBatch).
 func (f *Fusion) Predict(s *Sample) float64 {
 	return f.PredictBatch([]*Sample{s})[0]
 }
 
-// PredictAll evaluates many samples in PredictBatch chunks: a
-// training-side helper (see batch.go) that must not run on two
-// goroutines at once. Screening scores through ScoreInto instead,
-// concurrently on one instance, one Workspace per caller.
+// PredictAll evaluates many samples in predictChunk batches (see
+// batch.go).
 func (f *Fusion) PredictAll(samples []*Sample) []float64 {
-	return chunked(samples, f.PredictBatch)
+	return predictPooled(samples, predictChunk, f.PredictBatchInto)
 }

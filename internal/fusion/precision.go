@@ -3,9 +3,8 @@ package fusion
 import "fmt"
 
 // Precision selects the numeric width of the pooled inference path.
-// Float64 is the verified reference — byte-identical to the
-// allocating PredictBatch and the golden baselines — and stays the
-// default everywhere. Float32 is the screening fast path: half the
+// Float64 is the verified reference — what training evaluation reads
+// and the goldens pin — and stays the default everywhere. Float32 is the screening fast path: half the
 // memory traffic through every panel, scatter and gather kernel, with
 // rank fidelity against the reference pinned by the engine-level A/B
 // harness (Spearman and top-K overlap on the planted-affinity oracle)

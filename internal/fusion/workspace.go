@@ -18,10 +18,9 @@ import (
 // Workspace. After one warm-up batch, a steady-state call performs
 // zero heap allocations. Each family's forward is one generic body
 // over the element width, run at the precision the workspace was built
-// for: at float64 the scores are byte-identical to PredictBatch — the
-// training Forward in inference mode, kept for training evaluation and
-// as the golden baseline — and at float32 they are the fast path,
-// widened to float64 only at the output.
+// for: float64 is the reference, which training evaluation
+// (PredictBatch, PredictAll) and the goldens read, and float32 is the
+// fast path, widened to float64 only at the output.
 
 // Workspace owns the pooled buffers of one inference stream: the
 // tensor arenas (via nn.Workspace) plus the batch-assembly scratch —
@@ -256,9 +255,8 @@ func widen[T tensor.Float](out []float64, pred []T) {
 
 // PredictBatchInto scores featurized samples through the pooled
 // engine at the workspace's precision, writing one prediction per
-// sample into out (which must have the batch's length). At float64
-// scores are byte-identical to PredictBatch; a warm workspace makes the
-// call allocation-free.
+// sample into out (which must have the batch's length). A warm
+// workspace makes the call allocation-free.
 func (m *CNN3D) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
 	predictInto(m, samples, ws, out, predictCNN[float64], predictCNN[float32])
 }
@@ -280,8 +278,7 @@ func predictSG[T tensor.Float](m *SGCNN, samples []*Sample, ws *Workspace, out [
 }
 
 // PredictBatchInto evaluates both heads through the pooled engine and
-// averages, like PredictBatch; the average runs at the workspace's
-// precision.
+// averages them at the workspace's precision.
 func (l *LateFusion) PredictBatchInto(samples []*Sample, ws *Workspace, out []float64) {
 	predictInto(l, samples, ws, out, predictLate[float64], predictLate[float32])
 }
