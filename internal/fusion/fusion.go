@@ -127,15 +127,13 @@ func (f *Fusion) forward(s *Sample, train bool, rng *rand.Rand) *tensor.Tensor {
 // fusion stack; the heads run in training mode only under Coherent
 // Fusion (frozen heads stay deterministic).
 func (f *Fusion) forwardBatch(samples []*Sample, train bool, rng *rand.Rand) *tensor.Tensor {
-	headTrain := train && f.Cfg.Coherent
-	var vox *tensor.Tensor
-	if headTrain && rng != nil {
-		vox = stackVoxels(samples, rng)
+	var cnnLat, sgLat *tensor.Tensor
+	if train && f.Cfg.Coherent {
+		_, cnnLat = f.CNN.Forward(stackVoxels(samples, rng), true)
+		_, sgLat = f.SG.ForwardBatch(sampleGraphs(samples), true)
 	} else {
-		vox = stackVoxels(samples, nil)
+		cnnLat, sgLat = f.headLatents(samples)
 	}
-	_, cnnLat := f.CNN.Forward(vox, headTrain)
-	_, sgLat := f.SG.ForwardBatch(sampleGraphs(samples), headTrain)
 
 	b := len(samples)
 	concat := tensor.New(b, f.concatWidth)
@@ -166,6 +164,18 @@ func (f *Fusion) forwardBatch(samples []*Sample, train bool, rng *rand.Rand) *te
 		}
 	}
 	return f.out.Forward(h, train)
+}
+
+// headLatents runs the frozen heads through the inference path and
+// returns heap copies of their latents, which the fusion stack's
+// layers stash for backward after the workspace is recycled.
+func (f *Fusion) headLatents(samples []*Sample) (cnnLat, sgLat *tensor.Tensor) {
+	ws := f64Workspaces.Get().(*Workspace)
+	defer f64Workspaces.Put(ws)
+	ws.Reset()
+	_, c := forwardInfer[float64](f.CNN, samples, ws)
+	_, s := forwardBatchInfer[float64](f.SG, samples, ws)
+	return c.Clone(), s.Clone()
 }
 
 // backward propagates the prediction gradient ([B, 1], matching the

@@ -162,21 +162,21 @@ func TestFusionGradientCheck(t *testing.T) {
 	sg := NewSGCNN(tinySGConfig(), 12)
 	f := NewFusion(cfg, cnn, sg, 13)
 
-	pred := f.forward(s, false, nil)
+	pred := f.forward(s, true, nil)
 	dpred := tensor.New(pred.Shape...)
 	dpred.Fill(1)
 	// Re-run forward in "train" mode (no dropout configured) so caches
 	// line up, then backward.
-	f.forward(s, false, nil)
+	f.forward(s, true, nil)
 	f.backward(dpred)
 
 	check := func(p *nn.Param, idx int) {
 		const eps = 1e-5
 		orig := p.Value.Data[idx]
 		p.Value.Data[idx] = orig + eps
-		up := f.forward(s, false, nil).Sum()
+		up := f.forward(s, true, nil).Sum()
 		p.Value.Data[idx] = orig - eps
-		down := f.forward(s, false, nil).Sum()
+		down := f.forward(s, true, nil).Sum()
 		p.Value.Data[idx] = orig
 		want := (up - down) / (2 * eps)
 		if math.Abs(p.Grad.Data[idx]-want) > 1e-4 {
