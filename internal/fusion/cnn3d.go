@@ -101,33 +101,34 @@ func (m *CNN3D) Params() []*nn.Param {
 }
 
 // Forward computes the binding-affinity prediction ([N, 1]) and the
-// latent vector ([N, DenseNodes/2]) for a voxel batch [N, C, G, G, G].
-func (m *CNN3D) Forward(x *tensor.Tensor, train bool) (pred, latent *tensor.Tensor) {
-	h := m.act[0].Forward(m.conv1.Forward(x, train), train)
+// latent vector ([N, DenseNodes/2]) for a voxel batch [N, C, G, G, G]
+// in training mode, stashing what Backward needs.
+func (m *CNN3D) Forward(x *tensor.Tensor) (pred, latent *tensor.Tensor) {
+	h := m.act[0].Forward(m.conv1.Forward(x))
 	m.stash.r1In = h
-	h2 := m.act[1].Forward(m.conv2.Forward(h, train), train)
+	h2 := m.act[1].Forward(m.conv2.Forward(h))
 	if m.Cfg.Residual1 {
 		h2 = tensor.Add(h2, h)
 	}
-	h2 = m.pool1.Forward(h2, train)
-	h3 := m.act[2].Forward(m.conv3.Forward(h2, train), train)
+	h2 = m.pool1.Forward(h2)
+	h3 := m.act[2].Forward(m.conv3.Forward(h2))
 	m.stash.r2In = h3
-	h4 := m.act[3].Forward(m.conv4.Forward(h3, train), train)
+	h4 := m.act[3].Forward(m.conv4.Forward(h3))
 	if m.Cfg.Residual2 {
 		h4 = tensor.Add(h4, h3)
 	}
-	h4 = m.pool2.Forward(h4, train)
-	f := m.flat.Forward(h4, train)
-	f = m.drop1.Forward(f, train)
-	d1 := m.fc1.Forward(f, train)
+	h4 = m.pool2.Forward(h4)
+	f := m.flat.Forward(h4)
+	f = m.drop1.Forward(f)
+	d1 := m.fc1.Forward(f)
 	if m.bn != nil {
-		d1 = m.bn.Forward(d1, train)
+		d1 = m.bn.Forward(d1)
 	}
-	d1 = m.act[4].Forward(d1, train)
-	d1 = m.drop2.Forward(d1, train)
-	latent = m.act[5].Forward(m.fc2.Forward(d1, train), train)
+	d1 = m.act[4].Forward(d1)
+	d1 = m.drop2.Forward(d1)
+	latent = m.act[5].Forward(m.fc2.Forward(d1))
 	m.stash.latent = latent
-	pred = m.out.Forward(latent, train)
+	pred = m.out.Forward(latent)
 	return pred, latent
 }
 

@@ -114,23 +114,24 @@ func (f *Fusion) Params() []*nn.Param {
 	return ps
 }
 
-// forward evaluates one sample, returning the prediction ([1, 1]).
-// It is the B=1 case of forwardBatch.
-func (f *Fusion) forward(s *Sample, train bool, rng *rand.Rand) *tensor.Tensor {
-	return f.forwardBatch([]*Sample{s}, train, rng)
+// forward runs the training forward over one sample, returning the
+// prediction ([1, 1]). It is the B=1 case of forwardBatch.
+func (f *Fusion) forward(s *Sample, rng *rand.Rand) *tensor.Tensor {
+	return f.forwardBatch([]*Sample{s}, rng)
 }
 
-// forwardBatch evaluates a batch of samples, returning the prediction
-// tensor ([B, 1]). Voxels stack into one [B, C, G, G, G] head input
-// and the graphs run as a disjoint union, so every layer sees a real
-// batch dimension. When train is true, dropout is active in the
-// fusion stack; the heads run in training mode only under Coherent
-// Fusion (frozen heads stay deterministic).
-func (f *Fusion) forwardBatch(samples []*Sample, train bool, rng *rand.Rand) *tensor.Tensor {
+// forwardBatch runs the training forward over a batch of samples,
+// returning the prediction tensor ([B, 1]); dropout is active in the
+// fusion stack. Under Coherent Fusion the heads train too: voxels
+// stack into one [B, C, G, G, G] head input (rotated when rng is not
+// nil) and the graphs run as a disjoint union, so every layer sees a
+// real batch dimension. Frozen heads (Mid-level Fusion) run the
+// inference path and stay deterministic.
+func (f *Fusion) forwardBatch(samples []*Sample, rng *rand.Rand) *tensor.Tensor {
 	var cnnLat, sgLat *tensor.Tensor
-	if train && f.Cfg.Coherent {
-		_, cnnLat = f.CNN.Forward(stackVoxels(samples, rng), true)
-		_, sgLat = f.SG.ForwardBatch(sampleGraphs(samples), true)
+	if f.Cfg.Coherent {
+		_, cnnLat = f.CNN.Forward(stackVoxels(samples, rng))
+		_, sgLat = f.SG.ForwardBatch(sampleGraphs(samples))
 	} else {
 		cnnLat, sgLat = f.headLatents(samples)
 	}
@@ -142,8 +143,8 @@ func (f *Fusion) forwardBatch(samples []*Sample, train bool, rng *rand.Rand) *te
 		copy(concat.Row(i)[f.cnnLatW:f.cnnLatW+f.sgLatW], sgLat.Row(i))
 	}
 	if f.msCNN != nil {
-		mc := f.msActC.Forward(f.msCNN.Forward(cnnLat, train), train)
-		ms := f.msActS.Forward(f.msSG.Forward(sgLat, train), train)
+		mc := f.msActC.Forward(f.msCNN.Forward(cnnLat))
+		ms := f.msActS.Forward(f.msSG.Forward(sgLat))
 		off := f.cnnLatW + f.sgLatW
 		for i := 0; i < b; i++ {
 			copy(concat.Row(i)[off:off+f.msW], mc.Row(i))
@@ -153,17 +154,17 @@ func (f *Fusion) forwardBatch(samples []*Sample, train bool, rng *rand.Rand) *te
 	h := concat
 	for i, l := range f.layers {
 		prev := h
-		h = l.Forward(h, train)
+		h = l.Forward(h)
 		if f.bns[i] != nil {
-			h = f.bns[i].Forward(h, train)
+			h = f.bns[i].Forward(h)
 		}
-		h = f.acts[i].Forward(h, train)
-		h = f.drops[i].Forward(h, train)
+		h = f.acts[i].Forward(h)
+		h = f.drops[i].Forward(h)
 		if f.Cfg.ResidualFusion && prev.Dim(1) == h.Dim(1) {
 			h = tensor.Add(h, prev)
 		}
 	}
-	return f.out.Forward(h, train)
+	return f.out.Forward(h)
 }
 
 // headLatents runs the frozen heads through the inference path and

@@ -59,7 +59,7 @@ func TestCNN3DForwardShapes(t *testing.T) {
 	cfg := tinyCNNConfig()
 	m := NewCNN3D(cfg, 1)
 	x := tensor.New(3, cfg.Voxel.Channels(), 4, 4, 4)
-	pred, lat := m.Forward(x, false)
+	pred, lat := m.Forward(x)
 	if pred.Dim(0) != 3 || pred.Dim(1) != 1 {
 		t.Fatalf("pred shape %v", pred.Shape)
 	}
@@ -87,7 +87,7 @@ func TestCNN3DGradientThroughLatent(t *testing.T) {
 	m := NewCNN3D(cfg, 2)
 	x := tensor.New(1, cfg.Voxel.Channels(), 4, 4, 4)
 	rngFill(x)
-	_, lat := m.Forward(x, false)
+	_, lat := m.Forward(x)
 	dlat := tensor.New(lat.Shape...)
 	dlat.Fill(1)
 	m.Backward(nil, dlat)
@@ -97,9 +97,9 @@ func TestCNN3DGradientThroughLatent(t *testing.T) {
 	for _, i := range []int{0, 7, 33} {
 		orig := p.Value.Data[i]
 		p.Value.Data[i] = orig + eps
-		_, up := m.Forward(x, false)
+		_, up := m.Forward(x)
 		p.Value.Data[i] = orig - eps
-		_, down := m.Forward(x, false)
+		_, down := m.Forward(x)
 		p.Value.Data[i] = orig
 		want := (up.Sum() - down.Sum()) / (2 * eps)
 		if math.Abs(p.Grad.Data[i]-want) > 1e-4 {
@@ -112,7 +112,7 @@ func TestSGCNNForwardShapes(t *testing.T) {
 	ds := dataset(t)
 	samples := featurized(t, ds.Core[:2])
 	m := NewSGCNN(tinySGConfig(), 3)
-	pred, lat := m.Forward(samples[0].Graph, false)
+	pred, lat := m.Forward(samples[0].Graph)
 	if pred.Len() != 1 {
 		t.Fatalf("pred shape %v", pred.Shape)
 	}
@@ -162,21 +162,21 @@ func TestFusionGradientCheck(t *testing.T) {
 	sg := NewSGCNN(tinySGConfig(), 12)
 	f := NewFusion(cfg, cnn, sg, 13)
 
-	pred := f.forward(s, true, nil)
+	pred := f.forward(s, nil)
 	dpred := tensor.New(pred.Shape...)
 	dpred.Fill(1)
 	// Re-run forward in "train" mode (no dropout configured) so caches
 	// line up, then backward.
-	f.forward(s, true, nil)
+	f.forward(s, nil)
 	f.backward(dpred)
 
 	check := func(p *nn.Param, idx int) {
 		const eps = 1e-5
 		orig := p.Value.Data[idx]
 		p.Value.Data[idx] = orig + eps
-		up := f.forward(s, true, nil).Sum()
+		up := f.forward(s, nil).Sum()
 		p.Value.Data[idx] = orig - eps
-		down := f.forward(s, true, nil).Sum()
+		down := f.forward(s, nil).Sum()
 		p.Value.Data[idx] = orig
 		want := (up - down) / (2 * eps)
 		if math.Abs(p.Grad.Data[idx]-want) > 1e-4 {
@@ -196,10 +196,8 @@ func TestLateFusionAveragesPredictions(t *testing.T) {
 	cnn := NewCNN3D(tinyCNNConfig(), 14)
 	sg := NewSGCNN(tinySGConfig(), 15)
 	late := &LateFusion{CNN: cnn, SG: sg}
-	x := stackVoxels([]*Sample{s}, nil)
-	cp, _ := cnn.Forward(x, false)
-	sp, _ := sg.Forward(s.Graph, false)
-	want := (cp.Data[0] + sp.Data[0]) / 2
+	one := []*Sample{s}
+	want := (cnn.PredictBatch(one)[0] + sg.PredictBatch(one)[0]) / 2
 	if got := late.Predict(s); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("late fusion = %v, want %v", got, want)
 	}

@@ -76,29 +76,29 @@ func (m *SGCNN) Params() []*nn.Param {
 	return ps
 }
 
-// Forward evaluates one complex graph, returning the prediction
-// ([1, 1]) and the latent gather vector ([1, NonCovGatherWidth]). It
-// is the B=1 case of ForwardBatch.
-func (m *SGCNN) Forward(g *featurize.Graph, train bool) (pred, latent *tensor.Tensor) {
-	return m.ForwardBatch([]*featurize.Graph{g}, train)
+// Forward runs the training forward over one complex graph, returning
+// the prediction ([1, 1]) and the latent gather vector
+// ([1, NonCovGatherWidth]). It is the B=1 case of ForwardBatch.
+func (m *SGCNN) Forward(g *featurize.Graph) (pred, latent *tensor.Tensor) {
+	return m.ForwardBatch([]*featurize.Graph{g})
 }
 
-// ForwardBatch evaluates a batch of complex graphs in one pass over
-// their disjoint union: every message-passing GEMM runs once on the
+// ForwardBatch runs the training forward over a batch of complex
+// graphs in one pass over their disjoint union: every message-passing GEMM runs once on the
 // stacked node rows, and the gather pools each graph's segment into
 // its own latent row. Returns the predictions ([B, 1]) and latent
 // vectors ([B, NonCovGatherWidth]). Per-row math matches Forward
 // exactly because no edge crosses a segment boundary.
-func (m *SGCNN) ForwardBatch(gs []*featurize.Graph, train bool) (pred, latent *tensor.Tensor) {
+func (m *SGCNN) ForwardBatch(gs []*featurize.Graph) (pred, latent *tensor.Tensor) {
 	nodes, cov, nc, segs := unionGraphs(gs)
 	h := m.proj.Forward(nodes)
 	h = m.covConv.Forward(h, cov)
 	h = m.bridge.Forward(h)
 	h = m.ncConv.Forward(h, nc)
 	latent = m.gather.ForwardSegments(h, nodes, segs)
-	y := m.act1.Forward(m.d1.Forward(latent, train), train)
-	y = m.act2.Forward(m.d2.Forward(y, train), train)
-	pred = m.out.Forward(y, train)
+	y := m.act1.Forward(m.d1.Forward(latent))
+	y = m.act2.Forward(m.d2.Forward(y))
+	pred = m.out.Forward(y)
 	return pred, latent
 }
 

@@ -74,7 +74,7 @@ func continueCNN3D(m *CNN3D, cfg CNN3DConfig, train, val []*Sample, seed int64, 
 			}
 			x := stackVoxels(batch, aug)
 			y := labelTensor(batch)
-			pred, _ := m.Forward(x, true)
+			pred, _ := m.Forward(x)
 			loss, dpred := nn.MSELoss(pred, y)
 			m.Backward(dpred, nil)
 			opt.Step()
@@ -153,7 +153,7 @@ func ContinueSGCNN(m *SGCNN, cfg SGCNNConfig, train, val []*Sample, seed int64) 
 			// One disjoint-union forward/backward per mini-batch; the
 			// batch-mean MSE gradient matches the former per-sample
 			// accumulation with 1/|batch| scaling.
-			pred, _ := m.ForwardBatch(sampleGraphs(batch), true)
+			pred, _ := m.ForwardBatch(sampleGraphs(batch))
 			loss, dpred := nn.MSELoss(pred, labelTensor(batch))
 			m.Backward(dpred, nil)
 			opt.Step()
@@ -217,7 +217,7 @@ func TrainFusion(f *Fusion, train, val []*Sample, seed int64) *History {
 			for _, i := range idx[lo:hi] {
 				batch = append(batch, train[i])
 			}
-			pred := f.forwardBatch(batch, true, rng)
+			pred := f.forwardBatch(batch, rng)
 			loss, dpred := nn.MSELoss(pred, labelTensor(batch))
 			f.backward(dpred)
 			opt.Step()

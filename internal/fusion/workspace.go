@@ -147,8 +147,7 @@ func halo[T tensor.Float](x *tensor.Dense[T], in tensor.Box, outside []T, grid, 
 }
 
 // convStack is the pooled conv half of the voxel head over the boxes
-// of p: Forward's conv stages with train=false, stage for stage, into
-// arena buffers. x is the batch over p.in; e supplies what lies
+// of p: Forward's conv stages, stage for stage, into arena buffers. x is the batch over p.in; e supplies what lies
 // outside the boxes.
 func convStack[T tensor.Float](m *CNN3D, x *tensor.Dense[T], p boxPlan, e *response[T], ws *nn.Workspace) convStages[T] {
 	g := m.Cfg.Voxel.GridSize

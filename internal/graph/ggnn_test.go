@@ -280,7 +280,7 @@ func TestGGNNLearnsGraphTarget(t *testing.T) {
 			hN := proj.Forward(s.x)
 			hN = conv.Forward(hN, s.edges)
 			emb := gather.Forward(hN, s.x, s.x.Dim(0))
-			pred := head.Forward(emb, true)
+			pred := head.Forward(emb)
 			target := tensor.FromSlice([]float64{s.y}, 1, 1)
 			l, dpred := nn.MSELoss(pred, target)
 			loss += l

@@ -42,32 +42,11 @@ func NewActivation(kind string) *Activation {
 }
 
 // Forward implements Layer.
-func (a *Activation) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (a *Activation) Forward(x *tensor.Tensor) *tensor.Tensor {
 	a.lastX = x
-	switch a.Kind {
-	case ActReLU:
-		return x.Map(func(v float64) float64 {
-			if v > 0 {
-				return v
-			}
-			return 0
-		})
-	case ActLReLU:
-		return x.Map(func(v float64) float64 {
-			if v > 0 {
-				return v
-			}
-			return a.Slope * v
-		})
-	case ActSELU:
-		return x.Map(func(v float64) float64 {
-			if v > 0 {
-				return seluLambda * v
-			}
-			return seluLambda * seluAlpha * (math.Exp(v) - 1)
-		})
-	}
-	panic("nn: unknown activation " + a.Kind)
+	out := tensor.New(x.Shape...)
+	activate(a, out.Data, x.Data)
+	return out
 }
 
 // Backward implements Layer.

@@ -8,7 +8,8 @@ import (
 
 // BatchNorm normalizes a [N, F] activation per feature, with learned
 // scale (gamma) and shift (beta), keeping running statistics for
-// evaluation mode. This is the "Batch norm." T/F option of Table 1.
+// evaluation (Infer) and for a training batch of one, which has no
+// variance of its own. This is the "Batch norm." T/F option of Table 1.
 type BatchNorm struct {
 	F        int
 	Gamma    *Param
@@ -46,14 +47,14 @@ func NewBatchNorm(f int) *BatchNorm {
 }
 
 // Forward implements Layer.
-func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (b *BatchNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != b.F {
 		panic("nn: BatchNorm expects [N, F] input matching layer width")
 	}
 	n := x.Dim(0)
 	out := tensor.New(x.Shape...)
-	if !train || n < 2 {
-		// Evaluation (or degenerate batch): use running statistics.
+	if n < 2 {
+		// A batch of one: normalize with the running statistics.
 		b.lastXHat = nil
 		for i := 0; i < n; i++ {
 			for j := 0; j < b.F; j++ {
@@ -105,7 +106,7 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if b.lastXHat == nil {
-		// Eval-mode backward: treat statistics as constants.
+		// Running-statistics backward: the statistics are constants.
 		out := tensor.New(grad.Shape...)
 		n := grad.Dim(0)
 		for i := 0; i < n; i++ {

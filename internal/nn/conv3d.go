@@ -62,7 +62,7 @@ func NewConv3D(rng *rand.Rand, in, out, k int) *Conv3D {
 }
 
 // Forward implements Layer.
-func (c *Conv3D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 5 || x.Dim(1) != c.In {
 		panic(fmt.Sprintf("nn: Conv3D expects [N,%d,D,H,W], got %v", c.In, x.Shape))
 	}
@@ -391,7 +391,7 @@ type MaxPool3D struct {
 func NewMaxPool3D(k int) *MaxPool3D { return &MaxPool3D{K: k} }
 
 // Forward implements Layer.
-func (m *MaxPool3D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (m *MaxPool3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, c, d, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
 	k := m.K
 	if d%k != 0 || h%k != 0 || w%k != 0 {
@@ -453,7 +453,7 @@ type Flatten struct {
 }
 
 // Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
 	f.inShape = append([]int(nil), x.Shape...)
 	n := x.Dim(0)
 	return x.Reshape(n, x.Len()/n)

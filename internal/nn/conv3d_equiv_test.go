@@ -33,9 +33,9 @@ func TestConv3DLoweredMatchesDirect(t *testing.T) {
 		x := tensor.New(tc.batch, tc.in, tc.g, tc.g, tc.g)
 		sparseVoxels(rng, x)
 
-		lowered := c.Forward(x, false)
+		lowered := c.Forward(x)
 		c.Direct = true
-		direct := c.Forward(x, false)
+		direct := c.Forward(x)
 		for i := range direct.Data {
 			if diff := direct.Data[i] - lowered.Data[i]; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("case %+v: forward diverges at %d: direct %v lowered %v",
@@ -52,7 +52,7 @@ func TestConv3DLoweredMatchesDirect(t *testing.T) {
 		bgDirect := c.B.Grad.Clone()
 		// Lowered backward.
 		c.Direct = false
-		c.Forward(x, false)
+		c.Forward(x)
 		zeroGrads(c.Params())
 		dxLowered := c.Backward(grad)
 		for i := range dxDirect.Data {
@@ -87,7 +87,7 @@ func TestConv3DBackwardParamsMatchesBackward(t *testing.T) {
 			c.Direct = direct
 			x := tensor.New(tc.batch, tc.in, tc.g, tc.g, tc.g)
 			sparseVoxels(rng, x)
-			grad := tensor.New(c.Forward(x, true).Shape...)
+			grad := tensor.New(c.Forward(x).Shape...)
 			sparseVoxels(rng, grad)
 			// Accumulate twice, as training does across a batch's
 			// contributions, so the sums land on non-zero gradients.
@@ -132,7 +132,7 @@ func BenchmarkConv3DForward(b *testing.B) {
 			sparseVoxels(rand.New(rand.NewSource(2)), x)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Forward(x, false)
+				c.Forward(x)
 			}
 		})
 	}

@@ -29,7 +29,7 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != d.In {
 		panicShape("Dense", x, d.In)
 	}

@@ -6,9 +6,9 @@ import (
 	"deepfusion/internal/tensor"
 )
 
-// Dropout implements inverted dropout: during training each element is
-// zeroed with probability Rate and survivors are scaled by 1/(1-Rate)
-// so evaluation needs no rescaling. A Rate of 0 is a no-op.
+// Dropout implements inverted dropout: Forward zeroes each element with
+// probability Rate and scales survivors by 1/(1-Rate), so evaluation
+// (Infer) is the identity with no rescaling. A Rate of 0 is a no-op.
 type Dropout struct {
 	Rate float64
 	rng  *rand.Rand
@@ -26,8 +26,8 @@ func NewDropout(rng *rand.Rand, rate float64) *Dropout {
 }
 
 // Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.Rate == 0 {
+func (d *Dropout) Forward(x *tensor.Tensor) *tensor.Tensor {
+	if d.Rate == 0 {
 		d.mask = nil
 		return x
 	}

@@ -20,8 +20,9 @@ func inferInput(rng *rand.Rand, shape ...int) *tensor.Tensor {
 }
 
 // TestForwardInferMatchesForward pins every layer's inference variant
-// byte-identical to Forward(x, false) — the foundation of the pooled
-// scoring path's golden guarantee.
+// byte-identical to its training Forward wherever the two compute the
+// same function (no dropout mask, batch norm on a batch of one): the
+// scoring path and the training path are one arithmetic.
 func TestForwardInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ws := NewWorkspace()
@@ -42,7 +43,7 @@ func TestForwardInferMatchesForward(t *testing.T) {
 	for _, k := range []int{3, 5} {
 		c := NewConv3D(rng, 2, 3, k)
 		x := inferInput(rng, 2, 2, 4, 4, 4)
-		check("Conv3D/scatter", c.Forward(x, false), c.ForwardInfer(x, ws))
+		check("Conv3D/scatter", c.Forward(x), c.ForwardInfer(x, ws))
 		ws.Reset()
 	}
 	// Conv3D with an output above scatterMaxBytes: Forward takes its
@@ -54,7 +55,7 @@ func TestForwardInferMatchesForward(t *testing.T) {
 		if c.Out*x.Dim(2)*x.Dim(3)*x.Dim(4)*8 <= scatterMaxBytes {
 			t.Fatalf("test geometry no longer reaches Forward's tiled path")
 		}
-		check("Conv3D/tiled", c.Forward(x, false), c.ForwardInfer(x, ws))
+		check("Conv3D/tiled", c.Forward(x), c.ForwardInfer(x, ws))
 		ws.Reset()
 	}
 	// Conv3D, direct reference path.
@@ -62,39 +63,40 @@ func TestForwardInferMatchesForward(t *testing.T) {
 		c := NewConv3D(rng, 2, 3, 3)
 		c.Direct = true
 		x := inferInput(rng, 2, 2, 4, 4, 4)
-		check("Conv3D/direct", c.Forward(x, false), c.ForwardInfer(x, ws))
+		check("Conv3D/direct", c.Forward(x), c.ForwardInfer(x, ws))
 		ws.Reset()
 	}
 	// Dense (widths exercising full panels and the tail).
 	for _, out := range []int{1, 7, 8, 19, 32} {
 		d := NewDense(rng, 13, out)
 		x := inferInput(rng, 4, 13)
-		check("Dense", d.Forward(x, false), Infer(d, x, ws))
+		check("Dense", d.Forward(x), Infer(d, x, ws))
 		ws.Reset()
 	}
 	// Activations.
 	for _, kind := range []string{ActReLU, ActLReLU, ActSELU} {
 		a := NewActivation(kind)
 		x := inferInput(rng, 3, 9)
-		check("Activation/"+kind, a.Forward(x, false), Infer(a, x, ws))
+		check("Activation/"+kind, a.Forward(x), Infer(a, x, ws))
 		ws.Reset()
 	}
 	// MaxPool3D.
 	{
 		m := NewMaxPool3D(2)
 		x := inferInput(rng, 2, 3, 4, 4, 4)
-		check("MaxPool3D", m.Forward(x, false), Infer(m, x, ws))
+		check("MaxPool3D", m.Forward(x), Infer(m, x, ws))
 		ws.Reset()
 	}
-	// BatchNorm in evaluation mode, with non-trivial running stats.
+	// BatchNorm on a batch of one, which trains with the running
+	// stats; set them non-trivial.
 	{
 		b := NewBatchNorm(6)
 		for j := 0; j < 6; j++ {
 			b.RunMean[j] = rng.NormFloat64()
 			b.RunVar[j] = 1 + rng.Float64()
 		}
-		x := inferInput(rng, 5, 6)
-		check("BatchNorm", b.Forward(x, false), Infer(b, x, ws))
+		x := inferInput(rng, 1, 6)
+		check("BatchNorm", b.Forward(x), Infer(b, x, ws))
 		ws.Reset()
 	}
 	// Dropout is the identity at inference.
@@ -109,7 +111,7 @@ func TestForwardInferMatchesForward(t *testing.T) {
 	{
 		s := &Sequential{Layers: []Layer{NewMaxPool3D(2), &Flatten{}, NewDense(rng, 3*2*2*2, 4), NewActivation(ActReLU)}}
 		x := inferInput(rng, 2, 3, 4, 4, 4)
-		check("Sequential", s.Forward(x, false), Infer(s, x, ws))
+		check("Sequential", s.Forward(x), Infer(s, x, ws))
 		ws.Reset()
 	}
 }

@@ -47,10 +47,11 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Layer is one differentiable stage of a model.
 type Layer interface {
-	// Forward computes the layer output for x. When train is true the
-	// layer may apply stochastic regularization (dropout) and update
-	// running statistics (batch norm).
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	// Forward computes the layer's training output for x: dropout
+	// applies its mask and batch norm normalizes by the batch's
+	// statistics, updating its running ones. Evaluation runs Infer
+	// instead.
+	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward consumes the gradient with respect to the output of the
 	// most recent Forward call, accumulates parameter gradients, and
 	// returns the gradient with respect to that Forward's input.
@@ -66,9 +67,9 @@ type Sequential struct {
 }
 
 // Forward implements Layer.
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+		x = l.Forward(x)
 	}
 	return x
 }

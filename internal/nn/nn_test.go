@@ -15,16 +15,16 @@ func numGrad(l Layer, x *tensor.Tensor, i int) float64 {
 	const eps = 1e-5
 	orig := x.Data[i]
 	x.Data[i] = orig + eps
-	up := l.Forward(x, false).Sum()
+	up := l.Forward(x).Sum()
 	x.Data[i] = orig - eps
-	down := l.Forward(x, false).Sum()
+	down := l.Forward(x).Sum()
 	x.Data[i] = orig
 	return (up - down) / (2 * eps)
 }
 
 func checkInputGrad(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
-	out := l.Forward(x, false)
+	out := l.Forward(x)
 	ones := tensor.New(out.Shape...)
 	ones.Fill(1)
 	dx := l.Backward(ones)
@@ -46,7 +46,7 @@ func zeroGrads(ps []*Param) {
 func checkParamGrad(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
 	zeroGrads(l.Params())
-	out := l.Forward(x, false)
+	out := l.Forward(x)
 	ones := tensor.New(out.Shape...)
 	ones.Fill(1)
 	l.Backward(ones)
@@ -55,9 +55,9 @@ func checkParamGrad(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 		for i := range p.Value.Data {
 			orig := p.Value.Data[i]
 			p.Value.Data[i] = orig + eps
-			up := l.Forward(x, false).Sum()
+			up := l.Forward(x).Sum()
 			p.Value.Data[i] = orig - eps
-			down := l.Forward(x, false).Sum()
+			down := l.Forward(x).Sum()
 			p.Value.Data[i] = orig
 			want := (up - down) / (2 * eps)
 			if math.Abs(p.Grad.Data[i]-want) > tol {
@@ -73,7 +73,7 @@ func TestDenseForwardKnown(t *testing.T) {
 	d.W.Value = tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2)
 	d.B.Value = tensor.FromSlice([]float64{0.5, -0.5, 1}, 3)
 	x := tensor.FromSlice([]float64{1, 1}, 1, 2)
-	y := d.Forward(x, false)
+	y := d.Forward(x)
 	want := []float64{3.5, 6.5, 12}
 	for i, w := range want {
 		if math.Abs(y.Data[i]-w) > 1e-12 {
@@ -123,7 +123,7 @@ func TestSELUSelfNormalizingFixedPoint(t *testing.T) {
 	a := NewActivation(ActSELU)
 	x := tensor.New(1, 50000)
 	x.RandNormal(rng, 1)
-	y := a.Forward(x, false)
+	y := a.Forward(x)
 	if m := y.Mean(); math.Abs(m) > 0.05 {
 		t.Fatalf("SELU output mean = %v, want ~0", m)
 	}
@@ -142,7 +142,7 @@ func TestDropoutEvalIdentity(t *testing.T) {
 	d := NewDropout(rng, 0.5)
 	x := tensor.New(2, 10)
 	x.RandNormal(rng, 1)
-	y := d.Forward(x, false)
+	y := Infer(d, x, NewWorkspace())
 	for i := range x.Data {
 		if y.Data[i] != x.Data[i] {
 			t.Fatal("dropout must be identity in eval mode")
@@ -155,7 +155,7 @@ func TestDropoutTrainMaskAndScale(t *testing.T) {
 	d := NewDropout(rng, 0.5)
 	x := tensor.New(1, 10000)
 	x.Fill(1)
-	y := d.Forward(x, true)
+	y := d.Forward(x)
 	zeros, scaled := 0, 0
 	for _, v := range y.Data {
 		switch v {
@@ -202,7 +202,7 @@ func TestBatchNormNormalizesTraining(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] += 10
 	}
-	y := b.Forward(x, true)
+	y := b.Forward(x)
 	for j := 0; j < 3; j++ {
 		mean, vari := 0.0, 0.0
 		for i := 0; i < 64; i++ {
@@ -221,14 +221,15 @@ func TestBatchNormNormalizesTraining(t *testing.T) {
 }
 
 func TestBatchNormGradients(t *testing.T) {
-	// Gradient check in eval mode (stats are constants there).
+	// Gradient check on a batch of one, which normalizes with the
+	// running statistics (constants there).
 	b := NewBatchNorm(4)
 	rng := rand.New(rand.NewSource(9))
 	for j := range b.RunMean {
 		b.RunMean[j] = rng.NormFloat64()
 		b.RunVar[j] = 0.5 + rng.Float64()
 	}
-	x := tensor.New(3, 4)
+	x := tensor.New(1, 4)
 	x.RandNormal(rng, 1)
 	checkInputGrad(t, b, x, 1e-6)
 }
@@ -240,7 +241,7 @@ func TestBatchNormTrainBackwardSumsToZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := tensor.New(8, 2)
 	x.RandNormal(rng, 2)
-	out := b.Forward(x, true)
+	out := b.Forward(x)
 	g := tensor.New(out.Shape...)
 	g.Fill(1)
 	dx := b.Backward(g)
@@ -272,7 +273,7 @@ func TestConv3DIdentityKernel(t *testing.T) {
 	c.W.Value.Set(1, 0, 0, 1, 1, 1) // delta kernel at center
 	x := tensor.New(1, 1, 3, 3, 3)
 	x.RandNormal(rng, 1)
-	y := c.Forward(x, false)
+	y := c.Forward(x)
 	for i := range x.Data {
 		if math.Abs(y.Data[i]-x.Data[i]) > 1e-12 {
 			t.Fatal("identity kernel must reproduce input")
@@ -296,7 +297,7 @@ func TestMaxPool3DForwardBackward(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
-	y := m.Forward(x, false)
+	y := m.Forward(x)
 	if y.Len() != 1 || y.Data[0] != 7 {
 		t.Fatalf("maxpool = %v", y.Data)
 	}
@@ -320,13 +321,13 @@ func TestMaxPool3DIndivisiblePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Forward(tensor.New(1, 1, 3, 3, 3), false)
+	m.Forward(tensor.New(1, 1, 3, 3, 3))
 }
 
 func TestFlattenRoundTrip(t *testing.T) {
 	f := &Flatten{}
 	x := tensor.New(2, 3, 4)
-	y := f.Forward(x, false)
+	y := f.Forward(x)
 	if y.Rank() != 2 || y.Dim(1) != 12 {
 		t.Fatalf("flatten shape %v", y.Shape)
 	}
@@ -375,7 +376,7 @@ func trainToyRegression(t *testing.T, makeOpt func([]*Param) Optimizer, steps in
 	}
 	loss := 0.0
 	for s := 0; s < steps; s++ {
-		pred := model.Forward(x, true)
+		pred := model.Forward(x)
 		var grad *tensor.Tensor
 		loss, grad = MSELoss(pred, y)
 		model.Backward(grad)
@@ -494,12 +495,12 @@ func TestConv3DBatchConsistency(t *testing.T) {
 	c := NewConv3D(rng, 2, 3, 3)
 	batch := tensor.New(3, 2, 4, 4, 4)
 	batch.RandNormal(rng, 1)
-	full := c.Forward(batch, false)
+	full := c.Forward(batch)
 	per := batch.Len() / 3
 	outPer := full.Len() / 3
 	for n := 0; n < 3; n++ {
 		single := tensor.FromSlice(append([]float64(nil), batch.Data[n*per:(n+1)*per]...), 1, 2, 4, 4, 4)
-		got := c.Forward(single, false)
+		got := c.Forward(single)
 		for i := 0; i < outPer; i++ {
 			if math.Abs(got.Data[i]-full.Data[n*outPer+i]) > 1e-12 {
 				t.Fatalf("sample %d diverges from batch at %d", n, i)
@@ -553,15 +554,17 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 		for j := range x.Data {
 			x.Data[j] += 5
 		}
-		b.Forward(x, true)
+		b.Forward(x)
 	}
-	// Eval on a single sample: normalization must use running stats,
-	// not batch stats (batch of 1 would divide by zero variance).
+	// Evaluation, and training on a single sample, must normalize with
+	// the running stats, not batch stats (a batch of 1 would divide by
+	// zero variance).
 	x := tensor.FromSlice([]float64{5, 5}, 1, 2)
-	y := b.Forward(x, false)
-	for _, v := range y.Data {
-		if math.Abs(v) > 1.0 {
-			t.Fatalf("eval-mode output %v; running stats not applied", v)
+	for _, y := range []*tensor.Tensor{Infer(b, x, NewWorkspace()), b.Forward(x)} {
+		for _, v := range y.Data {
+			if math.Abs(v) > 1.0 {
+				t.Fatalf("eval-mode output %v; running stats not applied", v)
+			}
 		}
 	}
 }

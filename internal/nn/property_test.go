@@ -43,7 +43,7 @@ func TestActivationsMonotoneProperty(t *testing.T) {
 				lo, hi = hi, lo
 			}
 			x := tensor.FromSlice([]float64{lo, hi}, 1, 2)
-			y := act.Forward(x, false)
+			y := act.Forward(x)
 			return y.Data[0] <= y.Data[1]+1e-12
 		}
 		if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
@@ -57,7 +57,7 @@ func TestActivationsFixZeroProperty(t *testing.T) {
 	for _, kind := range []string{"relu", "lrelu", "selu"} {
 		act := NewActivation(kind)
 		x := tensor.New(1, 1)
-		y := act.Forward(x, false)
+		y := act.Forward(x)
 		if y.Data[0] != 0 {
 			t.Fatalf("%s(0) = %g, want 0", kind, y.Data[0])
 		}
@@ -122,10 +122,10 @@ func TestDenseIsAffineProperty(t *testing.T) {
 		y := boundedInputs(ys, 5)
 		xy := tensor.Add(x, y)
 		z := tensor.New(1, 5)
-		fx := d.Forward(x, false)
-		fy := d.Forward(y, false)
-		fxy := d.Forward(xy, false)
-		f0 := d.Forward(z, false)
+		fx := d.Forward(x)
+		fy := d.Forward(y)
+		fxy := d.Forward(xy)
+		f0 := d.Forward(z)
 		for i := range fx.Data {
 			lhs := fxy.Data[i] + f0.Data[i]
 			rhs := fx.Data[i] + fy.Data[i]
@@ -142,9 +142,10 @@ func TestDenseIsAffineProperty(t *testing.T) {
 
 func TestDropoutEvalIsIdentityProperty(t *testing.T) {
 	do := NewDropout(rand.New(rand.NewSource(7)), 0.4)
+	ws := NewWorkspace()
 	check := func(vals []float64) bool {
 		x := boundedInputs(vals, 8)
-		y := do.Forward(x, false) // eval mode
+		y := Infer(do, x, ws)
 		for i := range x.Data {
 			if y.Data[i] != x.Data[i] {
 				return false
@@ -165,7 +166,7 @@ func TestSELUContinuousAtZeroProperty(t *testing.T) {
 	check := func(eps float64) bool {
 		e := math.Abs(math.Mod(eps, 1e-3)) + 1e-12
 		x := tensor.FromSlice([]float64{-e, e}, 1, 2)
-		y := act.Forward(x, false)
+		y := act.Forward(x)
 		return math.Abs(y.Data[1]-y.Data[0]) < 4*e
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
