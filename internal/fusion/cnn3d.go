@@ -75,8 +75,8 @@ func NewCNN3D(cfg CNN3DConfig, seed int64) *CNN3D {
 	return m
 }
 
-// SetDirectConv switches every convolution stage between the lowered
-// im2col/GEMM path (default) and the direct reference loops. The
+// SetDirectConv switches every convolution stage between the scatter
+// convolution (default) and the direct reference loops. The
 // screening throughput benchmarks use it to measure the batched
 // engine against the seed's per-sample baseline.
 func (m *CNN3D) SetDirectConv(direct bool) {

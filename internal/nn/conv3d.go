@@ -12,14 +12,13 @@ import (
 // (pad = K/2), matching the 5x5x5 and 3x3x3 stages of the paper's
 // 3D-CNN.
 //
-// The training Forward scatters each non-zero input voxel's kernel
-// footprint into the output when the output is cache-sized and lowers
-// the convolution to matrix multiplication (tensor.Im2Col3D +
-// accumulating GEMM) above that; inference (Infer, InferBox) always
-// scatters. Setting Direct selects the original seven-loop reference
-// implementation. Every path adds an output element's non-zero terms
-// in ascending (input channel, tap) order after its bias; the nn
-// equivalence tests compare them.
+// Training and inference run one forward body: Forward, Infer and
+// InferBox all scatter each non-zero input voxel's kernel footprint
+// into the output (scatterBox), or run the seven-loop reference
+// (directBox) when Direct is set. Both add an output element's
+// non-zero terms in ascending (input channel, tap) order after its
+// bias. Backward lowers to matrix multiplication (tensor.Im2Col3D +
+// GEMM) over tiles of convTile positions.
 type Conv3D struct {
 	In, Out, K int
 	W          *Param // [Out, In, K, K, K]
@@ -33,16 +32,10 @@ type Conv3D struct {
 	lastX *tensor.Tensor
 }
 
-// convTile caps the number of output positions lowered per im2col
-// patch matrix, bounding the scratch footprint at paper-scale grids
-// (48^3 positions would otherwise materialize gigabyte matrices).
+// convTile caps the number of output positions Backward lowers per
+// im2col patch matrix, bounding the scratch footprint at paper-scale
+// grids (48^3 positions would otherwise materialize gigabyte matrices).
 const convTile = 8192
-
-// scatterMaxBytes bounds the per-sample output footprint for which the
-// training Forward scatters; above it Forward lowers to im2col tiles,
-// which keep its scratch bounded. 32 MB covers the paper grid's largest
-// layer (32 filters x 48^3 x 8 bytes = 28 MB).
-const scatterMaxBytes = 1 << 25
 
 // NewConv3D constructs a Glorot-initialized 3D convolution.
 func NewConv3D(rng *rand.Rand, in, out, k int) *Conv3D {
@@ -61,174 +54,31 @@ func NewConv3D(rng *rand.Rand, in, out, k int) *Conv3D {
 	return c
 }
 
-// Forward implements Layer.
+// Forward implements Layer: the inference kernel over the whole grid
+// of each sample (scatterBox, or directBox when Direct is set), one
+// sample per ParallelFor worker at a time, into a heap output. The taps
+// are laid out from W's values on every call, so training never reads
+// a form compiled from an earlier generation of the weights.
 func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 5 || x.Dim(1) != c.In {
 		panic(fmt.Sprintf("nn: Conv3D expects [N,%d,D,H,W], got %v", c.In, x.Shape))
 	}
 	c.lastX = x
-	if c.Direct {
-		return c.forwardDirect(x)
-	}
 	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	k := c.K
-	dhw := d * h * w
-	ck3 := c.In * k * k * k
 	out := tensor.New(n, c.Out, d, h, w)
-	// Kernel matrix transposed once per batch call: [CK^3, Out].
-	wt := tensor.Transpose(c.W.Value.Reshape(c.Out, ck3))
-	if c.Out*dhw*8 <= scatterMaxBytes {
-		c.forwardScatter(x, out, wt)
-		return out
+	grid := tensor.GridBox(d, h, w)
+	var taps []float64
+	if !c.Direct {
+		taps = scatterLayout[float64](c.W.Value.Data, c.Out, c.In, c.K)
 	}
-	tile := dhw
-	if tile > convTile {
-		tile = convTile
-	}
-	type unit struct{ b, lo, hi int }
-	var units []unit
-	for b := 0; b < n; b++ {
-		for lo := 0; lo < dhw; lo += tile {
-			hi := lo + tile
-			if hi > dhw {
-				hi = dhw
-			}
-			units = append(units, unit{b, lo, hi})
-		}
-	}
-	tensor.ParallelFor(len(units), func(ulo, uhi int) {
-		cols := tensor.New(tile, ck3)
-		y := tensor.New(tile, c.Out)
-		for ui := ulo; ui < uhi; ui++ {
-			u := units[ui]
-			rows := u.hi - u.lo
-			ct, yt := cols, y
-			if rows != tile {
-				ct = tensor.FromSlice(cols.Data[:rows*ck3], rows, ck3)
-				yt = tensor.FromSlice(y.Data[:rows*c.Out], rows, c.Out)
-			}
-			tensor.Im2Col3D(x, u.b, k, u.lo, u.hi, ct)
-			// Seed every position with the bias, then accumulate the
-			// patch GEMM on top (same term order as the direct loops).
-			for r := 0; r < rows; r++ {
-				copy(yt.Data[r*c.Out:(r+1)*c.Out], c.B.Value.Data)
-			}
-			tensor.MatMulAcc(yt, ct, wt)
-			// Scatter the position-major tile into [Out, D, H, W].
-			for o := 0; o < c.Out; o++ {
-				dst := out.Data[(u.b*c.Out+o)*dhw+u.lo : (u.b*c.Out+o)*dhw+u.hi]
-				for r := range dst {
-					dst[r] = yt.Data[r*c.Out+o]
-				}
-			}
-		}
-	})
-	return out
-}
-
-// forwardScatter is the sparse-input forward used for cache-resident
-// outputs: it walks the nonzero input voxels once and scatters each
-// one's kernel footprint into every output channel, so work scales
-// with occupied grid cells instead of grid volume. wt is the kernel
-// matrix transposed to [C*K^3, Out], making the per-offset channel
-// row contiguous.
-func (c *Conv3D) forwardScatter(x, out, wt *tensor.Tensor) {
-	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	k := c.K
-	pad := k / 2
-	dhw := d * h * w
-	hw := h * w
-	tensor.ParallelFor(n, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			outS := out.Data[b*c.Out*dhw : (b+1)*c.Out*dhw]
-			for o := 0; o < c.Out; o++ {
-				bias := c.B.Value.Data[o]
-				row := outS[o*dhw : (o+1)*dhw]
-				for i := range row {
-					row[i] = bias
-				}
-			}
-			for ci := 0; ci < c.In; ci++ {
-				chBase := (b*c.In + ci) * dhw
-				for ip, v := range x.Data[chBase : chBase+dhw] {
-					if v == 0 {
-						continue
-					}
-					id, rem := ip/hw, ip%hw
-					ih, iw := rem/w, rem%w
-					for kd := 0; kd < k; kd++ {
-						zd := id + pad - kd
-						if zd < 0 || zd >= d {
-							continue
-						}
-						for kh := 0; kh < k; kh++ {
-							zh := ih + pad - kh
-							if zh < 0 || zh >= h {
-								continue
-							}
-							wBase := ((ci*k+kd)*k + kh) * k
-							for kw := 0; kw < k; kw++ {
-								zw := iw + pad - kw
-								if zw < 0 || zw >= w {
-									continue
-								}
-								pos := (zd*h+zh)*w + zw
-								wRow := wt.Data[(wBase+kw)*c.Out : (wBase+kw+1)*c.Out]
-								for o, wv := range wRow {
-									outS[o*dhw+pos] += wv * v
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
-// forwardDirect is the reference seven-loop convolution.
-func (c *Conv3D) forwardDirect(x *tensor.Tensor) *tensor.Tensor {
-	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	pad := c.K / 2
-	out := tensor.New(n, c.Out, d, h, w)
-	k := c.K
-	tensor.ParallelFor(n*c.Out, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			ni, co := idx/c.Out, idx%c.Out
-			bias := c.B.Value.Data[co]
-			for zd := 0; zd < d; zd++ {
-				for zh := 0; zh < h; zh++ {
-					for zw := 0; zw < w; zw++ {
-						s := bias
-						for ci := 0; ci < c.In; ci++ {
-							for kd := 0; kd < k; kd++ {
-								id := zd + kd - pad
-								if id < 0 || id >= d {
-									continue
-								}
-								for kh := 0; kh < k; kh++ {
-									ih := zh + kh - pad
-									if ih < 0 || ih >= h {
-										continue
-									}
-									xBase := ((ni*c.In+ci)*d+id)*h + ih
-									wBase := (((co*c.In+ci)*k+kd)*k + kh) * k
-									xRow := x.Data[xBase*w : xBase*w+w]
-									wRow := c.W.Value.Data[wBase : wBase+k]
-									for kw := 0; kw < k; kw++ {
-										iw := zw + kw - pad
-										if iw < 0 || iw >= w {
-											continue
-										}
-										s += xRow[iw] * wRow[kw]
-									}
-								}
-							}
-						}
-						out.Set(s, ni, co, zd, zh, zw)
-					}
-				}
-			}
+	inPer, outPer := c.In*d*h*w, c.Out*d*h*w
+	tensor.ParallelFor(n, func(lo, hi int) {
+		xs := tensor.FromSlice(x.Data[lo*inPer:hi*inPer], hi-lo, c.In, d, h, w)
+		ys := tensor.FromSlice(out.Data[lo*outPer:hi*outPer], hi-lo, c.Out, d, h, w)
+		if c.Direct {
+			directBox(c, c.W.Value.Data, c.B.Value.Data, xs, ys, grid, grid)
+		} else {
+			scatterBox(c, taps, c.B.Value.Data, xs, ys, grid, grid, NewWorkspace())
 		}
 	})
 	return out
@@ -323,8 +173,8 @@ func (c *Conv3D) backward(grad, dx *tensor.Tensor) {
 	}
 }
 
-// backwardDirect is the reference backward matching forwardDirect; dx
-// as in backward.
+// backwardDirect is the reference backward matching directBox; dx as
+// in backward.
 func (c *Conv3D) backwardDirect(grad, dx *tensor.Tensor) {
 	x := c.lastX
 	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)

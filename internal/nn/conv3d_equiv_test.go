@@ -17,17 +17,17 @@ func sparseVoxels(rng *rand.Rand, x *tensor.Tensor) {
 	}
 }
 
-// TestConv3DLoweredMatchesDirect asserts the lowered paths (sparse
-// scatter for cache-resident outputs, tiled im2col GEMM beyond) agree
-// with the reference loops to floating-point reassociation tolerance —
-// the property that lets the screening engine swap algorithms freely.
+// TestConv3DLoweredMatchesDirect asserts the lowered paths (the
+// scatter forward, the tiled im2col GEMM backward) agree with the
+// reference loops to floating-point reassociation tolerance — the
+// property that lets the screening engine swap algorithms freely.
 func TestConv3DLoweredMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct{ batch, in, out, k, g int }{
 		{1, 3, 4, 3, 4},
 		{3, 4, 5, 5, 6},
 		{2, 2, 3, 3, 8},
-		{1, 2, 5, 3, 21}, // large grid: exercises the multi-tile GEMM path
+		{1, 2, 5, 3, 21}, // large grid: exercises the multi-tile GEMM backward
 	} {
 		c := NewConv3D(rand.New(rand.NewSource(11)), tc.in, tc.out, tc.k)
 		x := tensor.New(tc.batch, tc.in, tc.g, tc.g, tc.g)
@@ -112,16 +112,16 @@ func TestConv3DBackwardParamsMatchesBackward(t *testing.T) {
 	}
 }
 
-// BenchmarkConv3DForward compares the lowered GEMM path against the
-// direct reference loops at the screening-default geometry.
+// BenchmarkConv3DForward compares the training forward's scatter
+// against the direct reference loops at the screening-default geometry.
 func BenchmarkConv3DForward(b *testing.B) {
 	for _, bench := range []struct {
 		name   string
 		direct bool
 		batch  int
 	}{
-		{"lowered/b1", false, 1},
-		{"lowered/b8", false, 8},
+		{"scatter/b1", false, 1},
+		{"scatter/b8", false, 8},
 		{"direct/b1", true, 1},
 		{"direct/b8", true, 8},
 	} {

@@ -9,15 +9,17 @@ import (
 
 // This file is the zero-allocation inference surface of the layer
 // framework, written once for both element widths. Infer runs any
-// layer's inference forward: it reads the layer's weights through their
-// compiled forms at the input's width (frozen.go), writes its output
-// into workspace-pooled buffers, and caches nothing for Backward — the
-// steady-state path of the screening engine. After one warm-up batch an
-// inference pass performs zero heap allocations. At float64 its outputs
-// are byte-identical to Forward(x, false): identical loops, identical
-// per-element term order, only the buffer ownership changes. At
-// float32 the same loops run at half the width, so results differ from
-// float64 only in rounding.
+// layer's evaluation forward: it reads the layer's weights through
+// their compiled forms at the input's width (frozen.go), writes its
+// output into workspace-pooled buffers, and caches nothing for
+// Backward — the path of the screening engine and of training-side
+// evaluation alike. After one warm-up batch an inference pass performs
+// zero heap allocations. Each layer has one forward body: the training
+// Forward runs the same kernels (the convolution's scatterBox and
+// directBox, activate) or the same per-element expressions in the same
+// term order, and adds only its stash for Backward, dropout's mask and
+// batch norm's batch statistics. At float32 the same loops run at half
+// the width, so results differ from float64 only in rounding.
 //
 // Inference runs serially in the calling goroutine (no ParallelFor) —
 // the screening engine's rank goroutines are the parallelism, one
@@ -149,8 +151,8 @@ func activate[T tensor.Float](a *Activation, dst, src []T) {
 
 // batchNormInfer is evaluation-mode normalization with the running
 // statistics. It is the one layer whose two widths compute differently:
-// float64 repeats Forward(x, false)'s per-element expression, which the
-// goldens pin bitwise; float32 applies the folded scale and shift (one
+// float64 repeats the per-element expression Forward applies to a batch
+// of one, which the goldens pin bitwise; float32 applies the folded scale and shift (one
 // multiply-add per element; algebraically identical, differing only in
 // rounding).
 func batchNormInfer[T tensor.Float](b *BatchNorm, x *tensor.Dense[T], ws *Workspace) *tensor.Dense[T] {
@@ -248,9 +250,9 @@ func InferBox[T tensor.Float](c *Conv3D, x *tensor.Dense[T], in, out tensor.Box,
 	od, oh, ow := out.Dims()
 	y := Arena[T](ws).GetUninit(x.Dim(0), c.Out, od, oh, ow)
 	if c.Direct {
-		directBox(c, x, y, in, out)
+		directBox(c, Vec[T](c.W), Vec[T](c.B), x, y, in, out)
 	} else {
-		scatterBox(c, x, y, in, out, ws)
+		scatterBox(c, scatterTaps[T](c.W, c.Out, c.In, c.K), Vec[T](c.B), x, y, in, out, ws)
 	}
 	return y
 }
@@ -297,22 +299,21 @@ func untranspose[T any](dst, pd []T, vol, nOut int) {
 	}
 }
 
-// scatterBox is the pooled sparse-scatter convolution between boxes.
-// It walks the non-zero input voxels row by row — the kernel-tap
-// ranges that land inside the output box are hoisted per row and per
-// voxel, so the surviving taps run branch-free — and accumulates into
-// a position-major [out volume, Out] buffer: each tap updates Out
-// contiguous values, one cache line, where forwardScatter strides Out
-// channel planes, and the taps a voxel sends along one grid row update
-// adjacent positions, so a whole row of taps is one contiguous axpy
-// against the parameter's scatter layout (scatterTaps). All the rows
-// one voxel reaches — its clipped (kd, kh) block — go to the width's
-// tap-block leaf in one call. The accumulator is then transposed once
-// into the [Out, out's dims] block. Every output element receives one
-// term per input voxel and tap, and voxels are visited in ascending
-// (ci, input-position) order, so per-element term order matches
-// forwardScatter exactly.
-func scatterBox[T tensor.Float](c *Conv3D, x, y *tensor.Dense[T], in, out tensor.Box, ws *Workspace) {
+// scatterBox is the sparse-scatter convolution between boxes, with the
+// kernel in the scatter layout (scatterLayout) and the bias given by
+// the caller. It walks the non-zero input voxels row by row — the
+// kernel-tap ranges that land inside the output box are hoisted per
+// row and per voxel, so the surviving taps run branch-free — and
+// accumulates into a pooled position-major [out volume, Out] buffer:
+// each tap updates Out contiguous values, one cache line, and the taps
+// a voxel sends along one grid row update adjacent positions, so a
+// whole row of taps is one contiguous axpy against the layout. All the
+// rows one voxel reaches — its clipped (kd, kh) block — go to the
+// width's tap-block leaf in one call. The accumulator is then
+// transposed once into the [Out, out's dims] block. Every output
+// element receives its bias and then one term per input voxel and tap,
+// with voxels visited in ascending (ci, input-position) order.
+func scatterBox[T tensor.Float](c *Conv3D, wd, bias []T, x, y *tensor.Dense[T], in, out tensor.Box, ws *Workspace) {
 	n := x.Dim(0)
 	id, ih, iw := in.Dims()
 	od, oh, ow := out.Dims()
@@ -327,8 +328,6 @@ func scatterBox[T tensor.Float](c *Conv3D, x, y *tensor.Dense[T], in, out tensor
 	arena := Arena[T](ws)
 	posBuf := arena.GetUninit(outVol, nOut)
 	pd := posBuf.Data
-	wd := scatterTaps[T](c.W, c.Out, c.In, k)
-	bias := Vec[T](c.B)
 	tap := tensor.TapBlockKernel[T]()
 	for b := 0; b < n; b++ {
 		fillRows(pd, bias)
@@ -387,19 +386,18 @@ func clipK(s, dim, k int) (lo, hi int) {
 	return lo, hi
 }
 
-// directBox is the serial reference convolution between boxes —
-// forwardDirect's gather loops without the ParallelFor (rank
-// goroutines are the inference parallelism), reading taps that fall
-// outside the input box as the zeros they are.
-func directBox[T tensor.Float](c *Conv3D, x, y *tensor.Dense[T], in, out tensor.Box) {
+// directBox is the serial reference convolution between boxes, with
+// the kernel ([Out, In, K, K, K]) and bias given by the caller: for
+// each output element, its bias and then a gather over every input
+// channel and tap, reading taps that fall outside the input box as the
+// zeros they are.
+func directBox[T tensor.Float](c *Conv3D, wf, bias []T, x, y *tensor.Dense[T], in, out tensor.Box) {
 	n := x.Dim(0)
 	id, ih, iw := in.Dims()
 	od, oh, ow := out.Dims()
 	inVol, outVol := id*ih*iw, od*oh*ow
 	k := c.K
 	sd, sh, sw := boxShift(in, out, k/2)
-	wf := Vec[T](c.W)
-	bias := Vec[T](c.B)
 	for ni := 0; ni < n; ni++ {
 		for co := 0; co < c.Out; co++ {
 			oBase := (ni*c.Out + co) * outVol

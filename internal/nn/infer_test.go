@@ -46,18 +46,6 @@ func TestForwardInferMatchesForward(t *testing.T) {
 		check("Conv3D/scatter", c.Forward(x), c.ForwardInfer(x, ws))
 		ws.Reset()
 	}
-	// Conv3D with an output above scatterMaxBytes: Forward takes its
-	// tiled im2col path, inference still scatters, and both add the
-	// terms in ascending (channel, tap) order.
-	{
-		c := NewConv3D(rng, 1, 64, 3)
-		x := inferInput(rng, 1, 1, 41, 41, 41) // 64*41^3*8 > scatterMaxBytes
-		if c.Out*x.Dim(2)*x.Dim(3)*x.Dim(4)*8 <= scatterMaxBytes {
-			t.Fatalf("test geometry no longer reaches Forward's tiled path")
-		}
-		check("Conv3D/tiled", c.Forward(x), c.ForwardInfer(x, ws))
-		ws.Reset()
-	}
 	// Conv3D, direct reference path.
 	{
 		c := NewConv3D(rng, 2, 3, 3)
