@@ -174,13 +174,6 @@ func (c CampaignResult) PosesPerSecond() float64 {
 	return float64(c.PosesScored) / c.Makespan.Seconds()
 }
 
-// PosesPerHour returns the aggregate hourly pose throughput.
-func (c CampaignResult) PosesPerHour() float64 { return c.PosesPerSecond() * 3600 }
-
-// CompoundsPerHour converts pose throughput to compound throughput
-// (10 poses per compound, as in the screen).
-func (c CampaignResult) CompoundsPerHour() float64 { return c.PosesPerHour() / 10 }
-
 // PeakThroughput returns the aggregate poses/s of nJobs identical
 // Fusion jobs running fully in parallel — Table 7's "peak performance
 // (125 parallel jobs)" view, which excludes failure-resubmission drag.

@@ -179,9 +179,6 @@ func NewConsensus(members ...Scorer) (*Consensus, error) {
 	return &Consensus{members: members, name: "consensus(" + strings.Join(names, "+") + ")"}, nil
 }
 
-// Members returns the member scorers in construction order.
-func (c *Consensus) Members() []Scorer { return append([]Scorer(nil), c.members...) }
-
 // Name identifies the consensus by its member set, so two campaigns
 // built over different members never alias in a manifest.
 func (c *Consensus) Name() string { return c.name }

@@ -128,19 +128,3 @@ func MatMulAcc(c, a, b *Tensor) {
 	}
 	matMulAccRows(c, a, b, 0, m)
 }
-
-// Transpose returns aᵀ for a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: Transpose requires a rank-2 tensor")
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	t := New(n, m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			t.Data[j*m+i] = v
-		}
-	}
-	return t
-}

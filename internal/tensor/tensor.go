@@ -264,15 +264,6 @@ func (t *Dense[T]) Apply(f func(T) T) {
 	}
 }
 
-// Map returns a new tensor whose elements are f applied to t's.
-func (t *Dense[T]) Map(f func(T) T) *Dense[T] {
-	r := newDense[T](t.Shape...)
-	for i, v := range t.Data {
-		r.Data[i] = f(v)
-	}
-	return r
-}
-
 // Row returns a view of row i of a rank-2 tensor as a slice.
 func (t *Dense[T]) Row(i int) []T {
 	if len(t.Shape) != 2 {

@@ -147,9 +147,9 @@ func TestMeanEmpty(t *testing.T) {
 
 func TestApplyMap(t *testing.T) {
 	x := FromSlice([]float64{1, 4, 9}, 3)
-	y := x.Map(math.Sqrt)
-	if y.Data[2] != 3 {
-		t.Fatalf("Map = %v", y.Data)
+	x.Apply(math.Sqrt)
+	if x.Data[2] != 3 {
+		t.Fatalf("Apply = %v", x.Data)
 	}
 	x.Apply(func(v float64) float64 { return -v })
 	if x.Data[0] != -1 {
@@ -330,7 +330,8 @@ func TestAddSubInverseProperty(t *testing.T) {
 			}
 		}
 		a := FromSlice(append([]float64(nil), vals...), len(vals))
-		b := a.Map(func(v float64) float64 { return v/2 + 1 })
+		b := a.Clone()
+		b.Apply(func(v float64) float64 { return v/2 + 1 })
 		if !a.SameShape(b) {
 			return false
 		}
