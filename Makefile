@@ -47,13 +47,17 @@ test-benchmark:
 
 # The kernel packages on a 32-bit, non-amd64 target: the only run of
 # the pure-Go leaves (axpy_generic.go — Axpy32, the tap-block rows,
-# the GEMM panels; Exp on every element of ExpInto) and of their
-# results against the goldens the amd64 assembly recorded
-# (fusion.TestF32BitsGolden, tensor.TestExpBitsGolden), and of docking
-# against dock.TestDockBitsMatchGolden, whose bits no longer depend on
-# the host. About a minute on 2 CPUs.
+# the GEMM panels; Exp on every element of ExpInto) under the layers,
+# the SG-CNN head's generic graph kernels and the fusion models that
+# use them, and of their results against the goldens the amd64
+# assembly recorded (fusion.TestF32BitsGolden, tensor.TestExpBitsGolden),
+# and of docking against dock.TestDockBitsMatchGolden, whose bits no
+# longer depend on the host. Goldens that pass through math.Exp
+# (fusion.TestTrainBitsGolden, the model scores of
+# fusion.TestF64BitsGolden) skip or narrow where it rounds differently
+# from the recording host. About a minute on 2 CPUs.
 test-portable:
-	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/nn/ ./internal/fusion/ ./internal/dock/
+	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/nn/ ./internal/graph/ ./internal/fusion/ ./internal/dock/
 
 # Race-enabled pass over the whole module: the campaign runtime and its
 # dispatch backends, the screening service, the durability layer, and
