@@ -14,24 +14,25 @@ import (
 	"deepfusion/internal/tensor"
 )
 
-// refForward32 is the whole-grid f32 forward of the voxel head the box
-// path must reproduce bit for bit: the full [B,C,G,G,G] batch through
-// the public whole-grid layer kernels, stage for stage, nothing boxed.
-func refForward32(m *CNN3D, samples []*Sample, ws *nn.Workspace) []float32 {
+// refForward is the whole-grid forward of the voxel head at width T
+// that the box path must reproduce bit for bit: the full [B,C,G,G,G]
+// batch through the public whole-grid layer kernels, stage for stage,
+// nothing boxed.
+func refForward[T tensor.Float](m *CNN3D, samples []*Sample, ws *nn.Workspace) []T {
 	s0 := samples[0].Voxels
-	x := nn.Arena[float32](ws).GetUninit(len(samples), s0.Dim(0), s0.Dim(1), s0.Dim(2), s0.Dim(3))
+	x := nn.Arena[T](ws).GetUninit(len(samples), s0.Dim(0), s0.Dim(1), s0.Dim(2), s0.Dim(3))
 	per := s0.Len()
 	for i, s := range samples {
 		tensor.Convert(x.Data[i*per:(i+1)*per], s.Voxels.Data)
 	}
-	h := nn.Infer(m.act[0], m.conv1.ForwardInfer32(x, ws), ws)
-	h2 := nn.Infer(m.act[1], m.conv2.ForwardInfer32(h, ws), ws)
+	h := nn.Infer(m.act[0], nn.Infer(m.conv1, x, ws), ws)
+	h2 := nn.Infer(m.act[1], nn.Infer(m.conv2, h, ws), ws)
 	if m.Cfg.Residual1 {
 		h2 = addInfer(ws, h2, h)
 	}
 	h2 = nn.Infer(m.pool1, h2, ws)
-	h3 := nn.Infer(m.act[2], m.conv3.ForwardInfer32(h2, ws), ws)
-	h4 := nn.Infer(m.act[3], m.conv4.ForwardInfer32(h3, ws), ws)
+	h3 := nn.Infer(m.act[2], nn.Infer(m.conv3, h2, ws), ws)
+	h4 := nn.Infer(m.act[3], nn.Infer(m.conv4, h3, ws), ws)
 	if m.Cfg.Residual2 {
 		h4 = addInfer(ws, h4, h3)
 	}
@@ -87,9 +88,7 @@ func translate(m *chem.Mol, d chem.Vec3) {
 // and off. Two batches per case: a mixed one, which takes the union of
 // the occupied boxes over the empty-grid response, and one whose
 // samples all share a prefeature, which takes the ligands' cone over
-// the baseline response. The f64 reference is the allocating
-// PredictBatch (the training Forward's own kernels); the f32 reference
-// is refForward32.
+// the baseline response. The reference at each width is refForward.
 func TestBoxPathBitIdentity(t *testing.T) {
 	grids := []featurize.VoxelOptions{
 		{GridSize: 8, Resolution: 3.0, Sigma: 0.8},  // fully occupied: every box is the grid
@@ -203,7 +202,8 @@ func checkBoxPath(t *testing.T, m *CNN3D, samples []*Sample) {
 			got := make([]float64, len(batch))
 
 			m.PredictBatchInto(batch, ws64, got)
-			for j, want := range m.PredictBatch(batch) {
+			ref.Reset()
+			for j, want := range refForward[float64](m, batch, ref) {
 				if math.Float64bits(got[j]) != math.Float64bits(want) {
 					t.Fatalf("f64 batch %d sample %s: box path %v != whole-grid %v", bs, batch[j].ID, got[j], want)
 				}
@@ -211,7 +211,7 @@ func checkBoxPath(t *testing.T, m *CNN3D, samples []*Sample) {
 
 			m.PredictBatchInto(batch, ws32, got)
 			ref.Reset()
-			for j, want := range refForward32(m, batch, ref) {
+			for j, want := range refForward[float32](m, batch, ref) {
 				if math.Float32bits(float32(got[j])) != math.Float32bits(want) || float64(want) != got[j] {
 					t.Fatalf("f32 batch %d sample %s: box path %v != whole-grid %v", bs, batch[j].ID, got[j], want)
 				}

@@ -10,15 +10,31 @@ import (
 // TestPredictBatchIntoByteIdentical is the golden guarantee of the
 // pooled engine: for every model family and batch size, a pooled
 // PredictBatchInto over a (dirty, reused) workspace must reproduce the
-// allocating PredictBatch bit for bit.
+// training forward bit for bit on models where the two compute the
+// same function — no dropout, no batch norm — so scoring and training
+// run one arithmetic.
 func TestPredictBatchIntoByteIdentical(t *testing.T) {
 	ds := dataset(t)
 	samples := featurized(t, ds.Core[:8])
-	cnn := NewCNN3D(tinyCNNConfig(), 91)
+	cnnCfg := tinyCNNConfig()
+	cnnCfg.Dropout1, cnnCfg.Dropout2 = 0, 0
+	cnn := NewCNN3D(cnnCfg, 91)
 	sg := NewSGCNN(tinySGConfig(), 92)
 	late := &LateFusion{CNN: cnn, SG: sg}
-	mid := NewFusion(DefaultMidFusionConfig(), cnn, sg, 93)
-	coh := NewFusion(DefaultCoherentConfig(), cnn, sg, 94)
+	noDropout := func(cfg FusionConfig) FusionConfig {
+		cfg.Dropout1, cfg.Dropout2, cfg.Dropout3 = 0, 0, 0
+		return cfg
+	}
+	mid := NewFusion(noDropout(DefaultMidFusionConfig()), cnn, sg, 93)
+	coh := NewFusion(noDropout(DefaultCoherentConfig()), cnn, sg, 94)
+	cnnTrain := func(ss []*Sample) []float64 {
+		pred, _ := cnn.Forward(stackVoxels(ss, nil))
+		return pred.Data
+	}
+	sgTrain := func(ss []*Sample) []float64 {
+		pred, _ := sg.ForwardBatch(sampleGraphs(ss))
+		return pred.Data
+	}
 
 	ws := NewWorkspaceFor(PrecisionF64) // one workspace shared across families and batches
 	models := []struct {
@@ -26,11 +42,17 @@ func TestPredictBatchIntoByteIdentical(t *testing.T) {
 		batch func(ss []*Sample) []float64
 		into  func(ss []*Sample, out []float64)
 	}{
-		{"CNN3D", cnn.PredictBatch, func(ss []*Sample, out []float64) { cnn.PredictBatchInto(ss, ws, out) }},
-		{"SGCNN", sg.PredictBatch, func(ss []*Sample, out []float64) { sg.PredictBatchInto(ss, ws, out) }},
-		{"Late", late.PredictBatch, func(ss []*Sample, out []float64) { late.PredictBatchInto(ss, ws, out) }},
-		{"Mid", mid.PredictBatch, func(ss []*Sample, out []float64) { mid.PredictBatchInto(ss, ws, out) }},
-		{"Coherent", coh.PredictBatch, func(ss []*Sample, out []float64) { coh.PredictBatchInto(ss, ws, out) }},
+		{"CNN3D", cnnTrain, func(ss []*Sample, out []float64) { cnn.PredictBatchInto(ss, ws, out) }},
+		{"SGCNN", sgTrain, func(ss []*Sample, out []float64) { sg.PredictBatchInto(ss, ws, out) }},
+		{"Late", func(ss []*Sample) []float64 {
+			c, g := cnnTrain(ss), sgTrain(ss)
+			for i := range c {
+				c[i] = (c[i] + g[i]) / 2
+			}
+			return c
+		}, func(ss []*Sample, out []float64) { late.PredictBatchInto(ss, ws, out) }},
+		{"Mid", func(ss []*Sample) []float64 { return mid.forwardBatch(ss, nil).Data }, func(ss []*Sample, out []float64) { mid.PredictBatchInto(ss, ws, out) }},
+		{"Coherent", func(ss []*Sample) []float64 { return coh.forwardBatch(ss, nil).Data }, func(ss []*Sample, out []float64) { coh.PredictBatchInto(ss, ws, out) }},
 	}
 	for _, m := range models {
 		for _, bs := range []int{1, 3, 8} {
@@ -44,7 +66,7 @@ func TestPredictBatchIntoByteIdentical(t *testing.T) {
 				m.into(samples[lo:hi], got)
 				for j := range got {
 					if got[j] != want[j] {
-						t.Fatalf("%s: batch size %d sample %d: pooled %v != allocating %v",
+						t.Fatalf("%s: batch size %d sample %d: pooled %v != training forward %v",
 							m.name, bs, lo+j, got[j], want[j])
 					}
 				}
@@ -55,7 +77,8 @@ func TestPredictBatchIntoByteIdentical(t *testing.T) {
 
 // TestWorkspaceInterleavedScorersNoLeakage guards against cross-batch
 // buffer leakage: two different models alternate batches over ONE
-// workspace, and every result must equal the fresh-allocation path.
+// workspace, and every result must equal the model's PredictBatch,
+// which scores through a workspace of its own.
 // Stale data surviving a Reset, a packed-weight cache collision, or a
 // buffer handed to two tensors would all break the equality.
 func TestWorkspaceInterleavedScorersNoLeakage(t *testing.T) {

@@ -3,12 +3,20 @@
 // backpropagation, the activations and optimizers listed in Table 1 of
 // the paper, and mean-squared-error training utilities.
 //
-// Layers follow a Forward/Backward contract: a call to Forward caches
-// whatever intermediate state Backward needs, and Backward must be
-// called at most once per Forward with the gradient of the loss with
-// respect to the layer output, returning the gradient with respect to
-// the layer input. This mirrors the single-pass training loop of the
-// original PyTorch implementation without a general autodiff tape.
+// Layers follow a Forward/Backward contract: Forward is the training
+// forward — dropout applies its mask, batch norm normalizes by the
+// batch's statistics — and caches whatever intermediate state Backward
+// needs; Backward must be called at most once per Forward with the
+// gradient of the loss with respect to the layer output, returning the
+// gradient with respect to the layer input. This mirrors the
+// single-pass training loop of the original PyTorch implementation
+// without a general autodiff tape.
+//
+// Evaluation never calls Forward: Infer (infer.go) runs a layer on
+// workspace-pooled buffers and stashes nothing, so any number of
+// goroutines may evaluate one model at once. Each layer has one forward
+// body shared by both: Forward runs the same kernels or per-element
+// expressions as Infer at float64 and adds only what training needs.
 package nn
 
 import (
