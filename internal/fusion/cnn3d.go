@@ -25,16 +25,8 @@ type CNN3D struct {
 	fc1, fc2     *nn.Dense
 	out          *nn.Dense
 
-	// cached forward state for residual backward routing
-	stash cnnStash
-
 	// resp is the conv stack's reference-grid responses (box.go).
 	resp *responseCache
-}
-
-type cnnStash struct {
-	r1In, r2In *tensor.Tensor
-	latent     *tensor.Tensor
 }
 
 // LatentWidth returns the fusion-visible latent vector width.
@@ -105,14 +97,12 @@ func (m *CNN3D) Params() []*nn.Param {
 // in training mode, stashing what Backward needs.
 func (m *CNN3D) Forward(x *tensor.Tensor) (pred, latent *tensor.Tensor) {
 	h := m.act[0].Forward(m.conv1.Forward(x))
-	m.stash.r1In = h
 	h2 := m.act[1].Forward(m.conv2.Forward(h))
 	if m.Cfg.Residual1 {
 		h2 = tensor.Add(h2, h)
 	}
 	h2 = m.pool1.Forward(h2)
 	h3 := m.act[2].Forward(m.conv3.Forward(h2))
-	m.stash.r2In = h3
 	h4 := m.act[3].Forward(m.conv4.Forward(h3))
 	if m.Cfg.Residual2 {
 		h4 = tensor.Add(h4, h3)
@@ -127,7 +117,6 @@ func (m *CNN3D) Forward(x *tensor.Tensor) (pred, latent *tensor.Tensor) {
 	d1 = m.act[4].Forward(d1)
 	d1 = m.drop2.Forward(d1)
 	latent = m.act[5].Forward(m.fc2.Forward(d1))
-	m.stash.latent = latent
 	pred = m.out.Forward(latent)
 	return pred, latent
 }
