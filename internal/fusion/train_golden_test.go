@@ -1,7 +1,6 @@
 package fusion
 
 import (
-	"runtime"
 	"testing"
 
 	"deepfusion/internal/nn"
@@ -23,10 +22,6 @@ const trainGoldenFile = "testdata/train_bits.golden"
 // the best epoch shows here; the file changes only with an intended
 // change of trained weights.
 //
-// The parameter gradients of a batch are summed per ParallelFor block,
-// so trained bits depend on how many blocks a batch splits into: the
-// test runs at GOMAXPROCS 2 on every host.
-//
 // Training passes through math.Exp (SELU, the SG-CNN gates), so where
 // this host's math.Exp rounds differently from the recording host
 // (expProbe, as in TestF64BitsGolden) nothing here is comparable and
@@ -37,7 +32,6 @@ func TestTrainBitsGolden(t *testing.T) {
 	if got[expProbe] != want[expProbe] {
 		t.Skipf("math.Exp rounds differently here than where %s was recorded", trainGoldenFile)
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	ds := dataset(t)
 	train := featurized(t, ds.Train[:13])
 	val := featurized(t, ds.Val[:5])

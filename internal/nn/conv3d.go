@@ -37,6 +37,10 @@ type Conv3D struct {
 // grids (48^3 positions would otherwise materialize gigabyte matrices).
 const convTile = 8192
 
+// gradBlock is how many samples of a batch share one partial sum of
+// the parameter gradients in Backward.
+const gradBlock = 2
+
 // NewConv3D constructs a Glorot-initialized 3D convolution.
 func NewConv3D(rng *rand.Rand, in, out, k int) *Conv3D {
 	if k%2 == 0 {
@@ -114,62 +118,63 @@ func (c *Conv3D) backward(grad, dx *tensor.Tensor) {
 	if tile > convTile {
 		tile = convTile
 	}
-	// Per-worker-block parameter-gradient buffers keep the parallel
-	// region race-free at O(workers) scratch; blocks are reduced in
-	// batch order below so accumulation stays deterministic.
-	dws := make([]*tensor.Tensor, n)
-	dbs := make([]*tensor.Tensor, n)
-	tensor.ParallelFor(n, func(blo, bhi int) {
+	// The parameter gradients are reduced over fixed blocks of
+	// gradBlock samples: each block sums its samples into its own
+	// partial, and the partials are added in block order below, so the
+	// bits do not depend on how many workers ParallelFor runs.
+	blocks := (n + gradBlock - 1) / gradBlock
+	dws := make([]*tensor.Tensor, blocks)
+	dbs := make([]*tensor.Tensor, blocks)
+	tensor.ParallelFor(blocks, func(blo, bhi int) {
 		cols := tensor.New(tile, ck3)
 		dyT := tensor.New(tile, c.Out)
 		var dcols *tensor.Tensor
 		if dx != nil {
 			dcols = tensor.New(tile, ck3)
 		}
-		dw := tensor.New(c.Out, ck3)
-		db := tensor.New(c.Out)
-		dws[blo], dbs[blo] = dw, db
-		for b := blo; b < bhi; b++ {
-			for lo := 0; lo < dhw; lo += tile {
-				hi := lo + tile
-				if hi > dhw {
-					hi = dhw
-				}
-				rows := hi - lo
-				ct, dyt := cols, dyT
-				if rows != tile {
-					ct = tensor.FromSlice(cols.Data[:rows*ck3], rows, ck3)
-					dyt = tensor.FromSlice(dyT.Data[:rows*c.Out], rows, c.Out)
-				}
-				tensor.Im2Col3D(x, b, k, lo, hi, ct)
-				// Gather the output gradient tile position-major.
-				for o := 0; o < c.Out; o++ {
-					src := grad.Data[(b*c.Out+o)*dhw+lo : (b*c.Out+o)*dhw+hi]
-					for r, g := range src {
-						dyt.Data[r*c.Out+o] = g
-						db.Data[o] += g
+		for blk := blo; blk < bhi; blk++ {
+			dw := tensor.New(c.Out, ck3)
+			db := tensor.New(c.Out)
+			dws[blk], dbs[blk] = dw, db
+			for b := blk * gradBlock; b < min((blk+1)*gradBlock, n); b++ {
+				for lo := 0; lo < dhw; lo += tile {
+					hi := lo + tile
+					if hi > dhw {
+						hi = dhw
 					}
+					rows := hi - lo
+					ct, dyt := cols, dyT
+					if rows != tile {
+						ct = tensor.FromSlice(cols.Data[:rows*ck3], rows, ck3)
+						dyt = tensor.FromSlice(dyT.Data[:rows*c.Out], rows, c.Out)
+					}
+					tensor.Im2Col3D(x, b, k, lo, hi, ct)
+					// Gather the output gradient tile position-major.
+					for o := 0; o < c.Out; o++ {
+						src := grad.Data[(b*c.Out+o)*dhw+lo : (b*c.Out+o)*dhw+hi]
+						for r, g := range src {
+							dyt.Data[r*c.Out+o] = g
+							db.Data[o] += g
+						}
+					}
+					dw.AddInPlace(tensor.MatMulTransA(dyt, ct)) // [Out, CK^3]
+					if dx == nil {
+						continue
+					}
+					dct := dcols
+					if rows != tile {
+						dct = tensor.FromSlice(dcols.Data[:rows*ck3], rows, ck3)
+					}
+					dct.Zero()
+					tensor.MatMulAcc(dct, dyt, wmat) // [rows, CK^3]
+					tensor.Col2Im3D(dct, b, k, lo, hi, dx)
 				}
-				dw.AddInPlace(tensor.MatMulTransA(dyt, ct)) // [Out, CK^3]
-				if dx == nil {
-					continue
-				}
-				dct := dcols
-				if rows != tile {
-					dct = tensor.FromSlice(dcols.Data[:rows*ck3], rows, ck3)
-				}
-				dct.Zero()
-				tensor.MatMulAcc(dct, dyt, wmat) // [rows, CK^3]
-				tensor.Col2Im3D(dct, b, k, lo, hi, dx)
 			}
 		}
 	})
-	for b := 0; b < n; b++ {
-		if dws[b] == nil {
-			continue
-		}
-		c.W.Grad.AddInPlace(dws[b])
-		c.B.Grad.AddInPlace(dbs[b])
+	for blk := range dws {
+		c.W.Grad.AddInPlace(dws[blk])
+		c.B.Grad.AddInPlace(dbs[blk])
 	}
 }
 

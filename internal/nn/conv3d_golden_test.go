@@ -99,7 +99,6 @@ func convGoldenLayer(in, out, k, g, batch int, zeroX float64, relu bool, zeroGra
 // golden file would need; the file changes only with an intended change
 // of gradient bits.
 func TestConv3DBackwardBitsGolden(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	got := map[string]string{}
 	for ci, tc := range convGoldenCases {
 		for _, batch := range tc.batch {
@@ -147,6 +146,33 @@ func TestConv3DBackwardBitsGolden(t *testing.T) {
 	}
 	if len(want) != len(got) {
 		t.Errorf("%s has %d cases, the test computes %d", convBackwardGoldenFile, len(want), len(got))
+	}
+}
+
+// TestConv3DBackwardIndependentOfCPUs pins that the backward pass's
+// bits do not depend on GOMAXPROCS: the parameter gradients are summed
+// over fixed blocks of samples, not over one block per worker.
+func TestConv3DBackwardIndependentOfCPUs(t *testing.T) {
+	for _, batch := range []int{5, 12} {
+		c, x, grad := convGoldenLayer(8, 8, 3, 4, batch, 0.5, false, 0.3, int64(batch))
+		c.Forward(x)
+		var want []string
+		for _, procs := range []int{1, 2, 3, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			zeroGrads(c.Params())
+			dx := c.Backward(grad)
+			runtime.GOMAXPROCS(prev)
+			got := []string{bitsString(c.W.Grad.Data), bitsString(c.B.Grad.Data), bitsString(dx.Data)}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i, what := range []string{"W.Grad", "B.Grad", "dx"} {
+				if got[i] != want[i] {
+					t.Errorf("batch %d: %s at GOMAXPROCS %d is %s, at 1 %s", batch, what, procs, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
