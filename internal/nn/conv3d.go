@@ -17,8 +17,10 @@ import (
 // into the output (scatterBox), or run the seven-loop reference
 // (directBox) when Direct is set. Both add an output element's
 // non-zero terms in ascending (input channel, tap) order after its
-// bias. Backward lowers to matrix multiplication (tensor.Im2Col3D +
-// GEMM) over tiles of convTile positions.
+// bias. Backward scatters too: dW through the same tap-block leaf with
+// the output gradient as its rows, dx one row of Σ_o g·W per output
+// position (backward), or the reference loops (backwardDirect) when
+// Direct is set.
 type Conv3D struct {
 	In, Out, K int
 	W          *Param // [Out, In, K, K, K]
@@ -31,11 +33,6 @@ type Conv3D struct {
 
 	lastX *tensor.Tensor
 }
-
-// convTile caps the number of output positions Backward lowers per
-// im2col patch matrix, bounding the scratch footprint at paper-scale
-// grids (48^3 positions would otherwise materialize gigabyte matrices).
-const convTile = 8192
 
 // gradBlock is how many samples of a batch share one partial sum of
 // the parameter gradients in Backward.
@@ -98,84 +95,166 @@ func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // BackwardParams accumulates W.Grad and B.Grad exactly as Backward
 // does, bit for bit, but computes no input gradient: for a first layer,
 // whose input needs none. It skips the widest work of the backward
-// pass, the product into the column tile and its scatter onto the grid.
+// pass, the per-position rows of Σ_o g·W and their scatter onto the
+// grid.
 func (c *Conv3D) BackwardParams(grad *tensor.Tensor) { c.backward(grad, nil) }
 
 // backward accumulates the parameter gradients of grad and, when dx is
-// not nil, the input gradient into dx.
+// not nil, the input gradient into dx. Each sample's output gradient is
+// gathered position-major ([positions, Out]); its dW is the forward's
+// scatter with the roles swapped (weightGradScatter), its dx one row of
+// Σ_o g·W per output position, added onto the inputs the row's taps
+// read (inputGradRows). The parameter gradients are reduced over fixed
+// blocks of gradBlock samples: a block sums its samples' partials, each
+// begun from zero, and the block partials are added in block order, so
+// the bits do not depend on how many workers ParallelFor runs.
 func (c *Conv3D) backward(grad, dx *tensor.Tensor) {
 	if c.Direct {
 		c.backwardDirect(grad, dx)
 		return
 	}
 	x := c.lastX
-	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	k := c.K
-	dhw := d * h * w
-	ck3 := c.In * k * k * k
-	wmat := c.W.Value.Reshape(c.Out, ck3)
-	tile := dhw
-	if tile > convTile {
-		tile = convTile
-	}
-	// The parameter gradients are reduced over fixed blocks of
-	// gradBlock samples: each block sums its samples into its own
-	// partial, and the partials are added in block order below, so the
-	// bits do not depend on how many workers ParallelFor runs.
+	n, vol := x.Dim(0), x.Dim(2)*x.Dim(3)*x.Dim(4)
+	nW := len(c.W.Value.Data)
 	blocks := (n + gradBlock - 1) / gradBlock
-	dws := make([]*tensor.Tensor, blocks)
-	dbs := make([]*tensor.Tensor, blocks)
+	dws := make([][]float64, blocks) // in the scatter layout
+	dbs := make([][]float64, blocks)
 	tensor.ParallelFor(blocks, func(blo, bhi int) {
-		cols := tensor.New(tile, ck3)
-		dyT := tensor.New(tile, c.Out)
-		var dcols *tensor.Tensor
+		gT := make([]float64, vol*c.Out)
+		dwb := make([]float64, nW)
+		var row []float64
 		if dx != nil {
-			dcols = tensor.New(tile, ck3)
+			row = make([]float64, nW/c.Out)
 		}
 		for blk := blo; blk < bhi; blk++ {
-			dw := tensor.New(c.Out, ck3)
-			db := tensor.New(c.Out)
+			dw, db := make([]float64, nW), make([]float64, c.Out)
 			dws[blk], dbs[blk] = dw, db
 			for b := blk * gradBlock; b < min((blk+1)*gradBlock, n); b++ {
-				for lo := 0; lo < dhw; lo += tile {
-					hi := lo + tile
-					if hi > dhw {
-						hi = dhw
+				g := grad.Data[b*c.Out*vol : (b+1)*c.Out*vol]
+				for o := 0; o < c.Out; o++ {
+					for pos, v := range g[o*vol : (o+1)*vol] {
+						gT[pos*c.Out+o] = v
+						db[o] += v
 					}
-					rows := hi - lo
-					ct, dyt := cols, dyT
-					if rows != tile {
-						ct = tensor.FromSlice(cols.Data[:rows*ck3], rows, ck3)
-						dyt = tensor.FromSlice(dyT.Data[:rows*c.Out], rows, c.Out)
-					}
-					tensor.Im2Col3D(x, b, k, lo, hi, ct)
-					// Gather the output gradient tile position-major.
-					for o := 0; o < c.Out; o++ {
-						src := grad.Data[(b*c.Out+o)*dhw+lo : (b*c.Out+o)*dhw+hi]
-						for r, g := range src {
-							dyt.Data[r*c.Out+o] = g
-							db.Data[o] += g
-						}
-					}
-					dw.AddInPlace(tensor.MatMulTransA(dyt, ct)) // [Out, CK^3]
-					if dx == nil {
-						continue
-					}
-					dct := dcols
-					if rows != tile {
-						dct = tensor.FromSlice(dcols.Data[:rows*ck3], rows, ck3)
-					}
-					dct.Zero()
-					tensor.MatMulAcc(dct, dyt, wmat) // [rows, CK^3]
-					tensor.Col2Im3D(dct, b, k, lo, hi, dx)
+				}
+				clear(dwb)
+				c.weightGradScatter(dwb, gT, x, b)
+				for i, v := range dwb {
+					dw[i] += v
+				}
+				if dx != nil {
+					c.inputGradRows(dx, row, gT, b)
 				}
 			}
 		}
 	})
+	k := c.K
 	for blk := range dws {
-		c.W.Grad.AddInPlace(dws[blk])
-		c.B.Grad.AddInPlace(dbs[blk])
+		for o := 0; o < c.Out; o++ {
+			for r := 0; r < c.In*k*k; r++ {
+				for kw := 0; kw < k; kw++ {
+					c.W.Grad.Data[(o*c.In*k*k+r)*k+kw] += dws[blk][(r*k+k-1-kw)*c.Out+o]
+				}
+			}
+		}
+		for o, v := range dbs[blk] {
+			c.B.Grad.Data[o] += v
+		}
 	}
+}
+
+// weightGradScatter adds sample b's weight gradient into dw, which is
+// in the scatter layout (scatterLayout): each non-zero input voxel v
+// sends v·g to its clipped block of taps through the tap-block leaf,
+// with the position-major output gradient gT as the rows the leaf reads
+// and dw as the accumulator it writes. The block runs from the taps
+// (kdHi, khHi) downward, so the output positions it reads run upward
+// and both strides stay positive. Voxels are visited in ascending
+// position, so each element of dw adds its terms in ascending output
+// position, as the product gTᵀ·im2col(x) does; a zero voxel's terms
+// are ±0 and change no sum that starts at +0.
+func (c *Conv3D) weightGradScatter(dw, gT []float64, x *tensor.Tensor, b int) {
+	d, h, w := x.Dim(2), x.Dim(3), x.Dim(4)
+	k, pad, nOut := c.K, c.K/2, c.Out
+	st := tensor.TapStrides{PPlane: k * k * nOut, PRow: k * nOut, WPlane: h * w * nOut, WRow: w * nOut}
+	tap := tensor.TapBlockKernel[float64]()
+	for ci := 0; ci < c.In; ci++ {
+		for xd := 0; xd < d; xd++ {
+			// The centre tap keeps every voxel's tap ranges non-empty.
+			kdLo, kdHi := clipK(xd+pad, d, k)
+			for xh := 0; xh < h; xh++ {
+				khLo, khHi := clipK(xh+pad, h, k)
+				// The block's first row: tap (kdHi, khHi) in dw, output
+				// row (xd+pad-kdHi, xh+pad-khHi) in gT.
+				pRow := ((ci*k+kdHi)*k + khHi) * k
+				gRow := ((xd+pad-kdHi)*h + xh + pad - khHi) * w
+				nd, nh := kdHi-kdLo+1, khHi-khLo+1
+				base := (((b*c.In+ci)*d+xd)*h + xh) * w
+				for xw, v := range x.Data[base : base+w] {
+					if v == 0 {
+						continue
+					}
+					kwLo, kwHi := clipK(xw+pad, w, k)
+					tap(dw, gT, v, (pRow+k-1-kwHi)*nOut, (gRow+xw+pad-kwHi)*nOut, nd, nh, (kwHi-kwLo+1)*nOut, st)
+				}
+			}
+		}
+	}
+}
+
+// inputGradRows adds sample b's input gradient into dx. For each output
+// position in ascending order it forms the row Σ_o g[o]·W[o, ·] over
+// the [In, K, K, K] taps, o ascending from a zeroed row, and adds each
+// in-range tap's entry onto the input voxel that tap reads: the product
+// gT·W followed by col2im, one position at a time. A position whose
+// gradient is zero adds a row of +0, which changes nothing.
+func (c *Conv3D) inputGradRows(dx *tensor.Tensor, row, gT []float64, b int) {
+	d, h, w := dx.Dim(2), dx.Dim(3), dx.Dim(4)
+	k, pad, nOut := c.K, c.K/2, c.Out
+	ck3 := len(row)
+	wv := c.W.Value.Data
+	pos := 0
+	for zd := 0; zd < d; zd++ {
+		kdLo, kdHi := readK(zd, d, k)
+		for zh := 0; zh < h; zh++ {
+			khLo, khHi := readK(zh, h, k)
+			for zw := 0; zw < w; zw, pos = zw+1, pos+1 {
+				kwLo, kwHi := readK(zw, w, k)
+				clear(row)
+				zero := true
+				for o, g := range gT[pos*nOut : (pos+1)*nOut] {
+					if g == 0 {
+						continue
+					}
+					zero = false
+					for j, wj := range wv[o*ck3 : (o+1)*ck3] {
+						row[j] += g * wj
+					}
+				}
+				if zero {
+					continue
+				}
+				for ci := 0; ci < c.In; ci++ {
+					for kd := kdLo; kd <= kdHi; kd++ {
+						for kh := khLo; kh <= khHi; kh++ {
+							dxRow := dx.Data[(((b*c.In+ci)*d+zd+kd-pad)*h+zh+kh-pad)*w:]
+							src := row[((ci*k+kd)*k+kh)*k:]
+							for kw := kwLo; kw <= kwHi; kw++ {
+								dxRow[zw+kw-pad] += src[kw]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// readK returns the inclusive kernel-tap range [lo, hi] through which
+// output position z reads an input position z+t-k/2 inside [0, dim).
+func readK(z, dim, k int) (lo, hi int) {
+	pad := k / 2
+	return max(pad-z, 0), min(dim-1+pad-z, k-1)
 }
 
 // backwardDirect is the reference backward matching directBox; dx as

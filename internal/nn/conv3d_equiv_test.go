@@ -18,16 +18,16 @@ func sparseVoxels(rng *rand.Rand, x *tensor.Tensor) {
 }
 
 // TestConv3DLoweredMatchesDirect asserts the lowered paths (the
-// scatter forward, the tiled im2col GEMM backward) agree with the
-// reference loops to floating-point reassociation tolerance — the
-// property that lets the screening engine swap algorithms freely.
+// scatter forward and backward) agree with the reference loops to
+// floating-point reassociation tolerance — the property that lets the
+// screening engine swap algorithms freely.
 func TestConv3DLoweredMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct{ batch, in, out, k, g int }{
 		{1, 3, 4, 3, 4},
 		{3, 4, 5, 5, 6},
 		{2, 2, 3, 3, 8},
-		{1, 2, 5, 3, 21}, // large grid: exercises the multi-tile GEMM backward
+		{1, 2, 5, 3, 21}, // large grid: 21³ = 9261 positions
 	} {
 		c := NewConv3D(rand.New(rand.NewSource(11)), tc.in, tc.out, tc.k)
 		x := tensor.New(tc.batch, tc.in, tc.g, tc.g, tc.g)
@@ -75,7 +75,7 @@ func TestConv3DLoweredMatchesDirect(t *testing.T) {
 
 // TestConv3DBackwardParamsMatchesBackward pins that skipping the input
 // gradient changes no parameter gradient bit, on the direct reference
-// path and on the lowered one, single- and multi-tile.
+// path and on the lowered one, on a small and a large grid.
 func TestConv3DBackwardParamsMatchesBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, tc := range []struct{ batch, in, out, k, g int }{

@@ -187,8 +187,8 @@ func TestPrecisionABRankFidelity(t *testing.T) {
 // TestPrecisionABPaperGrid extends the harness to the paper's 48^3
 // voxel grid (~200x the per-pose compute of the repro grid). Pose
 // count and conv widths are reduced to keep tier-1 time sane — the
-// coverage target is the grid geometry (boundary clipping, huge
-// im2col panels, 110k-position accumulations), which filter count
+// coverage target is the grid geometry (boundary clipping,
+// 110k-position accumulations), which filter count
 // does not change. At 6 poses the Spearman bar only passes if the f32
 // ordering is identical to f64's.
 func TestPrecisionABPaperGrid(t *testing.T) {

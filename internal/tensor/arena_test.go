@@ -36,10 +36,11 @@ func testPackedKernels(t *testing.T) {
 			a := randMat(rng, sh.m, sh.k, sparsity)
 			b := randMat(rng, sh.k, sh.n, 0)
 
-			// MatMulAccPacked vs MatMulAcc, accumulating on a non-zero C.
+			// MatMulAccPacked vs the scalar reference, accumulating on a
+			// non-zero C.
 			seed := randMat(rng, sh.m, sh.n, 0)
 			want := seed.Clone()
-			MatMulAcc(want, a, b)
+			matMulAccRows(want, a, b, 0, sh.m)
 			got := seed.Clone()
 			var pb PackedB
 			pb.Pack(b)
@@ -140,7 +141,7 @@ func TestPackReuse(t *testing.T) {
 		b := randMat(rng, sh.k, sh.n, 0)
 		pb.Pack(b)
 		want := New(5, sh.n)
-		MatMulAcc(want, a, b)
+		matMulAccRows(want, a, b, 0, 5)
 		got := New(5, sh.n)
 		MatMulAccPacked(got, a, &pb)
 		for i := range want.Data {

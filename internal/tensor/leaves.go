@@ -8,12 +8,14 @@ package tensor
 // and why each stays per width:
 //
 //   - TapBlockKernel: the scatter convolution's per-voxel block of tap
-//     rows. On amd64 it is AVX2 assembly at both widths (eight float32
-//     lanes per instruction, or two registers of four float64 lanes;
-//     no FMA) when the CPU and OS support it; otherwise the rows run
-//     through the SSE Axpy32 at float32 and the Go axpy64 at float64
-//     (tapRows32, tapRows64), as they do under !amd64 through the Go
-//     Axpy32 and axpy64. Every path is bit-identical to the scalar
+//     rows, and, with the roles swapped, the training backward's: a
+//     voxel's block of weight-gradient rows, read from the output
+//     gradient. On amd64 it is AVX2 assembly at both widths (eight
+//     float32 lanes per instruction, or two registers of four float64
+//     lanes; no FMA) when the CPU and OS support it; otherwise the rows
+//     run through the SSE Axpy32 at float32 and the Go axpy64 at
+//     float64 (tapRows32, tapRows64), as they do under !amd64 through
+//     the Go Axpy32 and axpy64. Every path is bit-identical to the scalar
 //     loop; the Go loops are the reference the goldens recorded.
 //   - vectorPanels: the full GEMM panels' rows in assembly on amd64 —
 //     SSE at float32, AVX2 at float64 when the CPU has it — and

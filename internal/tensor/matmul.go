@@ -34,8 +34,8 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // matMulAccRows is the scalar C += A x B kernel over output rows
 // [lo, hi): i-k-j order so B streams row-wise, with zero A entries
-// skipped (the sparse-voxel fast path). Shared by MatMul's small-size
-// path and MatMulAcc.
+// skipped. MatMul's small-size path, and the reference the packed
+// kernels match.
 func matMulAccRows(c, a, b *Tensor, lo, hi int) {
 	k, n := a.Shape[1], b.Shape[1]
 	for i := lo; i < hi; i++ {

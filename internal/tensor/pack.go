@@ -12,13 +12,10 @@ import "fmt"
 // term order is exactly the scalar kernels' ascending-k order, which is
 // what keeps pooled-path scores byte-identical to the allocating path.
 //
-// The panel kernel is the DENSE fast path — activations through
-// y = x·Wᵀ layers. For sparse A (im2col voxel patches) the scalar
-// zero-skip kernel MatMulAcc wins instead: it pays one data-dependent
-// branch per A value and skips a whole output row of work, where the
-// panel sweep would pay one branch per (value, panel) pair — measured
-// 2-4x slower at realistic voxel sparsity. Call sites choose by
-// operand character, not size.
+// The panel kernel is the dense fast path — activations through
+// y = x·Wᵀ layers. Sparse voxel grids never reach it: the convolutions
+// scatter each non-zero voxel through the tap-block leaf (leaves.go)
+// instead.
 
 // packPanel is the panel width: 8 columns, one 64-byte cache line and
 // two 32-byte AVX2 registers per accumulation row at float64, two
@@ -112,9 +109,9 @@ func (pb *Packed[T]) PackTransposed(data []float64, n, k int) {
 	}
 }
 
-// MatMulAccPacked computes c += a x B for the packed B, preserving
-// MatMulAcc's semantics exactly: ascending-k accumulation per output
-// element with zero entries of A skipped. The caller owns parallelism
+// MatMulAccPacked computes c += a x B for the packed B, with the
+// scalar kernel's semantics exactly: ascending-k accumulation per
+// output element with zero entries of A skipped. The caller owns parallelism
 // (disjoint row blocks of c may be filled concurrently via
 // matMulPackedRows through MatMul; this entry point is serial).
 func MatMulAccPacked[T Float](c, a *Dense[T], pb *Packed[T]) {
