@@ -509,23 +509,6 @@ func TestConv3DBatchConsistency(t *testing.T) {
 	}
 }
 
-func TestOptimizerSetLR(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	d := NewDense(rng, 2, 2)
-	for _, name := range []string{"adam", "adamw", "rmsprop"} {
-		opt := NewOptimizer(name, d.Params(), 0.01)
-		opt.SetLR(0.5)
-		if opt.LR() != 0.5 {
-			t.Fatalf("%s SetLR failed", name)
-		}
-	}
-	ad := NewAdadelta(d.Params())
-	ad.SetLR(0.5) // no-op by design
-	if ad.LR() != 1 {
-		t.Fatal("Adadelta LR must report 1")
-	}
-}
-
 func TestAdamWDecayShrinksWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	a := NewDense(rng, 4, 4)

@@ -9,11 +9,6 @@ type Optimizer interface {
 	// Step applies one update using the parameters' accumulated
 	// gradients and clears them afterwards.
 	Step()
-	// SetLR changes the learning rate (used by PB2 schedules). Adadelta
-	// ignores it.
-	SetLR(lr float64)
-	// LR reports the current learning rate.
-	LR() float64
 }
 
 type adamState struct {
@@ -80,12 +75,6 @@ func (a *Adam) Step() {
 	}
 }
 
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.Rate = lr }
-
-// LR implements Optimizer.
-func (a *Adam) LR() float64 { return a.Rate }
-
 // RMSprop implements the moving-average-of-squared-gradients update
 // (Graves 2013 variant without momentum).
 type RMSprop struct {
@@ -119,12 +108,6 @@ func (r *RMSprop) Step() {
 		p.ZeroGrad()
 	}
 }
-
-// SetLR implements Optimizer.
-func (r *RMSprop) SetLR(lr float64) { r.Rate = lr }
-
-// LR implements Optimizer.
-func (r *RMSprop) LR() float64 { return r.Rate }
 
 // Adadelta implements Zeiler's learning-rate-free update (the paper's
 // Table 1 cites Duchi et al.'s adaptive-subgradient family).
@@ -162,13 +145,6 @@ func (a *Adadelta) Step() {
 		p.ZeroGrad()
 	}
 }
-
-// SetLR implements Optimizer; Adadelta has no global rate, so it is a
-// no-op.
-func (a *Adadelta) SetLR(lr float64) {}
-
-// LR implements Optimizer.
-func (a *Adadelta) LR() float64 { return 1 }
 
 // NewOptimizer constructs an optimizer by Table 1 name: "adam", "adamw",
 // "rmsprop" or "adadelta".
