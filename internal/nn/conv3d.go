@@ -100,14 +100,12 @@ func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 func (c *Conv3D) BackwardParams(grad *tensor.Tensor) { c.backward(grad, nil) }
 
 // backward accumulates the parameter gradients of grad and, when dx is
-// not nil, the input gradient into dx. Each sample's output gradient is
-// gathered position-major ([positions, Out]); its dW is the forward's
-// scatter with the roles swapped (weightGradScatter), its dx one row of
-// Σ_o g·W per output position, added onto the inputs the row's taps
-// read (inputGradRows). The parameter gradients are reduced over fixed
-// blocks of gradBlock samples: a block sums its samples' partials, each
-// begun from zero, and the block partials are added in block order, so
-// the bits do not depend on how many workers ParallelFor runs.
+// not nil, the input gradient into dx, from each sample's output
+// gradient gathered position-major ([positions, Out]). The parameter
+// gradients are reduced over fixed blocks of gradBlock samples: a block
+// sums its samples' partials, each begun from zero, and the block
+// partials are added in block order, so the bits do not depend on how
+// many workers ParallelFor runs.
 func (c *Conv3D) backward(grad, dx *tensor.Tensor) {
 	if c.Direct {
 		c.backwardDirect(grad, dx)
@@ -124,7 +122,7 @@ func (c *Conv3D) backward(grad, dx *tensor.Tensor) {
 		dwb := make([]float64, nW)
 		var row []float64
 		if dx != nil {
-			row = make([]float64, nW/c.Out)
+			row = make([]float64, c.In*c.K*c.K*c.K)
 		}
 		for blk := blo; blk < bhi; blk++ {
 			dw, db := make([]float64, nW), make([]float64, c.Out)
