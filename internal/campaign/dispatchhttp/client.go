@@ -122,9 +122,6 @@ func NewClient(baseURL, localDir string, opts Options) (*Client, error) {
 	}, nil
 }
 
-// LocalDir returns the worker-side scratch directory.
-func (c *Client) LocalDir() string { return c.local }
-
 // Stats returns the client's cumulative retry/backoff counters.
 func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
@@ -349,7 +346,7 @@ func (c *Client) uploadShard(worker, rel string) error {
 // MirrorCampaign fetches the coordinator's manifest and materializes
 // the client's scratch directory as an attachable campaign: the
 // manifest bytes land atomically and the shard staging directory is
-// created. Call once before campaign.Attach(LocalDir(), scorers); the
+// created. Call once before campaign.Attach on that directory; the
 // mirrored manifest is a snapshot, which is all a worker needs — the
 // config and unit grid it derives the deck from are immutable, and
 // live unit state is only ever read through Claim.

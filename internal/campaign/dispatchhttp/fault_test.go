@@ -322,7 +322,7 @@ func TestShardUploadCorruptedInFlightRetried(t *testing.T) {
 		t.Fatal("refused upload did not burn a retry")
 	}
 	for _, rel := range out.Shards {
-		staged, err := os.ReadFile(filepath.Join(cl.LocalDir(), rel))
+		staged, err := os.ReadFile(filepath.Join(w.Camp.Dir(), rel))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -143,7 +143,8 @@ func TestHTTPDispatchByteIdentical(t *testing.T) {
 func TestMirrorCampaignMatchesCoordinator(t *testing.T) {
 	fc := campaign.NewFakeClock(t0)
 	dir, _, srv := newCoordinator(t, dispatchtest.TinyConfig(), fc)
-	cl, err := dispatchhttp.NewClient(srv.URL, filepath.Join(t.TempDir(), "scratch"), dispatchhttp.Options{Clock: fc})
+	scratch := filepath.Join(t.TempDir(), "scratch")
+	cl, err := dispatchhttp.NewClient(srv.URL, scratch, dispatchhttp.Options{Clock: fc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +155,14 @@ func TestMirrorCampaignMatchesCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(campaign.ManifestPath(cl.LocalDir()))
+	got, err := os.ReadFile(campaign.ManifestPath(scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("mirrored manifest differs from the coordinator's")
 	}
-	if fi, err := os.Stat(campaign.ShardDir(cl.LocalDir())); err != nil || !fi.IsDir() {
+	if fi, err := os.Stat(campaign.ShardDir(scratch)); err != nil || !fi.IsDir() {
 		t.Fatalf("mirror did not create the scratch shard directory: %v", err)
 	}
 }

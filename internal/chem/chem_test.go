@@ -523,11 +523,3 @@ func TestFingerprintEmptyMol(t *testing.T) {
 		t.Fatal("empty molecule must give empty fingerprint")
 	}
 }
-
-func TestFingerprintPopCount(t *testing.T) {
-	fp := ComputeFingerprint(mustParse(t, "CC(=O)Oc1ccccc1C(=O)O"))
-	n := fp.PopCount()
-	if n < 10 || n > 500 {
-		t.Fatalf("aspirin sets %d bits; expected a sparse fingerprint", n)
-	}
-}

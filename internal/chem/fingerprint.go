@@ -1,9 +1,6 @@
 package chem
 
-import (
-	"hash/fnv"
-	"math/bits"
-)
+import "hash/fnv"
 
 // FingerprintBits is the fixed fingerprint width (a 2048-bit hashed
 // path fingerprint, the workhorse of compound dedup and similarity
@@ -100,13 +97,4 @@ func ComputeFingerprint(m *Mol) Fingerprint {
 		walk([]int{i}, nil)
 	}
 	return fp
-}
-
-// PopCount returns the number of set bits.
-func (fp Fingerprint) PopCount() int {
-	n := 0
-	for _, w := range fp {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

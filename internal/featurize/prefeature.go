@@ -75,12 +75,6 @@ func NewPocketPrefeature(p *target.Pocket, vo VoxelOptions, gro GraphOptions) *P
 // Pocket returns the target this prefeature was built for.
 func (pf *PocketPrefeature) Pocket() *target.Pocket { return pf.pocket }
 
-// VoxelOptions returns the grid configuration baked into the cache.
-func (pf *PocketPrefeature) VoxelOptions() VoxelOptions { return pf.vox }
-
-// GraphOptions returns the graph configuration baked into the cache.
-func (pf *PocketPrefeature) GraphOptions() GraphOptions { return pf.graph }
-
 // Matches reports whether the prefeature was built for exactly this
 // (pocket, options) triple — the screening engine refuses a mismatch
 // rather than silently featurizing against the wrong cache.

@@ -125,7 +125,7 @@ func TestBoxPathBitIdentity(t *testing.T) {
 					cfg.BatchNorm = rng.Intn(2) == 0
 					m := NewCNN3D(cfg, seed)
 					if biased {
-						setConvBiases(m, func(b *tensor.Tensor) { b.RandNormal(rng, 0.3) })
+						setConvBiases(m, func(b *tensor.Tensor) { randNormal(b, rng, 0.3) })
 					}
 					checkBoxPath(t, m, boxTestSamples(rng, pocket, vo, gro))
 					cone := coneTestSamples(rng, pocket, vo, gro)
@@ -282,7 +282,7 @@ func TestEmptyGridSample(t *testing.T) {
 		cfg.Voxel = vo
 		m := NewCNN3D(cfg, 5)
 		if biased {
-			setConvBiases(m, func(b *tensor.Tensor) { b.Fill(0.25) })
+			setConvBiases(m, func(b *tensor.Tensor) { fill(b, 0.25) })
 		}
 		checkBoxPath(t, m, []*Sample{s})
 	}

@@ -73,7 +73,7 @@ func TestResponseRebuiltAfterOptimizerStep(t *testing.T) {
 	}
 
 	b := m.conv2.B
-	b.Grad.Fill(1)
+	fill(b.Grad, 1)
 	nn.NewAdam([]*nn.Param{b}, 0.05).Step()
 	fresh := NewCNN3D(cfg, 10)
 	if err := nn.CopyParams(fresh.Params(), m.Params()); err != nil {

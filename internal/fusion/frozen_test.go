@@ -30,7 +30,7 @@ func frozenTestModel(seed int64) *Fusion {
 	cfg.Voxel = featurize.VoxelOptions{GridSize: 16, Resolution: 2.0, Sigma: 0.8}
 	cfg.BatchNorm = true
 	cnn := NewCNN3D(cfg, seed)
-	setConvBiases(cnn, func(b *tensor.Tensor) { b.Fill(0.05) })
+	setConvBiases(cnn, func(b *tensor.Tensor) { fill(b, 0.05) })
 	fc := DefaultCoherentConfig()
 	fc.BatchNorm = true
 	return NewFusion(fc, cnn, NewSGCNN(tinySGConfig(), seed+1), seed+2)
@@ -105,7 +105,7 @@ func TestWeightChangesInvalidateCompiledForms(t *testing.T) {
 	params := allParams(f)
 	rng := newRand(3)
 	for _, p := range params {
-		p.Grad.RandNormal(rng, 0.5)
+		randNormal(p.Grad, rng, 0.5)
 	}
 	nn.NewAdam(params, 0.05).Step()
 	check("optimizer step")

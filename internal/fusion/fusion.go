@@ -114,12 +114,6 @@ func (f *Fusion) Params() []*nn.Param {
 	return ps
 }
 
-// forward runs the training forward over one sample, returning the
-// prediction ([1, 1]). It is the B=1 case of forwardBatch.
-func (f *Fusion) forward(s *Sample, rng *rand.Rand) *tensor.Tensor {
-	return f.forwardBatch([]*Sample{s}, rng)
-}
-
 // forwardBatch runs the training forward over a batch of samples,
 // returning the prediction tensor ([B, 1]); dropout is active in the
 // fusion stack. Under Coherent Fusion the heads train too: voxels

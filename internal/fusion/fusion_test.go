@@ -3,6 +3,7 @@ package fusion
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"deepfusion/internal/featurize"
@@ -11,6 +12,29 @@ import (
 	"deepfusion/internal/pdbbind"
 	"deepfusion/internal/tensor"
 )
+
+// fill sets every element of x to v.
+func fill(x *tensor.Tensor, v float64) {
+	for i := range x.Data {
+		x.Data[i] = v
+	}
+}
+
+// randNormal fills x with N(0, std²) draws from rng.
+func randNormal(x *tensor.Tensor, rng *rand.Rand, std float64) {
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64() * std
+	}
+}
+
+// sum returns the sum of x's elements in storage order.
+func sum(x *tensor.Tensor) float64 {
+	s := 0.0
+	for _, v := range x.Data {
+		s += v
+	}
+	return s
+}
 
 // tinyVoxel returns a small grid config for fast tests.
 func tinyVoxel() featurize.VoxelOptions {
@@ -89,7 +113,7 @@ func TestCNN3DGradientThroughLatent(t *testing.T) {
 	rngFill(x)
 	_, lat := m.Forward(x)
 	dlat := tensor.New(lat.Shape...)
-	dlat.Fill(1)
+	fill(dlat, 1)
 	m.Backward(nil, dlat)
 	// Check gradient of one conv1 weight numerically.
 	p := m.conv1.Params()[0]
@@ -101,7 +125,7 @@ func TestCNN3DGradientThroughLatent(t *testing.T) {
 		p.Value.Data[i] = orig - eps
 		_, down := m.Forward(x)
 		p.Value.Data[i] = orig
-		want := (up.Sum() - down.Sum()) / (2 * eps)
+		want := (sum(up) - sum(down)) / (2 * eps)
 		if math.Abs(p.Grad.Data[i]-want) > 1e-4 {
 			t.Fatalf("conv1 grad[%d] = %v, numeric %v", i, p.Grad.Data[i], want)
 		}
@@ -162,21 +186,21 @@ func TestFusionGradientCheck(t *testing.T) {
 	sg := NewSGCNN(tinySGConfig(), 12)
 	f := NewFusion(cfg, cnn, sg, 13)
 
-	pred := f.forward(s, nil)
+	pred := f.forwardBatch([]*Sample{s}, nil)
 	dpred := tensor.New(pred.Shape...)
-	dpred.Fill(1)
+	fill(dpred, 1)
 	// Re-run forward in "train" mode (no dropout configured) so caches
 	// line up, then backward.
-	f.forward(s, nil)
+	f.forwardBatch([]*Sample{s}, nil)
 	f.backward(dpred)
 
 	check := func(p *nn.Param, idx int) {
 		const eps = 1e-5
 		orig := p.Value.Data[idx]
 		p.Value.Data[idx] = orig + eps
-		up := f.forward(s, nil).Sum()
+		up := sum(f.forwardBatch([]*Sample{s}, nil))
 		p.Value.Data[idx] = orig - eps
-		down := f.forward(s, nil).Sum()
+		down := sum(f.forwardBatch([]*Sample{s}, nil))
 		p.Value.Data[idx] = orig
 		want := (up - down) / (2 * eps)
 		if math.Abs(p.Grad.Data[idx]-want) > 1e-4 {
@@ -208,7 +232,7 @@ func TestRotateVoxelsPreservesMass(t *testing.T) {
 	rngFill(v)
 	for axis := 0; axis < 3; axis++ {
 		r := rotateVoxels(v, axis)
-		if math.Abs(r.Sum()-v.Sum()) > 1e-9 {
+		if math.Abs(sum(r)-sum(v)) > 1e-9 {
 			t.Fatalf("axis %d rotation changed mass", axis)
 		}
 		// Four rotations = identity.

@@ -10,6 +10,29 @@ import (
 	"deepfusion/internal/tensor"
 )
 
+// fill sets every element of x to v.
+func fill(x *tensor.Tensor, v float64) {
+	for i := range x.Data {
+		x.Data[i] = v
+	}
+}
+
+// randNormal fills x with N(0, std²) draws from rng.
+func randNormal(x *tensor.Tensor, rng *rand.Rand, std float64) {
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64() * std
+	}
+}
+
+// sum returns the sum of x's elements in storage order.
+func sum(x *tensor.Tensor) float64 {
+	s := 0.0
+	for _, v := range x.Data {
+		s += v
+	}
+	return s
+}
+
 // ring returns a bidirectional ring graph over n nodes.
 func ring(n int) []featurize.Edge {
 	var es []featurize.Edge
@@ -24,7 +47,7 @@ func TestGGConvShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := NewGGConv(rng, 6, 3)
 	h := tensor.New(5, 6)
-	h.RandNormal(rng, 1)
+	randNormal(h, rng, 1)
 	out := g.Forward(h, ring(5))
 	if out.Dim(0) != 5 || out.Dim(1) != 6 {
 		t.Fatalf("shape %v", out.Shape)
@@ -40,7 +63,7 @@ func TestGGConvIsolatedNodesStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := NewGGConv(rng, 4, 2)
 	h := tensor.New(3, 4)
-	h.RandNormal(rng, 1)
+	randNormal(h, rng, 1)
 	out := g.Forward(h, nil)
 	for _, v := range out.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -55,20 +78,20 @@ func TestGGConvInputGradient(t *testing.T) {
 	g := NewGGConv(rng, 4, 2)
 	edges := ring(4)
 	h := tensor.New(4, 4)
-	h.RandNormal(rng, 1)
+	randNormal(h, rng, 1)
 
 	out := g.Forward(h, edges)
 	ones := tensor.New(out.Shape...)
-	ones.Fill(1)
+	fill(ones, 1)
 	dh := g.Backward(ones)
 
 	const eps = 1e-6
 	for i := range h.Data {
 		orig := h.Data[i]
 		h.Data[i] = orig + eps
-		up := g.Forward(h, edges).Sum()
+		up := sum(g.Forward(h, edges))
 		h.Data[i] = orig - eps
-		down := g.Forward(h, edges).Sum()
+		down := sum(g.Forward(h, edges))
 		h.Data[i] = orig
 		want := (up - down) / (2 * eps)
 		if math.Abs(dh.Data[i]-want) > 1e-5 {
@@ -82,11 +105,11 @@ func TestGGConvParamGradient(t *testing.T) {
 	g := NewGGConv(rng, 3, 2)
 	edges := ring(4)
 	h := tensor.New(4, 3)
-	h.RandNormal(rng, 1)
+	randNormal(h, rng, 1)
 
 	out := g.Forward(h, edges)
 	ones := tensor.New(out.Shape...)
-	ones.Fill(1)
+	fill(ones, 1)
 	g.Backward(ones)
 
 	const eps = 1e-6
@@ -94,9 +117,9 @@ func TestGGConvParamGradient(t *testing.T) {
 		for i := range p.Value.Data {
 			orig := p.Value.Data[i]
 			p.Value.Data[i] = orig + eps
-			up := g.Forward(h, edges).Sum()
+			up := sum(g.Forward(h, edges))
 			p.Value.Data[i] = orig - eps
-			down := g.Forward(h, edges).Sum()
+			down := sum(g.Forward(h, edges))
 			p.Value.Data[i] = orig
 			want := (up - down) / (2 * eps)
 			if math.Abs(p.Grad.Data[i]-want) > 1e-5 {
@@ -111,8 +134,8 @@ func TestGatherShapesAndLigandOnly(t *testing.T) {
 	ga := NewGather(rng, 4, 3, 6)
 	h := tensor.New(5, 4)
 	x := tensor.New(5, 3)
-	h.RandNormal(rng, 1)
-	x.RandNormal(rng, 1)
+	randNormal(h, rng, 1)
+	randNormal(x, rng, 1)
 	out := ga.Forward(h, x, 2)
 	if out.Dim(0) != 1 || out.Dim(1) != 6 {
 		t.Fatalf("shape %v", out.Shape)
@@ -132,21 +155,21 @@ func TestGatherInputGradient(t *testing.T) {
 	ga := NewGather(rng, 3, 2, 4)
 	h := tensor.New(4, 3)
 	x := tensor.New(4, 2)
-	h.RandNormal(rng, 1)
-	x.RandNormal(rng, 1)
+	randNormal(h, rng, 1)
+	randNormal(x, rng, 1)
 
 	out := ga.Forward(h, x, 3)
 	ones := tensor.New(out.Shape...)
-	ones.Fill(1)
+	fill(ones, 1)
 	dh := ga.Backward(ones)
 
 	const eps = 1e-6
 	for i := range h.Data {
 		orig := h.Data[i]
 		h.Data[i] = orig + eps
-		up := ga.Forward(h, x, 3).Sum()
+		up := sum(ga.Forward(h, x, 3))
 		h.Data[i] = orig - eps
-		down := ga.Forward(h, x, 3).Sum()
+		down := sum(ga.Forward(h, x, 3))
 		h.Data[i] = orig
 		want := (up - down) / (2 * eps)
 		if math.Abs(dh.Data[i]-want) > 1e-5 {
@@ -166,12 +189,12 @@ func TestGatherParamGradient(t *testing.T) {
 	ga := NewGather(rng, 3, 2, 4)
 	h := tensor.New(3, 3)
 	x := tensor.New(3, 2)
-	h.RandNormal(rng, 1)
-	x.RandNormal(rng, 1)
+	randNormal(h, rng, 1)
+	randNormal(x, rng, 1)
 
 	out := ga.Forward(h, x, 3)
 	ones := tensor.New(out.Shape...)
-	ones.Fill(1)
+	fill(ones, 1)
 	ga.Backward(ones)
 
 	const eps = 1e-6
@@ -179,9 +202,9 @@ func TestGatherParamGradient(t *testing.T) {
 		for i := range p.Value.Data {
 			orig := p.Value.Data[i]
 			p.Value.Data[i] = orig + eps
-			up := ga.Forward(h, x, 3).Sum()
+			up := sum(ga.Forward(h, x, 3))
 			p.Value.Data[i] = orig - eps
-			down := ga.Forward(h, x, 3).Sum()
+			down := sum(ga.Forward(h, x, 3))
 			p.Value.Data[i] = orig
 			want := (up - down) / (2 * eps)
 			if math.Abs(p.Grad.Data[i]-want) > 1e-5 {
@@ -195,21 +218,21 @@ func TestProjectGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	p := NewProject(rng, 3, 5)
 	x := tensor.New(4, 3)
-	x.RandNormal(rng, 1)
+	randNormal(x, rng, 1)
 	out := p.Forward(x)
 	if out.Dim(1) != 5 {
 		t.Fatalf("shape %v", out.Shape)
 	}
 	ones := tensor.New(out.Shape...)
-	ones.Fill(1)
+	fill(ones, 1)
 	dx := p.Backward(ones)
 	const eps = 1e-6
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		up := p.Forward(x).Sum()
+		up := sum(p.Forward(x))
 		x.Data[i] = orig - eps
-		down := p.Forward(x).Sum()
+		down := sum(p.Forward(x))
 		x.Data[i] = orig
 		want := (up - down) / (2 * eps)
 		if math.Abs(dx.Data[i]-want) > 1e-6 {
@@ -266,7 +289,7 @@ func TestGGNNLearnsGraphTarget(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		n := 3 + rng.Intn(4)
 		x := tensor.New(n, 2)
-		x.RandNormal(rng, 1)
+		randNormal(x, rng, 1)
 		s := 0.0
 		for j := 0; j < n; j++ {
 			s += x.At(j, 0)
@@ -301,7 +324,7 @@ func TestGGConvDeterministicForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	g := NewGGConv(rng, 5, 2)
 	h := tensor.New(4, 5)
-	h.RandNormal(rng, 1)
+	randNormal(h, rng, 1)
 	edges := ring(4)
 	a := g.Forward(h, edges)
 	b := g.Forward(h, edges)

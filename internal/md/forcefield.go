@@ -2,7 +2,7 @@
 // the drug-discovery funnel. The paper (Section 3.1) notes that "even
 // molecular dynamics (MD) simulations can be used before finalizing
 // candidates for physical experimentation"; this package provides that
-// final, most expensive stage: a velocity-Verlet / Langevin integrator
+// final, most expensive stage: a Langevin integrator
 // over a differentiable force field whose non-bonded terms mirror the
 // MM/GBSA single-point decomposition in internal/mmgbsa.
 //
@@ -166,18 +166,6 @@ func (s *System) PotentialEnergy() float64 {
 	return e
 }
 
-// Forces returns the force on each mobile atom in kcal/mol/A.
-func (s *System) Forces() []chem.Vec3 {
-	_, f := s.eval(true)
-	return f
-}
-
-// EnergyForces returns the potential energy and per-atom forces in one
-// evaluation.
-func (s *System) EnergyForces() (float64, []chem.Vec3) {
-	return s.eval(true)
-}
-
 // eval computes the potential energy and, when wantForces is set, the
 // analytic forces. Every term is expressed through a scalar function
 // of one interatomic distance, so forces follow from dE/dr along the
@@ -315,11 +303,6 @@ func (s *System) KineticEnergy() float64 {
 		ke += 0.5 * s.mass[i] * v.Dot(v)
 	}
 	return ke
-}
-
-// TotalEnergy returns potential plus kinetic energy in kcal/mol.
-func (s *System) TotalEnergy() float64 {
-	return s.PotentialEnergy() + s.KineticEnergy()
 }
 
 // Temperature returns the instantaneous kinetic temperature in Kelvin

@@ -6,29 +6,6 @@ import (
 	"deepfusion/internal/chem"
 )
 
-// VelocityVerlet advances the system by steps NVE velocity-Verlet
-// steps of dtFs femtoseconds each. Energy is conserved up to the
-// integrator's O(dt^2) drift; use Langevin for thermostatted runs.
-func (s *System) VelocityVerlet(dtFs float64, steps int) {
-	if len(s.mol.Atoms) == 0 || steps <= 0 {
-		return
-	}
-	dt := dtFs / akmaTimeFs
-	_, f := s.eval(true)
-	for step := 0; step < steps; step++ {
-		// Half kick, full drift.
-		for i := range s.vel {
-			s.vel[i] = s.vel[i].Add(f[i].Scale(0.5 * dt / s.mass[i]))
-			s.mol.Atoms[i].Pos = s.mol.Atoms[i].Pos.Add(s.vel[i].Scale(dt))
-		}
-		// New forces, second half kick.
-		_, f = s.eval(true)
-		for i := range s.vel {
-			s.vel[i] = s.vel[i].Add(f[i].Scale(0.5 * dt / s.mass[i]))
-		}
-	}
-}
-
 // Langevin advances the system by steps BAOAB Langevin steps of dtFs
 // femtoseconds at temperature tempK with friction gamma (1/ps). BAOAB
 // splits each step into half kick (B), half drift (A), full
@@ -69,18 +46,6 @@ func (s *System) Langevin(dtFs, tempK, gammaPsInv float64, steps int) {
 			s.vel[i] = s.vel[i].Add(f[i].Scale(0.5 * dt / s.mass[i]))
 		}
 	}
-}
-
-// MaxForce returns the largest per-atom force magnitude in kcal/mol/A,
-// the convergence measure used by Minimize.
-func (s *System) MaxForce() float64 {
-	var fMax float64
-	for _, f := range s.Forces() {
-		if n := f.Norm(); n > fMax {
-			fMax = n
-		}
-	}
-	return fMax
 }
 
 // Minimize relaxes the geometry by steepest descent with a

@@ -96,9 +96,6 @@ func (a *AMPL) Predict(m *chem.Mol) float64 {
 	return s
 }
 
-// Fitted reports whether Fit has succeeded.
-func (a *AMPL) Fitted() bool { return a.fitted }
-
 // solveGaussian solves the dense linear system A w = b in place with
 // partial pivoting.
 func solveGaussian(a [][]float64, b []float64) ([]float64, error) {

@@ -91,13 +91,13 @@ func testCompounds(t *testing.T, n int) []*chem.Mol {
 func TestAMPLFitPredict(t *testing.T) {
 	mols := testCompounds(t, 60)
 	a := NewAMPL(target.Protease1)
-	if a.Fitted() {
+	if a.fitted {
 		t.Fatal("fresh AMPL must be unfitted")
 	}
 	if err := a.Fit(mols[:40]); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Fitted() {
+	if !a.fitted {
 		t.Fatal("Fit did not mark model fitted")
 	}
 	// Surrogate must correlate with real MM/GBSA on held-out compounds.

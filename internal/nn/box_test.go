@@ -45,7 +45,7 @@ func TestForwardInferBoxMatchesWholeGrid(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		k := []int{3, 5}[trial%2]
 		c := NewConv3D(rng, 1+rng.Intn(3), []int{3, 8, 5}[trial%3], k)
-		c.B.Update(func([]float64) { c.B.Value.RandNormal(rng, 0.5) })
+		c.B.Update(func([]float64) { randNormal(c.B.Value, rng, 0.5) })
 		c.Direct = trial%4 == 3
 
 		// The input is non-zero only inside in; half the time in is
@@ -102,7 +102,7 @@ func TestForwardInferBoxMatchesWholeGrid(t *testing.T) {
 func TestForwardInferBoxEmptyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	c := NewConv3D(rng, 2, 3, 3)
-	c.B.Update(func([]float64) { c.B.Value.RandNormal(rng, 1) })
+	c.B.Update(func([]float64) { randNormal(c.B.Value, rng, 1) })
 	ws := NewWorkspace()
 	out := tensor.GridBox(2, 3, 2)
 	y := InferBox(c, tensor.New(1, 2, 0, 0, 0), tensor.Box{}, out, ws)

@@ -102,7 +102,9 @@ func TestMSEGradientDirectionProperty(t *testing.T) {
 		}
 		loss0, grad := MSELoss(pred, truth)
 		stepped := pred.Clone()
-		stepped.AXPY(-1e-4, grad)
+		for i, g := range grad.Data {
+			stepped.Data[i] -= 1e-4 * g
+		}
 		loss1, _ := MSELoss(stepped, truth)
 		return loss1 <= loss0+1e-12
 	}

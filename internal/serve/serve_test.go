@@ -61,6 +61,13 @@ func testPoses(t *testing.T, n int) []screen.Pose {
 	return poses
 }
 
+// flushCauses reads the batcher's flush-cause counters (full, deadline,
+// drain) from the engine's status, as an operator sees them.
+func flushCauses(e *Engine) (full, deadline, drain int64) {
+	st := e.Status().Stats
+	return st.FlushesFull, st.FlushesDeadline, st.FlushesDrain
+}
+
 func waitDone(t *testing.T, r *Request) {
 	t.Helper()
 	select {
@@ -82,7 +89,7 @@ func TestBatchFullFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, r) // completes without any Advance: batch-full flush
-	full, deadline, drain := e.stats.FlushCounts()
+	full, deadline, drain := flushCauses(e)
 	if full != 1 || deadline != 0 || drain != 0 {
 		t.Fatalf("flush counts (full,deadline,drain) = (%d,%d,%d), want (1,0,0)", full, deadline, drain)
 	}
@@ -102,12 +109,12 @@ func TestDeadlineFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full, deadline, _ := e.stats.FlushCounts(); full != 0 || deadline != 0 {
+	if full, deadline, _ := flushCauses(e); full != 0 || deadline != 0 {
 		t.Fatalf("partial batch flushed before the deadline: full=%d deadline=%d", full, deadline)
 	}
 	clock.Advance(e.cfg.MaxWait) // SubmitPoses armed the timer before returning
 	waitDone(t, r)
-	full, deadline, drain := e.stats.FlushCounts()
+	full, deadline, drain := flushCauses(e)
 	if full != 0 || deadline != 1 || drain != 0 {
 		t.Fatalf("flush counts (full,deadline,drain) = (%d,%d,%d), want (0,1,0)", full, deadline, drain)
 	}
@@ -136,7 +143,7 @@ func TestNoStarvationAcrossRequests(t *testing.T) {
 	clock.Advance(e.cfg.MaxWait / 2)
 	waitDone(t, r1)
 	waitDone(t, r2)
-	if full, deadline, _ := e.stats.FlushCounts(); full != 0 || deadline != 1 {
+	if full, deadline, _ := flushCauses(e); full != 0 || deadline != 1 {
 		t.Fatalf("flush counts full=%d deadline=%d, want one deadline flush carrying both requests", full, deadline)
 	}
 }
@@ -169,11 +176,11 @@ func TestStaleDeadlineTimerIsNoOp(t *testing.T) {
 	if !stillOpen {
 		t.Fatal("stale deadline timer flushed the next open batch")
 	}
-	if full, deadline, _ := e.stats.FlushCounts(); full != 1 || deadline != 0 {
+	if full, deadline, _ := flushCauses(e); full != 1 || deadline != 0 {
 		t.Fatalf("flush counts full=%d deadline=%d after stale fire, want 1,0", full, deadline)
 	}
 	e.deadlineFlush(tr, 1) // the current batch's own timer
-	if full, deadline, _ := e.stats.FlushCounts(); full != 1 || deadline != 1 {
+	if full, deadline, _ := flushCauses(e); full != 1 || deadline != 1 {
 		t.Fatalf("flush counts full=%d deadline=%d, want 1,1", full, deadline)
 	}
 }
@@ -199,13 +206,13 @@ func TestDrainFlushesPartialExactlyOnce(t *testing.T) {
 	if st := e.Snapshot(r); st.State != StateDone || st.Scored != 3 {
 		t.Fatalf("drained request %+v, want done with 3 scored", st)
 	}
-	full, deadline, drain := e.stats.FlushCounts()
+	full, deadline, drain := flushCauses(e)
 	if full != 0 || deadline != 0 || drain != 1 {
 		t.Fatalf("flush counts (full,deadline,drain) = (%d,%d,%d), want (0,0,1)", full, deadline, drain)
 	}
 	// The drained batch's deadline timer fires after shutdown: no-op.
 	e.deadlineFlush(tr, 0)
-	if _, _, drain := e.stats.FlushCounts(); drain != 1 {
+	if _, _, drain := flushCauses(e); drain != 1 {
 		t.Fatalf("drain flushed twice")
 	}
 	if _, err := e.SubmitPoses("protease1", poses[:1]); err != ErrDraining {

@@ -105,15 +105,6 @@ func (s *Stats) evictedTarget() {
 	s.evictions++
 }
 
-// FlushCounts returns the batcher's flush-cause breakdown (full,
-// deadline, drain) — the exactly-once observability hook the FakeClock
-// tests assert on.
-func (s *Stats) FlushCounts() (full, deadline, drain int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushesFull, s.flushesDeadline, s.flushesDrain
-}
-
 // StatsSnapshot is the JSON form of the live counters.
 type StatsSnapshot struct {
 	PosesScored     int64   `json:"poses_scored"`

@@ -55,7 +55,7 @@ func testPackedKernels(t *testing.T) {
 			w := randMat(rng, sh.n, sh.k, 0)
 			wantT := MatMulTransB(a, w)
 			gotT := New(sh.m, sh.n)
-			gotT.Fill(42) // must be fully overwritten
+			fill(gotT, 42) // must be fully overwritten
 			var pt PackedB
 			pt.PackTransposed(w.Data, sh.n, sh.k)
 			MatMulPackedInto(gotT, a, &pt)
@@ -158,7 +158,7 @@ func TestPackReuse(t *testing.T) {
 func TestArenaRecycles(t *testing.T) {
 	a := &Arena[float64]{}
 	t1 := a.Get(4, 8)
-	t1.Fill(3)
+	fill(t1, 3)
 	buf := &t1.Data[0]
 	a.Reset()
 	t2 := a.GetUninit(32)

@@ -62,7 +62,7 @@ func TestMatMulPacked32RaggedTails(t *testing.T) {
 				// accumulator first, so the reference must seed too.
 				wantAcc := refMatMul32(a, b, 0.5)
 				acc := NewF32(m, n)
-				acc.Fill(0.5)
+				fill(acc, 0.5)
 				MatMulAccPacked(acc, a, &pb)
 				for i := range wantAcc.Data {
 					if acc.Data[i] != wantAcc.Data[i] {

@@ -14,10 +14,7 @@
 // (leaves.go) are selected by element type.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Float is the element type of a tensor.
 type Float interface{ float32 | float64 }
@@ -152,16 +149,8 @@ func (t *Dense[T]) offset(idx []int) int {
 	return off
 }
 
-// Fill sets every element to v.
-func (t *Dense[T]) Fill(v T) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
-// Zero sets every element to 0. Unlike Fill(0) — whose store loop the
-// compiler cannot specialize because the value is a parameter — clear
-// lowers to a vectorized memclr, so zeroing runs at memory bandwidth.
+// Zero sets every element to 0. clear lowers to a vectorized memclr, so
+// zeroing runs at memory bandwidth.
 func (t *Dense[T]) Zero() { clear(t.Data) }
 
 // AddInPlace adds o element-wise into t. Shapes must match in length.
@@ -181,16 +170,6 @@ func (t *Dense[T]) Scale(s T) {
 	}
 }
 
-// AXPY computes t += a*o element-wise.
-func (t *Dense[T]) AXPY(a T, o *Dense[T]) {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: AXPY length mismatch")
-	}
-	for i, v := range o.Data {
-		t.Data[i] += a * v
-	}
-}
-
 // Add returns t + o as a new tensor.
 func Add[T Float](t, o *Dense[T]) *Dense[T] {
 	if len(t.Data) != len(o.Data) {
@@ -201,67 +180,6 @@ func Add[T Float](t, o *Dense[T]) *Dense[T] {
 		r.Data[i] = t.Data[i] + o.Data[i]
 	}
 	return r
-}
-
-// Sum returns the sum of all elements.
-func (t *Dense[T]) Sum() T {
-	var s T
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty).
-func (t *Dense[T]) Mean() T {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / T(len(t.Data))
-}
-
-// Max returns the maximum element. It panics on an empty tensor.
-func (t *Dense[T]) Max() T {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. It panics on an empty tensor.
-func (t *Dense[T]) Min() T {
-	if len(t.Data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Norm2 returns the Euclidean norm of the flattened tensor.
-func (t *Dense[T]) Norm2() T {
-	var s T
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return T(math.Sqrt(float64(s)))
-}
-
-// Apply replaces every element x with f(x).
-func (t *Dense[T]) Apply(f func(T) T) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
 }
 
 // Row returns a view of row i of a rank-2 tensor as a slice.
