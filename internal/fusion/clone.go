@@ -18,12 +18,6 @@ func (m *CNN3D) Clone() *CNN3D {
 	if err := nn.CopyParams(c.Params(), m.Params()); err != nil {
 		panic("fusion: CNN3D clone shape mismatch: " + err.Error())
 	}
-	// Preserve the convolution algorithm selection (a model pinned to
-	// the direct reference path stays on it).
-	c.conv1.Direct = m.conv1.Direct
-	c.conv2.Direct = m.conv2.Direct
-	c.conv3.Direct = m.conv3.Direct
-	c.conv4.Direct = m.conv4.Direct
 	return c
 }
 

@@ -67,10 +67,12 @@ func NewCNN3D(cfg CNN3DConfig, seed int64) *CNN3D {
 	return m
 }
 
-// SetDirectConv switches every convolution stage between the scatter
-// convolution (default) and the direct reference loops. The
-// screening throughput benchmarks use it to measure the batched
-// engine against the seed's per-sample baseline.
+// SetDirectConv switches every convolution stage's inference between
+// the scatter convolution (default) and the direct reference loops
+// (nn.Conv3D.Direct); training always scatters, and a Clone scatters.
+// It is the one seam the screening throughput gate and
+// BenchmarkRunJobPerSample use to time the batched engine against the
+// per-sample baseline, which no production caller selects.
 func (m *CNN3D) SetDirectConv(direct bool) {
 	for _, c := range []*nn.Conv3D{m.conv1, m.conv2, m.conv3, m.conv4} {
 		c.Direct = direct

@@ -14,21 +14,22 @@ import (
 //
 // Training and inference run one forward body: Forward, Infer and
 // InferBox all scatter each non-zero input voxel's kernel footprint
-// into the output (scatterBox), or run the seven-loop reference
-// (directBox) when Direct is set. Both add an output element's
-// non-zero terms in ascending (input channel, tap) order after its
-// bias. Backward scatters too: dW through the same tap-block leaf with
-// the output gradient as its rows, dx one row of Σ_o g·W per output
-// position (backward), or the reference loops (backwardDirect) when
-// Direct is set.
+// into the output (scatterBox), adding an output element's non-zero
+// terms in ascending (input channel, tap) order after its bias.
+// Backward scatters too: dW through the same tap-block leaf with the
+// output gradient as its rows, dx one row of Σ_o g·W per output
+// position (backward).
 type Conv3D struct {
 	In, Out, K int
 	W          *Param // [Out, In, K, K, K]
 	B          *Param // [Out]
 
-	// Direct selects the reference (unlowered) convolution loops.
-	// It exists for verification and as the per-sample baseline of
-	// the screening throughput benchmarks.
+	// Direct makes inference (Infer, InferBox) run the seven-loop
+	// reference convolution (directBox), which adds the same terms in
+	// the same order, instead of the scatter. It applies to inference
+	// only: Forward and Backward always scatter. It is the per-sample
+	// baseline the screening throughput gate times the batched engine
+	// against.
 	Direct bool
 
 	lastX *tensor.Tensor
@@ -56,8 +57,8 @@ func NewConv3D(rng *rand.Rand, in, out, k int) *Conv3D {
 }
 
 // Forward implements Layer: the inference kernel over the whole grid
-// of each sample (scatterBox, or directBox when Direct is set), one
-// sample per ParallelFor worker at a time, into a heap output. The taps
+// of each sample (scatterBox), one sample per ParallelFor worker at a
+// time, into a heap output. The taps
 // are laid out from W's values on every call, so training never reads
 // a form compiled from an earlier generation of the weights.
 func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
@@ -68,19 +69,12 @@ func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
 	out := tensor.New(n, c.Out, d, h, w)
 	grid := tensor.GridBox(d, h, w)
-	var taps []float64
-	if !c.Direct {
-		taps = scatterLayout[float64](c.W.Value.Data, c.Out, c.In, c.K)
-	}
+	taps := scatterLayout[float64](c.W.Value.Data, c.Out, c.In, c.K)
 	inPer, outPer := c.In*d*h*w, c.Out*d*h*w
 	tensor.ParallelFor(n, func(lo, hi int) {
 		xs := tensor.FromSlice(x.Data[lo*inPer:hi*inPer], hi-lo, c.In, d, h, w)
 		ys := tensor.FromSlice(out.Data[lo*outPer:hi*outPer], hi-lo, c.Out, d, h, w)
-		if c.Direct {
-			directBox(c, c.W.Value.Data, c.B.Value.Data, xs, ys, grid, grid)
-		} else {
-			scatterBox(c, taps, c.B.Value.Data, xs, ys, grid, grid, NewWorkspace())
-		}
+		scatterBox(c, taps, c.B.Value.Data, xs, ys, grid, grid, NewWorkspace())
 	})
 	return out
 }
@@ -107,10 +101,6 @@ func (c *Conv3D) BackwardParams(grad *tensor.Tensor) { c.backward(grad, nil) }
 // partials are added in block order, so the bits do not depend on how
 // many workers ParallelFor runs.
 func (c *Conv3D) backward(grad, dx *tensor.Tensor) {
-	if c.Direct {
-		c.backwardDirect(grad, dx)
-		return
-	}
 	x := c.lastX
 	n, vol := x.Dim(0), x.Dim(2)*x.Dim(3)*x.Dim(4)
 	nW := len(c.W.Value.Data)
@@ -253,58 +243,6 @@ func (c *Conv3D) inputGradRows(dx *tensor.Tensor, row, gT []float64, b int) {
 func readK(z, dim, k int) (lo, hi int) {
 	pad := k / 2
 	return max(pad-z, 0), min(dim-1+pad-z, k-1)
-}
-
-// backwardDirect is the reference backward matching directBox; dx as
-// in backward.
-func (c *Conv3D) backwardDirect(grad, dx *tensor.Tensor) {
-	x := c.lastX
-	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	pad := c.K / 2
-	k := c.K
-	// Parameter gradients are accumulated serially per output channel to
-	// avoid write races; input gradients are accumulated per sample.
-	for ni := 0; ni < n; ni++ {
-		for co := 0; co < c.Out; co++ {
-			for zd := 0; zd < d; zd++ {
-				for zh := 0; zh < h; zh++ {
-					for zw := 0; zw < w; zw++ {
-						g := grad.At(ni, co, zd, zh, zw)
-						if g == 0 {
-							continue
-						}
-						c.B.Grad.Data[co] += g
-						for ci := 0; ci < c.In; ci++ {
-							for kd := 0; kd < k; kd++ {
-								id := zd + kd - pad
-								if id < 0 || id >= d {
-									continue
-								}
-								for kh := 0; kh < k; kh++ {
-									ih := zh + kh - pad
-									if ih < 0 || ih >= h {
-										continue
-									}
-									xBase := (((ni*c.In+ci)*d+id)*h + ih) * w
-									wBase := ((((co*c.In+ci)*k+kd)*k + kh) * k)
-									for kw := 0; kw < k; kw++ {
-										iw := zw + kw - pad
-										if iw < 0 || iw >= w {
-											continue
-										}
-										c.W.Grad.Data[wBase+kw] += g * x.Data[xBase+iw]
-										if dx != nil {
-											dx.Data[xBase+iw] += g * c.W.Value.Data[wBase+kw]
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // Params implements Layer.

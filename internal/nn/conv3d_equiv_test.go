@@ -17,6 +17,56 @@ func sparseVoxels(rng *rand.Rand, x *tensor.Tensor) {
 	}
 }
 
+// refBackward is the reference backward matching directBox, over the
+// input x the forward read: it adds the gradients of grad into c.W.Grad
+// and c.B.Grad and, when dx is not nil, the input gradient into dx.
+func refBackward(c *Conv3D, x, grad, dx *tensor.Tensor) {
+	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
+	pad := c.K / 2
+	k := c.K
+	for ni := 0; ni < n; ni++ {
+		for co := 0; co < c.Out; co++ {
+			for zd := 0; zd < d; zd++ {
+				for zh := 0; zh < h; zh++ {
+					for zw := 0; zw < w; zw++ {
+						g := grad.At(ni, co, zd, zh, zw)
+						if g == 0 {
+							continue
+						}
+						c.B.Grad.Data[co] += g
+						for ci := 0; ci < c.In; ci++ {
+							for kd := 0; kd < k; kd++ {
+								id := zd + kd - pad
+								if id < 0 || id >= d {
+									continue
+								}
+								for kh := 0; kh < k; kh++ {
+									ih := zh + kh - pad
+									if ih < 0 || ih >= h {
+										continue
+									}
+									xBase := (((ni*c.In+ci)*d+id)*h + ih) * w
+									wBase := ((((co*c.In+ci)*k+kd)*k + kh) * k)
+									for kw := 0; kw < k; kw++ {
+										iw := zw + kw - pad
+										if iw < 0 || iw >= w {
+											continue
+										}
+										c.W.Grad.Data[wBase+kw] += g * x.Data[xBase+iw]
+										if dx != nil {
+											dx.Data[xBase+iw] += g * c.W.Value.Data[wBase+kw]
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestConv3DLoweredMatchesDirect asserts the lowered paths (the
 // scatter forward and backward) agree with the reference loops to
 // floating-point reassociation tolerance — the property that lets the
@@ -34,8 +84,9 @@ func TestConv3DLoweredMatchesDirect(t *testing.T) {
 		sparseVoxels(rng, x)
 
 		lowered := c.Forward(x)
-		c.Direct = true
-		direct := c.Forward(x)
+		direct := tensor.New(lowered.Shape...)
+		grid := tensor.GridBox(tc.g, tc.g, tc.g)
+		directBox(c, c.W.Value.Data, c.B.Value.Data, x, direct, grid, grid)
 		for i := range direct.Data {
 			if diff := direct.Data[i] - lowered.Data[i]; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("case %+v: forward diverges at %d: direct %v lowered %v",
@@ -45,14 +96,12 @@ func TestConv3DLoweredMatchesDirect(t *testing.T) {
 
 		grad := tensor.New(lowered.Shape...)
 		sparseVoxels(rng, grad)
-		// Direct backward (caches from the direct forward just run).
 		zeroGrads(c.Params())
-		dxDirect := c.Backward(grad)
+		dxDirect := tensor.New(x.Shape...)
+		refBackward(c, x, grad, dxDirect)
 		wgDirect := c.W.Grad.Clone()
 		bgDirect := c.B.Grad.Clone()
-		// Lowered backward.
-		c.Direct = false
-		c.Forward(x)
+		// Lowered backward, over the x the lowered forward stashed.
 		zeroGrads(c.Params())
 		dxLowered := c.Backward(grad)
 		for i := range dxDirect.Data {
@@ -74,8 +123,8 @@ func TestConv3DLoweredMatchesDirect(t *testing.T) {
 }
 
 // TestConv3DBackwardParamsMatchesBackward pins that skipping the input
-// gradient changes no parameter gradient bit, on the direct reference
-// path and on the lowered one, on a small and a large grid.
+// gradient changes no parameter gradient bit, on the lowered path and
+// on the reference loops, on a small and a large grid.
 func TestConv3DBackwardParamsMatchesBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, tc := range []struct{ batch, in, out, k, g int }{
@@ -84,20 +133,24 @@ func TestConv3DBackwardParamsMatchesBackward(t *testing.T) {
 	} {
 		for _, direct := range []bool{false, true} {
 			c := NewConv3D(rand.New(rand.NewSource(13)), tc.in, tc.out, tc.k)
-			c.Direct = direct
 			x := tensor.New(tc.batch, tc.in, tc.g, tc.g, tc.g)
 			sparseVoxels(rng, x)
 			grad := tensor.New(c.Forward(x).Shape...)
 			sparseVoxels(rng, grad)
+			backward, backwardParams := func() { c.Backward(grad) }, func() { c.BackwardParams(grad) }
+			if direct {
+				backward = func() { refBackward(c, x, grad, tensor.New(x.Shape...)) }
+				backwardParams = func() { refBackward(c, x, grad, nil) }
+			}
 			// Accumulate twice, as training does across a batch's
 			// contributions, so the sums land on non-zero gradients.
 			zeroGrads(c.Params())
-			c.Backward(grad)
-			c.Backward(grad)
+			backward()
+			backward()
 			wantW, wantB := c.W.Grad.Clone(), c.B.Grad.Clone()
 			zeroGrads(c.Params())
-			c.BackwardParams(grad)
-			c.BackwardParams(grad)
+			backwardParams()
+			backwardParams()
 			for i := range wantW.Data {
 				if c.W.Grad.Data[i] != wantW.Data[i] {
 					t.Fatalf("case %+v direct=%v: dW[%d] %v != Backward's %v", tc, direct, i, c.W.Grad.Data[i], wantW.Data[i])
@@ -127,12 +180,16 @@ func BenchmarkConv3DForward(b *testing.B) {
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			c := NewConv3D(rand.New(rand.NewSource(1)), 16, 8, 5)
-			c.Direct = bench.direct
 			x := tensor.New(bench.batch, 16, 8, 8, 8)
 			sparseVoxels(rand.New(rand.NewSource(2)), x)
+			grid := tensor.GridBox(8, 8, 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Forward(x)
+				if bench.direct {
+					directBox(c, c.W.Value.Data, c.B.Value.Data, x, tensor.New(bench.batch, 8, 8, 8, 8), grid, grid)
+				} else {
+					c.Forward(x)
+				}
 			}
 		})
 	}

@@ -193,7 +193,6 @@ func BenchmarkConv3DBackward(b *testing.B) {
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			c := NewConv3D(rand.New(rand.NewSource(1)), 16, 8, 5)
-			c.Direct = bench.direct
 			x := tensor.New(bench.batch, 16, 8, 8, 8)
 			sparseVoxels(rand.New(rand.NewSource(2)), x)
 			grad := tensor.New(bench.batch, 8, 8, 8, 8)
@@ -201,7 +200,11 @@ func BenchmarkConv3DBackward(b *testing.B) {
 			c.Forward(x)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Backward(grad)
+				if bench.direct {
+					refBackward(c, x, grad, tensor.New(x.Shape...))
+				} else {
+					c.Backward(grad)
+				}
 			}
 		})
 	}

@@ -15,11 +15,13 @@ import (
 // Backward — the path of the screening engine and of training-side
 // evaluation alike. After one warm-up batch an inference pass performs
 // zero heap allocations. Each layer has one forward body: the training
-// Forward runs the same kernels (the convolution's scatterBox and
-// directBox, activate) or the same per-element expressions in the same
-// term order, and adds only its stash for Backward, dropout's mask and
-// batch norm's batch statistics. At float32 the same loops run at half
-// the width, so results differ from float64 only in rounding.
+// Forward runs the same kernels (the convolution's scatterBox,
+// activate) or the same per-element expressions in the same term order,
+// and adds only its stash for Backward, dropout's mask and batch norm's
+// batch statistics. At float32 the same loops run at half the width, so
+// results differ from float64 only in rounding. The convolution's
+// direct reference loops (directBox) run at inference only, when
+// Conv3D.Direct is set.
 //
 // Inference runs serially in the calling goroutine (no ParallelFor) —
 // the screening engine's rank goroutines are the parallelism, one
@@ -241,7 +243,8 @@ func poolInfer[T tensor.Float](m *MaxPool3D, x *tensor.Dense[T], ws *Workspace) 
 // Each output element accumulates its bias and then its non-zero terms
 // in ascending (input channel, input position) order, whichever boxes
 // carry them: the result over any out equals the whole-grid result
-// restricted to out, bit for bit.
+// restricted to out, bit for bit. The scatter computes it, or the
+// direct reference loops when c.Direct is set.
 func InferBox[T tensor.Float](c *Conv3D, x *tensor.Dense[T], in, out tensor.Box, ws *Workspace) *tensor.Dense[T] {
 	id, ih, iw := in.Dims()
 	if x.Rank() != 5 || x.Dim(1) != c.In || x.Dim(2) != id || x.Dim(3) != ih || x.Dim(4) != iw {
@@ -390,7 +393,8 @@ func clipK(s, dim, k int) (lo, hi int) {
 // the kernel ([Out, In, K, K, K]) and bias given by the caller: for
 // each output element, its bias and then a gather over every input
 // channel and tap, reading taps that fall outside the input box as the
-// zeros they are.
+// zeros they are. InferBox runs it when Conv3D.Direct is set; the
+// equivalence tests hold the scatter to it.
 func directBox[T tensor.Float](c *Conv3D, wf, bias []T, x, y *tensor.Dense[T], in, out tensor.Box) {
 	n := x.Dim(0)
 	id, ih, iw := in.Dims()

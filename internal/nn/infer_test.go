@@ -46,7 +46,7 @@ func TestForwardInferMatchesForward(t *testing.T) {
 		check("Conv3D/scatter", c.Forward(x), c.ForwardInfer(x, ws))
 		ws.Reset()
 	}
-	// Conv3D, direct reference path.
+	// Conv3D, inference on the direct reference loops.
 	{
 		c := NewConv3D(rng, 2, 3, 3)
 		c.Direct = true
