@@ -3,3 +3,6 @@
 package lib
 
 func kernel() { portableOnly() }
+
+// portableUnused exists only off amd64, and nothing reaches it.
+func (T) portableUnused() {}

@@ -1,5 +1,12 @@
 package main
 
-import "fixture/lib"
+import (
+	"fmt"
 
-func main() { lib.Live() }
+	"fixture/lib"
+)
+
+func main() {
+	lib.Live()
+	fmt.Println(lib.T{})
+}
