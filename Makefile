@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build verify test test-benchmark test-portable test-race smoke-campaign deadcode fuzz-h5lite fuzz-smiles fuzz-submit vet vet-tags vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 profile-dock profile-campaign clean
+.PHONY: all build verify test test-benchmark test-portable test-race smoke-campaign deadcode fuzz-h5lite fuzz-smiles fuzz-submit vet vulncheck bench bench-screen bench-consensus bench-featurize bench-precision bench-report bench-smoke profile-paper profile-f64 profile-dock profile-campaign clean
 
 all: build
 
@@ -16,15 +16,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Vet again under the build tags CI exercises, so tag-gated files
-# (benchmarks, integration probes) stay analyzable as they appear.
-vet-tags:
-	$(GO) vet -tags bench,integration ./...
-
-# Liveness gate: fails on any package-level production function that
-# only tests reach, or nothing does, in the main module and benchmark/
-# (built for amd64 and for 386). The roots, the allow-list and its
-# reasons are in tools/deadcode/main.go.
+# Liveness gate: fails on any production function or method that only
+# tests reach, or nothing does, in the main module and benchmark/ (built
+# for amd64 and for 386); a method is live when a selector of its name
+# is reached or its type lends it to an interface. The roots, the
+# allow-list and its reasons are in tools/deadcode/main.go.
 deadcode:
 	$(GO) run ./tools/deadcode
 

@@ -21,11 +21,10 @@ const (
 
 // Library is a deterministic, lazily generated compound collection.
 type Library struct {
-	Name      string
-	Format    InputFormat
-	PaperSize int // compounds in the real library (paper Section 4)
-	Size      int // compounds in this scaled reproduction
-	profile   Profile
+	Name    string
+	Format  InputFormat
+	Size    int // compounds in this scaled reproduction
+	profile Profile
 }
 
 // Compound returns the SMILES string for index i (0 <= i < Size).
@@ -119,29 +118,30 @@ const ScaleFactor = 100000
 
 // The four compound sources of the SARS-CoV-2 screen (paper Section 4).
 var (
-	// ZINC "world-approved 2018": FDA + world-not-FDA approved drugs.
+	// ZINC "world-approved 2018": FDA + world-not-FDA approved drugs
+	// (8000 in the paper).
 	ZINC = &Library{
 		Name: "zinc-world-approved", Format: FormatSDF2D,
-		PaperSize: 8000, Size: 2000,
+		Size:    2000,
 		profile: Profile{MinFragments: 1, MaxFragments: 4, AromaticBias: 0.7, HeteroBias: 0.55, ChainBias: 0.3, SaltProb: 0.15, RequireDruglike: true},
 	}
 	// ChEMBL bioactives (1.5 million selected in the paper).
 	ChEMBL = &Library{
 		Name: "chembl", Format: FormatSDF2D,
-		PaperSize: 1500000, Size: 1500000 / ScaleFactor,
+		Size:    1500000 / ScaleFactor,
 		profile: Profile{MinFragments: 1, MaxFragments: 5, AromaticBias: 0.8, HeteroBias: 0.5, ChainBias: 0.35, SaltProb: 0.10},
 	}
 	// eMolecules catalog (18 million drawn in the paper).
 	EMolecules = &Library{
 		Name: "emolecules", Format: FormatSMILES,
-		PaperSize: 18000000, Size: 18000000 / ScaleFactor,
+		Size:    18000000 / ScaleFactor,
 		profile: Profile{MinFragments: 0, MaxFragments: 5, AromaticBias: 0.6, HeteroBias: 0.4, ChainBias: 0.5, SaltProb: 0.05},
 	}
 	// Enamine synthetically feasible drug-like space (the bulk of the
 	// 500M+ total).
 	Enamine = &Library{
 		Name: "enamine", Format: FormatSMILES,
-		PaperSize: 482000000, Size: 482000000 / ScaleFactor,
+		Size:    482000000 / ScaleFactor,
 		profile: Profile{MinFragments: 1, MaxFragments: 4, AromaticBias: 0.65, HeteroBias: 0.5, ChainBias: 0.3, RequireDruglike: true},
 	}
 )

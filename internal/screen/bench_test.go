@@ -27,8 +27,8 @@ import (
 // benchFusion builds an untrained screening-default model (default
 // voxel grid, default SG-CNN widths — the production configuration,
 // not the test-sized one).
-func benchFusion(b *testing.B) *fusion.Fusion {
-	b.Helper()
+func benchFusion(tb testing.TB) *fusion.Fusion {
+	tb.Helper()
 	cnnCfg := fusion.DefaultCNN3DConfig()
 	sgCfg := fusion.DefaultSGCNNConfig()
 	cnn := fusion.NewCNN3D(cnnCfg, 1)
@@ -36,8 +36,10 @@ func benchFusion(b *testing.B) *fusion.Fusion {
 	return fusion.NewFusion(fusion.DefaultCoherentConfig(), cnn, sg, 3)
 }
 
-func benchPoses(b *testing.B, n int) []Pose {
-	b.Helper()
+// benchPoses places the first n library compounds that build into the
+// protease pocket, one pose each.
+func benchPoses(tb testing.TB, n int) []Pose {
+	tb.Helper()
 	var poses []Pose
 	for i := 0; len(poses) < n; i++ {
 		m, err := libgen.ZINC.Mol(i)
@@ -78,11 +80,11 @@ func runJobBench(b *testing.B, batchSize int, direct bool, precision Precision) 
 func BenchmarkRunJobPerSample(b *testing.B) { runJobBench(b, 1, true, PrecisionF64) }
 
 // BenchmarkRunJobBatchSize1 isolates the batch-dimension win: the
-// lowered engine still scoring one pose at a time.
+// scatter convolution still scoring one pose at a time.
 func BenchmarkRunJobBatchSize1(b *testing.B) { runJobBench(b, 1, false, PrecisionF64) }
 
 // BenchmarkRunJobBatched is the production path: BatchSize 8 on the
-// lowered batched engine, f64 reference arithmetic.
+// scatter convolution, f64 reference arithmetic.
 func BenchmarkRunJobBatched(b *testing.B) { runJobBench(b, 8, false, PrecisionF64) }
 
 // BenchmarkRunJobBatchedF32 is the production path on the f32 fast
@@ -108,26 +110,14 @@ func BenchmarkRunJobBatched56(b *testing.B) {
 
 // TestBatchedBeatsPerSample is the acceptance guard for the batched
 // engine: scoring the same job must be at least 2x faster than the
-// seed's per-sample baseline. Run opt-in style via -short skip
-// inversion is avoided; this is cheap enough (~seconds) to keep in
-// tier 1.
+// seed's per-sample baseline (BenchmarkRunJobPerSample's job). It takes
+// a few seconds, so it stays in tier 1; -short skips it.
 func TestBatchedBeatsPerSample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	f := benchFusion(&testing.B{})
-	poses := func(n int) []Pose {
-		var ps []Pose
-		for i := 0; len(ps) < n; i++ {
-			m, err := libgen.ZINC.Mol(i)
-			if err != nil {
-				continue
-			}
-			target.Protease1.PlaceLigand(m)
-			ps = append(ps, Pose{CompoundID: m.Name, PoseRank: 0, Mol: m, VinaScore: -6})
-		}
-		return ps
-	}(16)
+	f := benchFusion(t)
+	poses := benchPoses(t, 16)
 	o := DefaultJobOptions()
 	o.Ranks = 2
 	o.LoadersPerRank = 2
